@@ -6,6 +6,7 @@ from .core import (
     NEG_INF,
     SUM,
     FormatError,
+    InternalError,
     MealyTransducer,
     SpecError,
     WeightedSpec,

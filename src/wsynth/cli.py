@@ -1,20 +1,22 @@
 """Command-line front end.
 
 Exit codes: 0 realizable/holds/yes, 1 unrealizable/fails/no,
-2 unknown-at-cap, 64 usage error, 65 input format error.  Output on
-stdout is byte-deterministic for identical inputs and flags; timings
-and diagnostics go to stderr.
+2 unknown-at-cap, 64 usage error, 65 input format error, 70 internal
+error (a broken guarantee, e.g. a synthesized machine that fails
+verification).  Output on stdout is byte-deterministic for identical
+inputs and flags; timings and diagnostics go to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import time
 
 from . import core, domain, dsumpath, games, prefix, synthesis
-from .core import DSUM, FormatError, format_rational, parse_rational
+from .core import DSUM, FormatError, InternalError, format_rational, parse_rational
 from .games import EVE
 
 EXIT_YES = 0
@@ -22,6 +24,11 @@ EXIT_NO = 1
 EXIT_UNKNOWN = 2
 EXIT_USAGE = 64
 EXIT_FORMAT = 65
+EXIT_SOFTWARE = 70
+
+# argparse reads a separate "-1/2" as an option, not as the flag's value
+_RATIONAL_FLAGS = ("--nu", "--r")
+_NEGATIVE_RATIONAL = re.compile(r"^-\d+/\d+$")
 
 
 class UsageError(Exception):
@@ -86,6 +93,17 @@ def _strategy_lines(arena, strategy):
 
 def _word_arg(text):
     return core.word(text)
+
+
+def _attach_negative_rationals(argv):
+    """Rewrite `--nu -1/2` as `--nu=-1/2` so argparse takes the value."""
+    out = []
+    for arg in argv:
+        if out and out[-1] in _RATIONAL_FLAGS and _NEGATIVE_RATIONAL.match(arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
 
 
 def build_parser():
@@ -204,6 +222,8 @@ def _cmd_synth(args):
         _require(args.cmp in ("lt", "le"), "approx needs --cmp lt|le")
         _require(args.slack is not None, "approx needs --r")
         slack = _rational(args.slack)
+        _require(slack >= 0, "--r must be nonnegative")
+    _require(args.cap is None or args.cap >= 0, "--cap must be nonnegative")
     spec = _load_spec(args.spec)
     if args.objective == "threshold":
         cmp = ">" if args.cmp == "gt" else ">="
@@ -462,7 +482,7 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
+    argv = _attach_negative_rationals(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     started = time.monotonic()
     try:
@@ -474,6 +494,9 @@ def main(argv=None) -> int:
     except FormatError as exc:
         sys.stderr.write("format error: %s\n" % exc)
         return EXIT_FORMAT
+    except InternalError as exc:
+        sys.stderr.write("internal error: %s\n" % exc)
+        return EXIT_SOFTWARE
     if getattr(args, "json", False):
         sys.stderr.write("elapsed_ms: %d\n" % int((time.monotonic() - started) * 1000))
     return code

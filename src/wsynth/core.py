@@ -34,6 +34,13 @@ class SpecError(ValueError):
     """A structurally valid file describes an inconsistent machine."""
 
 
+class InternalError(RuntimeError):
+    """A guarantee the program relies on was broken: a bug, never bad input.
+
+    Raised instead of `assert` so that the check survives `python -O`.
+    """
+
+
 class _Bottom:
     """The value of words outside the specification's relation (-infinity).
 

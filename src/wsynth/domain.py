@@ -35,10 +35,11 @@ def _closure(spec: WeightedSpec, states):
         q = queue.pop()
         if spec.polarity[q] != OUTPUT:
             continue
-        for (src, _sym), (tgt, _w) in spec.transitions.items():
-            if src == q and tgt not in out:
-                out.add(tgt)
-                queue.append(tgt)
+        for b in spec.outputs:
+            entry = spec.transitions.get((q, b))
+            if entry is not None and entry[0] not in out:
+                out.add(entry[0])
+                queue.append(entry[0])
     return frozenset(out)
 
 

@@ -16,6 +16,7 @@ returned.
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -29,6 +30,7 @@ from .core import (
     NEG_INF,
     OUTPUT,
     SUM,
+    InternalError,
     MealyTransducer,
     WeightedSpec,
     best_value,
@@ -177,9 +179,9 @@ def _domain_equal_witness(spec, t):
     """None when dom(t) = dom(spec), else a separating input word."""
     start = (t.initial, domain_mod._closure(spec, [spec.initial]))
     seen = {start}
-    queue = [(start, ())]
+    queue = deque([(start, ())])
     while queue:
-        (s, subset), path = queue.pop(0)
+        (s, subset), path = queue.popleft()
         t_accepts = s is not None and s in t.finals
         s_accepts = domain_mod._accepts(spec, subset)
         if t_accepts != s_accepts:
@@ -199,9 +201,9 @@ def _boolean_witness(spec, t):
     """None when every accepted input's run accepts, else a witness word."""
     start = (t.initial, spec.initial)
     seen = {start}
-    queue = [(start, ())]
+    queue = deque([(start, ())])
     while queue:
-        (s, p), path = queue.pop(0)
+        (s, p), path = queue.popleft()
         if s in t.finals and (p is None or p not in spec.finals):
             return path
         for a in spec.inputs:
@@ -222,114 +224,115 @@ def _boolean_witness(spec, t):
     return None
 
 
-def _min_walk_below(nodes, edges, source, accepting, threshold):
+def _bfs_tree(adjacency, starts, goal=None):
+    """Breadth-first links {node: (prev, weight, label) or None}, in
+    discovery order, and the first dequeued node meeting goal (or None).
+
+    adjacency maps a node to its (weight, next, label) list.
+    """
+    via = dict.fromkeys(starts)
+    queue = deque(via)
+    while queue:
+        node = queue.popleft()
+        if goal is not None and goal(node):
+            return via, node
+        for w, nxt, label in adjacency.get(node, ()):
+            if nxt not in via:
+                via[nxt] = (node, w, label)
+                queue.append(nxt)
+    return via, None
+
+
+def _walk_back(via, node):
+    """(labels, value) of the walk that the links lead back from node."""
+    labels = []
+    value = 0
+    while via[node] is not None:
+        if len(labels) > len(via):
+            raise InternalError("parent links form a cycle")
+        node, w, label = via[node]
+        labels.append(label)
+        value += w
+    labels.reverse()
+    return labels, value
+
+
+def _min_walk_below(edges, source, accepting, threshold):
     """Is there a source-to-accepting walk of value < threshold?
 
-    edges: list of (src, weight, dst, label).  Returns None or the labels
-    of a violating walk; walks may repeat a negative cycle, in which case
-    the witness pumps it just enough.
+    edges: list of (src, weight, dst, label); accepting: list of nodes.
+    Returns None or the labels of a violating walk.  One Bellman-Ford pass
+    over the live nodes (reachable, and reaching an accepting node), in
+    O(|live| * |edges|): without a relaxation in round |live|, the parent
+    chain of the cheapest accepting node is the witness; otherwise |live|
+    parent steps back from the relaxed node land on a negative cycle
+    (Cherkassky & Goldberg, Math. Prog. 1999), which the witness pumps
+    just enough.
     """
-    adjacency = {}
+    forward = {}
+    backward = {}
     for src, w, dst, label in edges:
-        adjacency.setdefault(src, []).append((w, dst, label))
-    dist = {source: 0}
-    parent = {}
-    for _ in range(max(1, len(nodes) - 1)):
+        forward.setdefault(src, []).append((w, dst, label))
+        backward.setdefault(dst, []).append((w, src, label))
+    co_reach = _bfs_tree(backward, accepting)[0]
+    live = [node for node in _bfs_tree(forward, [source])[0] if node in co_reach]
+    if not live:
+        return None
+    n = len(live)
+    index = {node: i for i, node in enumerate(live)}  # the source is 0
+    live_edges = [
+        (index[src], w, index[dst], label)
+        for src, w, dst, label in edges
+        if src in index and dst in index
+    ]
+    dist = [0] + [None] * (n - 1)
+    parent = [None] * n
+    relaxed = None
+    for rounds in range(1, n + 1):
         changed = False
-        for src, w, dst, label in edges:
-            if src not in dist:
+        for src, w, dst, label in live_edges:
+            if dist[src] is None:
                 continue
             cand = dist[src] + w
-            if dst not in dist or cand < dist[dst]:
+            if dist[dst] is None or cand < dist[dst]:
                 dist[dst] = cand
-                parent[dst] = (src, label)
+                parent[dst] = (src, w, label)
                 changed = True
-        if not changed:
+                if rounds == n:
+                    relaxed = dst
+                    break
+        if not changed or relaxed is not None:
             break
-    improvable = {
-        dst
-        for src, w, dst, _label in edges
-        if src in dist and dist[src] + w < dist[dst]
-    }
-    reaches_accepting = set(accepting)
-    changed = True
-    while changed:
-        changed = False
-        for src, _w, dst, _label in edges:
-            if dst in reaches_accepting and src not in reaches_accepting:
-                reaches_accepting.add(src)
-                changed = True
 
-    if improvable & reaches_accepting:
-        return _pumped_min_walk(adjacency, edges, source, accepting, threshold, dist)
+    if relaxed is None:
+        reached = [index[node] for node in accepting if node in index]
+        best = min(reached, key=dist.__getitem__)
+        if dist[best] >= threshold:
+            return None
+        return _walk_back(parent, best)[0]
 
-    best = None
-    for node in accepting:
-        if node in dist and (best is None or dist[node] < dist[best]):
-            best = node
-    if best is None or dist[best] >= threshold:
-        return None
-    # no negative cycle feeds an accepting node here, so the parent chain
-    # from `best` is acyclic and ends at the source
-    labels = []
-    node = best
-    steps = 0
-    while node != source:
-        src, label = parent[node]
-        labels.append(label)
-        node = src
-        steps += 1
-        assert steps <= len(nodes), "parent chain cycled unexpectedly"
-    labels.reverse()
-    return labels
-
-
-def _pumped_min_walk(adjacency, edges, source, accepting, threshold, dist):
-    """Witness through a negative cycle: stem + enough laps + tail."""
-
-    def bfs_path(starts, goal_test):
-        # unweighted search returning (end, labels, value)
-        queue = [(s, [], 0) for s in starts]
-        seen = set(starts)
-        while queue:
-            node, labels, value = queue.pop(0)
-            if goal_test(node):
-                return node, labels, value
-            for w, dst, label in adjacency.get(node, ()):
-                if dst not in seen:
-                    seen.add(dst)
-                    queue.append((dst, labels + [label], value + w))
-        return None
-
-    # locate a reachable negative cycle that reaches an accepting node
-    reaches_accepting = set(accepting)
-    changed = True
-    while changed:
-        changed = False
-        for src, _w, dst, _label in edges:
-            if dst in reaches_accepting and src not in reaches_accepting:
-                reaches_accepting.add(src)
-                changed = True
-
-    best_cycle = None
-    for entry in sorted(dist, key=repr):
-        if entry not in reaches_accepting:
-            continue
-        # try to close a negative cycle at `entry` with <= |dist| edges
-        found = _negative_cycle_at(adjacency, entry, len(dist))
-        if found is not None:
-            best_cycle = (entry, found)
+    on_cycle = relaxed
+    for _ in range(n):
+        on_cycle = parent[on_cycle][0]
+    cycle_labels = []
+    cycle_sum = 0
+    node = on_cycle
+    for _ in range(n):
+        node, w, label = parent[node]
+        cycle_labels.append(label)
+        cycle_sum += w
+        if node == on_cycle:
             break
-    assert best_cycle is not None, "negative cycle detection disagreed"
-    entry, (cycle_labels, cycle_sum) = best_cycle
+    if node != on_cycle or cycle_sum >= 0:
+        raise InternalError("parent walk found no negative cycle")
+    cycle_labels.reverse()
 
-    stem = bfs_path([source], lambda n: n == entry)
-    assert stem is not None
-    _e, stem_labels, stem_value = stem
-    tail = bfs_path([entry], lambda n: n in accepting)
-    assert tail is not None
-    _e, tail_labels, tail_value = tail
-
+    entry = live[on_cycle]
+    goals = set(accepting)
+    stem = _bfs_tree(forward, [source], lambda node: node == entry)
+    tail = _bfs_tree(forward, [entry], lambda node: node in goals)
+    stem_labels, stem_value = _walk_back(*stem)
+    tail_labels, tail_value = _walk_back(*tail)
     base = stem_value + tail_value
     # smallest laps with base + laps*cycle_sum < threshold
     laps = 0
@@ -337,22 +340,6 @@ def _pumped_min_walk(adjacency, edges, source, accepting, threshold, dist):
         need = base - threshold  # need laps*|cycle_sum| > need
         laps = need // (-cycle_sum) + 1
     return stem_labels + cycle_labels * laps + tail_labels
-
-
-def _negative_cycle_at(adjacency, start, max_len):
-    """A negative-sum cycle through start, or None; DFS over simple paths."""
-    stack = [(start, [], 0, {start})]
-    while stack:
-        node, labels, value, seen = stack.pop()
-        for w, dst, label in adjacency.get(node, ()):
-            if dst == start:
-                if value + w < 0:
-                    return labels + [label], value + w
-                continue
-            if dst in seen or len(labels) + 1 >= max_len:
-                continue
-            stack.append((dst, labels + [label], value + w, seen | {dst}))
-    return None
 
 
 def _threshold_witness(spec, t, cmp, nu):
@@ -366,14 +353,14 @@ def _threshold_witness(spec, t, cmp, nu):
     nodes = set()
     edges = []
     start = (t.initial, spec.initial)
-    queue = [start]
+    queue = deque([start])
     nodes.add(start)
-    accepting = set()
+    accepting = []
     while queue:
-        node = queue.pop(0)
+        node = queue.popleft()
         s, p = node
         if s in t.finals and p in spec.finals:
-            accepting.add(node)
+            accepting.append(node)
         for a in spec.inputs:
             entry = t.transitions.get((s, a))
             if entry is None:
@@ -399,7 +386,7 @@ def _threshold_witness(spec, t, cmp, nu):
         bound = nu_int if cmp == ">=" else nu_int + 1
     else:
         bound = 0 if cmp == ">=" else 1
-    labels = _min_walk_below(nodes, edges, start, accepting, bound)
+    labels = _min_walk_below(edges, start, accepting, bound)
     if labels is None:
         return None
     return tuple(labels)
@@ -410,10 +397,10 @@ def _threshold_witness_dsum(spec, t, cmp, nu):
     edges = []
     start = ("in", t.initial, spec.initial)
     nodes.add(start)
-    queue = [start]
+    queue = deque([start])
     accepting = set()
     while queue:
-        node = queue.pop(0)
+        node = queue.popleft()
         if node[0] == "in":
             _k, s, p = node
             if s in t.finals and p in spec.finals:
@@ -479,13 +466,13 @@ def _difference_witness(spec, t, cmp, bound):
     start = (t.initial, spec.initial, spec.initial)
     nodes = {start}
     edges = []
-    queue = [start]
-    accepting = set()
+    queue = deque([start])
+    accepting = []
     while queue:
-        node = queue.pop(0)
+        node = queue.popleft()
         s, p, q = node
         if s in t.finals and p in spec.finals and q in spec.finals:
-            accepting.add(node)
+            accepting.append(node)
         for a in spec.inputs:
             entry = t.transitions.get((s, a))
             mid_main = spec.transitions.get((p, a))
@@ -517,7 +504,7 @@ def _difference_witness(spec, t, cmp, bound):
         threshold = -p_bound if cmp == "<=" else -p_bound + 1
     else:
         threshold = 0 if cmp == "<=" else 1
-    labels = _min_walk_below(nodes, edges, start, accepting, threshold)
+    labels = _min_walk_below(edges, start, accepting, threshold)
     if labels is None:
         return None
     return tuple(labels)
@@ -527,10 +514,10 @@ def _difference_witness_dsum(spec, t, cmp, bound):
     start = ("in", t.initial, spec.initial, spec.initial)
     nodes = {start}
     edges = []
-    queue = [start]
+    queue = deque([start])
     accepting = set()
     while queue:
-        node = queue.pop(0)
+        node = queue.popleft()
         if node[0] == "in":
             _k, s, p, q = node
             if s in t.finals and p in spec.finals and q in spec.finals:
@@ -613,6 +600,14 @@ def verify_realizer(spec: WeightedSpec, t: MealyTransducer, obj: Objective):
     return FAIL, tuple(witness)
 
 
+def _require_pass(verdict, witness):
+    """Every REALIZABLE answer must pass verify_realizer."""
+    if verdict != PASS:
+        raise InternalError(
+            "synthesized transducer failed verification on %r" % (witness,)
+        )
+
+
 def check_difference(spec, t, u):
     """bestVal(u) - S(u (x) f(u)); NEG_INF handling mirrors the objective."""
     u = word(u)
@@ -648,9 +643,7 @@ def synth_threshold(spec: WeightedSpec, cmp: str, nu) -> SynthResult:
     verdict, witness = verify_realizer(
         spec, t, Objective(kind="threshold", cmp=cmp, bound=nu)
     )
-    assert verdict == PASS, "synthesized transducer failed verification: %r" % (
-        witness,
-    )
+    _require_pass(verdict, witness)
     return SynthResult(status=REALIZABLE, transducer=t)
 
 
@@ -893,7 +886,7 @@ def _transducer_from_belief_strategy(spec, full, strategy):
                 return spec.initial
             if isinstance(vertex, tuple) and len(vertex) == 2:
                 return vertex[0]
-        raise AssertionError("belief %r is not at an input observation" % (belief,))
+        raise InternalError("belief %r is not at an input observation" % (belief,))
 
     b0 = strategy.initial
     states = {}
@@ -965,9 +958,8 @@ def synth_approx(spec: WeightedSpec, measure: str, cmp: str, r, cap: int) -> Syn
 
     iarena, credit = build_approx_game(spec, measure, cmp, r)
     outcome = prefix.reduce_prefix_energy_to_energy(iarena, credit)
-    assert outcome is not prefix.HYPOTHESIS_FAILED, (
-        "approx game always lets Adam finish a rival run"
-    )
+    if outcome is prefix.HYPOTHESIS_FAILED:
+        raise InternalError("approx game always lets Adam finish a rival run")
     reduced, buffered = outcome
     effective_cap = max(cap, buffered)
     status, strategy = games.solve_imperfect_energy_capped(
@@ -981,9 +973,7 @@ def synth_approx(spec: WeightedSpec, measure: str, cmp: str, r, cap: int) -> Syn
     verdict, witness = verify_realizer(
         spec, t, Objective(kind="approx", cmp=cmp, bound=r)
     )
-    assert verdict == PASS, "synthesized transducer failed verification: %r" % (
-        witness,
-    )
+    _require_pass(verdict, witness)
     return SynthResult(status=REALIZABLE, transducer=t)
 
 

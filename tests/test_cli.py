@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -264,3 +267,56 @@ def test_solve_prefix_trace_dumps_reduction(capsys):
         "--measure", "sum", "--cmp", "ge", "--nu", "0", "--trace",
     )
     assert "reduction: mean-payoff game" in err
+
+
+def test_bad_cap_and_slack_exit_64_before_reading_the_spec(capsys):
+    # the spec path does not exist: flags are rejected before it is read
+    missing = str(FIXTURES / "missing.wfa")
+    code, out, err = run(capsys, "synth", "approx", missing, "--cmp", "le", "--r", "-1")
+    assert (code, out) == (64, "")
+    assert err == "usage error: --r must be nonnegative\n"
+    code, out, err = run(capsys, "synth", "approx", missing, "--cmp", "le", "--r", "4",
+                         "--cap", "-1")
+    assert (code, out) == (64, "")
+    assert err == "usage error: --cap must be nonnegative\n"
+
+
+def test_negative_rational_as_separate_flag_value(capsys):
+    base = ["synth", "threshold", PAPER, "--cmp", "ge"]
+    code, separate, err = run(capsys, *base, "--nu", "-1/2")
+    assert code == 0, err
+    assert separate.startswith("mealy\n")
+    assert run(capsys, *base, "--nu=-1/2")[:2] == (0, separate)
+    code, plain, _ = run(capsys, *base, "--nu", "-1")
+    assert code == 0 and run(capsys, *base, "--nu=-1")[:2] == (0, plain)
+    # --r takes the same form, and then fails on its value, not on parsing
+    code, _, err = run(capsys, "synth", "approx", PAPER, "--cmp", "le", "--r", "-1/2")
+    assert (code, err) == (64, "usage error: --r must be nonnegative\n")
+
+
+_FAILING_VERIFIER = """
+import sys
+from wsynth import cli, synthesis
+if not sys.flags.optimize:
+    sys.exit("expected python -O")
+synthesis.verify_realizer = lambda spec, t, obj: (synthesis.FAIL, ("a",))
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("flags", [
+    ["threshold", "--cmp", "ge", "--nu", "6"],
+    ["approx", "--cmp", "le", "--r", "4", "--cap", "64"],
+])
+def test_failed_self_check_exits_70_under_python_O(flags):
+    # the REALIZABLE self-check must not be an assert that -O strips
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", _FAILING_VERIFIER, "synth"] + flags[:1] + [PAPER]
+        + flags[1:],
+        env=env, capture_output=True, text=True,
+    )
+    assert done.returncode == 70, done.stderr
+    assert done.stdout == ""
+    assert done.stderr.startswith("internal error: synthesized transducer failed")
+    assert done.stderr.count("\n") == 1
