@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .core import FormatError
+from .core import FormatError, InternalError
 
 EVE = "eve"
 ADAM = "adam"
@@ -140,8 +140,8 @@ def attractor(arena: Arena, targets, player):
     Returns (vertex set, PositionalStrategy) where the strategy records,
     for the player's vertices added through an edge, one attracting edge.
     """
-    targets = set(targets)
-    region = set(t for t in targets if t in set(arena.vertices))
+    known = set(arena.vertices)
+    region = set(t for t in targets if t in known)
     pending = {v: len(arena.out(v)) for v in arena.vertices}
     strategy = {}
     incoming = {v: [] for v in arena.vertices}
@@ -234,13 +234,37 @@ def _lift(vertices, owner, out_edges, cap):
     return f
 
 
+def _credit_bound(out_edges):
+    """An upper bound on every finite minimal credit of the energy game.
+
+    Eve's winning plays close only non-negative cycles, so the worst prefix
+    is a simple path, and a simple path leaves each vertex by one edge.
+    """
+    return sum(max(0, -min((w for w, _ in es), default=0)) for es in out_edges.values())
+
+
+def _tight_edges(arena, vertices, player, weight_fn, f):
+    """First edge per player vertex with finite f that keeps f progressive."""
+    choice = {}
+    for v in vertices:
+        if arena.owner[v] != player or f[v] is None:
+            continue
+        for i in arena.out(v):
+            _src, _a, w, dst = arena.edges[i]
+            if f.get(dst) is not None and max(0, f[dst] - weight_fn(w)) <= f[v]:
+                choice[v] = i
+                break
+    return choice
+
+
 def solve_mean_payoff(arena: Arena):
     """Winner at the initial vertex for mean-payoff >= 0, with a strategy.
 
     Exact over integers via progress-measure lifting of the associated
-    energy game.  When Adam wins, his strategy comes from re-solving the
-    dual game (owners swapped, weights -(N*w+1)), where a negative value
-    turns into a lifting win for him.
+    energy game, capped at the per-vertex credit bound.  When Adam wins,
+    his strategy comes from the dual game (owners swapped, weights
+    -(N*w+1)) on his winning region T alone: T is an Eve trap, and every
+    edge Adam has out of T leads to a vertex the dual lift marks top.
     """
     if arena.deadlocks():
         raise ValueError("mean-payoff needs a deadlock-free arena")
@@ -248,48 +272,23 @@ def solve_mean_payoff(arena: Arena):
         v: [(arena.edges[i][2], arena.edges[i][3]) for i in arena.out(v)]
         for v in arena.vertices
     }
-    wneg = max((max(0, -w) for _v, pairs in out_edges.items() for w, _ in pairs), default=0)
-    cap = len(arena.vertices) * wneg
-    f = _lift(arena.vertices, arena.owner, out_edges, cap)
+    f = _lift(arena.vertices, arena.owner, out_edges, _credit_bound(out_edges))
     if f[arena.initial] is not None:
-        choice = {}
-        for v in arena.vertices:
-            if arena.owner[v] != EVE or f[v] is None:
-                continue
-            for i in arena.out(v):
-                _src, _a, w, dst = arena.edges[i]
-                need = f[dst]
-                if need is None:
-                    continue
-                need = max(0, need - w)
-                if need <= f[v]:
-                    choice[v] = i
-                    break
+        choice = _tight_edges(arena, arena.vertices, EVE, lambda w: w, f)
         return EVE, PositionalStrategy(choice)
 
     n = len(arena.vertices)
-    dual_owner = {v: (EVE if arena.owner[v] == ADAM else ADAM) for v in arena.vertices}
-    dual_out = {
-        v: [(-(n * w + 1), dst) for w, dst in out_edges[v]] for v in arena.vertices
-    }
-    wneg2 = max(
-        (max(0, -w) for _v, pairs in dual_out.items() for w, _ in pairs), default=0
-    )
-    g = _lift(arena.vertices, dual_owner, dual_out, n * wneg2)
-    assert g[arena.initial] is not None, "mean-payoff determinacy violated"
-    choice = {}
-    for v in arena.vertices:
-        if arena.owner[v] != ADAM or g[v] is None:
-            continue
-        for i in arena.out(v):
-            _src, _a, w, dst = arena.edges[i]
-            need = g[dst]
-            if need is None:
-                continue
-            need = max(0, need - (-(n * w + 1)))
-            if need <= g[v]:
-                choice[v] = i
-                break
+    trap = tuple(v for v in arena.vertices if f[v] is None)
+    dual_owner = {v: (EVE if arena.owner[v] == ADAM else ADAM) for v in trap}
+    dual_out = {}
+    for v in trap:
+        dual_out[v] = [(-(n * w + 1), dst) for w, dst in out_edges[v] if f[dst] is None]
+        if arena.owner[v] == EVE and len(dual_out[v]) < len(out_edges[v]):
+            raise InternalError("Eve can leave Adam's mean-payoff region at %r" % (v,))
+    g = _lift(trap, dual_owner, dual_out, _credit_bound(dual_out))
+    if g[arena.initial] is None:
+        raise InternalError("mean-payoff determinacy violated")
+    choice = _tight_edges(arena, trap, ADAM, lambda w: -(n * w + 1), g)
     return ADAM, PositionalStrategy(choice)
 
 
@@ -355,6 +354,9 @@ def solve_discounted_sum(arena: Arena, lam: Fraction, nu: Fraction, cmp: str):
     while True:
         # Adam best response to the current Eve choices
         while True:
+            guard += 1
+            if guard > 10_000:
+                raise InternalError("discounted-sum iteration did not converge")
             values = evaluate()
             switched = False
             for v in arena.vertices:
@@ -366,8 +368,6 @@ def solve_discounted_sum(arena: Arena, lam: Fraction, nu: Fraction, cmp: str):
                     switched = True
             if not switched:
                 break
-            guard += 1
-            assert guard < 10_000, "discounted-sum iteration did not converge"
         improved = False
         for v in arena.vertices:
             if arena.owner[v] != EVE:
@@ -378,13 +378,12 @@ def solve_discounted_sum(arena: Arena, lam: Fraction, nu: Fraction, cmp: str):
                 improved = True
         if not improved:
             break
-        guard += 1
-        assert guard < 10_000, "discounted-sum iteration did not converge"
 
     for v in arena.vertices:
         maximize = arena.owner[v] == EVE
         _i, opt = greedy_edge(v, values, maximize)
-        assert values[v] == opt, "discounted-sum fixpoint identity violated"
+        if values[v] != opt:
+            raise InternalError("discounted-sum fixpoint identity violated")
 
     value = values[arena.initial]
     eve_wins = value > nu if cmp == ">" else value >= nu

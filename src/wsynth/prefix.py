@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import games
-from .core import AVG, DSUM, SUM
+from .core import AVG, DSUM, SUM, InternalError
 from .dsumpath import NO, WeightedGraph, exists_path_leq, exists_path_lt
 from .games import ADAM, EVE, Arena, ImperfectArena, PositionalStrategy
 
@@ -357,7 +357,8 @@ def solve_prefix_threshold(arena: Arena, obj: PrefixObjective):
         if winner == ADAM:
             return ADAM, None
         strategy = _find_positional_dsum(arena, obj)
-        assert strategy is not None, "positional sufficiency violated"
+        if strategy is None:
+            raise InternalError("positional sufficiency violated")
         return EVE, strategy
     strategy = _find_positional_dsum(arena, obj)
     if strategy is None:
@@ -460,7 +461,8 @@ def _forcing_rise_bound(iarena: ImperfectArena, rank):
                     rise = 0
                 if best is None or rise < best:
                     best = rise
-            assert best is not None, "rank-decreasing move must exist"
+            if best is None:
+                raise InternalError("rank-decreasing move must exist")
             worst = max(worst, best)
         h[v] = worst
     return max(h.values(), default=0)
@@ -484,7 +486,8 @@ def reduce_prefix_energy_to_energy(iarena: ImperfectArena, c0: int):
         return HYPOTHESIS_FAILED
     bound = _forcing_rise_bound(iarena, rank)
     wmax = max((abs(w) for _s, _a, w, _d in iarena.edges), default=0)
-    assert bound <= len(iarena.vertices) * wmax
+    if bound > len(iarena.vertices) * wmax:
+        raise InternalError("forcing rise %d exceeds |V| * W" % bound)
 
     vertices = tuple(iarena.vertices) + (_ENERGY_SINK,)
     edges = list(iarena.edges)

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -320,3 +321,63 @@ def test_failed_self_check_exits_70_under_python_O(flags):
     assert done.stdout == ""
     assert done.stderr.startswith("internal error: synthesized transducer failed")
     assert done.stderr.count("\n") == 1
+
+
+_HASH_SEED_DRIVER = """
+import json, sys
+from wsynth import cli, games
+solve = games.solve_mean_payoff
+def counted(arena):
+    winner, strategy = solve(arena)
+    print("mean-payoff %s %r" % (winner, list(strategy.choice.items())))
+    return winner, strategy
+games.solve_mean_payoff = counted
+for argv in json.loads(sys.argv[1]):
+    print("exit %d" % cli.main(argv))
+"""
+
+
+def _random_prefix_arena(rng, n):
+    lines = ["arena"]
+    for i in range(n):
+        mark = " critical" if rng.random() < 0.3 else ""
+        lines.append("vertex: v%d %s%s" % (i, rng.choice(["eve", "adam"]), mark))
+    lines.append("initial: v0")
+    for i in range(n):
+        for _ in range(rng.randint(1, 3)):
+            lines.append("edge: v%d - %d v%d" % (i, rng.randint(-4, 4), rng.randrange(n)))
+    return "\n".join(lines) + "\n"
+
+
+def test_mean_payoff_stdout_independent_of_hash_seed(tmp_path):
+    # _lift pops its worklist from a set of vertex names, so its order
+    # follows the hash seed; the least fixpoint, and every answer, must not
+    avg_spec = tmp_path / "paper-avg.wfa"
+    avg_spec.write_text(Path(PAPER).read_text().replace("measure: sum", "measure: avg"))
+    calls = []
+    for nu in ("6", "7"):
+        calls.append(["synth", "threshold", PAPER, "--cmp", "ge", "--nu", nu])
+    for nu in ("1", "2"):
+        calls.append(["synth", "threshold", str(avg_spec), "--cmp", "ge", "--nu", nu])
+    rng = random.Random(4242)
+    for i in range(12):
+        arena = tmp_path / ("game%d.arena" % i)
+        arena.write_text(_random_prefix_arena(rng, rng.randint(4, 14)))
+        for measure in ("sum", "avg"):
+            for cmp, nu in (("ge", "0"), ("gt", "1"), ("ge", "-3")):
+                calls.append(["solve-prefix", str(arena), "--measure", measure,
+                              "--cmp", cmp, "--nu", nu])
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    outputs = []
+    for seed in range(4):
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=str(seed))
+        done = subprocess.run(
+            [sys.executable, "-c", _HASH_SEED_DRIVER, json.dumps(calls)],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        outputs.append(done.stdout)
+    out = outputs[0]
+    assert out.count("unrealizable") == 2 and out.count("mealy\n") == 2
+    assert "winner: adam" in out and "strategy: " in out
+    assert out.count("mean-payoff adam") >= 10 and out.count("mean-payoff eve") >= 5
+    assert outputs[1:] == outputs[:1] * 3

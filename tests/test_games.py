@@ -1,10 +1,15 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from wsynth import games
+from wsynth.core import InternalError
 from wsynth.games import ADAM, EVE, Arena, ImperfectArena
 
 
@@ -149,6 +154,177 @@ def test_mp_matches_enumeration_oracle():
                 assert cycle_mean_under(arena, sigma, strat.choice) < 0
 
 
+def old_solve_mean_payoff(arena):
+    """The solver as it was before the credit cap and the region restriction.
+
+    Lifts toward n * W, and solves the dual game over the full arena.
+    """
+    out_edges = {
+        v: [(arena.edges[i][2], arena.edges[i][3]) for i in arena.out(v)]
+        for v in arena.vertices
+    }
+    wneg = max((max(0, -w) for pairs in out_edges.values() for w, _ in pairs), default=0)
+    f = games._lift(arena.vertices, arena.owner, out_edges, len(arena.vertices) * wneg)
+    if f[arena.initial] is not None:
+        choice = {}
+        for v in arena.vertices:
+            if arena.owner[v] != EVE or f[v] is None:
+                continue
+            for i in arena.out(v):
+                _src, _a, w, dst = arena.edges[i]
+                if f[dst] is not None and max(0, f[dst] - w) <= f[v]:
+                    choice[v] = i
+                    break
+        return EVE, choice
+    n = len(arena.vertices)
+    dual_owner = {v: (EVE if arena.owner[v] == ADAM else ADAM) for v in arena.vertices}
+    dual_out = {v: [(-(n * w + 1), dst) for w, dst in out_edges[v]] for v in arena.vertices}
+    wneg2 = max((max(0, -w) for pairs in dual_out.values() for w, _ in pairs), default=0)
+    g = games._lift(arena.vertices, dual_owner, dual_out, n * wneg2)
+    assert g[arena.initial] is not None
+    choice = {}
+    for v in arena.vertices:
+        if arena.owner[v] != ADAM or g[v] is None:
+            continue
+        for i in arena.out(v):
+            _src, _a, w, dst = arena.edges[i]
+            if g[dst] is not None and max(0, g[dst] + n * w + 1) <= g[v]:
+                choice[v] = i
+                break
+    return ADAM, choice
+
+
+WEIGHT_RANGES = ((-2, 2), (-9, 3), (-1, 6), (-5, 5), (-3, 0), (0, 4))
+
+
+def wide_random_arena(rng, max_v, weights):
+    n = rng.randint(1, max_v)
+    vertices = [("n%d" % i, rng.choice([EVE, ADAM])) for i in range(n)]
+    edges = []
+    for i in range(n):
+        for _ in range(rng.randint(1, 3)):
+            edges.append(("n%d" % i, rng.randint(*weights), "n%d" % rng.randrange(n)))
+    return mk_arena(vertices, edges, initial="n%d" % rng.randrange(n))
+
+
+def test_mp_matches_old_solver_on_random_arenas():
+    rng = random.Random(2024)
+    winners = set()
+    for trial in range(1500):
+        arena = wide_random_arena(rng, 25, WEIGHT_RANGES[trial % len(WEIGHT_RANGES)])
+        winner, strat = games.solve_mean_payoff(arena)
+        old_winner, old_choice = old_solve_mean_payoff(arena)
+        assert (winner, list(strat.choice.items())) == (
+            old_winner, list(old_choice.items())
+        ), games.emit_arena(arena)
+        winners.add(winner)
+    assert winners == {EVE, ADAM}
+
+
+def reaches_negative_cycle(arena, choice, weight_fn):
+    """Bellman-Ford from the initial vertex over the one-player graph left
+    when the owners of `choice` play it: is a negative cycle reachable?"""
+    edges = []
+    for v in arena.vertices:
+        for i in ([choice[v]] if v in choice else arena.out(v)):
+            _src, _a, w, dst = arena.edges[i]
+            edges.append((v, weight_fn(w), dst))
+    dist = {arena.initial: 0}
+    for _ in range(len(arena.vertices)):
+        changed = False
+        for src, w, dst in edges:
+            if src in dist and (dst not in dist or dist[src] + w < dist[dst]):
+                dist[dst] = dist[src] + w
+                changed = True
+        if not changed:
+            return False
+    return True
+
+
+def test_mp_strategy_sound_on_larger_arenas():
+    rng = random.Random(77)
+    for trial in range(300):
+        arena = wide_random_arena(rng, 40, WEIGHT_RANGES[trial % len(WEIGHT_RANGES)])
+        winner, strat = games.solve_mean_payoff(arena)
+        player = EVE if winner == EVE else ADAM
+        # the returned strategy covers every vertex of its owner it reaches
+        reach, stack = {arena.initial}, [arena.initial]
+        while stack:
+            v = stack.pop()
+            if arena.owner[v] == player:
+                assert v in strat.choice, games.emit_arena(arena)
+            for i in [strat.choice[v]] if v in strat.choice else arena.out(v):
+                dst = arena.edges[i][3]
+                if dst not in reach:
+                    reach.add(dst)
+                    stack.append(dst)
+        if winner == EVE:
+            # no reachable cycle of negative sum
+            assert not reaches_negative_cycle(arena, strat.choice, lambda w: w)
+        else:
+            # no reachable cycle of sum >= 0: with N = |V| + 1, a simple cycle
+            # has sum >= 0 exactly when its weights N*w + 1 sum above 0
+            big = len(arena.vertices) + 1
+            assert not reaches_negative_cycle(
+                arena, strat.choice, lambda w: -(big * w + 1)
+            ), games.emit_arena(arena)
+
+
+def test_lift_at_credit_bound_equals_lift_at_large_cap():
+    rng = random.Random(5150)
+    for trial in range(300):
+        arena = wide_random_arena(rng, 12, WEIGHT_RANGES[trial % len(WEIGHT_RANGES)])
+        n = len(arena.vertices)
+        out_edges = {
+            v: [(arena.edges[i][2], arena.edges[i][3]) for i in arena.out(v)]
+            for v in arena.vertices
+        }
+        dual_owner = {v: (EVE if arena.owner[v] == ADAM else ADAM) for v in arena.vertices}
+        dual_out = {v: [(-(n * w + 1), d) for w, d in out_edges[v]] for v in arena.vertices}
+        for owner, out in ((arena.owner, out_edges), (dual_owner, dual_out)):
+            wmax = max(abs(w) for pairs in out.values() for w, _ in pairs)
+            bound = games._credit_bound(out)
+            assert bound <= n * wmax
+            assert games._lift(arena.vertices, owner, out, bound) == games._lift(
+                arena.vertices, owner, out, 4 * n * wmax
+            ), games.emit_arena(arena)
+
+
+def test_mp_rejects_adam_region_eve_can_leave(monkeypatch):
+    # a lift that puts Eve's vertex e in Adam's region while its successor
+    # w stays out of it breaks the premise of the restricted dual game
+    arena = mk_arena([("e", EVE), ("w", ADAM)], [("e", 0, "w"), ("w", 0, "w")])
+    monkeypatch.setattr(games, "_lift", lambda vertices, *_: {"e": None, "w": 0})
+    with pytest.raises(InternalError, match="Eve can leave"):
+        games.solve_mean_payoff(arena)
+
+
+_BROKEN_DETERMINACY = """
+import sys
+from wsynth import core, games
+if not sys.flags.optimize:
+    sys.exit("expected python -O")
+games._lift = lambda vertices, owner, out_edges, cap: {v: None for v in vertices}
+arena = games.parse_arena(sys.stdin.read())
+try:
+    games.solve_mean_payoff(arena)
+except core.InternalError as exc:
+    print("internal error: %s" % exc)
+"""
+
+
+def test_mp_determinacy_check_survives_python_O(remark_arena_text):
+    # with a broken lift neither player wins; -O must not turn this into
+    # a silent Adam win
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", _BROKEN_DETERMINACY],
+        input=remark_arena_text, env=env, capture_output=True, text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "internal error: mean-payoff determinacy violated\n"
+
+
 # --- discounted sum --------------------------------------------------------
 
 
@@ -213,7 +389,7 @@ def test_ds_fixpoint_identity():
     lam = Fraction(2, 5)
     for trial in range(30):
         arena = random_arena(rng, max_v=4)
-        # the solver asserts the fixpoint identity internally
+        # the solver checks the fixpoint identity internally
         games.solve_discounted_sum(arena, lam, Fraction(0), ">")
 
 
