@@ -107,12 +107,14 @@ def domains_equal(left: WeightedSpec, right: WeightedSpec) -> bool:
 
 
 def reachable_states(spec: WeightedSpec):
+    succ = {}
+    for (src, _sym), (tgt, _w) in spec.transitions.items():
+        succ.setdefault(src, []).append(tgt)
     seen = {spec.initial}
     queue = [spec.initial]
     while queue:
-        q = queue.pop()
-        for (src, _sym), (tgt, _w) in spec.transitions.items():
-            if src == q and tgt not in seen:
+        for tgt in succ.get(queue.pop(), ()):
+            if tgt not in seen:
                 seen.add(tgt)
                 queue.append(tgt)
     return seen

@@ -7,17 +7,30 @@ pi2 gives rg(pi1 pi2) = (rg(pi1) - Dsum(pi2)) / lambda^|pi2|.
 
 The decision procedures iterate the maximal-relative-gap table
 mrg_i(v) = best rg over paths of length <= i from the source to v for
-n = |V| rounds.  No path with Dsum <= nu exists iff every target's
-mrg_n is negative and round n is already a fixpoint; a non-fixpoint
-vertex yields a pumpable loop whose relative gap grows without bound.
-Every YES answer ships a concrete path, re-validated by exact
-evaluation before being returned.
+n = |V| rounds.  The table is kept on integers: with lambda = p/q and
+nu = a/b in lowest terms, R_i(v) = b * p^i * mrg_i(v) is integral, with
+R_0(source) = a and
+
+    R_i(v) = max(p * R_{i-1}(v),
+                 max over edges (u, w, v) of q * R_{i-1}(u) - w * b * p^i).
+
+The scale b * p^i is positive, so every sign and every comparison within
+a round is that of mrg itself.  No path with Dsum <= nu exists iff every
+target's R_n is negative and round n is already a fixpoint
+(R_n = p * R_{n-1}); a non-fixpoint vertex yields a pumpable loop whose
+relative gap grows without bound.  Every YES answer ships a concrete
+path, re-validated by exact evaluation before being returned; a failed
+re-validation raises InternalError.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import deque
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+
+from .core import InternalError
 
 NO = "no"
 YES = "yes"
@@ -55,13 +68,17 @@ class PathWitness:
 
 
 def dsum_of_edges(graph: WeightedGraph, edge_indices):
-    lam = graph.discount
-    acc = Fraction(0)
-    power = Fraction(1)
+    """Exact Dsum of a path, by integer Horner over lambda = p/q.
+
+    After k edges acc = sum_j w_j * p^j * q^(k-j) and den = q^k.
+    """
+    p, q = graph.discount.numerator, graph.discount.denominator
+    acc, power, den = 0, 1, 1
     for i in edge_indices:
-        power *= lam
-        acc += power * graph.edges[i][1]
-    return acc
+        power *= p
+        den *= q
+        acc = acc * q + graph.edges[i][1] * power
+    return Fraction(acc, den)
 
 
 def relative_gap(dsum_value, length, nu, lam) -> Fraction:
@@ -74,14 +91,16 @@ def relative_gap(dsum_value, length, nu, lam) -> Fraction:
 
 def _prune_to_targets(graph: WeightedGraph):
     """Keep only vertices that can reach a target; returns (vertices, edges)."""
+    preds = {}
+    for src, _w, dst in graph.edges:
+        preds.setdefault(dst, []).append(src)
     can = set(graph.targets) & set(graph.vertices)
-    changed = True
-    while changed:
-        changed = False
-        for src, _w, dst in graph.edges:
-            if dst in can and src not in can:
+    queue = deque(can)
+    while queue:
+        for src in preds.get(queue.popleft(), ()):
+            if src not in can:
                 can.add(src)
-                changed = True
+                queue.append(src)
     edges = [
         (i, src, w, dst)
         for i, (src, w, dst) in enumerate(graph.edges)
@@ -93,59 +112,97 @@ def _prune_to_targets(graph: WeightedGraph):
 
 @dataclass
 class MrgTable:
-    """Per-round maximal relative gaps with backtracking pointers.
+    """Per-round maximal relative gaps, scaled to integers, with parents.
 
-    rows[i][v] is mrg_i(v); vertices absent from a row sit at -infinity.
-    parent[(i, v)] explains the value: either ("stay",) or
-    ("edge", edge_index, predecessor).
+    With lambda = p/q and nu = a/b, raised[i][v] = (R_i(v), edge_index,
+    predecessor) for each vertex that round i reached or raised over that
+    edge, where R_i(v) = b * p^i * mrg_i(v); round 0 holds the source
+    alone.  A vertex missing from raised[i] kept its value
+    (R_i = p * R_{i-1}), or is not reached yet (-infinity).  latest[v] =
+    (R_k(v), k) for the last round k that raised v, so R_n(v) has the
+    sign of R_k(v).  rows is the Fraction view, rows[i][v] = mrg_i(v),
+    built on demand.
     """
 
     rounds: int
-    rows: list
-    parent: dict = field(default_factory=dict)
+    raised: list
+    latest: dict
+    nu_den: int  # b
+    lam_num: int  # p
+
+    @cached_property
+    def rows(self):
+        view = []
+        current = {}
+        scale = self.nu_den
+        for raised in self.raised:
+            current = dict(current)
+            for v, step in raised.items():
+                current[v] = Fraction(step[0], scale)
+            view.append(current)
+            scale *= self.lam_num
+        return view
 
 
 def compute_mrg(graph: WeightedGraph, nu: Fraction):
-    """Tables over the pruned graph; None when the source cannot reach T."""
+    """Tables over the pruned graph; None when the source cannot reach T.
+
+    Only edges out of a vertex raised in round i-1 can raise a vertex in
+    round i: any other edge's candidate is p times its round i-1
+    candidate, which the target's kept value already matches.  Each
+    round therefore relaxes just those edges, and a round that raises
+    nothing is a fixpoint for every later round.  Among edges that beat
+    the kept value, the lowest edge index wins a tie.
+    """
     vertices, edges = _prune_to_targets(graph)
     if graph.source not in set(vertices):
         return None, vertices, edges
-    lam = graph.discount
+    p, q = graph.discount.numerator, graph.discount.denominator
     nu = Fraction(nu)
-    rows = [{graph.source: nu}]
-    parent = {(0, graph.source): ("stay",)}
+    b = nu.denominator
     n = len(vertices)
+    out = {}
+    for idx, src, w, dst in edges:
+        out.setdefault(src, []).append((idx, w * b, dst))
+    powers = [1]
+    for _i in range(n):
+        powers.append(powers[-1] * p)
+    raised = [{graph.source: (nu.numerator, None, None)}]
+    latest = {graph.source: (nu.numerator, 0)}
     for i in range(1, n + 1):
-        prev = rows[-1]
-        row = dict(prev)
-        for key in row:
-            parent.setdefault((i, key), ("stay",))
-        for idx, src, w, dst in edges:
-            if src not in prev:
-                continue
-            cand = prev[src] / lam - w
-            if dst not in row or cand > row[dst]:
-                row[dst] = cand
-                parent[(i, dst)] = ("edge", idx, src)
-        rows.append(row)
-    return MrgTable(rounds=n, rows=rows, parent=parent), vertices, edges
+        if not raised[-1]:
+            raised.extend({} for _ in range(n + 1 - i))
+            break
+        power = powers[i]
+        best = {}
+        for u, step in raised[-1].items():
+            qr = q * step[0]
+            for idx, wb, dst in out.get(u, ()):
+                cand = qr - wb * power
+                cur = best.get(dst)
+                if cur is None:
+                    kept = latest.get(dst)
+                    if kept is not None and cand <= kept[0] * powers[i - kept[1]]:
+                        continue
+                elif cand < cur[0] or (cand == cur[0] and idx > cur[1]):
+                    continue
+                best[dst] = (cand, idx, u)
+        for v, step in best.items():
+            latest[v] = (step[0], i)
+        raised.append(best)
+    table = MrgTable(rounds=n, raised=raised, latest=latest, nu_den=b, lam_num=p)
+    return table, vertices, edges
 
 
 def _backtrack(graph: WeightedGraph, table: MrgTable, round_i, vertex):
-    """Path from the source achieving rows[round_i][vertex]."""
+    """Path from the source achieving round round_i's value at vertex."""
     path_edges = []
-    i, v = round_i, vertex
-    while True:
-        entry = table.parent[(i, v)]
-        if entry[0] == "stay":
-            if i == 0:
-                break
-            i -= 1
-            continue
-        _tag, edge_idx, pred = entry
-        path_edges.append(edge_idx)
-        i -= 1
-        v = pred
+    v = vertex
+    for i in range(round_i, 0, -1):
+        step = table.raised[i].get(v)
+        if step is not None:
+            path_edges.append(step[1])
+            v = step[2]
     path_edges.reverse()
     vertices = [graph.source]
     for idx in path_edges:
@@ -162,7 +219,7 @@ def _witness(graph, edge_indices):
     )
 
 
-def _pumped_witness(graph: WeightedGraph, table: MrgTable, nu, strict, edges):
+def _pumped_witness(graph: WeightedGraph, table: MrgTable, rising, nu, strict, edges):
     """Build pi1 pi2^l pi4 from a vertex still rising at round n.
 
     The length-n path achieving the raised value must repeat a vertex;
@@ -172,15 +229,11 @@ def _pumped_witness(graph: WeightedGraph, table: MrgTable, nu, strict, edges):
     """
     lam = graph.discount
     n = table.rounds
-    rising = [
-        v
-        for v in table.rows[n]
-        if v not in table.rows[n - 1] or table.rows[n][v] > table.rows[n - 1][v]
-    ]
     # prefer a deterministic pick
     v_star = sorted(rising, key=repr)[0]
     vertices, path_edges = _backtrack(graph, table, n, v_star)
-    assert len(path_edges) == n, "a freshly raised value needs a full-length path"
+    if len(path_edges) != n:
+        raise InternalError("a freshly raised value needs a full-length path")
     first_seen = {}
     split = None
     for pos, v in enumerate(vertices):
@@ -188,7 +241,8 @@ def _pumped_witness(graph: WeightedGraph, table: MrgTable, nu, strict, edges):
             split = (first_seen[v], pos)
             break
         first_seen[v] = pos
-    assert split is not None, "length-n path must repeat a vertex"
+    if split is None:
+        raise InternalError("length-n path must repeat a vertex")
     j, k = split
     stem = path_edges[:j]
     loop = path_edges[j:k]
@@ -197,22 +251,27 @@ def _pumped_witness(graph: WeightedGraph, table: MrgTable, nu, strict, edges):
     rg_stem = relative_gap(dsum_of_edges(graph, stem), len(stem), nu, lam)
     rg_loop = relative_gap(dsum_of_edges(graph, stem + loop), len(stem) + len(loop), nu, lam)
     z = rg_loop - rg_stem
-    assert z > 0, "loop removal would contradict the shortest raised path"
+    if z <= 0:
+        raise InternalError("loop removal would contradict the shortest raised path")
 
-    # shortest tail from the loop head into the targets (BFS over edges)
+    # shortest tail from the loop head into the targets (BFS, edge-index order)
+    out = {}
+    for idx, src, _w, dst in edges:
+        out.setdefault(src, []).append((idx, dst))
     tail = {head: []}
-    queue = [head]
+    queue = deque([head])
     goal = None
     while queue:
-        u = queue.pop(0)
+        u = queue.popleft()
         if u in graph.targets:
             goal = u
             break
-        for idx, src, w, dst in edges:
-            if src == u and dst not in tail:
+        for idx, dst in out.get(u, ()):
+            if dst not in tail:
                 tail[dst] = tail[u] + [idx]
                 queue.append(dst)
-    assert goal is not None, "pruned graph always reaches a target"
+    if goal is None:
+        raise InternalError("pruned graph always reaches a target")
     tail_edges = tail[goal]
     tail_value = dsum_of_edges(graph, tail_edges)
 
@@ -246,38 +305,29 @@ def exists_path_lt(graph: WeightedGraph, nu) -> tuple:
 
 def _exists_path(graph: WeightedGraph, nu, strict):
     nu = Fraction(nu)
-    table, vertices, edges = compute_mrg(graph, nu)
+    table, _vertices, edges = compute_mrg(graph, nu)
     if table is None:
         return NO, None
-    n = table.rounds
-    last, prev = table.rows[n], table.rows[n - 1]
-    at_fixpoint = last == prev
-
-    witness = None
+    latest = table.latest
     if strict:
-        hits = [v for v in graph.targets if last.get(v, None) is not None and last[v] > 0]
-        if hits:
-            v = sorted(hits, key=repr)[0]
-            _vs, path_edges = _backtrack(graph, table, n, v)
-            witness = _witness(graph, path_edges)
-        elif not at_fixpoint:
-            witness = _pumped_witness(graph, table, nu, True, edges)
+        hits = [v for v in graph.targets if v in latest and latest[v][0] > 0]
     else:
-        hits = [v for v in graph.targets if last.get(v, None) is not None and last[v] >= 0]
-        if hits:
-            v = sorted(hits, key=repr)[0]
-            _vs, path_edges = _backtrack(graph, table, n, v)
-            witness = _witness(graph, path_edges)
-        elif not at_fixpoint:
-            witness = _pumped_witness(graph, table, nu, False, edges)
+        hits = [v for v in graph.targets if v in latest and latest[v][0] >= 0]
+    if hits:
+        _vs, path_edges = _backtrack(graph, table, table.rounds, sorted(hits, key=repr)[0])
+        witness = _witness(graph, path_edges)
+    else:
+        rising = list(table.raised[table.rounds])  # empty at a fixpoint
+        if not rising:
+            return NO, None
+        witness = _pumped_witness(graph, table, rising, nu, strict, edges)
 
-    if witness is None:
-        return NO, None
-    assert witness.vertices[-1] in graph.targets
-    if strict:
-        assert witness.value < nu, "witness failed strict re-validation"
-    else:
-        assert witness.value <= nu, "witness failed re-validation"
+    if witness.vertices[-1] not in graph.targets:
+        raise InternalError("witness path does not end in a target")
+    if strict and not witness.value < nu:
+        raise InternalError("witness failed strict re-validation")
+    if not strict and not witness.value <= nu:
+        raise InternalError("witness failed re-validation")
     return YES, witness
 
 
@@ -312,5 +362,6 @@ def dsum_nonempty_geq(automaton: NondetDsumAutomaton, nu) -> tuple:
         return NO, None
     sym_word = [automaton.transitions[i][1] for i in path.edges]
     value = -path.value
-    assert value >= nu
+    if value < nu:
+        raise InternalError("automaton witness value below the threshold")
     return YES, (tuple(sym_word), list(path.vertices), value)

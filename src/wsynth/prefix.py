@@ -14,6 +14,7 @@ strategies suffice.
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -257,10 +258,10 @@ def reduce_dsum_prefix_to_ds(arena: Arena, nu: Fraction, lam: Fraction):
 def restrict_to_strategy(arena: Arena, strategy: PositionalStrategy):
     """Weighted graph of the plays allowed by Eve's positional strategy."""
     reachable = {arena.initial}
-    queue = [arena.initial]
+    queue = deque([arena.initial])
     edges = []
     while queue:
-        v = queue.pop(0)
+        v = queue.popleft()
         if arena.owner[v] == EVE:
             if v not in strategy.choice:
                 raise ValueError("strategy undefined at reachable vertex %r" % (v,))

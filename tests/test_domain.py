@@ -275,3 +275,27 @@ def test_make_domain_safe_random_suite(seed):
         twice = domain.make_domain_safe(result)
         assert twice is not domain.NO_BOOLEAN_REALIZER
         assert canonical_form(twice) == canonical_form(result)
+
+
+def old_reachable_states(spec):
+    """The per-state scan over every transition that the successor map replaced."""
+    seen = {spec.initial}
+    queue = [spec.initial]
+    while queue:
+        q = queue.pop()
+        for (src, _sym), (tgt, _w) in spec.transitions.items():
+            if src == q and tgt not in seen:
+                seen.add(tgt)
+                queue.append(tgt)
+    return seen
+
+
+def test_reachable_states_matches_transition_scan():
+    rng = random.Random(31)
+    sizes = []
+    for _ in range(300):
+        spec = random_spec(rng, max_states=rng.randint(2, 14))
+        reach = domain.reachable_states(spec)
+        assert reach == old_reachable_states(spec)
+        sizes.append(len(reach))
+    assert min(sizes) == 1 and max(sizes) >= 8

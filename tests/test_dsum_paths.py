@@ -1,11 +1,15 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wsynth import dsumpath
+from wsynth import cli, dsumpath
 from wsynth.dsumpath import (
     NO,
     YES,
@@ -16,6 +20,8 @@ from wsynth.dsumpath import (
     exists_path_lt,
     relative_gap,
 )
+
+from conftest import FIXTURES
 
 
 def remark_graph():
@@ -338,3 +344,363 @@ def test_nonempty_matches_brute_force():
             assert answer == YES
         if answer == YES:
             assert witness[2] >= nu
+
+
+# --- the Fraction kernel as an oracle for the integer-scaled one ---------------
+#
+# old_* below are the Fraction-valued maximal-relative-gap procedures the
+# integer kernel replaced: one full relaxation of every edge per round, a
+# ("stay",) parent for every vertex and round, and a fixpoint read off
+# whole-row equality.  They are kept verbatim as the reference for answers,
+# witnesses and table rows.
+
+
+def old_dsum_of_edges(graph, edge_indices):
+    lam = graph.discount
+    acc = Fraction(0)
+    power = Fraction(1)
+    for i in edge_indices:
+        power *= lam
+        acc += power * graph.edges[i][1]
+    return acc
+
+
+def old_prune_to_targets(graph):
+    can = set(graph.targets) & set(graph.vertices)
+    changed = True
+    while changed:
+        changed = False
+        for src, _w, dst in graph.edges:
+            if dst in can and src not in can:
+                can.add(src)
+                changed = True
+    edges = [
+        (i, src, w, dst)
+        for i, (src, w, dst) in enumerate(graph.edges)
+        if src in can and dst in can
+    ]
+    vertices = [v for v in graph.vertices if v in can]
+    return vertices, edges
+
+
+def old_compute_mrg(graph, nu):
+    """Returns (rounds, rows, parent) or None, plus the pruned graph."""
+    vertices, edges = old_prune_to_targets(graph)
+    if graph.source not in set(vertices):
+        return None, vertices, edges
+    lam = graph.discount
+    nu = Fraction(nu)
+    rows = [{graph.source: nu}]
+    parent = {(0, graph.source): ("stay",)}
+    n = len(vertices)
+    for i in range(1, n + 1):
+        prev = rows[-1]
+        row = dict(prev)
+        for key in row:
+            parent.setdefault((i, key), ("stay",))
+        for idx, src, w, dst in edges:
+            if src not in prev:
+                continue
+            cand = prev[src] / lam - w
+            if dst not in row or cand > row[dst]:
+                row[dst] = cand
+                parent[(i, dst)] = ("edge", idx, src)
+        rows.append(row)
+    return (n, rows, parent), vertices, edges
+
+
+def old_backtrack(graph, table, round_i, vertex):
+    _n, _rows, parent = table
+    path_edges = []
+    i, v = round_i, vertex
+    while True:
+        entry = parent[(i, v)]
+        if entry[0] == "stay":
+            if i == 0:
+                break
+            i -= 1
+            continue
+        _tag, edge_idx, pred = entry
+        path_edges.append(edge_idx)
+        i -= 1
+        v = pred
+    path_edges.reverse()
+    vertices = [graph.source]
+    for idx in path_edges:
+        vertices.append(graph.edges[idx][2])
+    return vertices, path_edges
+
+
+def old_witness(graph, edge_indices):
+    vertices = [graph.source]
+    for idx in edge_indices:
+        vertices.append(graph.edges[idx][2])
+    return dsumpath.PathWitness(
+        vertices=vertices, edges=list(edge_indices),
+        value=old_dsum_of_edges(graph, edge_indices),
+    )
+
+
+def old_pumped_witness(graph, table, nu, strict, edges):
+    lam = graph.discount
+    n, rows, _parent = table
+    rising = [v for v in rows[n] if v not in rows[n - 1] or rows[n][v] > rows[n - 1][v]]
+    v_star = sorted(rising, key=repr)[0]
+    vertices, path_edges = old_backtrack(graph, table, n, v_star)
+    assert len(path_edges) == n
+    first_seen = {}
+    split = None
+    for pos, v in enumerate(vertices):
+        if v in first_seen:
+            split = (first_seen[v], pos)
+            break
+        first_seen[v] = pos
+    j, k = split
+    stem = path_edges[:j]
+    loop = path_edges[j:k]
+    head = vertices[j]
+    rg_stem = relative_gap(old_dsum_of_edges(graph, stem), len(stem), nu, lam)
+    rg_loop = relative_gap(old_dsum_of_edges(graph, stem + loop), len(stem) + len(loop), nu, lam)
+    z = rg_loop - rg_stem
+    assert z > 0
+    tail = {head: []}
+    queue = [head]
+    goal = None
+    while queue:
+        u = queue.pop(0)
+        if u in graph.targets:
+            goal = u
+            break
+        for idx, src, w, dst in edges:
+            if src == u and dst not in tail:
+                tail[dst] = tail[u] + [idx]
+                queue.append(dst)
+    tail_edges = tail[goal]
+    tail_value = old_dsum_of_edges(graph, tail_edges)
+    need = (tail_value - rg_stem) / z
+    pumps = max(1, -(-need.numerator // need.denominator))
+    if strict:
+        while pumps * z + rg_stem <= tail_value:
+            pumps += 1
+    return old_witness(graph, stem + loop * pumps + tail_edges)
+
+
+def old_exists_path(graph, nu, strict):
+    """(answer, witness, pumped) with the Fraction kernel."""
+    nu = Fraction(nu)
+    table, _vertices, edges = old_compute_mrg(graph, nu)
+    if table is None:
+        return NO, None, False
+    n, rows, _parent = table
+    last, prev = rows[n], rows[n - 1]
+    hits = [v for v in graph.targets if v in last and (last[v] > 0 if strict else last[v] >= 0)]
+    if hits:
+        _vs, path_edges = old_backtrack(graph, table, n, sorted(hits, key=repr)[0])
+        return YES, old_witness(graph, path_edges), False
+    if last != prev:
+        return YES, old_pumped_witness(graph, table, nu, strict, edges), True
+    return NO, None, False
+
+
+ORACLE_LAMBDAS = [Fraction(1, 2), Fraction(2, 3), Fraction(3, 4), Fraction(5, 7), Fraction(9, 10)]
+
+
+def oracle_instance(rng):
+    """Small random graph with self-loops, ties and sparse reachability."""
+    n = rng.randint(1, 7)
+    names = ["g%d" % i for i in range(n)]
+    edges = []
+    for v in names:
+        for _ in range(rng.randint(0, 3)):
+            dst = v if rng.random() < 0.2 else rng.choice(names)
+            edges.append((v, rng.randint(-4, 4), dst))
+    targets = {v for v in names if rng.random() < 0.3}
+    if rng.random() < 0.15:
+        targets.add(names[0])
+    graph = WeightedGraph(
+        vertices=tuple(names),
+        edges=edges,
+        source=names[0],
+        targets=frozenset(targets),
+        discount=rng.choice(ORACLE_LAMBDAS),
+    )
+    return graph, Fraction(rng.randint(-6, 6), rng.randint(1, 5))
+
+
+def pumping_instance(rng):
+    """Negative self-loops and heavy edges into the targets: rounds rarely settle."""
+    n = rng.randint(2, 7)
+    names = ["g%d" % i for i in range(n)]
+    targets = frozenset(v for v in names[1:] if rng.random() < 0.3)
+    edges = []
+    for v in names:
+        for _ in range(rng.randint(1, 3)):
+            dst = rng.choice(names)
+            if dst == v:
+                w = rng.randint(-3, -1)
+            elif dst in targets:
+                w = rng.randint(4, 12)
+            else:
+                w = rng.randint(-2, 3)
+            edges.append((v, w, dst))
+    graph = WeightedGraph(
+        vertices=tuple(names),
+        edges=edges,
+        source=names[0],
+        targets=targets,
+        discount=rng.choice(ORACLE_LAMBDAS),
+    )
+    return graph, Fraction(rng.randint(-6, 2), rng.randint(1, 5))
+
+
+def compare_with_fraction_kernel(graph, nu, seen):
+    table, vertices, edges = dsumpath.compute_mrg(graph, nu)
+    old_table, old_vertices, old_edges = old_compute_mrg(graph, nu)
+    assert (vertices, edges) == (old_vertices, old_edges)
+    assert (table is None) == (old_table is None)
+    if table is not None:
+        assert table.rounds == old_table[0]
+        assert table.rows == old_table[1]
+    for strict in (False, True):
+        checker = exists_path_lt if strict else exists_path_leq
+        answer, witness = checker(graph, nu)
+        old_answer, old_wit, pumped = old_exists_path(graph, nu, strict)
+        assert answer == old_answer, (graph, nu, strict)
+        if answer == YES:
+            assert (witness.edges, witness.vertices) == (old_wit.edges, old_wit.vertices)
+            assert witness.value == old_wit.value
+        seen["pumped"] += pumped
+        seen[answer] += 1
+    seen["self_loop"] += any(src == dst for src, _w, dst in graph.edges)
+    seen["source_target"] += graph.source in graph.targets
+    seen["unreachable"] += table is None
+
+
+def test_integer_kernel_matches_fraction_kernel():
+    rng = random.Random(2024)
+    seen = dict.fromkeys(
+        ["self_loop", "source_target", "unreachable", "pumped", "yes", "no"], 0
+    )
+    for _ in range(1200):
+        graph, nu = oracle_instance(rng)
+        compare_with_fraction_kernel(graph, nu, seen)
+    assert min(seen.values()) >= 20, seen
+
+
+def test_integer_kernel_matches_fraction_kernel_when_pumping():
+    rng = random.Random(7)
+    seen = dict.fromkeys(
+        ["self_loop", "source_target", "unreachable", "pumped", "yes", "no"], 0
+    )
+    for _ in range(400):
+        graph, nu = pumping_instance(rng)
+        compare_with_fraction_kernel(graph, nu, seen)
+    assert seen["pumped"] >= 100, seen
+
+
+def test_dsum_of_edges_matches_fraction_sum():
+    rng = random.Random(5)
+    for _ in range(300):
+        graph, _nu = oracle_instance(rng)
+        if not graph.edges:
+            continue
+        path = [rng.randrange(len(graph.edges)) for _ in range(rng.randint(0, 30))]
+        assert dsumpath.dsum_of_edges(graph, path) == old_dsum_of_edges(graph, path)
+
+
+def test_mrg_rows_stay_after_fixpoint():
+    # a round that raises nothing leaves every later round unchanged
+    graph = WeightedGraph(
+        vertices=("s", "a", "t"),
+        edges=[("s", 1, "a"), ("a", 1, "t")],
+        source="s",
+        targets=frozenset(["t"]),
+        discount=Fraction(3, 4),
+    )
+    table, _v, _e = dsumpath.compute_mrg(graph, Fraction(-1, 3))
+    assert table.raised[table.rounds] == {}
+    assert table.rows[2] == table.rows[3]
+    assert table.rows[3] == {"s": Fraction(-1, 3), "a": Fraction(-13, 9),
+                             "t": Fraction(-79, 27)}
+
+
+# --- dsum-path --trace, pinned byte for byte ----------------------------------
+
+REMARK_TRACE = "mrg[0]: v0=1\nmrg[1]: v0=1, v1=-1\nmrg[2]: v0=1, v1=-1\n"
+
+RANDOM_TRACE = (
+    "mrg[0]: g0=-3/4\n"
+    "mrg[1]: g0=-3/4, g2=-1/8\n"
+    "mrg[2]: g0=-3/4, g1=-3/16, g2=-1/8, g4=-67/16\n"
+    "mrg[3]: g0=-3/4, g1=-3/16, g2=-1/8, g3=87/32, g4=55/32, g5=-105/32\n"
+    "mrg[4]: g0=-3/4, g1=325/64, g2=-1/8, g3=87/32, g4=325/64, g5=357/64\n"
+    "mrg[5]: g0=-3/4, g1=1231/128, g2=1455/128, g3=1359/128, g4=1231/128, g5=1359/128\n"
+    "mrg[6]: g0=-3/4, g1=4365/256, g2=4845/256, g3=4461/256, g4=4333/256, g5=4461/256\n"
+)
+
+
+def trace_arena_text(seed):
+    rng = random.Random(seed)
+    names = ["g%d" % k for k in range(6)]
+    lines = ["arena"]
+    for k, v in enumerate(names):
+        lines.append("vertex: %s adam%s" % (v, " critical" if k in (3, 5) else ""))
+    lines.append("initial: g0")
+    for v in names:
+        for _ in range(rng.randint(1, 3)):
+            lines.append("edge: %s - %d %s" % (v, rng.randint(-3, 4), rng.choice(names)))
+    return "\n".join(lines) + "\n"
+
+
+def test_trace_pinned_on_remark_arena(capsys):
+    code = cli.main(["dsum-path", str(FIXTURES / "remark.arena"), "--nu", "1",
+                     "--lambda", "1/2", "--trace"])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (1, "no\n", REMARK_TRACE)
+
+
+@pytest.mark.parametrize("strict", [[], ["--strict"]])
+def test_trace_pinned_on_random_graph(capsys, tmp_path, strict):
+    arena = tmp_path / "random.arena"
+    arena.write_text(trace_arena_text(3))
+    code = cli.main(["dsum-path", str(arena), "--nu=-3/4", "--lambda", "2/3", "--trace"]
+                    + strict)
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.out == "yes\nwitness: g0 g2 g1 g3 g4 g1 g3\nvalue: -554/243\n"
+    assert captured.err == RANDOM_TRACE
+
+
+# --- re-validation survives python -O -----------------------------------------
+
+_WRONG_DSUM = """
+import sys
+from fractions import Fraction
+from wsynth import cli, core, dsumpath
+if not sys.flags.optimize:
+    sys.exit("expected python -O")
+dsumpath.dsum_of_edges = lambda graph, edges: Fraction(10 ** 6)
+graph = dsumpath.WeightedGraph(
+    vertices=("s", "t"), edges=[("s", 0, "t")], source="s",
+    targets=frozenset(["t"]), discount=Fraction(1, 2),
+)
+try:
+    dsumpath.exists_path_leq(graph, 0)
+    print("no error")
+except core.InternalError as exc:
+    print("internal error: %s" % exc)
+sys.stdout.flush()
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def test_witness_revalidation_survives_python_O():
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", _WRONG_DSUM, "dsum-path",
+         str(FIXTURES / "remark.arena"), "--nu", "3/2", "--lambda", "1/2"],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True,
+    )
+    assert done.returncode == 70, done.stderr
+    assert done.stdout == "internal error: witness failed re-validation\n"
+    assert done.stderr == "internal error: witness failed re-validation\n"
