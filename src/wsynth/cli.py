@@ -106,17 +106,14 @@ def _attach_negative_rationals(argv):
     return out
 
 
-def build_parser():
-    parser = _Parser(prog="wsynth", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("domain-safe", help="check/transform into a domain-safe spec")
+def _domain_safe_args(p):
     p.add_argument("spec")
     p.add_argument("-o", dest="out", default=None)
     p.add_argument("--dot", action="store_true", help="emit the two-run game as DOT")
     p.add_argument("--json", action="store_true")
 
-    p = sub.add_parser("synth", help="synthesize a transducer")
+
+def _synth_args(p):
     p.add_argument("objective", choices=["threshold", "best-value", "approx"])
     p.add_argument("spec")
     p.add_argument("--cmp", choices=["gt", "ge", "lt", "le"], default=None)
@@ -127,7 +124,8 @@ def build_parser():
     p.add_argument("--dot", action="store_true")
     p.add_argument("--json", action="store_true")
 
-    p = sub.add_parser("verify", help="verify a transducer against a spec")
+
+def _verify_args(p):
     p.add_argument("spec")
     p.add_argument("mealy")
     p.add_argument(
@@ -140,18 +138,21 @@ def build_parser():
     p.add_argument("--r", dest="slack", default=None)
     p.add_argument("--json", action="store_true")
 
-    p = sub.add_parser("eval", help="value of an input/output pair")
+
+def _eval_args(p):
     p.add_argument("spec")
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
     p.add_argument("--json", action="store_true")
 
-    p = sub.add_parser("bestval", help="best achievable value for an input")
+
+def _bestval_args(p):
     p.add_argument("spec")
     p.add_argument("--input", required=True)
     p.add_argument("--json", action="store_true")
 
-    p = sub.add_parser("solve-prefix", help="solve a critical prefix threshold game")
+
+def _solve_prefix_args(p):
     p.add_argument("arena")
     p.add_argument("--measure", required=True, choices=["sum", "avg", "dsum"])
     p.add_argument("--cmp", required=True, choices=["gt", "ge"])
@@ -161,7 +162,8 @@ def build_parser():
     p.add_argument("--dot", action="store_true")
     p.add_argument("--json", action="store_true")
 
-    p = sub.add_parser("dsum-path", help="discounted-sum path threshold check")
+
+def _dsum_path_args(p):
     p.add_argument("arena")
     p.add_argument("--nu", required=True)
     p.add_argument("--lambda", dest="discount", required=True)
@@ -169,12 +171,25 @@ def build_parser():
     p.add_argument("--trace", action="store_true")
     p.add_argument("--json", action="store_true")
 
-    p = sub.add_parser("gen", help="generate test specifications")
+
+def _gen_args(p):
     p.add_argument("what", choices=["mp-to-spec"])
     p.add_argument("arena")
     p.add_argument("-o", dest="out", default=None)
     p.add_argument("--json", action="store_true")
 
+
+def build_parser(command=None):
+    """The wsynth parser.  Given a known command, only its subparser is
+    built: the others cannot take part in parsing a command line that
+    starts with it.  Otherwise all are, so help and invalid-choice errors
+    list every command."""
+    parser = _Parser(prog="wsynth", description=__doc__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_arguments, _run) in _COMMANDS.items():
+        if command in _COMMANDS and name != command:
+            continue
+        add_arguments(sub.add_parser(name, help=help_text))
     return parser
 
 
@@ -418,9 +433,10 @@ def _cmd_dsum_path(args):
         discount=lam,
     )
     checker = dsumpath.exists_path_lt if args.strict else dsumpath.exists_path_leq
-    answer, witness = checker(graph, nu)
+    mrg = dsumpath.compute_mrg(graph, nu) if args.trace else None
+    answer, witness = checker(graph, nu, mrg)
     if args.trace:
-        table, _v, _e = dsumpath.compute_mrg(graph, nu)
+        table = mrg[0]
         if table is None:
             sys.stderr.write("no vertex reaches a target\n")
         else:
@@ -469,25 +485,29 @@ def _cmd_gen(args):
     return EXIT_YES
 
 
+# command -> (help, argument builder, handler), in help-listing order
 _COMMANDS = {
-    "domain-safe": _cmd_domain_safe,
-    "synth": _cmd_synth,
-    "verify": _cmd_verify,
-    "eval": _cmd_eval,
-    "bestval": _cmd_bestval,
-    "solve-prefix": _cmd_solve_prefix,
-    "dsum-path": _cmd_dsum_path,
-    "gen": _cmd_gen,
+    "domain-safe": ("check/transform into a domain-safe spec", _domain_safe_args,
+                    _cmd_domain_safe),
+    "synth": ("synthesize a transducer", _synth_args, _cmd_synth),
+    "verify": ("verify a transducer against a spec", _verify_args, _cmd_verify),
+    "eval": ("value of an input/output pair", _eval_args, _cmd_eval),
+    "bestval": ("best achievable value for an input", _bestval_args, _cmd_bestval),
+    "solve-prefix": ("solve a critical prefix threshold game", _solve_prefix_args,
+                     _cmd_solve_prefix),
+    "dsum-path": ("discounted-sum path threshold check", _dsum_path_args,
+                  _cmd_dsum_path),
+    "gen": ("generate test specifications", _gen_args, _cmd_gen),
 }
 
 
 def main(argv=None) -> int:
     argv = _attach_negative_rationals(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
+    parser = build_parser(argv[0] if argv else None)
     started = time.monotonic()
     try:
         args = parser.parse_args(argv)
-        code = _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command][2](args)
     except UsageError as exc:
         sys.stderr.write("usage error: %s\n" % exc)
         return EXIT_USAGE

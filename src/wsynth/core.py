@@ -137,21 +137,6 @@ class WeightedSpec:
     def output_states(self):
         return [q for q in self.states if self.polarity[q] == OUTPUT]
 
-    def successor(self, state, symbol):
-        entry = self.transitions.get((state, symbol))
-        return entry[0] if entry else None
-
-    def weight(self, state, symbol):
-        return self.transitions[(state, symbol)][1]
-
-    def out_edges(self, state):
-        """Transitions leaving state, in file order."""
-        return [
-            (sym, tgt, w)
-            for (src, sym), (tgt, w) in self.transitions.items()
-            if src == state
-        ]
-
     def with_measure(self, measure, discount=None):
         return WeightedSpec(
             inputs=self.inputs,

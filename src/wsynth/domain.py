@@ -16,6 +16,7 @@ realizer exists at all.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 from . import games
@@ -170,9 +171,9 @@ def build_two_run_game(spec: WeightedSpec) -> TwoRunSafetyGame:
     edges = []
     owner = {}
     seen = {initial}
-    queue = [initial]
+    queue = deque([initial])
     while queue:
-        vertex = queue.pop(0)
+        vertex = queue.popleft()
         vertices.append(vertex)
         kind, left, right = vertex
         owner[vertex] = EVE if kind == "oo" else ADAM

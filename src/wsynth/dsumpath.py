@@ -284,28 +284,29 @@ def _pumped_witness(graph: WeightedGraph, table: MrgTable, rising, nu, strict, e
     return _witness(graph, stem + loop * pumps + tail_edges)
 
 
-def exists_path_leq(graph: WeightedGraph, nu) -> tuple:
+def exists_path_leq(graph: WeightedGraph, nu, mrg=None) -> tuple:
     """Is there a path from the source to a target with Dsum <= nu?
 
     Returns (NO, None) or (YES, PathWitness); witnesses are validated
-    against the claimed comparison before being returned.
+    against the claimed comparison before being returned.  mrg may hold
+    compute_mrg(graph, nu), which is then not computed again.
     """
-    return _exists_path(graph, nu, strict=False)
+    return _exists_path(graph, nu, False, mrg)
 
 
-def exists_path_lt(graph: WeightedGraph, nu) -> tuple:
+def exists_path_lt(graph: WeightedGraph, nu, mrg=None) -> tuple:
     """Strict variant: a path with Dsum < nu.
 
     At a fixpoint the table holds the attained maximum relative gap, so a
     strict witness exists iff some target gap is strictly positive; away
     from the fixpoint pumping yields strict witnesses.
     """
-    return _exists_path(graph, nu, strict=True)
+    return _exists_path(graph, nu, True, mrg)
 
 
-def _exists_path(graph: WeightedGraph, nu, strict):
+def _exists_path(graph: WeightedGraph, nu, strict, mrg):
     nu = Fraction(nu)
-    table, _vertices, edges = compute_mrg(graph, nu)
+    table, _vertices, edges = compute_mrg(graph, nu) if mrg is None else mrg
     if table is None:
         return NO, None
     latest = table.latest

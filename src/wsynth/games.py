@@ -10,6 +10,7 @@ knowledge construction (sound for WIN, inconclusive otherwise).
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -408,16 +409,33 @@ def solve_imperfect_energy_capped(iarena: ImperfectArena, c0: int, cap: int):
     below zero; otherwise Adam picks any observation class with a
     nonempty update.  WIN is sound for the uncapped objective (clamping
     only lowers credits); NOT_WIN_AT_CAP is inconclusive.
+
+    The game is solved on floor beliefs, which keep only the lowest
+    credit per vertex.  Clamping is monotone, the loss test fires on the
+    lowest credit whenever it fires at all, and observations depend on
+    vertices only, so the floor map commutes with the belief update: a
+    belief loses exactly when its floor does.  Losing floors are found by
+    a predecessor worklist.  The strategy is read off the full beliefs it
+    reaches, taking the first safe action in iarena.actions order.
     """
     if c0 < 0:
         raise ValueError("initial credit must be nonnegative")
     if cap < c0:
         raise ValueError("cap must be at least the initial credit")
+    obs = iarena.obs
 
     def updates(belief, action):
-        """None when the action immediately loses, else obs -> belief."""
+        """obs -> belief, for an action that is safe at the belief's floor."""
         per_obs = {}
         for v, c in belief:
+            for w, dst in iarena.moves(v, action):
+                per_obs.setdefault(obs[dst], set()).add((dst, min(cap, c + w)))
+        return {o: frozenset(b) for o, b in per_obs.items()}
+
+    def floor_updates(floor, action):
+        """None when the action immediately loses, else the successor floors."""
+        per_obs = {}
+        for v, c in floor:
             moves = iarena.moves(v, action)
             if not moves:
                 return None  # action not available from this belief
@@ -425,67 +443,70 @@ def solve_imperfect_energy_capped(iarena: ImperfectArena, c0: int, cap: int):
                 nc = c + w
                 if nc < 0:
                     return None
-                per_obs.setdefault(iarena.obs[dst], set()).add((dst, min(cap, nc)))
-        return {o: frozenset(b) for o, b in per_obs.items()}
+                if nc > cap:
+                    nc = cap
+                low = per_obs.setdefault(obs[dst], {})
+                if low.get(dst, nc) >= nc:
+                    low[dst] = nc
+        return [frozenset(low.items()) for low in per_obs.values()]
+
+    def floor_of(belief):
+        low = {}
+        for v, c in belief:
+            if low.get(v, c) >= c:
+                low[v] = c
+        return frozenset(low.items())
 
     initial = frozenset([(iarena.initial, min(c0, cap))])
-    succ = {}
-    order = []
-    queue = [initial]
-    seen = {initial}
+    # safe: floor -> actions none of whose successors has lost yet; a
+    # floor loses when its set becomes empty
+    safe = {}
+    preds = {initial: []}  # floor -> (predecessor floor, action) pairs
+    losing = deque()
+    queue = deque([initial])
     while queue:
-        belief = queue.pop(0)
-        order.append(belief)
-        options = {}
+        floor = queue.popleft()
+        actions = set()
         for action in iarena.actions:
-            result = updates(belief, action)
+            result = floor_updates(floor, action)
             if result is None:
                 continue
-            options[action] = result
-            for nxt in result.values():
-                if nxt not in seen:
-                    seen.add(nxt)
+            actions.add(action)
+            for nxt in result:
+                if nxt not in preds:
+                    preds[nxt] = []
                     queue.append(nxt)
-        succ[belief] = options
+                preds[nxt].append((floor, action))
+        safe[floor] = actions
+        if not actions:
+            losing.append(floor)
 
-    losing = set()
-    changed = True
-    while changed:
-        changed = False
-        for belief in order:
-            if belief in losing:
-                continue
-            safe_action = None
-            for action, result in succ[belief].items():
-                if all(nxt not in losing for nxt in result.values()):
-                    safe_action = action
-                    break
-            if safe_action is None:
-                losing.add(belief)
-                changed = True
+    while losing:
+        floor = losing.popleft()
+        for pred, action in preds[floor]:
+            actions = safe[pred]
+            if action in actions:
+                actions.remove(action)
+                if not actions:
+                    losing.append(pred)
 
-    if initial in losing:
+    if not safe[initial]:
         return NOT_WIN_AT_CAP, None
 
     act = {}
     step = {}
-    reached = [initial]
+    reached = deque([initial])
     seen = {initial}
     while reached:
-        belief = reached.pop(0)
-        for action in iarena.actions:
-            result = succ[belief].get(action)
-            if result is None:
-                continue
-            if any(nxt in losing for nxt in result.values()):
-                continue
-            act[belief] = action
-            for obs, nxt in result.items():
-                step[(belief, obs)] = nxt
-                if nxt not in seen:
-                    seen.add(nxt)
-                    reached.append(nxt)
-            break
+        belief = reached.popleft()
+        actions = safe[floor_of(belief)]
+        action = next(a for a in iarena.actions if a in actions)
+        act[belief] = action
+        for o, nxt in updates(belief, action).items():
+            step[(belief, o)] = nxt
+            if nxt not in seen:
+                seen.add(nxt)
+                reached.append(nxt)
     return WIN, MemoryStrategy(initial=initial, act=act, step=step)
 
 
@@ -575,26 +596,6 @@ def emit_arena(arena: Arena) -> str:
         for o in sorted(classes):
             lines.append("obs: %s %s" % (o, " ".join(classes[o])))
     return "\n".join(lines) + "\n"
-
-
-def arena_to_iarena(arena: Arena) -> ImperfectArena:
-    """Reinterpret a parsed arena file as an imperfect-information arena.
-
-    Vertices without an obs line observe themselves.
-    """
-    obs = {v: arena.obs.get(v, "__self_%s" % (v,)) for v in arena.vertices}
-    actions = []
-    for _s, a, _w, _d in arena.edges:
-        if a not in actions:
-            actions.append(a)
-    return ImperfectArena(
-        vertices=arena.vertices,
-        initial=arena.initial,
-        actions=tuple(actions),
-        edges=list(arena.edges),
-        obs=obs,
-        critical=arena.critical,
-    )
 
 
 def arena_to_dot(arena: Arena, highlight=()) -> str:

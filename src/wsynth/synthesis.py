@@ -132,10 +132,10 @@ def extract_transducer(spec: WeightedSpec, arena: Arena, provenance, strategy):
     domain word ends in a final state).
     """
     transitions = {}
-    reached = [spec.initial]
+    reached = deque([spec.initial])
     seen = {spec.initial}
     while reached:
-        p = reached.pop(0)
+        p = reached.popleft()
         for a in spec.inputs:
             entry = spec.transitions.get((p, a))
             if entry is None:
@@ -655,9 +655,9 @@ def _selector_transducer(spec: WeightedSpec, selector):
     """Transducer following one output transition per output state."""
     transitions = {}
     seen = {spec.initial}
-    queue = [spec.initial]
+    queue = deque([spec.initial])
     while queue:
-        p = queue.pop(0)
+        p = queue.popleft()
         for a in spec.inputs:
             entry = spec.transitions.get((p, a))
             if entry is None:
@@ -798,7 +798,7 @@ def build_approx_game(spec: WeightedSpec, measure: str, cmp: str, r):
     obs = {}
     critical = set()
     seen = set()
-    queue = []
+    queue = deque()
 
     def note(v):
         if v not in seen:
@@ -812,7 +812,7 @@ def build_approx_game(spec: WeightedSpec, measure: str, cmp: str, r):
     critical.add(_BOT)
     edges.append((_BOT, "choose", -1, _BOT))
     while queue:
-        v = queue.pop(0)
+        v = queue.popleft()
         if v == _BOT:
             continue
         if len(v) == 2:
@@ -900,10 +900,10 @@ def _transducer_from_belief_strategy(spec, full, strategy):
 
     transitions = {}
     finals = []
-    queue = [b0]
+    queue = deque([b0])
     seen = {b0}
     while queue:
-        belief = queue.pop(0)
+        belief = queue.popleft()
         src = name(belief)
         p = input_state_of(belief)
         if p in spec.finals:
@@ -981,9 +981,9 @@ def _domain_words_probe(spec):
     """Does the spec accept anything at all?  Yields at most one witness."""
     subset = domain_mod._closure(spec, [spec.initial])
     seen = {subset}
-    queue = [subset]
+    queue = deque([subset])
     while queue:
-        current = queue.pop(0)
+        current = queue.popleft()
         if domain_mod._accepts(spec, current):
             yield current
             return

@@ -381,3 +381,89 @@ def test_mean_payoff_stdout_independent_of_hash_seed(tmp_path):
     assert "winner: adam" in out and "strategy: " in out
     assert out.count("mean-payoff adam") >= 10 and out.count("mean-payoff eve") >= 5
     assert outputs[1:] == outputs[:1] * 3
+
+
+_APPROX_SCRIPT = """
+import contextlib, hashlib, io, sys
+from wsynth import cli
+spec, out = sys.argv[1], sys.argv[2]
+for cmp, r in (("le", "4"), ("lt", "9/2"), ("lt", "4")):
+    for cap in ("64", "256"):
+        open(out, "w").close()
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            code = cli.main(["synth", "approx", spec, "--cmp", cmp, "--r", r,
+                             "--cap", cap, "-o", out])
+        with open(out, "rb") as handle:
+            machine = handle.read()
+        print(cmp, r, cap, code, repr(stdout.getvalue()), hashlib.sha256(machine).hexdigest())
+"""
+
+# `synth approx` on the paper fixture as the set-belief knowledge solver
+# printed it: exit code, stdout, and the SHA-256 of the -o machine file
+# (of the empty file when there is no machine).
+_APPROX_PINNED = """\
+le 4 64 0 'realizable\\n' f7e6eaf2c31da19815ec88fc8b6379a00b63722f4f41ed3a3ebb33bfecb30037
+le 4 256 0 'realizable\\n' 8ab83be728cb89071816002c28172987abec9729b0f74ad7031c4fff9989bc6b
+lt 9/2 64 0 'realizable\\n' d3796592194f7fd07156d5ad345311287ea0c9ff51f296379e412be1f4c8718a
+lt 9/2 256 0 'realizable\\n' 5b92bbabe1d77c0780cd2286019e6960a5b06cfd6e598817d7c169cf746d6f97
+lt 4 64 2 'unknown at cap 64\\n' e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855
+lt 4 256 2 'unknown at cap 256\\n' e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855
+"""
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_synth_approx_pinned_on_paper_fixture(seed, tmp_path):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=str(seed))
+    done = subprocess.run(
+        [sys.executable, "-c", _APPROX_SCRIPT, PAPER, str(tmp_path / "m.mealy")],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert done.stdout == _APPROX_PINNED
+
+
+def _parse_outcome(capsys, parse, argv):
+    """(exit code, stdout, stderr) of parsing argv as main reports it."""
+    try:
+        code = parse(argv)
+    except SystemExit as exc:
+        code = exc.code
+    except cli.UsageError as exc:
+        sys.stderr.write("usage error: %s\n" % exc)
+        code = 64
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def _full_parse(argv):
+    cli.build_parser().parse_args(argv)
+
+
+_PARSE_ERRORS = [
+    [],
+    ["frobnicate"],
+    ["--json", "synth"],
+    ["synth"],
+    ["synth", "fast", PAPER],
+    ["synth", "approx", PAPER, "--cap", "many"],
+    ["synth", "threshold", PAPER, "--cmp", "eq"],
+    ["verify", PAPER, "m.mealy"],
+    ["eval", PAPER, "--input", "a", "--output", "c", "--bogus"],
+    ["solve-prefix", REMARK, "--measure", "sum", "--cmp", "ge"],
+    ["dsum-path", REMARK, "--nu", "1"],
+    ["gen", "spec-to-mp", REMARK],
+]
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["-h"]]
+                         + [[name, "--help"] for name in cli._COMMANDS]
+                         + _PARSE_ERRORS)
+def test_partial_parser_matches_full_parser(capsys, monkeypatch, argv):
+    # main builds only the subparser its first argument names
+    monkeypatch.setenv("COLUMNS", "80")
+    full = _parse_outcome(capsys, _full_parse, argv)
+    assert full[0] in (0, 64)
+    assert _parse_outcome(capsys, cli.main, argv) == full
+    if argv[:1] in (["--help"], ["-h"], ["frobnicate"]):
+        assert all(name in full[1] + full[2] for name in cli._COMMANDS)

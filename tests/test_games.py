@@ -481,6 +481,147 @@ def test_energy_capped_monotone_in_cap():
         assert wins == sorted(wins), "WIN must persist as the cap grows"
 
 
+def old_solve_imperfect_energy_capped(iarena, c0, cap):
+    """The solver as it was before floor beliefs: it explores every set
+    belief of (vertex, credit) pairs and finds the losing beliefs by full
+    sweeps until nothing changes."""
+    if c0 < 0:
+        raise ValueError("initial credit must be nonnegative")
+    if cap < c0:
+        raise ValueError("cap must be at least the initial credit")
+
+    def updates(belief, action):
+        """None when the action immediately loses, else obs -> belief."""
+        per_obs = {}
+        for v, c in belief:
+            moves = iarena.moves(v, action)
+            if not moves:
+                return None  # action not available from this belief
+            for w, dst in moves:
+                nc = c + w
+                if nc < 0:
+                    return None
+                per_obs.setdefault(iarena.obs[dst], set()).add((dst, min(cap, nc)))
+        return {o: frozenset(b) for o, b in per_obs.items()}
+
+    initial = frozenset([(iarena.initial, min(c0, cap))])
+    succ = {}
+    order = []
+    queue = [initial]
+    seen = {initial}
+    while queue:
+        belief = queue.pop(0)
+        order.append(belief)
+        options = {}
+        for action in iarena.actions:
+            result = updates(belief, action)
+            if result is None:
+                continue
+            options[action] = result
+            for nxt in result.values():
+                if nxt not in seen:
+                    seen.add(nxt)
+                    queue.append(nxt)
+        succ[belief] = options
+
+    losing = set()
+    changed = True
+    while changed:
+        changed = False
+        for belief in order:
+            if belief in losing:
+                continue
+            safe_action = None
+            for action, result in succ[belief].items():
+                if all(nxt not in losing for nxt in result.values()):
+                    safe_action = action
+                    break
+            if safe_action is None:
+                losing.add(belief)
+                changed = True
+
+    if initial in losing:
+        return games.NOT_WIN_AT_CAP, None
+
+    act = {}
+    step = {}
+    reached = [initial]
+    seen = {initial}
+    while reached:
+        belief = reached.pop(0)
+        for action in iarena.actions:
+            result = succ[belief].get(action)
+            if result is None:
+                continue
+            if any(nxt in losing for nxt in result.values()):
+                continue
+            act[belief] = action
+            for obs, nxt in result.items():
+                step[(belief, obs)] = nxt
+                if nxt not in seen:
+                    seen.add(nxt)
+                    reached.append(nxt)
+            break
+    return games.WIN, games.MemoryStrategy(initial=initial, act=act, step=step)
+
+
+def random_iarena(rng):
+    """Up to 4 vertices in up to 3 observation classes; each (vertex,
+    action) pair is missing with probability 1/4 and otherwise has one or
+    two moves of weight -3..3."""
+    n = rng.randint(1, 4)
+    names = ["v%d" % i for i in range(n)]
+    actions = ("x", "y", "z")[: rng.randint(1, 3)]
+    edges = []
+    for v in names:
+        for a in actions:
+            if rng.random() < 0.25:
+                continue
+            for _ in range(rng.randint(1, 2)):
+                edges.append((v, a, rng.randint(-3, 3), rng.choice(names)))
+    classes = rng.randint(1, 3)
+    return ImperfectArena(
+        vertices=tuple(names),
+        initial=names[0],
+        actions=actions,
+        edges=edges,
+        obs={v: "o%d" % rng.randrange(classes) for v in names},
+    )
+
+
+def test_energy_capped_matches_old_solver_on_random_arenas():
+    rng = random.Random(505)
+    seen = {"shared_obs": 0, "missing_action": 0, "negative": 0, "at_cap": 0,
+            games.WIN: 0, games.NOT_WIN_AT_CAP: 0}
+    caps = set()
+    for trial in range(1200):
+        ia = random_iarena(rng)
+        c0 = rng.randint(0, 3)
+        cap = c0 + rng.randint(0, 12 - c0) if trial % 3 else trial // 3 % 13
+        c0 = min(c0, cap)
+        status, strat = games.solve_imperfect_energy_capped(ia, c0, cap)
+        old_status, old_strat = old_solve_imperfect_energy_capped(ia, c0, cap)
+        assert status == old_status, (ia, c0, cap)
+        if strat is None or old_strat is None:
+            assert strat is old_strat is None
+        else:
+            # Equal as mappings.  Their insertion order follows the
+            # iteration order of frozenset beliefs, which CPython derives
+            # from how each set was built, and no caller reads it.
+            assert strat.initial == old_strat.initial
+            assert strat.act == old_strat.act, (ia, c0, cap)
+            assert strat.step == old_strat.step, (ia, c0, cap)
+            credits = [c for belief in strat.act for _v, c in belief]
+            seen["at_cap"] += cap > c0 and cap in credits
+        seen[status] += 1
+        caps.add(cap)
+        seen["shared_obs"] += len(set(ia.obs.values())) < len(ia.vertices)
+        seen["missing_action"] += any(not ia.moves(v, a) for v in ia.vertices for a in ia.actions)
+        seen["negative"] += any(w < 0 for _s, _a, w, _d in ia.edges)
+    assert caps == set(range(13))
+    assert min(seen.values()) >= 50, seen
+
+
 # --- arena text format ------------------------------------------------------
 
 
