@@ -354,9 +354,6 @@ def best_value(spec: WeightedSpec, u):
     return top
 
 
-UNDEFINED = None
-
-
 def run_transducer(t: MealyTransducer, u):
     """Output of the unique run on u, or None when undefined.
 
@@ -369,11 +366,11 @@ def run_transducer(t: MealyTransducer, u):
     for a in u:
         entry = t.transitions.get((state, a))
         if entry is None:
-            return UNDEFINED
+            return None
         b, state = entry
         out.append(b)
     if state not in t.finals:
-        return UNDEFINED
+        return None
     return tuple(out)
 
 

@@ -107,18 +107,31 @@ def domains_equal(left: WeightedSpec, right: WeightedSpec) -> bool:
     return True
 
 
+def _search(adjacency, starts):
+    """Every node reachable from starts along adjacency lists, by BFS."""
+    seen = set(starts)
+    queue = deque(seen)
+    while queue:
+        for nxt in adjacency.get(queue.popleft(), ()):
+            if nxt not in seen:
+                seen.add(nxt)
+                queue.append(nxt)
+    return seen
+
+
 def reachable_states(spec: WeightedSpec):
     succ = {}
     for (src, _sym), (tgt, _w) in spec.transitions.items():
         succ.setdefault(src, []).append(tgt)
-    seen = {spec.initial}
-    queue = [spec.initial]
-    while queue:
-        for tgt in succ.get(queue.pop(), ()):
-            if tgt not in seen:
-                seen.add(tgt)
-                queue.append(tgt)
-    return seen
+    return _search(succ, [spec.initial])
+
+
+def _live_states(spec: WeightedSpec):
+    """States reachable from the initial state that also reach a final one."""
+    pred = {}
+    for (src, _sym), (tgt, _w) in spec.transitions.items():
+        pred.setdefault(tgt, []).append(src)
+    return reachable_states(spec) & _search(pred, spec.finals)
 
 
 def unsafe_transitions(spec: WeightedSpec):
@@ -214,16 +227,7 @@ def trim(spec: WeightedSpec) -> WeightedSpec:
     when it is not co-reachable the domain is empty and the result keeps
     no transitions.
     """
-    reach = reachable_states(spec)
-    co = set(spec.finals)
-    changed = True
-    while changed:
-        changed = False
-        for (src, _sym), (tgt, _w) in spec.transitions.items():
-            if tgt in co and src not in co:
-                co.add(src)
-                changed = True
-    core = reach & co
+    core = _live_states(spec)
     keep = core | {spec.initial}
     transitions = {
         key: val

@@ -2,14 +2,15 @@
 
 Perfect-information arenas partition vertices between Eve and Adam.
 Solvers are exact over integers/rationals: attractors and safety by
-fixpoint, mean-payoff (threshold 0, sup variant) by energy progress-
-measure lifting, discounted sum by strategy iteration with closed-form
+fixpoint, mean-payoff (threshold 0, sup variant) by set-lifting of an
+energy progress measure, discounted sum by strategy iteration with closed-form
 lasso evaluation, and imperfect-information energy games by a capped
 knowledge construction (sound for WIN, inconclusive otherwise).
 """
 
 from __future__ import annotations
 
+import heapq
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -188,51 +189,155 @@ def solve_safety(arena: Arena, safe):
 
 
 def _lift(vertices, owner, out_edges, cap):
-    """Minimal energy progress measure; values above cap become None (top)."""
+    """Least energy progress measure; values above cap become None (top).
 
-    def bump(value, weight):
-        if value is None:
-            return None
-        need = value - weight
-        if need < 0:
-            need = 0
-        return None if need > cap else need
-
+    The measure f maps each vertex to the least credit with which Eve
+    keeps the energy level non-negative.  It is the least fixpoint of
+    f(v) = opt over edges (v, w, u) of max(0, f(u) - w), with min at Eve's
+    vertices and max at Adam's, where a value above cap is top.
+    Set-lifting (Dorfman, Kaplan & Zwick, ICALP 2019) reaches it in whole
+    rounds instead of one vertex and one unit at a time: see _lift_round.
+    Every round raises f only to values the least fixpoint also reaches,
+    so the loop ends on it.  An explicit check confirms the fixpoint.
+    """
+    preds = {v: [] for v in vertices}
+    for v in vertices:
+        for w, dst in out_edges[v]:
+            preds[dst].append((v, w))
     f = {v: 0 for v in vertices}
-
-    def target(v):
-        best = None
-        first = True
-        for weight, dst in out_edges[v]:
-            cand = bump(f[dst], weight)
-            if first:
-                best = cand
-                first = False
-            elif owner[v] == EVE:
-                if best is None or (cand is not None and cand < best):
-                    best = cand
-            else:
-                if cand is None or (best is not None and cand > best):
-                    best = cand
-        return best
-
-    preds = {v: set() for v in vertices}
-    for u in vertices:
-        for _w, dst in out_edges[u]:
-            preds[dst].add(u)
-    dirty = set(vertices)
-    while dirty:
-        v = dirty.pop()
-        current = f[v]
-        if current is None:
+    while _lift_round(vertices, owner, out_edges, preds, f, cap):
+        pass
+    for v in vertices:
+        if f[v] is None:
             continue
-        t = target(v)
-        if t == current:
-            continue
-        if t is None or t > current:
-            f[v] = t
-            dirty.update(preds[v])
+        # a target above cap would be top; it differs from f[v] either way
+        needs = [max(0, f[u] - w) for w, u in out_edges[v] if f[u] is not None]
+        if owner[v] == EVE:
+            target = min(needs, default=None)
+        else:
+            target = max(needs) if needs and len(needs) == len(out_edges[v]) else None
+        if target != f[v]:
+            raise InternalError("progress measure is not a fixpoint at %r" % (v,))
     return f
+
+
+def _lift_round(vertices, owner, out_edges, preds, f, cap):
+    """One set-lifting round on f, in place; False when nothing needs lifting.
+
+    With slack s(e) = f(v) - f(u) + w on an edge e = (v, w, u) between
+    finite vertices, the invalid set I holds the finite vertices whose
+    lift target exceeds f: Eve's with no edge of s >= 0, Adam's with an
+    edge of s < 0 or into top.  B is Adam's attractor to I along tight
+    edges (s = 0), ranked by the order of joining.  An Eve vertex joins
+    once every edge with s >= 0 is tight and leads into B; one edge of
+    positive slack keeps it out, since max(0, .) clips what a rise of
+    its successor asks of it.  The rise of B is the value of a min-cost
+    reachability game on B, solved by Dijkstra: Eve minimises over all
+    her edges, Adam maximises over his edges with s <= -1 and his tight
+    edges to a lower rank.  An edge costs -s, and leaving B ends the
+    game; an edge into top costs infinity.  Costs are non-negative and
+    only edges to a lower rank cost 0, so every cycle costs at least 1,
+    and a vertex that never settles can be raised without bound: it
+    becomes top.  Each constraint counted holds at the least fixpoint,
+    so no vertex is raised past it, and every vertex of I rises.
+    """
+    rank = {}
+    queue = deque()
+    for v in vertices:
+        fv = f[v]
+        if fv is None:
+            continue
+        if owner[v] == EVE:
+            invalid = True
+            for w, u in out_edges[v]:
+                if f[u] is not None and fv + w >= f[u]:
+                    invalid = False
+                    break
+        else:
+            invalid = not out_edges[v]
+            for w, u in out_edges[v]:
+                if f[u] is None or fv + w < f[u]:
+                    invalid = True
+                    break
+        if invalid:
+            rank[v] = len(rank)
+            queue.append(v)
+    if not rank:
+        return False
+
+    tight_left = {}  # Eve vertex -> tight edges not yet into B, below 0 if blocked
+    while queue:
+        u = queue.popleft()
+        fu = f[u]
+        for v, w in preds[u]:
+            fv = f[v]
+            if v in rank or fv is None or fv - fu + w != 0:
+                continue
+            if owner[v] == EVE:
+                if v not in tight_left:
+                    slacks = [fv - f[x] + w2 for w2, x in out_edges[v] if f[x] is not None]
+                    tight_left[v] = slacks.count(0) if max(slacks) == 0 else -1
+                tight_left[v] -= 1
+                if tight_left[v]:
+                    continue
+            rank[v] = len(rank)
+            queue.append(v)
+
+    heap = []
+    unsettled = {}  # Adam vertex -> counted edges into B whose end is unsettled
+    worst = {}
+    for v, r in rank.items():
+        fv = f[v]
+        edges = out_edges[v]
+        if owner[v] == EVE:
+            costs = [f[u] - fv - w for w, u in edges if f[u] is not None and u not in rank]
+            if costs:
+                heapq.heappush(heap, (min(costs), r, v))
+            continue
+        count = 0
+        most = 0
+        top = not edges
+        for w, u in edges:
+            if f[u] is None:
+                top = True
+                break
+            cost = f[u] - fv - w
+            if u not in rank:
+                most = max(most, cost)
+            elif cost > 0 or (cost == 0 and rank[u] < r):
+                count += 1
+                most = cost
+        if top:
+            continue
+        if count:
+            unsettled[v] = count
+            worst[v] = most
+        else:
+            heapq.heappush(heap, (most, r, v))
+
+    rise = {}
+    while heap:
+        d, ru, u = heapq.heappop(heap)
+        if u in rise:
+            continue
+        rise[u] = d
+        fu = f[u]
+        for v, w in preds[u]:
+            if v in rise or v not in rank:
+                continue
+            cost = fu - f[v] - w
+            if owner[v] == EVE:
+                heapq.heappush(heap, (d + cost, rank[v], v))
+            elif v in unsettled and (cost > 0 or (cost == 0 and ru < rank[v])):
+                worst[v] = max(worst[v], d + cost)
+                unsettled[v] -= 1
+                if not unsettled[v]:
+                    heapq.heappush(heap, (worst[v], rank[v], v))
+
+    for v in rank:
+        d = rise.get(v)
+        f[v] = None if d is None or f[v] + d > cap else f[v] + d
+    return True
 
 
 def _credit_bound(out_edges):
@@ -261,11 +366,13 @@ def _tight_edges(arena, vertices, player, weight_fn, f):
 def solve_mean_payoff(arena: Arena):
     """Winner at the initial vertex for mean-payoff >= 0, with a strategy.
 
-    Exact over integers via progress-measure lifting of the associated
-    energy game, capped at the per-vertex credit bound.  When Adam wins,
-    his strategy comes from the dual game (owners swapped, weights
-    -(N*w+1)) on his winning region T alone: T is an Eve trap, and every
-    edge Adam has out of T leads to a vertex the dual lift marks top.
+    Exact over integers: Eve wins where the least progress measure of the
+    associated energy game is finite.  It comes from set-lifting (_lift),
+    capped at the per-vertex credit bound, and Eve's strategy takes the
+    first edge that keeps it.  When Adam wins, his strategy comes the
+    same way from the dual game (owners swapped, weights -(N*w+1)) on his
+    winning region T alone: T is an Eve trap, and every edge Adam has out
+    of T leads to a vertex the dual lift marks top.
     """
     if arena.deadlocks():
         raise ValueError("mean-payoff needs a deadlock-free arena")

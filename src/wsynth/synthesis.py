@@ -180,6 +180,7 @@ def _domain_equal_witness(spec, t):
     start = (t.initial, domain_mod._closure(spec, [spec.initial]))
     seen = {start}
     queue = deque([(start, ())])
+    steps = {}  # (subset, input) -> next subset of the domain automaton
     while queue:
         (s, subset), path = queue.popleft()
         t_accepts = s is not None and s in t.finals
@@ -189,7 +190,9 @@ def _domain_equal_witness(spec, t):
         for a in spec.inputs:
             entry = t.transitions.get((s, a)) if s is not None else None
             nxt_t = entry[1] if entry else None
-            nxt_sub = domain_mod._dom_step(spec, subset, a)
+            nxt_sub = steps.get((subset, a))
+            if nxt_sub is None:
+                nxt_sub = steps[(subset, a)] = domain_mod._dom_step(spec, subset, a)
             node = (nxt_t, nxt_sub)
             if node not in seen:
                 seen.add(node)
@@ -742,19 +745,6 @@ def _complete_spec(spec: WeightedSpec) -> WeightedSpec:
     )
 
 
-def _trim_states(spec: WeightedSpec):
-    reach = domain_mod.reachable_states(spec)
-    co = set(spec.finals)
-    changed = True
-    while changed:
-        changed = False
-        for (src, _sym), (tgt, _w) in spec.transitions.items():
-            if tgt in co and src not in co:
-                co.add(src)
-                changed = True
-    return reach & co
-
-
 _START_COPY = "__start__"
 
 
@@ -780,7 +770,7 @@ def build_approx_game(spec: WeightedSpec, measure: str, cmp: str, r):
     scale, slack = r.denominator, r.numerator
 
     full = _complete_spec(spec)
-    trimmed = _trim_states(spec)
+    trimmed = domain_mod._live_states(spec)
 
     def polarity(q):
         return full.polarity[q]

@@ -350,8 +350,9 @@ def _random_prefix_arena(rng, n):
 
 
 def test_mean_payoff_stdout_independent_of_hash_seed(tmp_path):
-    # _lift pops its worklist from a set of vertex names, so its order
-    # follows the hash seed; the least fixpoint, and every answer, must not
+    # vertex names are strings, whose hashes follow the hash seed; the
+    # least fixpoint, the strategies read off it in edge order, and every
+    # answer must not
     avg_spec = tmp_path / "paper-avg.wfa"
     avg_spec.write_text(Path(PAPER).read_text().replace("measure: sum", "measure: avg"))
     calls = []

@@ -299,3 +299,28 @@ def test_reachable_states_matches_transition_scan():
         assert reach == old_reachable_states(spec)
         sizes.append(len(reach))
     assert min(sizes) == 1 and max(sizes) >= 8
+
+
+def old_live_states(spec):
+    """Reachable states intersected with the co-reach fixpoint that rescans
+    every transition until no state is added, as trim did before."""
+    co = set(spec.finals)
+    changed = True
+    while changed:
+        changed = False
+        for (src, _sym), (tgt, _w) in spec.transitions.items():
+            if tgt in co and src not in co:
+                co.add(src)
+                changed = True
+    return old_reachable_states(spec) & co
+
+
+def test_live_states_matches_coreach_fixpoint():
+    rng = random.Random(37)
+    sizes = []
+    for _ in range(300):
+        spec = random_spec(rng, max_states=rng.randint(2, 14))
+        live = domain._live_states(spec)
+        assert live == old_live_states(spec)
+        sizes.append(len(live))
+    assert min(sizes) == 0 and max(sizes) >= 8

@@ -154,17 +154,67 @@ def test_mp_matches_enumeration_oracle():
                 assert cycle_mean_under(arena, sigma, strat.choice) < 0
 
 
+def old_lift(vertices, owner, out_edges, cap):
+    """The lifting as it was before set-lifting: a worklist of single
+    vertices, each raised to its lift target, one update at a time."""
+
+    def bump(value, weight):
+        if value is None:
+            return None
+        need = value - weight
+        if need < 0:
+            need = 0
+        return None if need > cap else need
+
+    f = {v: 0 for v in vertices}
+
+    def target(v):
+        best = None
+        first = True
+        for weight, dst in out_edges[v]:
+            cand = bump(f[dst], weight)
+            if first:
+                best = cand
+                first = False
+            elif owner[v] == EVE:
+                if best is None or (cand is not None and cand < best):
+                    best = cand
+            else:
+                if cand is None or (best is not None and cand > best):
+                    best = cand
+        return best
+
+    preds = {v: set() for v in vertices}
+    for u in vertices:
+        for _w, dst in out_edges[u]:
+            preds[dst].add(u)
+    dirty = set(vertices)
+    while dirty:
+        v = dirty.pop()
+        current = f[v]
+        if current is None:
+            continue
+        t = target(v)
+        if t == current:
+            continue
+        if t is None or t > current:
+            f[v] = t
+            dirty.update(preds[v])
+    return f
+
+
 def old_solve_mean_payoff(arena):
     """The solver as it was before the credit cap and the region restriction.
 
-    Lifts toward n * W, and solves the dual game over the full arena.
+    Lifts toward n * W with old_lift, and solves the dual game over the
+    full arena.
     """
     out_edges = {
         v: [(arena.edges[i][2], arena.edges[i][3]) for i in arena.out(v)]
         for v in arena.vertices
     }
     wneg = max((max(0, -w) for pairs in out_edges.values() for w, _ in pairs), default=0)
-    f = games._lift(arena.vertices, arena.owner, out_edges, len(arena.vertices) * wneg)
+    f = old_lift(arena.vertices, arena.owner, out_edges, len(arena.vertices) * wneg)
     if f[arena.initial] is not None:
         choice = {}
         for v in arena.vertices:
@@ -180,7 +230,7 @@ def old_solve_mean_payoff(arena):
     dual_owner = {v: (EVE if arena.owner[v] == ADAM else ADAM) for v in arena.vertices}
     dual_out = {v: [(-(n * w + 1), dst) for w, dst in out_edges[v]] for v in arena.vertices}
     wneg2 = max((max(0, -w) for pairs in dual_out.values() for w, _ in pairs), default=0)
-    g = games._lift(arena.vertices, dual_owner, dual_out, n * wneg2)
+    g = old_lift(arena.vertices, dual_owner, dual_out, n * wneg2)
     assert g[arena.initial] is not None
     choice = {}
     for v in arena.vertices:
@@ -270,6 +320,14 @@ def test_mp_strategy_sound_on_larger_arenas():
             ), games.emit_arena(arena)
 
 
+def dual_game(arena, out_edges):
+    """Owners swapped and weights -(N*w+1), as in solve_mean_payoff."""
+    n = len(arena.vertices)
+    owner = {v: (EVE if arena.owner[v] == ADAM else ADAM) for v in arena.vertices}
+    out = {v: [(-(n * w + 1), d) for w, d in out_edges[v]] for v in arena.vertices}
+    return owner, out
+
+
 def test_lift_at_credit_bound_equals_lift_at_large_cap():
     rng = random.Random(5150)
     for trial in range(300):
@@ -279,15 +337,89 @@ def test_lift_at_credit_bound_equals_lift_at_large_cap():
             v: [(arena.edges[i][2], arena.edges[i][3]) for i in arena.out(v)]
             for v in arena.vertices
         }
-        dual_owner = {v: (EVE if arena.owner[v] == ADAM else ADAM) for v in arena.vertices}
-        dual_out = {v: [(-(n * w + 1), d) for w, d in out_edges[v]] for v in arena.vertices}
-        for owner, out in ((arena.owner, out_edges), (dual_owner, dual_out)):
+        for owner, out in ((arena.owner, out_edges), dual_game(arena, out_edges)):
             wmax = max(abs(w) for pairs in out.values() for w, _ in pairs)
             bound = games._credit_bound(out)
             assert bound <= n * wmax
             assert games._lift(arena.vertices, owner, out, bound) == games._lift(
                 arena.vertices, owner, out, 4 * n * wmax
             ), games.emit_arena(arena)
+
+
+LIFT_WEIGHT_RANGES = ((0, 0), (-1, 0), (-50, 10), (-2, 2), (-9, 3), (-1, 6))
+
+
+def test_set_lift_matches_old_lift_on_random_arenas():
+    rng = random.Random(6174)
+    seen = {"all_top": 0, "mixed": 0, "eve_clip": 0, "below_bound": 0}
+    for trial in range(1500):
+        arena = wide_random_arena(rng, 20, LIFT_WEIGHT_RANGES[trial % len(LIFT_WEIGHT_RANGES)])
+        out_edges = {
+            v: [(arena.edges[i][2], arena.edges[i][3]) for i in arena.out(v)]
+            for v in arena.vertices
+        }
+        for owner, out in ((arena.owner, out_edges), dual_game(arena, out_edges)):
+            bound = games._credit_bound(out)
+            for cap in (bound, rng.randrange(bound) if bound else 0):
+                f = games._lift(arena.vertices, owner, out, cap)
+                assert f == old_lift(arena.vertices, owner, out, cap), (
+                    games.emit_arena(arena), owner, cap
+                )
+                tops = sum(value is None for value in f.values())
+                seen["all_top"] += tops == len(f)
+                seen["mixed"] += 0 < tops < len(f)
+                seen["below_bound"] += cap < bound
+                # an Eve vertex at 0 with an edge of positive slack, which
+                # max(0, .) clips
+                seen["eve_clip"] += any(
+                    owner[v] == EVE and f[v] == 0
+                    and any(f[u] is not None and w - f[u] > 0 for w, u in out[v])
+                    for v in arena.vertices
+                )
+    assert min(seen.values()) >= 50, seen
+
+
+def test_set_lift_clips_at_zero():
+    # v would owe u's credit minus 10, below zero: f(v) stays 0, while
+    # Adam's u needs one unit to pay the -1 back to v
+    owner = {"v": EVE, "u": ADAM}
+    out = {"v": [(10, "u")], "u": [(-1, "v")]}
+    cap = games._credit_bound(out)
+    assert games._lift(("v", "u"), owner, out, cap) == {"v": 0, "u": 1}
+    assert old_lift(("v", "u"), owner, out, cap) == {"v": 0, "u": 1}
+
+
+_BROKEN_LIFT = """
+import sys
+from wsynth import core, games
+if not sys.flags.optimize:
+    sys.exit("expected python -O")
+real_round = games._lift_round
+def overshoot(vertices, owner, out_edges, preds, f, cap):
+    if real_round(vertices, owner, out_edges, preds, f, cap):
+        return True
+    for v in f:
+        if f[v]:
+            f[v] += 1
+    return False
+games._lift_round = overshoot
+owner = {"v": games.EVE, "u": games.ADAM}
+try:
+    games._lift(("v", "u"), owner, {"v": [(10, "u")], "u": [(-1, "v")]}, 1)
+except core.InternalError as exc:
+    print("internal error: %s" % exc)
+"""
+
+
+def test_lift_fixpoint_check_survives_python_O():
+    # a round that lifts past the least fixpoint must not go unnoticed
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", _BROKEN_LIFT],
+        env=env, capture_output=True, text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "internal error: progress measure is not a fixpoint at 'u'\n"
 
 
 def test_mp_rejects_adam_region_eve_can_leave(monkeypatch):

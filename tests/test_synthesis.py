@@ -455,7 +455,7 @@ def test_gen_spec_cross_validation():
 
 def test_build_approx_game_structure(paper_spec):
     # all eight fixture states are both reachable and co-reachable
-    assert synthesis._trim_states(paper_spec) == set(paper_spec.states)
+    assert domain._live_states(paper_spec) == set(paper_spec.states)
     arena, credit = synthesis.build_approx_game(paper_spec, SUM, "<=", Fraction(0))
     assert credit == 0  # slack 0 non-strict is the best-value game
     assert ("__bot__", "choose", -1, "__bot__") in arena.edges
