@@ -15,6 +15,7 @@ fractions.Fraction.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -374,17 +375,24 @@ def run_transducer(t: MealyTransducer, u):
     return tuple(out)
 
 
+def reachable_from(adjacency, starts):
+    """Every node reachable from starts along adjacency lists, by BFS."""
+    seen = set(starts)
+    queue = deque(seen)
+    while queue:
+        for nxt in adjacency.get(queue.popleft(), ()):
+            if nxt not in seen:
+                seen.add(nxt)
+                queue.append(nxt)
+    return seen
+
+
 def transducer_domain_states(t: MealyTransducer):
     """States reachable from the initial state via transitions."""
-    seen = {t.initial}
-    queue = [t.initial]
-    while queue:
-        state = queue.pop()
-        for (src, _a), (_b, tgt) in t.transitions.items():
-            if src == state and tgt not in seen:
-                seen.add(tgt)
-                queue.append(tgt)
-    return seen
+    succ = {}
+    for (src, _a), (_b, tgt) in t.transitions.items():
+        succ.setdefault(src, []).append(tgt)
+    return reachable_from(succ, [t.initial])
 
 
 def trim_transducer(t: MealyTransducer) -> MealyTransducer:

@@ -16,11 +16,10 @@ realizer exists at all.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from . import games
-from .core import INPUT, OUTPUT, WeightedSpec, word
+from .core import INPUT, OUTPUT, WeightedSpec, reachable_from, word
 from .games import ADAM, EVE, Arena
 
 NO_BOOLEAN_REALIZER = "no_boolean_realizer"
@@ -107,23 +106,11 @@ def domains_equal(left: WeightedSpec, right: WeightedSpec) -> bool:
     return True
 
 
-def _search(adjacency, starts):
-    """Every node reachable from starts along adjacency lists, by BFS."""
-    seen = set(starts)
-    queue = deque(seen)
-    while queue:
-        for nxt in adjacency.get(queue.popleft(), ()):
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    return seen
-
-
 def reachable_states(spec: WeightedSpec):
     succ = {}
     for (src, _sym), (tgt, _w) in spec.transitions.items():
         succ.setdefault(src, []).append(tgt)
-    return _search(succ, [spec.initial])
+    return reachable_from(succ, [spec.initial])
 
 
 def _live_states(spec: WeightedSpec):
@@ -131,7 +118,7 @@ def _live_states(spec: WeightedSpec):
     pred = {}
     for (src, _sym), (tgt, _w) in spec.transitions.items():
         pred.setdefault(tgt, []).append(src)
-    return reachable_states(spec) & _search(pred, spec.finals)
+    return reachable_states(spec) & reachable_from(pred, spec.finals)
 
 
 def unsafe_transitions(spec: WeightedSpec):
@@ -157,6 +144,9 @@ def is_domain_safe(spec: WeightedSpec) -> bool:
     return not unsafe_transitions(spec)
 
 
+_KINDS = ("ii", "oo", "io")
+
+
 @dataclass
 class TwoRunSafetyGame:
     """Safety game tracking Eve's run against Adam's run on shared input.
@@ -166,58 +156,94 @@ class TwoRunSafetyGame:
     own output), Eve owns oo.  Dead runs are kept explicit so that a run
     that dies counts as non-accepting.  Eve loses when Adam's run is
     final while hers is not.
+
+    The arena's vertices are 0..N-1 in breadth-first discovery order.
+    Over the m run states (the spec's states in order, then the dead
+    run), vertex v has the code (kind * m + eve) * m + adam in codes[v],
+    and ids maps each code back to its vertex.
     """
 
     arena: Arena
     losing: frozenset
+    codes: list
+    ids: dict
+    names: tuple
+
+    def vertex(self, kind, eve, adam):
+        """The vertex of (kind, eve, adam) by state indices, or None."""
+        m = len(self.names)
+        return self.ids.get((_KINDS.index(kind) * m + eve) * m + adam)
+
+    def name(self, vertex):
+        m = len(self.names)
+        rest, adam = divmod(self.codes[vertex], m)
+        kind, eve = divmod(rest, m)
+        return (_KINDS[kind], self.names[eve], self.names[adam])
 
 
 def build_two_run_game(spec: WeightedSpec) -> TwoRunSafetyGame:
-    def step(state, symbol):
-        if state == _DEAD:
-            return _DEAD
-        entry = spec.transitions.get((state, symbol))
-        return entry[0] if entry else _DEAD
+    index = {q: k for k, q in enumerate(spec.states)}
+    m = len(spec.states) + 1
+    dead = m - 1
 
-    initial = ("ii", spec.initial, spec.initial)
-    vertices = []
+    def rows(symbols):
+        """Per run state, the run state each symbol leads to."""
+        table = []
+        for q in spec.states:
+            row = []
+            for symbol in symbols:
+                entry = spec.transitions.get((q, symbol))
+                row.append(index[entry[0]] if entry else dead)
+            table.append(row)
+        table.append([dead] * len(symbols))
+        return table
+
+    in_rows = rows(spec.inputs)
+    out_rows = rows(spec.outputs)
+    mm = m * m
+    start = index[spec.initial] * (m + 1)
+    codes = [start]
+    ids = {start: 0}
+    eve_ids = []
     edges = []
-    owner = {}
-    seen = {initial}
-    queue = deque([initial])
-    while queue:
-        vertex = queue.popleft()
-        vertices.append(vertex)
-        kind, left, right = vertex
-        owner[vertex] = EVE if kind == "oo" else ADAM
-        if kind == "ii":
-            moves = [("oo", step(left, a), step(right, a)) for a in spec.inputs]
-        elif kind == "oo":
-            moves = [("io", step(left, b), right) for b in spec.outputs]
-        else:
-            moves = [("ii", left, step(right, b)) for b in spec.outputs]
+    for vertex, code in enumerate(codes):  # codes grows: a FIFO queue
+        kind, rest = divmod(code, mm)
+        left, right = divmod(rest, m)
+        if kind == 0:  # ii: Adam picks an input, both runs read it
+            moves = [mm + l * m + r for l, r in zip(in_rows[left], in_rows[right])]
+        elif kind == 1:  # oo: Eve's run outputs
+            eve_ids.append(vertex)
+            moves = [2 * mm + l * m + right for l in out_rows[left]]
+        else:  # io: Adam's run outputs
+            moves = [left * m + r for r in out_rows[right]]
         for nxt in moves:
-            edges.append((vertex, "-", 0, nxt))
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
+            target = ids.get(nxt)
+            if target is None:
+                target = ids[nxt] = len(codes)
+                codes.append(nxt)
+            edges.append((vertex, "-", 0, target))
+    final = [q in spec.finals for q in spec.states] + [False]
     losing = frozenset(
-        v
-        for v in vertices
-        if v[0] == "ii" and v[2] in spec.finals and v[1] not in spec.finals
+        v for v, code in enumerate(codes)
+        if code < mm and final[code % m] and not final[code // m]
     )
+    owner = dict.fromkeys(range(len(codes)), ADAM)
+    owner.update(dict.fromkeys(eve_ids, EVE))
     arena = Arena(
-        vertices=tuple(vertices),
+        vertices=tuple(range(len(codes))),
         owner=owner,
-        initial=initial,
+        initial=0,
         edges=edges,
         critical=losing,
     )
-    return TwoRunSafetyGame(arena=arena, losing=losing)
+    names = tuple(spec.states) + (_DEAD,)
+    return TwoRunSafetyGame(arena, losing, codes, ids, names)
 
 
 def two_run_game_to_dot(game: TwoRunSafetyGame) -> str:
-    return games.arena_to_dot(game.arena, highlight=game.losing)
+    return games.arena_to_dot(
+        game.arena, highlight=game.losing, label=lambda v: str(game.name(v))
+    )
 
 
 def trim(spec: WeightedSpec) -> WeightedSpec:
@@ -255,26 +281,26 @@ def make_domain_safe(spec: WeightedSpec):
     specification's domain can stay inside the relation.
     """
     game = build_two_run_game(spec)
-    safe = [v for v in game.arena.vertices if v not in game.losing]
-    region, _strategy = games.solve_safety(game.arena, safe)
-    if game.arena.initial not in region:
+    arena = game.arena
+    region, _strategy = games.solve_safety(arena, arena.vertex_set - game.losing)
+    if arena.initial not in region:
         return NO_BOOLEAN_REALIZER
-    vertex_set = set(game.arena.vertices)
+    index = {q: k for k, q in enumerate(spec.states)}
 
-    def diagonal_ok(q):
-        v = ("ii" if spec.polarity[q] == INPUT else "oo", q, q)
-        return v not in vertex_set or v in region
+    def outside(kind, eve, adam):
+        """Whether the vertex exists and lies outside Eve's region."""
+        v = game.vertex(kind, index[eve], index[adam])
+        return v is not None and v not in region
 
-    keep = {q for q in spec.states if diagonal_ok(q)}
+    keep = {
+        q for q in spec.states
+        if not outside("ii" if spec.polarity[q] == INPUT else "oo", q, q)
+    }
     transitions = {}
     for (src, sym), (tgt, w) in spec.transitions.items():
         if src not in keep or tgt not in keep:
             continue
-        if spec.polarity[src] == OUTPUT:
-            probe = ("io", tgt, src)
-        else:
-            probe = None
-        if probe is not None and probe in vertex_set and probe not in region:
+        if spec.polarity[src] == OUTPUT and outside("io", tgt, src):
             continue
         transitions[(src, sym)] = (tgt, w)
     pruned = WeightedSpec(

@@ -11,9 +11,11 @@ knowledge construction (sound for WIN, inconclusive otherwise).
 from __future__ import annotations
 
 import heapq
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import itemgetter
 
 from .core import FormatError, InternalError
 
@@ -28,6 +30,8 @@ class Arena:
     edges is an ordered list of (src, action, weight, dst); the action is
     kept only for files and provenance, perfect-information solvers ignore
     it.  Edge indices into this list are the currency of strategies.
+    vertex_set holds the vertices; out(v) and incoming() index the edges
+    by source and by target.
     """
 
     vertices: tuple
@@ -41,18 +45,31 @@ class Arena:
         known = set(self.vertices)
         if self.initial not in known:
             raise ValueError("unknown initial vertex %r" % (self.initial,))
-        for v in self.vertices:
-            if self.owner.get(v) not in (EVE, ADAM):
-                raise ValueError("vertex %r has no owner" % (v,))
-        for src, _a, _w, dst in self.edges:
-            if src not in known or dst not in known:
-                raise ValueError("edge endpoints must be vertices")
+        if not {EVE, ADAM}.issuperset(map(self.owner.get, self.vertices)):
+            v = next(v for v in self.vertices if self.owner.get(v) not in (EVE, ADAM))
+            raise ValueError("vertex %r has no owner" % (v,))
+        srcs = list(map(itemgetter(0), self.edges))
+        dsts = list(map(itemgetter(3), self.edges))
+        if not (known.issuperset(srcs) and known.issuperset(dsts)):
+            raise ValueError("edge endpoints must be vertices")
+        self.vertex_set = known
+        self._src = srcs
+        self._dst = dsts
         self._out = {v: [] for v in self.vertices}
-        for i, (src, _a, _w, dst) in enumerate(self.edges):
+        for i, src in enumerate(srcs):
             self._out[src].append(i)
+        self._in = None
 
     def out(self, v):
         return self._out[v]
+
+    def incoming(self):
+        """vertex -> indices of the edges into it, built on first use."""
+        if self._in is None:
+            self._in = {v: [] for v in self.vertices}
+            for i, dst in enumerate(self._dst):
+                self._in[dst].append(i)
+        return self._in
 
     def deadlocks(self):
         return [v for v in self.vertices if not self._out[v]]
@@ -141,27 +158,31 @@ def attractor(arena: Arena, targets, player):
 
     Returns (vertex set, PositionalStrategy) where the strategy records,
     for the player's vertices added through an edge, one attracting edge.
+    An opponent vertex joins once all its edges lead into the region; its
+    count of edges still outside starts at its out-degree when first met.
     """
-    known = set(arena.vertices)
+    known = arena.vertex_set
     region = set(t for t in targets if t in known)
-    pending = {v: len(arena.out(v)) for v in arena.vertices}
+    owner = arena.owner
+    out = arena._out
+    incoming = arena.incoming()
+    srcs = arena._src
+    pending = {}
     strategy = {}
-    incoming = {v: [] for v in arena.vertices}
-    for i, (src, _a, _w, dst) in enumerate(arena.edges):
-        incoming[dst].append((src, i))
     queue = list(region)
     while queue:
-        v = queue.pop()
-        for src, edge_idx in incoming[v]:
+        for edge_idx in incoming[queue.pop()]:
+            src = srcs[edge_idx]
             if src in region:
                 continue
-            if arena.owner[src] == player:
+            if owner[src] == player:
                 region.add(src)
                 strategy[src] = edge_idx
                 queue.append(src)
             else:
-                pending[src] -= 1
-                if pending[src] == 0:
+                left = pending.get(src, len(out[src])) - 1
+                pending[src] = left
+                if not left:
                     region.add(src)
                     queue.append(src)
     return region, PositionalStrategy(strategy)
@@ -173,16 +194,15 @@ def solve_safety(arena: Arena, safe):
     The region is the complement of Adam's attractor to the unsafe set;
     the strategy picks the first edge that stays inside the region.
     """
-    safe = set(safe)
-    unsafe = [v for v in arena.vertices if v not in safe]
-    attr, _ = attractor(arena, unsafe, ADAM)
-    region = set(v for v in arena.vertices if v not in attr)
+    attr, _ = attractor(arena, arena.vertex_set.difference(safe), ADAM)
+    region = arena.vertex_set - attr
+    dsts = arena._dst
     choice = {}
     for v in region:
         if arena.owner[v] != EVE:
             continue
         for i in arena.out(v):
-            if arena.edges[i][3] in region:
+            if dsts[i] in region:
                 choice[v] = i
                 break
     return region, PositionalStrategy(choice)
@@ -400,6 +420,38 @@ def solve_mean_payoff(arena: Arena):
     return ADAM, PositionalStrategy(choice)
 
 
+def _evaluate_profile(arena: Arena, next_edge, lam):
+    """Discounted value of every vertex when each follows next_edge[v].
+
+    Each play is a lasso; its cycle is summed in closed form.
+    """
+    values = {}
+    for start in arena.vertices:
+        if start in values:
+            continue
+        path = []
+        index = {}
+        v = start
+        while v not in values and v not in index:
+            index[v] = len(path)
+            path.append(v)
+            v = arena.edges[next_edge[v]][3]
+        if v not in values:
+            # the walk closed a fresh cycle at v
+            acc = Fraction(0)
+            power = Fraction(1)
+            for u in path[index[v]:]:
+                power *= lam
+                acc += power * arena.edges[next_edge[u]][2]
+            values[v] = acc / (1 - power)
+        suffix = values[v]
+        for u in reversed(path):
+            w = arena.edges[next_edge[u]][2]
+            suffix = lam * (w + suffix)
+            values[u] = suffix
+    return values
+
+
 def solve_discounted_sum(arena: Arena, lam: Fraction, nu: Fraction, cmp: str):
     """Exact optimal discounted-sum value and winner for DS cmp nu.
 
@@ -407,7 +459,9 @@ def solve_discounted_sum(arena: Arena, lam: Fraction, nu: Fraction, cmp: str):
     optimal value satisfies val(v) = opt over edges (v -> u) of
     lam [w + val(u)].  Solved by strategy iteration: Eve improves against
     Adam's exact best response, play values of fixed positional pairs are
-    solved in closed form on their lassos.
+    solved in closed form on their lassos.  No strategy profile is
+    evaluated twice, so more evaluations than the product of the
+    out-degrees mean a bug (InternalError).
     """
     if cmp not in (">", ">="):
         raise ValueError("cmp must be '>' or '>='")
@@ -420,33 +474,6 @@ def solve_discounted_sum(arena: Arena, lam: Fraction, nu: Fraction, cmp: str):
 
     next_edge = {v: arena.out(v)[0] for v in arena.vertices}
 
-    def evaluate():
-        values = {}
-        for start in arena.vertices:
-            if start in values:
-                continue
-            path = []
-            index = {}
-            v = start
-            while v not in values and v not in index:
-                index[v] = len(path)
-                path.append(v)
-                v = arena.edges[next_edge[v]][3]
-            if v not in values:
-                # the walk closed a fresh cycle at v
-                acc = Fraction(0)
-                power = Fraction(1)
-                for u in path[index[v]:]:
-                    power *= lam
-                    acc += power * arena.edges[next_edge[u]][2]
-                values[v] = acc / (1 - power)
-            suffix = values[v]
-            for u in reversed(path):
-                w = arena.edges[next_edge[u]][2]
-                suffix = lam * (w + suffix)
-                values[u] = suffix
-        return values
-
     def greedy_edge(v, values, maximize):
         best_i = None
         best_val = None
@@ -458,14 +485,17 @@ def solve_discounted_sum(arena: Arena, lam: Fraction, nu: Fraction, cmp: str):
                 best_i = i
         return best_i, best_val
 
-    guard = 0
+    # every evaluation is of a new strategy profile, so there are at most
+    # as many as there are profiles
+    profiles = math.prod(len(arena.out(v)) for v in arena.vertices)
+    evaluations = 0
     while True:
         # Adam best response to the current Eve choices
         while True:
-            guard += 1
-            if guard > 10_000:
+            evaluations += 1
+            if evaluations > profiles:
                 raise InternalError("discounted-sum iteration did not converge")
-            values = evaluate()
+            values = _evaluate_profile(arena, next_edge, lam)
             switched = False
             for v in arena.vertices:
                 if arena.owner[v] != ADAM:
@@ -635,6 +665,7 @@ def parse_arena(text: str) -> Arena:
     initial = None
     edges = []
     obs = {}
+    obs_lines = {}
     for number, line in lines[1:]:
         if ":" not in line:
             raise FormatError("expected 'key: ...'", number)
@@ -670,11 +701,17 @@ def parse_arena(text: str) -> Arena:
             if len(tokens) < 2:
                 raise FormatError("obs takes: name v1 v2 ...", number)
             for v in tokens[1:]:
+                if v in obs:
+                    raise FormatError("vertex %r is listed in obs twice" % v, number)
                 obs[v] = tokens[0]
+                obs_lines[v] = number
         else:
             raise FormatError("unknown directive %r" % key, number)
     if initial is None:
         raise FormatError("missing initial")
+    for v, number in obs_lines.items():
+        if v not in owner:
+            raise FormatError("obs names unknown vertex %r" % v, number)
     try:
         return Arena(
             vertices=tuple(vertices),
@@ -705,8 +742,13 @@ def emit_arena(arena: Arena) -> str:
     return "\n".join(lines) + "\n"
 
 
-def arena_to_dot(arena: Arena, highlight=()) -> str:
+def arena_to_dot(arena: Arena, highlight=(), label=str) -> str:
+    """Graphviz text; label(v) names vertex v."""
     highlight = set(highlight)
+
+    def quoted(v):
+        return '"%s"' % label(v).replace('"', "'")
+
     lines = ["digraph arena {", "  rankdir=LR;"]
     for v in arena.vertices:
         shape = "ellipse" if arena.owner[v] == EVE else "box"
@@ -715,14 +757,11 @@ def arena_to_dot(arena: Arena, highlight=()) -> str:
             extra += ", peripheries=2"
         if v in highlight:
             extra += ', style=filled, fillcolor="lightgray"'
-        lines.append('  "%s" [shape=%s%s];' % (str(v).replace('"', "'"), shape, extra))
+        lines.append("  %s [shape=%s%s];" % (quoted(v), shape, extra))
     lines.append("  __init [shape=point];")
-    lines.append('  __init -> "%s";' % str(arena.initial).replace('"', "'"))
+    lines.append("  __init -> %s;" % quoted(arena.initial))
     for src, action, w, dst in arena.edges:
-        label = "%d" % w if action == "-" else "%s|%d" % (action, w)
-        lines.append(
-            '  "%s" -> "%s" [label="%s"];'
-            % (str(src).replace('"', "'"), str(dst).replace('"', "'"), label)
-        )
+        text = "%d" % w if action == "-" else "%s|%d" % (action, w)
+        lines.append('  %s -> %s [label="%s"];' % (quoted(src), quoted(dst), text))
     lines.append("}")
     return "\n".join(lines) + "\n"

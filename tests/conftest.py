@@ -8,6 +8,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from wsynth import core
+from wsynth.games import ADAM, EVE
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -131,3 +132,47 @@ def first_c_realizer():
             ("wait", "b"): ("d", "done"),
         },
     )
+
+
+def old_attractor(arena, targets, player):
+    """The attractor as first written: fresh incoming lists and counters."""
+    known = set(arena.vertices)
+    region = set(t for t in targets if t in known)
+    pending = {v: len(arena.out(v)) for v in arena.vertices}
+    strategy = {}
+    incoming = {v: [] for v in arena.vertices}
+    for i, (src, _a, _w, dst) in enumerate(arena.edges):
+        incoming[dst].append((src, i))
+    queue = list(region)
+    while queue:
+        v = queue.pop()
+        for src, edge_idx in incoming[v]:
+            if src in region:
+                continue
+            if arena.owner[src] == player:
+                region.add(src)
+                strategy[src] = edge_idx
+                queue.append(src)
+            else:
+                pending[src] -= 1
+                if pending[src] == 0:
+                    region.add(src)
+                    queue.append(src)
+    return region, strategy
+
+
+def old_solve_safety(arena, safe):
+    """Safety as first written, on old_attractor; (region, choice)."""
+    safe = set(safe)
+    unsafe = [v for v in arena.vertices if v not in safe]
+    attr, _ = old_attractor(arena, unsafe, ADAM)
+    region = set(v for v in arena.vertices if v not in attr)
+    choice = {}
+    for v in region:
+        if arena.owner[v] != EVE:
+            continue
+        for i in arena.out(v):
+            if arena.edges[i][3] in region:
+                choice[v] = i
+                break
+    return region, choice

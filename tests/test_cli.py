@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import random
@@ -172,6 +173,21 @@ def test_format_errors_exit_65(capsys, tmp_path):
     assert "format error" in err
 
 
+@pytest.mark.parametrize("obs, message", [
+    ("obs: o1 v0 ghost\nobs: o2 v1\n", "line 10: obs names unknown vertex 'ghost'"),
+    ("obs: o1 v0 v1\nobs: o2 v0\n", "line 11: vertex 'v0' is listed in obs twice"),
+    ("obs: o1 v0 ghost\nobs: o2 v0\n", "line 11: vertex 'v0' is listed in obs twice"),
+    ("obs: o1 v0 v0 v1\n", "line 10: vertex 'v0' is listed in obs twice"),
+])
+def test_bad_obs_lines_exit_65(capsys, tmp_path, obs, message):
+    bad = tmp_path / "bad.arena"
+    bad.write_text((FIXTURES / "remark.arena").read_text() + obs)
+    code, out, err = run(
+        capsys, "solve-prefix", str(bad), "--measure", "sum", "--cmp", "ge", "--nu", "0"
+    )
+    assert (code, out, err) == (65, "", "format error: %s\n" % message)
+
+
 def test_json_output_is_deterministic(capsys):
     code1, out1, _ = run(
         capsys, "synth", "threshold", PAPER, "--cmp", "ge", "--nu", "7", "--json"
@@ -197,10 +213,17 @@ def test_json_verify_witness(capsys, tmp_path):
     assert payload["witness"]
 
 
+# SHA-256 of `domain-safe --dot` on the paper fixture, as the two-run game
+# on (kind, eve_state, adam_state) tuples rendered it
+_PAPER_TWO_RUN_DOT_SHA256 = "c75590102d7431f22d0f44f69d432f78515c38084ac9fb580a9416325ce5a640"
+
+
 def test_dot_flags(capsys):
     code, out, _ = run(capsys, "domain-safe", PAPER, "--dot")
     assert code == 0
     assert out.startswith("digraph")
+    assert """  "('ii', 'q0', 'q0')" [shape=box];""" in out.splitlines()
+    assert hashlib.sha256(out.encode()).hexdigest() == _PAPER_TWO_RUN_DOT_SHA256
     code, out, _ = run(
         capsys,
         "solve-prefix", REMARK, "--measure", "sum", "--cmp", "ge", "--nu", "0", "--dot",
@@ -422,6 +445,62 @@ def test_synth_approx_pinned_on_paper_fixture(seed, tmp_path):
         env=env, capture_output=True, text=True, check=True,
     )
     assert done.stdout == _APPROX_PINNED
+
+
+_CLI_SCRIPT = """
+import contextlib, hashlib, io, json, sys
+from wsynth import cli
+print(sys.flags.optimize)
+for argv in json.loads(sys.argv[1]):
+    out = argv[argv.index("-o") + 1] if "-o" in argv else None
+    if out:
+        open(out, "w").close()
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = cli.main(argv)
+    digest = ""
+    if out:
+        with open(out, "rb") as handle:
+            digest = hashlib.sha256(handle.read()).hexdigest()
+    print(code, repr(stdout.getvalue()), digest)
+"""
+
+
+def test_python_O_gives_the_same_cli_results(tmp_path):
+    # correctness gates are explicit checks, so -O changes no answer
+    machine = tmp_path / "always-d.mealy"
+    machine.write_text(core.emit_mealy(always_d_realizer()))
+    out = str(tmp_path / "out")
+    dsum = ["--measure", "dsum", "--lambda", "1/2"]
+    commands = [
+        ["synth", "threshold", PAPER, "--cmp", "ge", "--nu", "6", "-o", out],
+        ["synth", "threshold", PAPER, "--cmp", "gt", "--nu", "6"],
+        ["synth", "best-value", PAPER, "-o", out],
+        ["synth", "approx", PAPER, "--cmp", "le", "--r", "4", "--cap", "64", "-o", out],
+        ["synth", "approx", PAPER, "--cmp", "lt", "--r", "4", "--cap", "64"],
+        ["verify", PAPER, str(machine), "--objective", "threshold", "--cmp", "ge", "--nu", "6"],
+        ["verify", PAPER, str(machine), "--objective", "best-value", "--json"],
+        ["domain-safe", PAPER],
+        ["domain-safe", PAPER, "--dot"],
+        ["solve-prefix", REMARK, "--measure", "sum", "--cmp", "ge", "--nu", "0"],
+        ["solve-prefix", REMARK, *dsum, "--cmp", "gt", "--nu", "1"],
+        ["solve-prefix", REMARK, *dsum, "--cmp", "ge", "--nu", "1"],
+        ["dsum-path", REMARK, "--nu", "1", "--lambda", "1/2"],
+        ["dsum-path", REMARK, "--nu", "1", "--lambda", "1/2", "--strict"],
+    ]
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    runs = []
+    for flags in ([], ["-O"]):
+        done = subprocess.run(
+            [sys.executable, *flags, "-c", _CLI_SCRIPT, json.dumps(commands)],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        runs.append(done.stdout.splitlines())
+    plain, optimized = runs
+    assert (plain[0], optimized[0]) == ("0", "1")
+    assert optimized[1:] == plain[1:]
+    assert len(plain) == len(commands) + 1
+    assert {line.split()[0] for line in plain[1:]} == {"0", "1", "2"}
 
 
 def _parse_outcome(capsys, parse, argv):

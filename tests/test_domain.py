@@ -1,11 +1,13 @@
 import itertools
 import random
+from collections import deque
 
 import pytest
 
-from wsynth import core, domain
+from wsynth import core, domain, games
+from wsynth.games import ADAM, EVE, Arena
 
-from conftest import brute_best_value, brute_domain, random_spec
+from conftest import brute_best_value, brute_domain, old_solve_safety, random_spec
 
 
 def residual_words(spec, state, max_len):
@@ -324,3 +326,103 @@ def test_live_states_matches_coreach_fixpoint():
         assert live == old_live_states(spec)
         sizes.append(len(live))
     assert min(sizes) == 0 and max(sizes) >= 8
+
+
+def old_build_two_run_game(spec):
+    """The two-run game as first written, on (kind, eve, adam) tuples."""
+    def step(state, symbol):
+        if state == domain._DEAD:
+            return domain._DEAD
+        entry = spec.transitions.get((state, symbol))
+        return entry[0] if entry else domain._DEAD
+
+    initial = ("ii", spec.initial, spec.initial)
+    vertices = []
+    edges = []
+    owner = {}
+    seen = {initial}
+    queue = deque([initial])
+    while queue:
+        vertex = queue.popleft()
+        vertices.append(vertex)
+        kind, left, right = vertex
+        owner[vertex] = EVE if kind == "oo" else ADAM
+        if kind == "ii":
+            moves = [("oo", step(left, a), step(right, a)) for a in spec.inputs]
+        elif kind == "oo":
+            moves = [("io", step(left, b), right) for b in spec.outputs]
+        else:
+            moves = [("ii", left, step(right, b)) for b in spec.outputs]
+        for nxt in moves:
+            edges.append((vertex, "-", 0, nxt))
+            if nxt not in seen:
+                seen.add(nxt)
+                queue.append(nxt)
+    losing = frozenset(
+        v for v in vertices
+        if v[0] == "ii" and v[2] in spec.finals and v[1] not in spec.finals
+    )
+    arena = Arena(vertices=tuple(vertices), owner=owner, initial=initial,
+                  edges=edges, critical=losing)
+    return arena, losing
+
+
+def old_make_domain_safe(spec):
+    """make_domain_safe as first written, on the tuple game and old kernel."""
+    arena, losing = old_build_two_run_game(spec)
+    region, _ = old_solve_safety(arena, [v for v in arena.vertices if v not in losing])
+    if arena.initial not in region:
+        return domain.NO_BOOLEAN_REALIZER
+    vertex_set = set(arena.vertices)
+
+    def diagonal_ok(q):
+        v = ("ii" if spec.polarity[q] == core.INPUT else "oo", q, q)
+        return v not in vertex_set or v in region
+
+    keep = {q for q in spec.states if diagonal_ok(q)}
+    transitions = {}
+    for (src, sym), (tgt, w) in spec.transitions.items():
+        if src not in keep or tgt not in keep:
+            continue
+        probe = ("io", tgt, src) if spec.polarity[src] == core.OUTPUT else None
+        if probe is not None and probe in vertex_set and probe not in region:
+            continue
+        transitions[(src, sym)] = (tgt, w)
+    return domain.trim(core.WeightedSpec(
+        inputs=spec.inputs,
+        outputs=spec.outputs,
+        states=tuple(q for q in spec.states if q in keep),
+        initial=spec.initial,
+        finals=tuple(f for f in spec.finals if f in keep),
+        transitions=transitions,
+        measure=spec.measure,
+        discount=spec.discount,
+        polarity={q: spec.polarity[q] for q in spec.states if q in keep},
+    ))
+
+
+def test_two_run_game_matches_tuple_game(paper_spec):
+    rng = random.Random(41)
+    specs = [paper_spec] + [
+        random_spec(rng, max_states=rng.randint(2, 16), final_bias=rng.choice([0.3, 0.6, 0.9]))
+        for _ in range(300)
+    ]
+    # trim_only: the game's pruning removes nothing that trim would keep
+    answers = {"no_boolean_realizer": 0, "game_pruned": 0, "trim_only": 0}
+    for spec in specs:
+        game = domain.build_two_run_game(spec)
+        arena, losing = old_build_two_run_game(spec)
+        assert [game.name(v) for v in game.arena.vertices] == list(arena.vertices)
+        assert len(game.arena.edges) == len(arena.edges)
+        assert {game.name(v) for v in game.losing} == losing
+        assert domain.two_run_game_to_dot(game) == games.arena_to_dot(arena, highlight=losing)
+        result = domain.make_domain_safe(spec)
+        old = old_make_domain_safe(spec)
+        if old is domain.NO_BOOLEAN_REALIZER:
+            assert result is domain.NO_BOOLEAN_REALIZER
+            answers["no_boolean_realizer"] += 1
+            continue
+        text = core.emit_wfa(result)
+        assert text == core.emit_wfa(old)
+        answers["trim_only" if text == core.emit_wfa(domain.trim(spec)) else "game_pruned"] += 1
+    assert min(answers.values()) >= 20, answers

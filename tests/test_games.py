@@ -12,6 +12,8 @@ from wsynth import games
 from wsynth.core import InternalError
 from wsynth.games import ADAM, EVE, Arena, ImperfectArena
 
+from conftest import old_attractor, old_solve_safety
+
 
 def mk_arena(vertices, edges, initial=None, critical=()):
     """vertices: list of (name, owner); edges: list of (src, w, dst)."""
@@ -80,6 +82,49 @@ def test_safety_trivial_and_losing():
     assert region == set(arena.vertices)
     region, _ = games.solve_safety(arena, ["b"])
     assert arena.initial not in region
+
+
+def test_arena_validation_errors():
+    owner = {"a": ADAM, "b": EVE}
+    cases = [
+        (dict(vertices=("a", "b"), owner=owner, initial="z", edges=[]),
+         "unknown initial vertex 'z'"),
+        (dict(vertices=("a", "c", "d"), owner=owner, initial="a", edges=[]),
+         "vertex 'c' has no owner"),
+        (dict(vertices=("a", "b"), owner=dict(owner, b="nobody"), initial="a", edges=[]),
+         "vertex 'b' has no owner"),
+        (dict(vertices=("a", "b"), owner=owner, initial="a", edges=[("a", "-", 0, "z")]),
+         "edge endpoints must be vertices"),
+        (dict(vertices=("a", "b"), owner=owner, initial="a", edges=[("z", "-", 0, "a")]),
+         "edge endpoints must be vertices"),
+    ]
+    for kwargs, message in cases:
+        with pytest.raises(ValueError) as exc:
+            Arena(**kwargs)
+        assert str(exc.value) == message
+
+
+def test_attractor_and_safety_match_old_kernel_on_random_arenas():
+    # the old kernel rebuilt incoming lists and an N-sized counter per call
+    rng = random.Random(7)
+    grown = 0
+    for _ in range(400):
+        arena = random_arena(rng, max_v=9)
+        for player in (EVE, ADAM):
+            targets = [v for v in arena.vertices if rng.random() < 0.3]
+            if rng.random() < 0.3:
+                targets.append("not-a-vertex")
+            if rng.random() < 0.5:
+                targets = frozenset(targets)
+            region, strat = games.attractor(arena, targets, player)
+            assert (region, strat.choice) == old_attractor(arena, targets, player)
+            grown += len(region) > len(set(targets) & set(arena.vertices))
+            # a second call reuses the arena's incoming lists
+            assert games.attractor(arena, targets, player)[0] == region
+        safe = [v for v in arena.vertices if rng.random() < 0.7]
+        region, strat = games.solve_safety(arena, safe)
+        assert (region, strat.choice) == old_solve_safety(arena, safe)
+    assert grown >= 100
 
 
 # --- mean-payoff -----------------------------------------------------------
@@ -505,6 +550,61 @@ def ds_value_iteration(arena, lam, steps=60):
     return vals
 
 
+_NEVER_CONVERGES = """
+import sys
+from fractions import Fraction
+from wsynth import core, games
+if not sys.flags.optimize:
+    sys.exit("expected python -O")
+calls = []
+def inflated(arena, next_edge, lam):
+    # every vertex looks worse for Adam than any edge he has, so he
+    # switches after every evaluation
+    calls.append(dict(next_edge))
+    return {v: Fraction(10**9) for v in arena.vertices}
+games._evaluate_profile = inflated
+arena = games.parse_arena(sys.stdin.read())
+try:
+    games.solve_discounted_sum(arena, Fraction(1, 2), Fraction(0), ">=")
+except core.InternalError as exc:
+    print("internal error after %d evaluations: %s" % (len(calls), exc))
+"""
+
+
+def test_ds_round_bound_survives_python_O(remark_arena_text):
+    # remark.arena has 2 * 1 strategy profiles; a third evaluation would
+    # have to repeat one, so strategy iteration has gone wrong
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", _NEVER_CONVERGES],
+        input=remark_arena_text, env=env, capture_output=True, text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == (
+        "internal error after 2 evaluations: discounted-sum iteration did not converge\n"
+    )
+
+
+def test_ds_evaluations_within_profile_count(monkeypatch):
+    # strategy iteration never revisits a profile
+    rng = random.Random(11)
+    real = games._evaluate_profile
+    seen = []
+    monkeypatch.setattr(
+        games, "_evaluate_profile",
+        lambda arena, next_edge, lam: seen.append(tuple(next_edge.items()))
+        or real(arena, next_edge, lam),
+    )
+    longest = 0
+    for _ in range(100):
+        arena = random_arena(rng, max_v=5)
+        seen.clear()
+        games.solve_discounted_sum(arena, Fraction(2, 3), Fraction(0), ">=")
+        assert len(seen) == len(set(seen))
+        longest = max(longest, len(seen))
+    assert longest >= 3
+
+
 def test_ds_matches_value_iteration():
     rng = random.Random(5)
     lam = Fraction(1, 2)
@@ -760,6 +860,12 @@ def test_energy_capped_matches_old_solver_on_random_arenas():
 def test_arena_round_trip(remark_arena_text):
     arena = games.parse_arena(remark_arena_text)
     assert arena.critical == frozenset({"v1"})
+    assert games.parse_arena(games.emit_arena(arena)) == arena
+
+
+def test_arena_obs_round_trip(remark_arena_text):
+    arena = games.parse_arena(remark_arena_text + "obs: o2 v1\nobs: o1 v0\n")
+    assert arena.obs == {"v1": "o2", "v0": "o1"}
     assert games.parse_arena(games.emit_arena(arena)) == arena
 
 
