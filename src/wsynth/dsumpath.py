@@ -7,20 +7,25 @@ pi2 gives rg(pi1 pi2) = (rg(pi1) - Dsum(pi2)) / lambda^|pi2|.
 
 The decision procedures iterate the maximal-relative-gap table
 mrg_i(v) = best rg over paths of length <= i from the source to v for
-n = |V| rounds.  The table is kept on integers: with lambda = p/q and
-nu = a/b in lowest terms, R_i(v) = b * p^i * mrg_i(v) is integral, with
-R_0(source) = a and
+up to n = |V| rounds.  The table is kept on integers: with lambda = p/q
+and nu = a/b in lowest terms, R_i(v) = b * p^i * mrg_i(v) is integral,
+with R_0(source) = a and
 
     R_i(v) = max(p * R_{i-1}(v),
                  max over edges (u, w, v) of q * R_{i-1}(u) - w * b * p^i).
 
 The scale b * p^i is positive, so every sign and every comparison within
-a round is that of mrg itself.  No path with Dsum <= nu exists iff every
-target's R_n is negative and round n is already a fixpoint
-(R_n = p * R_{n-1}); a non-fixpoint vertex yields a pumpable loop whose
-relative gap grows without bound.  Every YES answer ships a concrete
-path, re-validated by exact evaluation before being returned; a failed
-re-validation raises InternalError.
+a round is that of mrg itself.  A target with R_k >= 0 (R_k > 0 for the
+strict check) is a hit, and a hit in round k stays one in every later
+round, so the check stops after the first round with a hit (round 0
+when the source is a target).  Its witness is the backtrack at that
+round to the hit target that sorts first by repr: no path with fewer
+edges meets the threshold, since it would have been a hit in an earlier
+round.  With no hit in n rounds, no path with Dsum <= nu exists iff
+round n is already a fixpoint (R_n = p * R_{n-1}); a non-fixpoint vertex
+yields a pumpable loop whose relative gap grows without bound.  Every
+YES answer ships a concrete path, re-validated by exact evaluation
+before being returned; a failed re-validation raises InternalError.
 """
 
 from __future__ import annotations
@@ -118,15 +123,13 @@ class MrgTable:
     predecessor) for each vertex that round i reached or raised over that
     edge, where R_i(v) = b * p^i * mrg_i(v); round 0 holds the source
     alone.  A vertex missing from raised[i] kept its value
-    (R_i = p * R_{i-1}), or is not reached yet (-infinity).  latest[v] =
-    (R_k(v), k) for the last round k that raised v, so R_n(v) has the
-    sign of R_k(v).  rows is the Fraction view, rows[i][v] = mrg_i(v),
-    built on demand.
+    (R_i = p * R_{i-1}), or is not reached yet (-infinity).  rounds is n,
+    and raised holds rounds 0..n unless the computation stopped at a hit.
+    rows is the Fraction view, rows[i][v] = mrg_i(v), built on demand.
     """
 
     rounds: int
     raised: list
-    latest: dict
     nu_den: int  # b
     lam_num: int  # p
 
@@ -144,7 +147,7 @@ class MrgTable:
         return view
 
 
-def compute_mrg(graph: WeightedGraph, nu: Fraction):
+def compute_mrg(graph: WeightedGraph, nu: Fraction, strict=None):
     """Tables over the pruned graph; None when the source cannot reach T.
 
     Only edges out of a vertex raised in round i-1 can raise a vertex in
@@ -152,7 +155,9 @@ def compute_mrg(graph: WeightedGraph, nu: Fraction):
     candidate, which the target's kept value already matches.  Each
     round therefore relaxes just those edges, and a round that raises
     nothing is a fixpoint for every later round.  Among edges that beat
-    the kept value, the lowest edge index wins a tie.
+    the kept value, the lowest edge index wins a tie.  With strict None
+    all n rounds are computed; with strict False or True the table ends
+    at the first round with a hit for that check.
     """
     vertices, edges = _prune_to_targets(graph)
     if graph.source not in set(vertices):
@@ -164,16 +169,17 @@ def compute_mrg(graph: WeightedGraph, nu: Fraction):
     out = {}
     for idx, src, w, dst in edges:
         out.setdefault(src, []).append((idx, w * b, dst))
-    powers = [1]
-    for _i in range(n):
-        powers.append(powers[-1] * p)
+    powers = [1]  # p^i, one more per round computed
     raised = [{graph.source: (nu.numerator, None, None)}]
-    latest = {graph.source: (nu.numerator, 0)}
+    latest = {graph.source: (nu.numerator, 0)}  # v -> (R_k(v), last round k raising v)
     for i in range(1, n + 1):
+        if strict is not None and _hits(graph, raised[-1], strict):
+            break
         if not raised[-1]:
             raised.extend({} for _ in range(n + 1 - i))
             break
-        power = powers[i]
+        power = powers[-1] * p
+        powers.append(power)
         best = {}
         for u, step in raised[-1].items():
             qr = q * step[0]
@@ -190,8 +196,14 @@ def compute_mrg(graph: WeightedGraph, nu: Fraction):
         for v, step in best.items():
             latest[v] = (step[0], i)
         raised.append(best)
-    table = MrgTable(rounds=n, raised=raised, latest=latest, nu_den=b, lam_num=p)
+    table = MrgTable(rounds=n, raised=raised, nu_den=b, lam_num=p)
     return table, vertices, edges
+
+
+def _hits(graph, raised, strict):
+    """The targets one round of the table raised to R >= 0 (R > 0 if strict)."""
+    floor = 1 if strict else 0  # R is an integer
+    return [v for v in graph.targets if v in raised and raised[v][0] >= floor]
 
 
 def _backtrack(graph: WeightedGraph, table: MrgTable, round_i, vertex):
@@ -219,18 +231,24 @@ def _witness(graph, edge_indices):
     )
 
 
-def _pumped_witness(graph: WeightedGraph, table: MrgTable, rising, nu, strict, edges):
+def _pumped_witness(graph: WeightedGraph, table: MrgTable, nu, strict, edges):
     """Build pi1 pi2^l pi4 from a vertex still rising at round n.
 
-    The length-n path achieving the raised value must repeat a vertex;
-    the repeated loop raises the relative gap by z > 0 per pump, so some
-    pump count l makes the gap at the loop head at least (strictly above,
-    for the strict variant) the Dsum of a fixed tail into the targets.
+    Returns None when round n is a fixpoint.  The length-n path achieving
+    the raised value must repeat a vertex; the repeated loop raises the
+    relative gap by z > 0 per pump, so some pump count l makes the gap at
+    the loop head at least (strictly above, for the strict variant) the
+    Dsum of a fixed tail into the targets.
     """
     lam = graph.discount
     n = table.rounds
+    if len(table.raised) != n + 1:
+        raise InternalError("a table without a hit must hold all n rounds")
+    rising = table.raised[n]
+    if not rising:
+        return None
     # prefer a deterministic pick
-    v_star = sorted(rising, key=repr)[0]
+    v_star = min(rising, key=repr)
     vertices, path_edges = _backtrack(graph, table, n, v_star)
     if len(path_edges) != n:
         raise InternalError("a freshly raised value needs a full-length path")
@@ -288,8 +306,10 @@ def exists_path_leq(graph: WeightedGraph, nu, mrg=None) -> tuple:
     """Is there a path from the source to a target with Dsum <= nu?
 
     Returns (NO, None) or (YES, PathWitness); witnesses are validated
-    against the claimed comparison before being returned.  mrg may hold
-    compute_mrg(graph, nu), which is then not computed again.
+    against the claimed comparison before being returned.  A witness
+    that no pumping built has the fewest edges of any path with
+    Dsum <= nu.  mrg may hold compute_mrg(graph, nu), which is then not
+    computed again.
     """
     return _exists_path(graph, nu, False, mrg)
 
@@ -306,22 +326,19 @@ def exists_path_lt(graph: WeightedGraph, nu, mrg=None) -> tuple:
 
 def _exists_path(graph: WeightedGraph, nu, strict, mrg):
     nu = Fraction(nu)
-    table, _vertices, edges = compute_mrg(graph, nu) if mrg is None else mrg
+    table, _vertices, edges = compute_mrg(graph, nu, strict) if mrg is None else mrg
     if table is None:
         return NO, None
-    latest = table.latest
-    if strict:
-        hits = [v for v in graph.targets if v in latest and latest[v][0] > 0]
+    for i, raised in enumerate(table.raised):
+        hits = _hits(graph, raised, strict)
+        if hits:
+            _vs, path_edges = _backtrack(graph, table, i, min(hits, key=repr))
+            witness = _witness(graph, path_edges)
+            break
     else:
-        hits = [v for v in graph.targets if v in latest and latest[v][0] >= 0]
-    if hits:
-        _vs, path_edges = _backtrack(graph, table, table.rounds, sorted(hits, key=repr)[0])
-        witness = _witness(graph, path_edges)
-    else:
-        rising = list(table.raised[table.rounds])  # empty at a fixpoint
-        if not rising:
+        witness = _pumped_witness(graph, table, nu, strict, edges)
+        if witness is None:
             return NO, None
-        witness = _pumped_witness(graph, table, rising, nu, strict, edges)
 
     if witness.vertices[-1] not in graph.targets:
         raise InternalError("witness path does not end in a target")

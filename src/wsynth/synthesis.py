@@ -30,6 +30,7 @@ from .core import (
     NEG_INF,
     OUTPUT,
     SUM,
+    FormatError,
     InternalError,
     MealyTransducer,
     WeightedSpec,
@@ -169,10 +170,17 @@ def extract_transducer(spec: WeightedSpec, arena: Arena, provenance, strategy):
 
 
 def _check_alphabets(spec, t):
-    if not set(t.inputs) <= set(spec.inputs) or not set(t.outputs) <= set(
-        spec.outputs
-    ):
-        raise ValueError("transducer and specification alphabets mismatch")
+    """A machine that uses a symbol the spec lacks is malformed input."""
+    stray = [
+        "stray %s %s" % (kind, " ".join(extra))
+        for kind, extra in (
+            ("inputs", [a for a in t.inputs if a not in spec.inputs]),
+            ("outputs", [b for b in t.outputs if b not in spec.outputs]),
+        )
+        if extra
+    ]
+    if stray:
+        raise FormatError("transducer and specification alphabets mismatch: " + "; ".join(stray))
 
 
 def _domain_equal_witness(spec, t):

@@ -10,7 +10,7 @@ import pytest
 
 from wsynth import cli, core
 
-from conftest import FIXTURES, always_d_realizer
+from conftest import FIXTURES, always_d_realizer, first_c_realizer
 
 PAPER = str(FIXTURES / "paper-example.wfa")
 REMARK = str(FIXTURES / "remark.arena")
@@ -110,6 +110,81 @@ def test_verify_fail_prints_witness_and_values(capsys, tmp_path):
     assert lines[1].startswith("witness:")
     assert any(line.startswith("value:") for line in lines)
     assert any(line.startswith("best:") for line in lines)
+
+
+STRAY_MEALY = "mealy\ninitial: s\nfinals: s\ntrans: s x c s\ntrans: s a z s\n"
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_verify_machine_outside_spec_alphabet_exits_65(tmp_path, flags):
+    machine = tmp_path / "stray.mealy"
+    machine.write_text(STRAY_MEALY)
+    done = subprocess.run(
+        [sys.executable, *flags, "-m", "wsynth.cli", "verify", PAPER, str(machine),
+         "--objective", "best-value"],
+        env=dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src")),
+        capture_output=True, text=True,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (
+        65, "", "format error: transducer and specification alphabets mismatch: "
+        "stray inputs x; stray outputs z\n",
+    )
+
+
+_FUZZ_TOKENS = ["a", "b", "c", "d", "x", "wait", "done", "trans:", "initial:", "finals:",
+                "mealy", "#", ""]
+_FUZZ_OBJECTIVES = [
+    ["--objective", "boolean"],
+    ["--objective", "best-value"],
+    ["--objective", "threshold", "--cmp", "ge", "--nu", "6"],
+    ["--objective", "approx", "--cmp", "le", "--r", "4"],
+]
+
+
+def _mutate(rng, text):
+    """One random edit of a machine file: a character, a token or a line."""
+    lines = text.splitlines()
+    kind = rng.randrange(6)
+    if kind == 0 and text:
+        i = rng.randrange(len(text))
+        return text[:i] + text[i + 1:]
+    if kind == 1:
+        i = rng.randrange(len(text) + 1)
+        return text[:i] + rng.choice("abcdxz01:-# \n\t") + text[i:]
+    if kind == 2 and lines:
+        i = rng.randrange(len(lines))
+        tokens = lines[i].split(" ")
+        tokens[rng.randrange(len(tokens))] = rng.choice(_FUZZ_TOKENS)
+        lines[i] = " ".join(tokens)
+    elif kind == 3 and lines:
+        i = rng.randrange(len(lines))
+        lines.insert(rng.randrange(len(lines) + 1), lines[i])
+    elif kind == 4 and lines:
+        del lines[rng.randrange(len(lines))]
+    elif kind == 5 and len(lines) > 1:
+        i, j = rng.sample(range(len(lines)), 2)
+        lines[i], lines[j] = lines[j], lines[i]
+    return "\n".join(lines) + "\n"
+
+
+def test_verify_never_raises_on_mutated_machines(capsys, tmp_path):
+    # parse_mealy and verify see a few hundred seeded mutants of two small
+    # machines: each run ends in pass, fail or a format error
+    rng = random.Random(8)
+    bases = [core.emit_mealy(always_d_realizer()), core.emit_mealy(first_c_realizer())]
+    machine = tmp_path / "mutant.mealy"
+    codes = {}
+    for trial in range(400):
+        text = bases[trial % 2]
+        for _ in range(rng.randint(1, 2)):
+            text = _mutate(rng, text)
+        machine.write_text(text)
+        objective = _FUZZ_OBJECTIVES[trial % len(_FUZZ_OBJECTIVES)]
+        code = cli.main(["verify", PAPER, str(machine), *objective])
+        capsys.readouterr()
+        assert code in (0, 1, 65), text
+        codes[code] = codes.get(code, 0) + 1
+    assert min(codes.get(code, 0) for code in (0, 1, 65)) >= 30, codes
 
 
 def test_dsum_path_remark(capsys):
@@ -466,12 +541,31 @@ for argv in json.loads(sys.argv[1]):
 """
 
 
+# Two routes to the target t: s t has value 1/2, the loop s a b t has -1.
+# Its first hit is in round 1 for Dsum <= 1/2 and round 3 for Dsum < 1/2.
+CHAIN_ARENA = """arena
+vertex: s adam
+vertex: a adam
+vertex: b adam
+vertex: t adam critical
+initial: s
+edge: s - 0 a
+edge: a - 0 b
+edge: b - 0 s
+edge: s - 1 t
+edge: b - -8 t
+"""
+
+
 def test_python_O_gives_the_same_cli_results(tmp_path):
     # correctness gates are explicit checks, so -O changes no answer
     machine = tmp_path / "always-d.mealy"
     machine.write_text(core.emit_mealy(always_d_realizer()))
+    chain = tmp_path / "chain.arena"
+    chain.write_text(CHAIN_ARENA)
     out = str(tmp_path / "out")
     dsum = ["--measure", "dsum", "--lambda", "1/2"]
+    path = ["dsum-path", str(chain), "--nu", "1/2", "--lambda", "1/2"]
     commands = [
         ["synth", "threshold", PAPER, "--cmp", "ge", "--nu", "6", "-o", out],
         ["synth", "threshold", PAPER, "--cmp", "gt", "--nu", "6"],
@@ -487,6 +581,10 @@ def test_python_O_gives_the_same_cli_results(tmp_path):
         ["solve-prefix", REMARK, *dsum, "--cmp", "ge", "--nu", "1"],
         ["dsum-path", REMARK, "--nu", "1", "--lambda", "1/2"],
         ["dsum-path", REMARK, "--nu", "1", "--lambda", "1/2", "--strict"],
+        path,
+        path + ["--trace"],
+        path + ["--strict"],
+        path + ["--strict", "--trace"],
     ]
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
     runs = []
@@ -501,6 +599,13 @@ def test_python_O_gives_the_same_cli_results(tmp_path):
     assert optimized[1:] == plain[1:]
     assert len(plain) == len(commands) + 1
     assert {line.split()[0] for line in plain[1:]} == {"0", "1", "2"}
+    # --trace prints the full table on stderr but the same shortest witness
+    assert plain[-4:] == [
+        "0 'yes\\nwitness: s t\\nvalue: 1/2\\n' ",
+        "0 'yes\\nwitness: s t\\nvalue: 1/2\\n' ",
+        "0 'yes\\nwitness: s a b t\\nvalue: -1\\n' ",
+        "0 'yes\\nwitness: s a b t\\nvalue: -1\\n' ",
+    ]
 
 
 def _parse_outcome(capsys, parse, argv):

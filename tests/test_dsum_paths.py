@@ -486,18 +486,23 @@ def old_pumped_witness(graph, table, nu, strict, edges):
 
 
 def old_exists_path(graph, nu, strict):
-    """(answer, witness, pumped) with the Fraction kernel."""
+    """(answer, witness, pumped) with the Fraction kernel.
+
+    A hit's witness is the backtrack, at the first round of the full table
+    in which some target meets the threshold, to the first such target by
+    repr.  With no hit, pumping works on round n as before.
+    """
     nu = Fraction(nu)
     table, _vertices, edges = old_compute_mrg(graph, nu)
     if table is None:
         return NO, None, False
     n, rows, _parent = table
-    last, prev = rows[n], rows[n - 1]
-    hits = [v for v in graph.targets if v in last and (last[v] > 0 if strict else last[v] >= 0)]
-    if hits:
-        _vs, path_edges = old_backtrack(graph, table, n, sorted(hits, key=repr)[0])
-        return YES, old_witness(graph, path_edges), False
-    if last != prev:
+    for i, row in enumerate(rows):
+        hits = [v for v in graph.targets if v in row and (row[v] > 0 if strict else row[v] >= 0)]
+        if hits:
+            _vs, path_edges = old_backtrack(graph, table, i, sorted(hits, key=repr)[0])
+            return YES, old_witness(graph, path_edges), False
+    if rows[n] != rows[n - 1]:
         return YES, old_pumped_witness(graph, table, nu, strict, edges), True
     return NO, None, False
 
@@ -569,6 +574,8 @@ def compare_with_fraction_kernel(graph, nu, seen):
         if answer == YES:
             assert (witness.edges, witness.vertices) == (old_wit.edges, old_wit.vertices)
             assert witness.value == old_wit.value
+        # the full table, as dsum-path --trace hands it over, gives the same result
+        assert checker(graph, nu, (table, vertices, edges)) == (answer, witness)
         seen["pumped"] += pumped
         seen[answer] += 1
     seen["self_loop"] += any(src == dst for src, _w, dst in graph.edges)
@@ -596,6 +603,77 @@ def test_integer_kernel_matches_fraction_kernel_when_pumping():
         graph, nu = pumping_instance(rng)
         compare_with_fraction_kernel(graph, nu, seen)
     assert seen["pumped"] >= 100, seen
+
+
+def test_hit_witnesses_are_shortest():
+    # a witness read off a hit has the fewest edges of any path meeting
+    # the threshold: brute force finds no shorter one
+    seen = {"checked": 0, "longer_than_one": 0}
+    for seed, make, count in ((11, oracle_instance, 3000), (12, pumping_instance, 1000)):
+        rng = random.Random(seed)
+        for _ in range(count):
+            graph, nu = make(rng)
+            for strict in (False, True):
+                checker = exists_path_lt if strict else exists_path_leq
+                answer, witness = checker(graph, nu)
+                if answer == NO or not witness.edges or old_exists_path(graph, nu, strict)[2]:
+                    continue  # no path, the empty path, or a pumped witness
+                shorter = [
+                    path for path, value in brute_force_paths(graph, len(witness.edges) - 1)
+                    if (value < nu if strict else value <= nu)
+                ]
+                assert shorter == [], (graph, nu, strict, witness)
+                seen["checked"] += 1
+                seen["longer_than_one"] += len(witness.edges) > 1
+    assert seen["checked"] >= 1000 and seen["longer_than_one"] >= 200, seen
+
+
+@pytest.mark.parametrize("strict, nu", [(False, Fraction(0)), (False, Fraction(2, 3)),
+                                        (True, Fraction(1, 5))])
+def test_round_zero_hit_stops_at_round_zero(strict, nu):
+    graph = WeightedGraph(
+        vertices=("s", "a", "t"),
+        edges=[("s", -1, "a"), ("a", -1, "t"), ("t", -2, "s")],
+        source="s",
+        targets=frozenset(["s", "t"]),
+        discount=Fraction(1, 2),
+    )
+    table, _v, _e = dsumpath.compute_mrg(graph, nu, strict)
+    assert (table.rounds, len(table.raised)) == (3, 1)
+    checker = exists_path_lt if strict else exists_path_leq
+    answer, witness = checker(graph, nu)
+    assert (answer, witness.vertices, witness.edges, witness.value) == (YES, ["s"], [], 0)
+
+
+def test_strict_check_does_not_stop_at_a_zero_gap():
+    graph = WeightedGraph(
+        vertices=("s", "t"),
+        edges=[("s", -1, "t")],
+        source="s",
+        targets=frozenset(["s", "t"]),
+        discount=Fraction(1, 2),
+    )
+    table, _v, _e = dsumpath.compute_mrg(graph, Fraction(0), True)
+    assert len(table.raised) == 2
+    answer, witness = exists_path_lt(graph, Fraction(0))
+    assert (answer, witness.vertices, witness.value) == (YES, ["s", "t"], Fraction(-1, 2))
+
+
+def test_table_stopped_without_a_hit_cannot_answer():
+    # a table stopped at a >= 0 hit has no > 0 hit and lacks rounds after
+    # the stop, so neither NO nor pumping may be read off it
+    graph = WeightedGraph(
+        vertices=("s", "t"),
+        edges=[("s", 0, "t")],
+        source="s",
+        targets=frozenset(["t"]),
+        discount=Fraction(1, 2),
+    )
+    stopped = dsumpath.compute_mrg(graph, Fraction(0), False)
+    assert (stopped[0].rounds, len(stopped[0].raised)) == (2, 2)
+    assert exists_path_leq(graph, Fraction(0), stopped)[0] == YES
+    with pytest.raises(dsumpath.InternalError, match="all n rounds"):
+        exists_path_lt(graph, Fraction(0), stopped)
 
 
 def test_dsum_of_edges_matches_fraction_sum():
@@ -667,7 +745,7 @@ def test_trace_pinned_on_random_graph(capsys, tmp_path, strict):
                     + strict)
     captured = capsys.readouterr()
     assert code == 0
-    assert captured.out == "yes\nwitness: g0 g2 g1 g3 g4 g1 g3\nvalue: -554/243\n"
+    assert captured.out == "yes\nwitness: g0 g2 g1 g3\nvalue: -14/9\n"
     assert captured.err == RANDOM_TRACE
 
 
