@@ -299,10 +299,12 @@ def _cmd_verify(args):
     else:
         _require(args.cmp in ("lt", "le"), "approx needs --cmp lt|le")
         _require(args.slack is not None, "approx needs --r")
+        slack = _rational(args.slack)
+        _require(slack >= 0, "--r must be nonnegative")
         obj = synthesis.Objective(
             kind="approx",
             cmp="<" if args.cmp == "lt" else "<=",
-            bound=_rational(args.slack),
+            bound=slack,
         )
     spec = _load_spec(args.spec)
     machine = _load_mealy(args.mealy)

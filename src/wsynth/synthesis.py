@@ -8,9 +8,13 @@ imperfect-information critical prefix energy game where Adam secretly
 runs a rival run of the same automaton.
 
 verify_realizer is deliberately independent of the synthesis route: it
-checks domains by DFA equivalence and value conditions on synchronized
-products, and every REALIZABLE result must pass it before being
-returned.
+checks domains by DFA equivalence, and threshold, best-value and
+approximate objectives on one synchronized product of the machine, the
+spec run it produces and (for best-value and approx) a rival spec run.
+Dsum checks that product letter by letter with the exact path checks of
+dsumpath; Sum/Avg join each input step with its output fan into one
+scaled integer edge for a min-walk search.  Every REALIZABLE result must
+pass it before being returned.
 """
 
 from __future__ import annotations
@@ -74,7 +78,11 @@ class Objective:
         if self.kind == "approx" and self.cmp not in ("<", "<="):
             raise ValueError("approx cmp must be '<' or '<='")
         if self.kind in ("threshold", "approx"):
+            if self.bound is None:
+                raise ValueError("%s needs a bound" % self.kind)
             self.bound = Fraction(self.bound)
+        if self.kind == "approx" and self.bound < 0:
+            raise ValueError("approximation slack must be nonnegative")
 
 
 @dataclass
@@ -353,234 +361,114 @@ def _min_walk_below(edges, source, accepting, threshold):
     return stem_labels + cycle_labels * laps + tail_labels
 
 
-def _threshold_witness(spec, t, cmp, nu):
-    """A domain word whose pair value violates S(u (x) f(u)) cmp nu, or None."""
-    nu = Fraction(nu)
-    if spec.measure == DSUM:
-        return _threshold_witness_dsum(spec, t, cmp, nu)
-    q_scale = nu.denominator
-    nu_int = nu.numerator
+def _value_product(spec, t, rival):
+    """The synchronized product of t with the spec run it produces, and with
+    a rival run of the spec on the same inputs when rival is set.
 
-    nodes = set()
-    edges = []
-    start = (t.initial, spec.initial)
-    queue = deque([start])
-    nodes.add(start)
-    accepting = []
-    while queue:
-        node = queue.popleft()
-        s, p = node
-        if s in t.finals and p in spec.finals:
-            accepting.append(node)
+    One BFS over input nodes (s, p[, q]), numbered in discovery order,
+    records a step (node number, a, w_in, mid, fan) for every input a the
+    runs can read.  mid = (s2, p2[, q2], b) is the output node, where b is
+    t's output and the rival may take any output, and its fan
+    [(w_out, next node number)] is built when mid is first reached and
+    shared by every later step.  Weights are the main run's minus the
+    rival's.  Returns (input nodes, steps, {mid: fan}, accepting node
+    numbers).
+    """
+    trans = spec.transitions
+    start = (t.initial, spec.initial) + ((spec.initial,) if rival else ())
+    order = [start]
+    number = {start: 0}
+    steps = []
+    fans = {}
+    for src, node in enumerate(order):
+        s, p = node[0], node[1]
         for a in spec.inputs:
             entry = t.transitions.get((s, a))
-            if entry is None:
+            mid_p = trans.get((p, a))
+            if entry is None or mid_p is None:
                 continue
             b, s2 = entry
-            mid = spec.transitions.get((p, a))
-            if mid is None:
-                continue
-            out = spec.transitions.get((mid[0], b))
-            if out is None:
-                continue
-            p2 = out[0]
-            if spec.measure == SUM:
-                w = q_scale * (mid[1] + out[1])
-            else:
-                w = q_scale * (mid[1] + out[1]) - 2 * nu_int
-            nxt = (s2, p2)
-            edges.append((node, w, nxt, a))
-            if nxt not in nodes:
-                nodes.add(nxt)
-                queue.append(nxt)
-    if spec.measure == SUM:
-        bound = nu_int if cmp == ">=" else nu_int + 1
-    else:
-        bound = 0 if cmp == ">=" else 1
-    labels = _min_walk_below(edges, start, accepting, bound)
-    if labels is None:
-        return None
-    return tuple(labels)
-
-
-def _threshold_witness_dsum(spec, t, cmp, nu):
-    nodes = set()
-    edges = []
-    start = ("in", t.initial, spec.initial)
-    nodes.add(start)
-    queue = deque([start])
-    accepting = set()
-    while queue:
-        node = queue.popleft()
-        if node[0] == "in":
-            _k, s, p = node
-            if s in t.finals and p in spec.finals:
-                accepting.add(node)
-            for a in spec.inputs:
-                entry = t.transitions.get((s, a))
-                mid = spec.transitions.get((p, a))
-                if entry is None or mid is None:
+            if rival:
+                mid_q = trans.get((node[2], a))
+                if mid_q is None:
                     continue
-                b, s2 = entry
-                nxt = ("mid", s2, mid[0], b)
-                edges.append((node, mid[1], nxt, a))
-                if nxt not in nodes:
-                    nodes.add(nxt)
-                    queue.append(nxt)
-        else:
-            _k, s2, pm, b = node
-            out = spec.transitions.get((pm, b))
-            if out is None:
-                continue
-            nxt = ("in", s2, out[0])
-            edges.append((node, out[1], nxt, None))
-            if nxt not in nodes:
-                nodes.add(nxt)
-                queue.append(nxt)
-    graph = WeightedGraph(
-        vertices=tuple(sorted(nodes, key=repr)),
-        edges=[(src, w, dst) for src, w, dst, _l in edges],
-        source=start,
-        targets=frozenset(accepting),
-        discount=spec.discount,
-    )
-    labels = {
-        (src, w, dst): label for src, w, dst, label in edges
-    }
-    checker = exists_path_leq if cmp == ">" else exists_path_lt
-    answer, witness = checker(graph, nu)
-    if answer == PATH_NO:
-        return None
-    symbols = []
-    for i in witness.edges:
-        src, w, dst = graph.edges[i]
-        label = labels[(src, w, dst)]
-        if label is not None:
-            symbols.append(label)
-    return tuple(symbols)
+                mid = (s2, mid_p[0], mid_q[0], b)
+                w_in = mid_p[1] - mid_q[1]
+            else:
+                mid = (s2, mid_p[0], b)
+                w_in = mid_p[1]
+            fan = fans.get(mid)
+            if fan is None:
+                fan = fans[mid] = []
+                out = trans.get((mid_p[0], b))
+                if out is None:
+                    nexts = ()
+                elif rival:
+                    nexts = []
+                    for c in spec.outputs:
+                        adv = trans.get((mid_q[0], c))
+                        if adv is not None:
+                            nexts.append((out[1] - adv[1], (s2, out[0], adv[0])))
+                else:
+                    nexts = ((out[1], (s2, out[0])),)
+                for w, nxt in nexts:
+                    dst = number.get(nxt)
+                    if dst is None:
+                        dst = number[nxt] = len(order)
+                        order.append(nxt)
+                    fan.append((w, dst))
+            steps.append((src, a, w_in, mid, fan))
+    finals = set(spec.finals)
+    accepting = [
+        i for i, node in enumerate(order)
+        if node[0] in t.finals and finals.issuperset(node[1:])
+    ]
+    return order, steps, fans, accepting
 
 
-def _difference_witness(spec, t, cmp, bound):
-    """A domain word where bestVal(u) - S(u (x) f(u)) violates cmp bound.
+def _value_witness(spec, t, rival, bound, at_equal):
+    """A domain word on which some walk of _value_product has value < bound
+    (<= bound when at_equal), or None.
 
-    Tracks the transducer run against an adversary run of the same
-    automaton, synchronized on inputs; the adversary's outputs are
-    unconstrained.  Sum/Avg use scaled integer min-walk searches, Dsum
-    uses the exact discounted path checkers.
+    Dsum checks the letter-level product itself, steps and fans as
+    separate edges.  Sum/Avg join each step with its fan into one edge of
+    weight scale*(w_in + w_out) + shift, with bound = num/scale: Sum has
+    shift 0 and limit num, Avg has shift -2*num and limit 0 (a walk of k
+    joined edges has average below the bound iff its shifted sum is below
+    0), and at_equal adds 1 to the integer limit.
     """
     bound = Fraction(bound)
+    order, steps, fans, accepting = _value_product(spec, t, rival)
     if spec.measure == DSUM:
-        return _difference_witness_dsum(spec, t, cmp, bound)
-    q_scale = bound.denominator
-    p_bound = bound.numerator
-
-    start = (t.initial, spec.initial, spec.initial)
-    nodes = {start}
-    edges = []
-    queue = deque([start])
-    accepting = []
-    while queue:
-        node = queue.popleft()
-        s, p, q = node
-        if s in t.finals and p in spec.finals and q in spec.finals:
-            accepting.append(node)
-        for a in spec.inputs:
-            entry = t.transitions.get((s, a))
-            mid_main = spec.transitions.get((p, a))
-            mid_adv = spec.transitions.get((q, a))
-            if entry is None or mid_main is None or mid_adv is None:
-                continue
-            b, s2 = entry
-            out_main = spec.transitions.get((mid_main[0], b))
-            if out_main is None:
-                continue
-            p2 = out_main[0]
-            main_w = mid_main[1] + out_main[1]
-            for b_adv in spec.outputs:
-                out_adv = spec.transitions.get((mid_adv[0], b_adv))
-                if out_adv is None:
-                    continue
-                q2 = out_adv[0]
-                adv_w = mid_adv[1] + out_adv[1]
-                w = q_scale * (main_w - adv_w)
-                if spec.measure == AVG:
-                    w += 2 * p_bound
-                nxt = (s2, p2, q2)
-                edges.append((node, w, nxt, a))
-                if nxt not in nodes:
-                    nodes.add(nxt)
-                    queue.append(nxt)
-    if spec.measure == SUM:
-        # value + p_bound must stay >= 0 (or >= 1 for strict)
-        threshold = -p_bound if cmp == "<=" else -p_bound + 1
-    else:
-        threshold = 0 if cmp == "<=" else 1
-    labels = _min_walk_below(edges, start, accepting, threshold)
-    if labels is None:
-        return None
-    return tuple(labels)
-
-
-def _difference_witness_dsum(spec, t, cmp, bound):
-    start = ("in", t.initial, spec.initial, spec.initial)
-    nodes = {start}
-    edges = []
-    queue = deque([start])
-    accepting = set()
-    while queue:
-        node = queue.popleft()
-        if node[0] == "in":
-            _k, s, p, q = node
-            if s in t.finals and p in spec.finals and q in spec.finals:
-                accepting.add(node)
-            for a in spec.inputs:
-                entry = t.transitions.get((s, a))
-                mid_main = spec.transitions.get((p, a))
-                mid_adv = spec.transitions.get((q, a))
-                if entry is None or mid_main is None or mid_adv is None:
-                    continue
-                b, s2 = entry
-                nxt = ("mid", s2, mid_main[0], mid_adv[0], b)
-                edges.append((node, mid_main[1] - mid_adv[1], nxt, a))
-                if nxt not in nodes:
-                    nodes.add(nxt)
-                    queue.append(nxt)
-        else:
-            _k, s2, pm, qm, b = node
-            out_main = spec.transitions.get((pm, b))
-            if out_main is None:
-                continue
-            for b_adv in spec.outputs:
-                out_adv = spec.transitions.get((qm, b_adv))
-                if out_adv is None:
-                    continue
-                nxt = ("in", s2, out_main[0], out_adv[0])
-                edges.append((node, out_main[1] - out_adv[1], nxt, None))
-                if nxt not in nodes:
-                    nodes.add(nxt)
-                    queue.append(nxt)
-    graph = WeightedGraph(
-        vertices=tuple(sorted(nodes, key=repr)),
-        edges=[(src, w, dst) for src, w, dst, _l in edges],
-        source=start,
-        targets=frozenset(accepting),
-        discount=spec.discount,
-    )
-    labels = {(src, w, dst): lbl for src, w, dst, lbl in edges}
-    # difference graph carries main - adversary weights, so the pair value
-    # difference bestVal - value equals -Dsum(path); violation of <= bound
-    # means Dsum(path) < -bound (or <= for the strict objective)
-    checker = exists_path_lt if cmp == "<=" else exists_path_leq
-    answer, witness = checker(graph, -bound)
-    if answer == PATH_NO:
-        return None
-    symbols = []
-    for i in witness.edges:
-        src, w, dst = graph.edges[i]
-        lbl = labels[(src, w, dst)]
-        if lbl is not None:
-            symbols.append(lbl)
-    return tuple(symbols)
+        # one graph holds both kinds of node, so each is tagged with its kind
+        ins = [("in",) + node for node in order]
+        mids = {mid: ("mid",) + mid for mid in fans}
+        edges = [(ins[src], w, mids[mid]) for src, _a, w, mid, _fan in steps]
+        labels = [step[1] for step in steps]
+        for mid, fan in fans.items():
+            edges.extend((mids[mid], w, ins[dst]) for w, dst in fan)
+        graph = WeightedGraph(
+            vertices=tuple(sorted(ins + list(mids.values()), key=repr)),
+            edges=edges,
+            source=ins[0],
+            targets=frozenset(ins[i] for i in accepting),
+            discount=spec.discount,
+        )
+        checker = exists_path_leq if at_equal else exists_path_lt
+        answer, witness = checker(graph, bound)
+        if answer == PATH_NO:
+            return None
+        # the step edges come first; fan edges read no input letter
+        return tuple(labels[i] for i in witness.edges if i < len(labels))
+    scale, num = bound.denominator, bound.numerator
+    shift, limit = (0, num) if spec.measure == SUM else (-2 * num, 0)
+    edges = [
+        (src, scale * (w_in + w_out) + shift, dst, a)
+        for src, a, w_in, _mid, fan in steps
+        for w_out, dst in fan
+    ]
+    labels = _min_walk_below(edges, 0, accepting, limit + at_equal)
+    return None if labels is None else tuple(labels)
 
 
 def verify_realizer(spec: WeightedSpec, t: MealyTransducer, obj: Objective):
@@ -601,11 +489,11 @@ def verify_realizer(spec: WeightedSpec, t: MealyTransducer, obj: Objective):
     if obj.kind == "boolean":
         return PASS, None
     if obj.kind == "threshold":
-        witness = _threshold_witness(spec, t, obj.cmp, obj.bound)
+        witness = _value_witness(spec, t, False, obj.bound, obj.cmp == ">")
     elif obj.kind == "best_value":
-        witness = _difference_witness(spec, t, "<=", Fraction(0))
+        witness = _value_witness(spec, t, True, 0, False)
     else:
-        witness = _difference_witness(spec, t, obj.cmp, obj.bound)
+        witness = _value_witness(spec, t, True, -obj.bound, obj.cmp == "<")
     if witness is None:
         return PASS, None
     return FAIL, tuple(witness)
@@ -941,7 +829,7 @@ def synth_approx(spec: WeightedSpec, measure: str, cmp: str, r, cap: int) -> Syn
         raise ValueError("approximation slack must be nonnegative")
     if cap < 0:
         raise ValueError("cap must be nonnegative")
-    if next(_domain_words_probe(spec), None) is None:
+    if domain_mod.reachable_states(spec).isdisjoint(spec.finals):
         t = MealyTransducer(
             inputs=spec.inputs,
             outputs=spec.outputs,
@@ -973,23 +861,6 @@ def synth_approx(spec: WeightedSpec, measure: str, cmp: str, r, cap: int) -> Syn
     )
     _require_pass(verdict, witness)
     return SynthResult(status=REALIZABLE, transducer=t)
-
-
-def _domain_words_probe(spec):
-    """Does the spec accept anything at all?  Yields at most one witness."""
-    subset = domain_mod._closure(spec, [spec.initial])
-    seen = {subset}
-    queue = deque([subset])
-    while queue:
-        current = queue.popleft()
-        if domain_mod._accepts(spec, current):
-            yield current
-            return
-        for a in spec.inputs:
-            nxt = domain_mod._dom_step(spec, current, a)
-            if nxt and nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import itertools
 import sys
+from collections import deque
 from fractions import Fraction
 from pathlib import Path
 
@@ -7,7 +8,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from wsynth import core
+from wsynth import core, dsumpath, synthesis
 from wsynth.games import ADAM, EVE
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -176,3 +177,251 @@ def old_solve_safety(arena, safe):
                 choice[v] = i
                 break
     return region, choice
+
+
+# --- the four value-witness builders as first written -------------------------
+#
+# Each built its own synchronized product: the threshold check over the
+# transducer and one spec run, the best-value/approx check over a second,
+# rival run; Sum/Avg on scaled min-walk graphs, Dsum on letter-level graphs
+# for the exact path checkers.  They are the oracle for the one product
+# behind synthesis._value_witness.
+
+
+def old_value_witness(spec, t, obj):
+    """The old builders' witness word for a value objective, or None."""
+    if obj.kind == "threshold":
+        return _old_threshold_witness(spec, t, obj.cmp, obj.bound)
+    if obj.kind == "best_value":
+        return _old_difference_witness(spec, t, "<=", Fraction(0))
+    return _old_difference_witness(spec, t, obj.cmp, obj.bound)
+
+
+def _old_threshold_witness(spec, t, cmp, nu):
+    """A domain word whose pair value violates S(u (x) f(u)) cmp nu, or None."""
+    nu = Fraction(nu)
+    if spec.measure == core.DSUM:
+        return _old_threshold_witness_dsum(spec, t, cmp, nu)
+    q_scale = nu.denominator
+    nu_int = nu.numerator
+
+    nodes = set()
+    edges = []
+    start = (t.initial, spec.initial)
+    queue = deque([start])
+    nodes.add(start)
+    accepting = []
+    while queue:
+        node = queue.popleft()
+        s, p = node
+        if s in t.finals and p in spec.finals:
+            accepting.append(node)
+        for a in spec.inputs:
+            entry = t.transitions.get((s, a))
+            if entry is None:
+                continue
+            b, s2 = entry
+            mid = spec.transitions.get((p, a))
+            if mid is None:
+                continue
+            out = spec.transitions.get((mid[0], b))
+            if out is None:
+                continue
+            p2 = out[0]
+            if spec.measure == core.SUM:
+                w = q_scale * (mid[1] + out[1])
+            else:
+                w = q_scale * (mid[1] + out[1]) - 2 * nu_int
+            nxt = (s2, p2)
+            edges.append((node, w, nxt, a))
+            if nxt not in nodes:
+                nodes.add(nxt)
+                queue.append(nxt)
+    if spec.measure == core.SUM:
+        bound = nu_int if cmp == ">=" else nu_int + 1
+    else:
+        bound = 0 if cmp == ">=" else 1
+    labels = synthesis._min_walk_below(edges, start, accepting, bound)
+    if labels is None:
+        return None
+    return tuple(labels)
+
+
+def _old_threshold_witness_dsum(spec, t, cmp, nu):
+    nodes = set()
+    edges = []
+    start = ("in", t.initial, spec.initial)
+    nodes.add(start)
+    queue = deque([start])
+    accepting = set()
+    while queue:
+        node = queue.popleft()
+        if node[0] == "in":
+            _k, s, p = node
+            if s in t.finals and p in spec.finals:
+                accepting.add(node)
+            for a in spec.inputs:
+                entry = t.transitions.get((s, a))
+                mid = spec.transitions.get((p, a))
+                if entry is None or mid is None:
+                    continue
+                b, s2 = entry
+                nxt = ("mid", s2, mid[0], b)
+                edges.append((node, mid[1], nxt, a))
+                if nxt not in nodes:
+                    nodes.add(nxt)
+                    queue.append(nxt)
+        else:
+            _k, s2, pm, b = node
+            out = spec.transitions.get((pm, b))
+            if out is None:
+                continue
+            nxt = ("in", s2, out[0])
+            edges.append((node, out[1], nxt, None))
+            if nxt not in nodes:
+                nodes.add(nxt)
+                queue.append(nxt)
+    graph = dsumpath.WeightedGraph(
+        vertices=tuple(sorted(nodes, key=repr)),
+        edges=[(src, w, dst) for src, w, dst, _l in edges],
+        source=start,
+        targets=frozenset(accepting),
+        discount=spec.discount,
+    )
+    labels = {
+        (src, w, dst): label for src, w, dst, label in edges
+    }
+    checker = dsumpath.exists_path_leq if cmp == ">" else dsumpath.exists_path_lt
+    answer, witness = checker(graph, nu)
+    if answer == dsumpath.NO:
+        return None
+    symbols = []
+    for i in witness.edges:
+        src, w, dst = graph.edges[i]
+        label = labels[(src, w, dst)]
+        if label is not None:
+            symbols.append(label)
+    return tuple(symbols)
+
+
+def _old_difference_witness(spec, t, cmp, bound):
+    """A domain word where bestVal(u) - S(u (x) f(u)) violates cmp bound.
+
+    Tracks the transducer run against an adversary run of the same
+    automaton, synchronized on inputs; the adversary's outputs are
+    unconstrained.  Sum/Avg use scaled integer min-walk searches, Dsum
+    uses the exact discounted path checkers.
+    """
+    bound = Fraction(bound)
+    if spec.measure == core.DSUM:
+        return _old_difference_witness_dsum(spec, t, cmp, bound)
+    q_scale = bound.denominator
+    p_bound = bound.numerator
+
+    start = (t.initial, spec.initial, spec.initial)
+    nodes = {start}
+    edges = []
+    queue = deque([start])
+    accepting = []
+    while queue:
+        node = queue.popleft()
+        s, p, q = node
+        if s in t.finals and p in spec.finals and q in spec.finals:
+            accepting.append(node)
+        for a in spec.inputs:
+            entry = t.transitions.get((s, a))
+            mid_main = spec.transitions.get((p, a))
+            mid_adv = spec.transitions.get((q, a))
+            if entry is None or mid_main is None or mid_adv is None:
+                continue
+            b, s2 = entry
+            out_main = spec.transitions.get((mid_main[0], b))
+            if out_main is None:
+                continue
+            p2 = out_main[0]
+            main_w = mid_main[1] + out_main[1]
+            for b_adv in spec.outputs:
+                out_adv = spec.transitions.get((mid_adv[0], b_adv))
+                if out_adv is None:
+                    continue
+                q2 = out_adv[0]
+                adv_w = mid_adv[1] + out_adv[1]
+                w = q_scale * (main_w - adv_w)
+                if spec.measure == core.AVG:
+                    w += 2 * p_bound
+                nxt = (s2, p2, q2)
+                edges.append((node, w, nxt, a))
+                if nxt not in nodes:
+                    nodes.add(nxt)
+                    queue.append(nxt)
+    if spec.measure == core.SUM:
+        # value + p_bound must stay >= 0 (or >= 1 for strict)
+        threshold = -p_bound if cmp == "<=" else -p_bound + 1
+    else:
+        threshold = 0 if cmp == "<=" else 1
+    labels = synthesis._min_walk_below(edges, start, accepting, threshold)
+    if labels is None:
+        return None
+    return tuple(labels)
+
+
+def _old_difference_witness_dsum(spec, t, cmp, bound):
+    start = ("in", t.initial, spec.initial, spec.initial)
+    nodes = {start}
+    edges = []
+    queue = deque([start])
+    accepting = set()
+    while queue:
+        node = queue.popleft()
+        if node[0] == "in":
+            _k, s, p, q = node
+            if s in t.finals and p in spec.finals and q in spec.finals:
+                accepting.add(node)
+            for a in spec.inputs:
+                entry = t.transitions.get((s, a))
+                mid_main = spec.transitions.get((p, a))
+                mid_adv = spec.transitions.get((q, a))
+                if entry is None or mid_main is None or mid_adv is None:
+                    continue
+                b, s2 = entry
+                nxt = ("mid", s2, mid_main[0], mid_adv[0], b)
+                edges.append((node, mid_main[1] - mid_adv[1], nxt, a))
+                if nxt not in nodes:
+                    nodes.add(nxt)
+                    queue.append(nxt)
+        else:
+            _k, s2, pm, qm, b = node
+            out_main = spec.transitions.get((pm, b))
+            if out_main is None:
+                continue
+            for b_adv in spec.outputs:
+                out_adv = spec.transitions.get((qm, b_adv))
+                if out_adv is None:
+                    continue
+                nxt = ("in", s2, out_main[0], out_adv[0])
+                edges.append((node, out_main[1] - out_adv[1], nxt, None))
+                if nxt not in nodes:
+                    nodes.add(nxt)
+                    queue.append(nxt)
+    graph = dsumpath.WeightedGraph(
+        vertices=tuple(sorted(nodes, key=repr)),
+        edges=[(src, w, dst) for src, w, dst, _l in edges],
+        source=start,
+        targets=frozenset(accepting),
+        discount=spec.discount,
+    )
+    labels = {(src, w, dst): lbl for src, w, dst, lbl in edges}
+    # difference graph carries main - adversary weights, so the pair value
+    # difference bestVal - value equals -Dsum(path); violation of <= bound
+    # means Dsum(path) < -bound (or <= for the strict objective)
+    checker = dsumpath.exists_path_lt if cmp == "<=" else dsumpath.exists_path_leq
+    answer, witness = checker(graph, -bound)
+    if answer == dsumpath.NO:
+        return None
+    symbols = []
+    for i in witness.edges:
+        src, w, dst = graph.edges[i]
+        lbl = labels[(src, w, dst)]
+        if lbl is not None:
+            symbols.append(lbl)
+    return tuple(symbols)

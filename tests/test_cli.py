@@ -4,11 +4,13 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from wsynth import cli, core
+from wsynth.core import AVG, DSUM
 
 from conftest import FIXTURES, always_d_realizer, first_c_realizer
 
@@ -380,6 +382,16 @@ def test_bad_cap_and_slack_exit_64_before_reading_the_spec(capsys):
     assert err == "usage error: --cap must be nonnegative\n"
 
 
+def test_verify_negative_slack_exits_64_before_reading_the_files(capsys):
+    # as for synth approx: a negative --r is a bad flag, not a failing machine
+    missing = str(FIXTURES / "missing.wfa")
+    for slack in (["--r=-1"], ["--r", "-1/2"]):
+        code, out, err = run(capsys, "verify", missing, missing, "--objective", "approx",
+                             "--cmp", "le", *slack)
+        assert (code, out) == (64, "")
+        assert err == "usage error: --r must be nonnegative\n"
+
+
 def test_negative_rational_as_separate_flag_value(capsys):
     base = ["synth", "threshold", PAPER, "--cmp", "ge"]
     code, separate, err = run(capsys, *base, "--nu", "-1/2")
@@ -561,6 +573,14 @@ def test_python_O_gives_the_same_cli_results(tmp_path):
     # correctness gates are explicit checks, so -O changes no answer
     machine = tmp_path / "always-d.mealy"
     machine.write_text(core.emit_mealy(always_d_realizer()))
+    first_c = tmp_path / "first-c.mealy"
+    first_c.write_text(core.emit_mealy(first_c_realizer()))
+    paper = core.parse_wfa(Path(PAPER).read_text())
+    dsum_paper = tmp_path / "paper-dsum.wfa"
+    dsum_paper.write_text(core.emit_wfa(paper.with_measure(DSUM, Fraction(1, 2))))
+    avg_paper = tmp_path / "paper-avg.wfa"
+    avg_paper.write_text(core.emit_wfa(paper.with_measure(AVG)))
+    ge = ["--objective", "threshold", "--cmp", "ge", "--nu"]
     chain = tmp_path / "chain.arena"
     chain.write_text(CHAIN_ARENA)
     out = str(tmp_path / "out")
@@ -574,6 +594,18 @@ def test_python_O_gives_the_same_cli_results(tmp_path):
         ["synth", "approx", PAPER, "--cmp", "lt", "--r", "4", "--cap", "64"],
         ["verify", PAPER, str(machine), "--objective", "threshold", "--cmp", "ge", "--nu", "6"],
         ["verify", PAPER, str(machine), "--objective", "best-value", "--json"],
+        ["verify", PAPER, str(machine), "--objective", "approx", "--cmp", "lt", "--r", "1"],
+        ["verify", PAPER, str(first_c), "--objective", "approx", "--cmp", "le", "--r", "4"],
+        # Dsum runs through the letter-level product and dsumpath's checks
+        ["verify", str(dsum_paper), str(machine), *ge, "3/4"],
+        ["verify", str(dsum_paper), str(machine), *ge, "2/3"],
+        ["verify", str(dsum_paper), str(machine), "--objective", "best-value"],
+        ["verify", str(dsum_paper), str(first_c), "--objective", "approx", "--cmp", "lt",
+         "--r", "1", "--json"],
+        ["verify", str(avg_paper), str(first_c), *ge, "3/4"],
+        ["verify", str(avg_paper), str(first_c), "--objective", "best-value"],
+        ["verify", str(avg_paper), str(machine), "--objective", "approx", "--cmp", "le",
+         "--r", "4"],
         ["domain-safe", PAPER],
         ["domain-safe", PAPER, "--dot"],
         ["solve-prefix", REMARK, "--measure", "sum", "--cmp", "ge", "--nu", "0"],
@@ -599,6 +631,12 @@ def test_python_O_gives_the_same_cli_results(tmp_path):
     assert optimized[1:] == plain[1:]
     assert len(plain) == len(commands) + 1
     assert {line.split()[0] for line in plain[1:]} == {"0", "1", "2"}
+    dsum_runs = plain[1 + commands.index(["verify", str(dsum_paper), str(machine), *ge, "3/4"]):]
+    # always-d on a a b is worth 11/16 < 3/4 under lambda 1/2; its infimum is 2/3
+    assert dsum_runs[:2] == [
+        "1 'fail\\nwitness: a a b\\nvalue: 11/16\\nbest: 11/16\\n' ",
+        "0 'pass\\n' ",
+    ]
     # --trace prints the full table on stderr but the same shortest witness
     assert plain[-4:] == [
         "0 'yes\\nwitness: s t\\nvalue: 1/2\\n' ",
