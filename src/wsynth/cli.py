@@ -374,10 +374,9 @@ def _cmd_solve_prefix(args):
         )
     except ValueError as exc:
         raise UsageError(str(exc))
-    try:
-        arena = arena.ensure_deadlock_free(complete=False)
-    except ValueError as exc:
-        raise FormatError(str(exc))
+    dead = arena.deadlocks()
+    if dead:
+        raise FormatError("arena has dead ends: %r" % (dead,))
     if args.dot:
         sys.stdout.write(games.arena_to_dot(arena))
     if args.trace:

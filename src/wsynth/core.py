@@ -375,24 +375,45 @@ def run_transducer(t: MealyTransducer, u):
     return tuple(out)
 
 
-def reachable_from(adjacency, starts):
-    """Every node reachable from starts along adjacency lists, by BFS."""
-    seen = set(starts)
-    queue = deque(seen)
+def bfs(successors, starts, goal=None):
+    """Breadth-first search: (links, found).
+
+    successors(node) yields (next, step) pairs.  links maps every node
+    discovered to (prev, step), the first edge that reached it, or to
+    None for a start, in discovery order.  found is the first node taken
+    off the queue that meets goal, or None; the search stops there.
+    """
+    links = dict.fromkeys(starts)
+    queue = deque(links)
     while queue:
-        for nxt in adjacency.get(queue.popleft(), ()):
-            if nxt not in seen:
-                seen.add(nxt)
+        node = queue.popleft()
+        if goal is not None and goal(node):
+            return links, node
+        for nxt, step in successors(node):
+            if nxt not in links:
+                links[nxt] = (node, step)
                 queue.append(nxt)
-    return seen
+    return links, None
+
+
+def walk_back(links, node):
+    """The steps of the walk that the links lead back from node to a start."""
+    steps = []
+    while links[node] is not None:
+        if len(steps) > len(links):
+            raise InternalError("parent links form a cycle")
+        node, step = links[node]
+        steps.append(step)
+    steps.reverse()
+    return steps
 
 
 def transducer_domain_states(t: MealyTransducer):
     """States reachable from the initial state via transitions."""
     succ = {}
-    for (src, _a), (_b, tgt) in t.transitions.items():
-        succ.setdefault(src, []).append(tgt)
-    return reachable_from(succ, [t.initial])
+    for (src, a), (_b, tgt) in t.transitions.items():
+        succ.setdefault(src, []).append((tgt, a))
+    return bfs(lambda s: succ.get(s, ()), [t.initial])[0].keys()
 
 
 def trim_transducer(t: MealyTransducer) -> MealyTransducer:

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import games
-from .core import INPUT, OUTPUT, WeightedSpec, reachable_from, word
+from .core import INPUT, OUTPUT, WeightedSpec, bfs, word
 from .games import ADAM, EVE, Arena
 
 NO_BOOLEAN_REALIZER = "no_boolean_realizer"
@@ -68,21 +68,25 @@ def domain_membership(spec: WeightedSpec, u) -> bool:
     return _accepts(spec, subset)
 
 
+def _same_domain(left: WeightedSpec, p, right: WeightedSpec, q, symbols) -> bool:
+    """L(A_dom(left), p) = L(A_dom(right), q) over symbols, by a BFS of the
+    determinized product for a pair of subsets that disagree on acceptance."""
+
+    def successors(pair):
+        lset, rset = pair
+        for a in symbols:
+            yield (_dom_step(left, lset, a), _dom_step(right, rset, a)), a
+
+    def differs(pair):
+        return _accepts(left, pair[0]) != _accepts(right, pair[1])
+
+    start = (_closure(left, [p]), _closure(right, [q]))
+    return bfs(successors, [start], differs)[1] is None
+
+
 def residual_languages_equal(spec: WeightedSpec, p, q) -> bool:
-    """L(A_dom, p) = L(A_dom, q), by an on-the-fly determinized product."""
-    start = (_closure(spec, [p]), _closure(spec, [q]))
-    seen = {start}
-    queue = [start]
-    while queue:
-        left, right = queue.pop()
-        if _accepts(spec, left) != _accepts(spec, right):
-            return False
-        for a in spec.inputs:
-            nxt = (_dom_step(spec, left, a), _dom_step(spec, right, a))
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    return True
+    """L(A_dom, p) = L(A_dom, q)."""
+    return _same_domain(spec, p, spec, q, spec.inputs)
 
 
 def domains_equal(left: WeightedSpec, right: WeightedSpec) -> bool:
@@ -91,34 +95,23 @@ def domains_equal(left: WeightedSpec, right: WeightedSpec) -> bool:
         common = sorted(set(left.inputs) | set(right.inputs))
     else:
         common = left.inputs
-    start = (_closure(left, [left.initial]), _closure(right, [right.initial]))
-    seen = {start}
-    queue = [start]
-    while queue:
-        lset, rset = queue.pop()
-        if _accepts(left, lset) != _accepts(right, rset):
-            return False
-        for a in common:
-            nxt = (_dom_step(left, lset, a), _dom_step(right, rset, a))
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    return True
+    return _same_domain(left, left.initial, right, right.initial, common)
 
 
 def reachable_states(spec: WeightedSpec):
     succ = {}
-    for (src, _sym), (tgt, _w) in spec.transitions.items():
-        succ.setdefault(src, []).append(tgt)
-    return reachable_from(succ, [spec.initial])
+    for (src, sym), (tgt, _w) in spec.transitions.items():
+        succ.setdefault(src, []).append((tgt, sym))
+    return bfs(lambda q: succ.get(q, ()), [spec.initial])[0].keys()
 
 
 def _live_states(spec: WeightedSpec):
     """States reachable from the initial state that also reach a final one."""
     pred = {}
-    for (src, _sym), (tgt, _w) in spec.transitions.items():
-        pred.setdefault(tgt, []).append(src)
-    return reachable_states(spec) & reachable_from(pred, spec.finals)
+    for (src, sym), (tgt, _w) in spec.transitions.items():
+        pred.setdefault(tgt, []).append((src, sym))
+    co_reach = bfs(lambda q: pred.get(q, ()), spec.finals)[0]
+    return reachable_states(spec) & co_reach.keys()
 
 
 def unsafe_transitions(spec: WeightedSpec):
@@ -281,16 +274,15 @@ def make_domain_safe(spec: WeightedSpec):
     specification's domain can stay inside the relation.
     """
     game = build_two_run_game(spec)
-    arena = game.arena
-    region, _strategy = games.solve_safety(arena, arena.vertex_set - game.losing)
-    if arena.initial not in region:
+    forcing, _ = games.attractor(game.arena, game.losing, ADAM)
+    if game.arena.initial in forcing:
         return NO_BOOLEAN_REALIZER
     index = {q: k for k, q in enumerate(spec.states)}
 
     def outside(kind, eve, adam):
-        """Whether the vertex exists and lies outside Eve's region."""
+        """Whether the vertex exists and Adam forces it into a losing one."""
         v = game.vertex(kind, index[eve], index[adam])
-        return v is not None and v not in region
+        return v is not None and v in forcing
 
     keep = {
         q for q in spec.states

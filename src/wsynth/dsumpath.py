@@ -30,12 +30,11 @@ before being returned; a failed re-validation raises InternalError.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .core import InternalError
+from .core import InternalError, bfs, walk_back
 
 NO = "no"
 YES = "yes"
@@ -97,15 +96,9 @@ def relative_gap(dsum_value, length, nu, lam) -> Fraction:
 def _prune_to_targets(graph: WeightedGraph):
     """Keep only vertices that can reach a target; returns (vertices, edges)."""
     preds = {}
-    for src, _w, dst in graph.edges:
-        preds.setdefault(dst, []).append(src)
-    can = set(graph.targets) & set(graph.vertices)
-    queue = deque(can)
-    while queue:
-        for src in preds.get(queue.popleft(), ()):
-            if src not in can:
-                can.add(src)
-                queue.append(src)
+    for i, (src, _w, dst) in enumerate(graph.edges):
+        preds.setdefault(dst, []).append((src, i))
+    can = bfs(lambda v: preds.get(v, ()), set(graph.targets) & set(graph.vertices))[0]
     edges = [
         (i, src, w, dst)
         for i, (src, w, dst) in enumerate(graph.edges)
@@ -275,22 +268,11 @@ def _pumped_witness(graph: WeightedGraph, table: MrgTable, nu, strict, edges):
     # shortest tail from the loop head into the targets (BFS, edge-index order)
     out = {}
     for idx, src, _w, dst in edges:
-        out.setdefault(src, []).append((idx, dst))
-    tail = {head: []}
-    queue = deque([head])
-    goal = None
-    while queue:
-        u = queue.popleft()
-        if u in graph.targets:
-            goal = u
-            break
-        for idx, dst in out.get(u, ()):
-            if dst not in tail:
-                tail[dst] = tail[u] + [idx]
-                queue.append(dst)
+        out.setdefault(src, []).append((dst, idx))
+    links, goal = bfs(lambda u: out.get(u, ()), [head], graph.targets.__contains__)
     if goal is None:
         raise InternalError("pruned graph always reaches a target")
-    tail_edges = tail[goal]
+    tail_edges = walk_back(links, goal)
     tail_value = dsum_of_edges(graph, tail_edges)
 
     # l * z + rg(stem) >= Dsum(tail)   (strictly above, when strict)

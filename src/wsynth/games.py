@@ -74,25 +74,6 @@ class Arena:
     def deadlocks(self):
         return [v for v in self.vertices if not self._out[v]]
 
-    def ensure_deadlock_free(self, complete=False):
-        """Reject deadlocked vertices, or repair them with 0-weight self-loops."""
-        dead = self.deadlocks()
-        if not dead:
-            return self
-        if not complete:
-            raise ValueError("arena has dead ends: %r" % (dead,))
-        edges = list(self.edges)
-        for v in dead:
-            edges.append((v, "-", 0, v))
-        return Arena(
-            vertices=self.vertices,
-            owner=dict(self.owner),
-            initial=self.initial,
-            edges=edges,
-            critical=self.critical,
-            obs=dict(self.obs),
-        )
-
 
 @dataclass
 class ImperfectArena:
@@ -192,14 +173,15 @@ def solve_safety(arena: Arena, safe):
     """Eve's winning region for 'stay inside safe forever', plus a strategy.
 
     The region is the complement of Adam's attractor to the unsafe set;
-    the strategy picks the first edge that stays inside the region.
+    the strategy picks the first edge that stays inside the region, its
+    choices keyed in vertex order.
     """
     attr, _ = attractor(arena, arena.vertex_set.difference(safe), ADAM)
     region = arena.vertex_set - attr
     dsts = arena._dst
     choice = {}
-    for v in region:
-        if arena.owner[v] != EVE:
+    for v in arena.vertices:
+        if arena.owner[v] != EVE or v not in region:
             continue
         for i in arena.out(v):
             if dsts[i] in region:

@@ -54,20 +54,6 @@ class PrefixObjective:
             raise ValueError("discount only makes sense for dsum")
 
 
-def avoid_critical_strategy(arena: Arena):
-    """Eve's positional choices that keep the play outside Adam's forcing set."""
-    forcing, _ = games.attractor(arena, arena.critical, ADAM)
-    choice = {}
-    for v in arena.vertices:
-        if arena.owner[v] != EVE or v in forcing:
-            continue
-        for i in arena.out(v):
-            if arena.edges[i][3] not in forcing:
-                choice[v] = i
-                break
-    return forcing, PositionalStrategy(choice)
-
-
 def reduce_avg_to_sum(arena: Arena, nu: Fraction):
     """Same arena with weights q*w - p for nu = p/q; objective becomes Sum cmp 0."""
     nu = Fraction(nu)
@@ -350,8 +336,7 @@ def solve_prefix_threshold(arena: Arena, obj: PrefixObjective):
         if reduction is ADAM_WINS_IMMEDIATELY:
             return ADAM, None
         if reduction is EVE_WINS_TRIVIALLY:
-            _f, strategy = avoid_critical_strategy(arena)
-            return EVE, strategy
+            return EVE, games.solve_safety(arena, arena.vertex_set - arena.critical)[1]
         winner, _s, _value = games.solve_discounted_sum(
             reduction.arena, obj.discount, obj.nu, ">="
         )
@@ -383,13 +368,12 @@ def _solve_sum(arena: Arena, cmp: str, nu: Fraction):
     scaled, nu_int = _scale_sum_objective(arena, nu)
     reduction = reduce_sum_prefix_to_mp(scaled, cmp, nu_int)
     if reduction is EVE_WINS_TRIVIALLY:
-        _f, strategy = avoid_critical_strategy(arena)
-        return EVE, strategy
+        return EVE, games.solve_safety(arena, arena.vertex_set - arena.critical)[1]
     winner, mp_strategy = games.solve_mean_payoff(reduction.arena)
     if winner == ADAM:
         return ADAM, None
 
-    forcing, avoid = avoid_critical_strategy(arena)
+    _region, avoid = games.solve_safety(arena, arena.vertex_set - arena.critical)
     choice = dict(avoid.choice)
     back = {copy: v for v, copy in reduction.copies.items()}
     for vertex, edge_idx in mp_strategy.choice.items():

@@ -14,7 +14,10 @@ spec run it produces and (for best-value and approx) a rival spec run.
 Dsum checks that product letter by letter with the exact path checks of
 dsumpath; Sum/Avg join each input step with its output fan into one
 scaled integer edge for a min-walk search.  Every REALIZABLE result must
-pass it before being returned.
+pass it before being returned.  Its reach, co-reach and witness searches
+run on the breadth-first kernel core.bfs, as does the one loop that reads
+a machine off a choice of outputs (extract_transducer, best-value
+selectors).
 """
 
 from __future__ import annotations
@@ -39,9 +42,11 @@ from .core import (
     MealyTransducer,
     WeightedSpec,
     best_value,
+    bfs,
     evaluate,
     run_transducer,
     trim_transducer,
+    walk_back,
     word,
 )
 from .domain import NO_BOOLEAN_REALIZER, make_domain_safe
@@ -140,29 +145,35 @@ def extract_transducer(spec: WeightedSpec, arena: Arena, provenance, strategy):
     equality with the spec holds by domain-safety (any followed run on a
     domain word ends in a final state).
     """
+
+    def pick(mid):
+        if mid not in strategy.choice:
+            raise ValueError("strategy undefined at reachable output state %r" % (mid,))
+        origin = provenance.get(strategy.choice[mid])
+        if origin is None:
+            raise ValueError("strategy escapes the specification at %r" % (mid,))
+        return origin[1]
+
+    return _follow_outputs(spec, pick)
+
+
+def _follow_outputs(spec: WeightedSpec, pick):
+    """Transducer over the spec's input states reachable when every output
+    state q takes the output pick(q)."""
     transitions = {}
-    reached = deque([spec.initial])
-    seen = {spec.initial}
-    while reached:
-        p = reached.popleft()
+
+    def successors(p):
         for a in spec.inputs:
             entry = spec.transitions.get((p, a))
             if entry is None:
                 continue
             mid = entry[0]
-            if mid not in strategy.choice:
-                raise ValueError(
-                    "strategy undefined at reachable output state %r" % (mid,)
-                )
-            origin = provenance.get(strategy.choice[mid])
-            if origin is None:
-                raise ValueError("strategy escapes the specification at %r" % (mid,))
-            _state, b = origin
+            b = pick(mid)
             tgt = spec.transitions[(mid, b)][0]
             transitions[(p, a)] = (b, tgt)
-            if tgt not in seen:
-                seen.add(tgt)
-                reached.append(tgt)
+            yield tgt, a
+
+    seen = bfs(successors, [spec.initial])[0]
     return MealyTransducer(
         inputs=spec.inputs,
         outputs=spec.outputs,
@@ -193,38 +204,31 @@ def _check_alphabets(spec, t):
 
 def _domain_equal_witness(spec, t):
     """None when dom(t) = dom(spec), else a separating input word."""
-    start = (t.initial, domain_mod._closure(spec, [spec.initial]))
-    seen = {start}
-    queue = deque([(start, ())])
     steps = {}  # (subset, input) -> next subset of the domain automaton
-    while queue:
-        (s, subset), path = queue.popleft()
-        t_accepts = s is not None and s in t.finals
-        s_accepts = domain_mod._accepts(spec, subset)
-        if t_accepts != s_accepts:
-            return path
+
+    def successors(node):
+        s, subset = node
         for a in spec.inputs:
             entry = t.transitions.get((s, a)) if s is not None else None
-            nxt_t = entry[1] if entry else None
             nxt_sub = steps.get((subset, a))
             if nxt_sub is None:
                 nxt_sub = steps[(subset, a)] = domain_mod._dom_step(spec, subset, a)
-            node = (nxt_t, nxt_sub)
-            if node not in seen:
-                seen.add(node)
-                queue.append((node, path + (a,)))
-    return None
+            yield (entry[1] if entry else None, nxt_sub), a
+
+    def differs(node):
+        s, subset = node
+        return (s is not None and s in t.finals) != domain_mod._accepts(spec, subset)
+
+    start = (t.initial, domain_mod._closure(spec, [spec.initial]))
+    links, found = bfs(successors, [start], differs)
+    return None if found is None else walk_back(links, found)
 
 
 def _boolean_witness(spec, t):
     """None when every accepted input's run accepts, else a witness word."""
-    start = (t.initial, spec.initial)
-    seen = {start}
-    queue = deque([(start, ())])
-    while queue:
-        (s, p), path = queue.popleft()
-        if s in t.finals and (p is None or p not in spec.finals):
-            return path
+
+    def successors(node):
+        s, p = node
         for a in spec.inputs:
             entry = t.transitions.get((s, a))
             if entry is None:
@@ -236,129 +240,92 @@ def _boolean_witness(spec, t):
                 if mid is not None:
                     out = spec.transitions.get((mid[0], b))
                     p2 = out[0] if out is not None else None
-            node = (s2, p2)
-            if node not in seen:
-                seen.add(node)
-                queue.append((node, path + (a,)))
-    return None
+            yield (s2, p2), a
+
+    def rejects(node):
+        s, p = node
+        return s in t.finals and (p is None or p not in spec.finals)
+
+    links, found = bfs(successors, [(t.initial, spec.initial)], rejects)
+    return None if found is None else walk_back(links, found)
 
 
-def _bfs_tree(adjacency, starts, goal=None):
-    """Breadth-first links {node: (prev, weight, label) or None}, in
-    discovery order, and the first dequeued node meeting goal (or None).
+def _min_walk_below(n, edges, accepting, threshold):
+    """Is there a walk from node 0 to an accepting node of value < threshold?
 
-    adjacency maps a node to its (weight, next, label) list.
-    """
-    via = dict.fromkeys(starts)
-    queue = deque(via)
-    while queue:
-        node = queue.popleft()
-        if goal is not None and goal(node):
-            return via, node
-        for w, nxt, label in adjacency.get(node, ()):
-            if nxt not in via:
-                via[nxt] = (node, w, label)
-                queue.append(nxt)
-    return via, None
-
-
-def _walk_back(via, node):
-    """(labels, value) of the walk that the links lead back from node."""
-    labels = []
-    value = 0
-    while via[node] is not None:
-        if len(labels) > len(via):
-            raise InternalError("parent links form a cycle")
-        node, w, label = via[node]
-        labels.append(label)
-        value += w
-    labels.reverse()
-    return labels, value
-
-
-def _min_walk_below(edges, source, accepting, threshold):
-    """Is there a source-to-accepting walk of value < threshold?
-
-    edges: list of (src, weight, dst, label); accepting: list of nodes.
+    Nodes are 0..n-1, every one reachable from node 0, in breadth-first
+    discovery order over edges, a list of (src, weight, dst, label).
     Returns None or the labels of a violating walk.  One Bellman-Ford pass
-    over the live nodes (reachable, and reaching an accepting node), in
+    over the live nodes (those reaching an accepting node), in
     O(|live| * |edges|): without a relaxation in round |live|, the parent
     chain of the cheapest accepting node is the witness; otherwise |live|
     parent steps back from the relaxed node land on a negative cycle
     (Cherkassky & Goldberg, Math. Prog. 1999), which the witness pumps
     just enough.
     """
-    forward = {}
-    backward = {}
-    for src, w, dst, label in edges:
-        forward.setdefault(src, []).append((w, dst, label))
-        backward.setdefault(dst, []).append((w, src, label))
-    co_reach = _bfs_tree(backward, accepting)[0]
-    live = [node for node in _bfs_tree(forward, [source])[0] if node in co_reach]
-    if not live:
+    backward = [[] for _ in range(n)]
+    for edge in edges:
+        backward[edge[2]].append((edge[0], edge))
+    live = bfs(backward.__getitem__, accepting)[0]
+    if 0 not in live:
         return None
-    n = len(live)
-    index = {node: i for i, node in enumerate(live)}  # the source is 0
-    live_edges = [
-        (index[src], w, index[dst], label)
-        for src, w, dst, label in edges
-        if src in index and dst in index
-    ]
-    dist = [0] + [None] * (n - 1)
-    parent = [None] * n
+    n_live = len(live)
+    live_edges = [edge for edge in edges if edge[0] in live and edge[2] in live]
+    dist = [None] * n
+    dist[0] = 0
+    parent = [None] * n  # node -> (prev, edge)
     relaxed = None
-    for rounds in range(1, n + 1):
+    for rounds in range(1, n_live + 1):
         changed = False
-        for src, w, dst, label in live_edges:
+        for edge in live_edges:
+            src, w, dst, _label = edge
             if dist[src] is None:
                 continue
             cand = dist[src] + w
             if dist[dst] is None or cand < dist[dst]:
                 dist[dst] = cand
-                parent[dst] = (src, w, label)
+                parent[dst] = (src, edge)
                 changed = True
-                if rounds == n:
+                if rounds == n_live:
                     relaxed = dst
                     break
         if not changed or relaxed is not None:
             break
 
     if relaxed is None:
-        reached = [index[node] for node in accepting if node in index]
-        best = min(reached, key=dist.__getitem__)
+        best = min((node for node in accepting if node in live), key=dist.__getitem__)
         if dist[best] >= threshold:
             return None
-        return _walk_back(parent, best)[0]
+        return [edge[3] for edge in walk_back(parent, best)]
 
     on_cycle = relaxed
-    for _ in range(n):
+    for _ in range(n_live):
         on_cycle = parent[on_cycle][0]
-    cycle_labels = []
-    cycle_sum = 0
+    cycle = []
     node = on_cycle
-    for _ in range(n):
-        node, w, label = parent[node]
-        cycle_labels.append(label)
-        cycle_sum += w
+    for _ in range(n_live):
+        node, edge = parent[node]
+        cycle.append(edge)
         if node == on_cycle:
             break
+    cycle_sum = sum(edge[1] for edge in cycle)
     if node != on_cycle or cycle_sum >= 0:
         raise InternalError("parent walk found no negative cycle")
-    cycle_labels.reverse()
+    cycle.reverse()
 
-    entry = live[on_cycle]
+    forward = [[] for _ in range(n)]
+    for edge in edges:
+        forward[edge[0]].append((edge[2], edge))
     goals = set(accepting)
-    stem = _bfs_tree(forward, [source], lambda node: node == entry)
-    tail = _bfs_tree(forward, [entry], lambda node: node in goals)
-    stem_labels, stem_value = _walk_back(*stem)
-    tail_labels, tail_value = _walk_back(*tail)
-    base = stem_value + tail_value
+    stem = walk_back(*bfs(forward.__getitem__, [0], lambda node: node == on_cycle))
+    tail = walk_back(*bfs(forward.__getitem__, [on_cycle], goals.__contains__))
+    base = sum(edge[1] for edge in stem + tail)
     # smallest laps with base + laps*cycle_sum < threshold
     laps = 0
     if base >= threshold:
         need = base - threshold  # need laps*|cycle_sum| > need
         laps = need // (-cycle_sum) + 1
-    return stem_labels + cycle_labels * laps + tail_labels
+    return [edge[3] for edge in stem + cycle * laps + tail]
 
 
 def _value_product(spec, t, rival):
@@ -467,7 +434,7 @@ def _value_witness(spec, t, rival, bound, at_equal):
         for src, a, w_in, _mid, fan in steps
         for w_out, dst in fan
     ]
-    labels = _min_walk_below(edges, 0, accepting, limit + at_equal)
+    labels = _min_walk_below(len(order), edges, accepting, limit + at_equal)
     return None if labels is None else tuple(labels)
 
 
@@ -550,34 +517,6 @@ def synth_threshold(spec: WeightedSpec, cmp: str, nu) -> SynthResult:
 # Best-value synthesis
 
 
-def _selector_transducer(spec: WeightedSpec, selector):
-    """Transducer following one output transition per output state."""
-    transitions = {}
-    seen = {spec.initial}
-    queue = deque([spec.initial])
-    while queue:
-        p = queue.popleft()
-        for a in spec.inputs:
-            entry = spec.transitions.get((p, a))
-            if entry is None:
-                continue
-            mid = entry[0]
-            b = selector[mid]
-            tgt = spec.transitions[(mid, b)][0]
-            transitions[(p, a)] = (b, tgt)
-            if tgt not in seen:
-                seen.add(tgt)
-                queue.append(tgt)
-    return MealyTransducer(
-        inputs=spec.inputs,
-        outputs=spec.outputs,
-        states=tuple(q for q in spec.states if q in seen),
-        initial=spec.initial,
-        finals=tuple(f for f in spec.finals if f in seen),
-        transitions=transitions,
-    )
-
-
 def synth_best_value(spec: WeightedSpec) -> SynthResult:
     """Enumerate output selectors over the domain-safe automaton.
 
@@ -597,7 +536,7 @@ def synth_best_value(spec: WeightedSpec) -> SynthResult:
     objective = Objective(kind="best_value")
     for combo in itertools.product(*pools):
         selector = dict(zip(out_states, combo))
-        candidate = _selector_transducer(safe, selector)
+        candidate = _follow_outputs(safe, selector.__getitem__)
         verdict, _witness = verify_realizer(spec, candidate, objective)
         if verdict == PASS:
             return SynthResult(status=REALIZABLE, transducer=candidate)

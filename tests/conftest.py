@@ -8,7 +8,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from wsynth import core, dsumpath, synthesis
+from wsynth import core, dsumpath
 from wsynth.games import ADAM, EVE
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -179,6 +179,114 @@ def old_solve_safety(arena, safe):
     return region, choice
 
 
+# --- the min-walk search on named nodes, before core.bfs ---------------------
+
+
+def _old_bfs_tree(adjacency, starts, goal=None):
+    """Breadth-first links {node: (prev, weight, label) or None}, in
+    discovery order, and the first dequeued node meeting goal (or None).
+
+    adjacency maps a node to its (weight, next, label) list.
+    """
+    via = dict.fromkeys(starts)
+    queue = deque(via)
+    while queue:
+        node = queue.popleft()
+        if goal is not None and goal(node):
+            return via, node
+        for w, nxt, label in adjacency.get(node, ()):
+            if nxt not in via:
+                via[nxt] = (node, w, label)
+                queue.append(nxt)
+    return via, None
+
+
+def _old_walk_back(via, node):
+    """(labels, value) of the walk that the links lead back from node."""
+    labels = []
+    value = 0
+    while via[node] is not None:
+        node, w, label = via[node]
+        labels.append(label)
+        value += w
+    labels.reverse()
+    return labels, value
+
+
+def old_min_walk_below(edges, source, accepting, threshold):
+    """synthesis._min_walk_below on named nodes, with its own forward and
+    backward adjacency and live-node numbering; the labels of a
+    source-to-accepting walk of value < threshold, or None."""
+    forward = {}
+    backward = {}
+    for src, w, dst, label in edges:
+        forward.setdefault(src, []).append((w, dst, label))
+        backward.setdefault(dst, []).append((w, src, label))
+    co_reach = _old_bfs_tree(backward, accepting)[0]
+    live = [node for node in _old_bfs_tree(forward, [source])[0] if node in co_reach]
+    if not live:
+        return None
+    n = len(live)
+    index = {node: i for i, node in enumerate(live)}  # the source is 0
+    live_edges = [
+        (index[src], w, index[dst], label)
+        for src, w, dst, label in edges
+        if src in index and dst in index
+    ]
+    dist = [0] + [None] * (n - 1)
+    parent = [None] * n
+    relaxed = None
+    for rounds in range(1, n + 1):
+        changed = False
+        for src, w, dst, label in live_edges:
+            if dist[src] is None:
+                continue
+            cand = dist[src] + w
+            if dist[dst] is None or cand < dist[dst]:
+                dist[dst] = cand
+                parent[dst] = (src, w, label)
+                changed = True
+                if rounds == n:
+                    relaxed = dst
+                    break
+        if not changed or relaxed is not None:
+            break
+
+    if relaxed is None:
+        reached = [index[node] for node in accepting if node in index]
+        best = min(reached, key=dist.__getitem__)
+        if dist[best] >= threshold:
+            return None
+        return _old_walk_back(parent, best)[0]
+
+    on_cycle = relaxed
+    for _ in range(n):
+        on_cycle = parent[on_cycle][0]
+    cycle_labels = []
+    cycle_sum = 0
+    node = on_cycle
+    for _ in range(n):
+        node, w, label = parent[node]
+        cycle_labels.append(label)
+        cycle_sum += w
+        if node == on_cycle:
+            break
+    assert node == on_cycle and cycle_sum < 0
+    cycle_labels.reverse()
+
+    entry = live[on_cycle]
+    goals = set(accepting)
+    stem = _old_bfs_tree(forward, [source], lambda node: node == entry)
+    tail = _old_bfs_tree(forward, [entry], lambda node: node in goals)
+    stem_labels, stem_value = _old_walk_back(*stem)
+    tail_labels, tail_value = _old_walk_back(*tail)
+    base = stem_value + tail_value
+    laps = 0
+    if base >= threshold:
+        laps = (base - threshold) // (-cycle_sum) + 1
+    return stem_labels + cycle_labels * laps + tail_labels
+
+
 # --- the four value-witness builders as first written -------------------------
 #
 # Each built its own synchronized product: the threshold check over the
@@ -241,7 +349,7 @@ def _old_threshold_witness(spec, t, cmp, nu):
         bound = nu_int if cmp == ">=" else nu_int + 1
     else:
         bound = 0 if cmp == ">=" else 1
-    labels = synthesis._min_walk_below(edges, start, accepting, bound)
+    labels = old_min_walk_below(edges, start, accepting, bound)
     if labels is None:
         return None
     return tuple(labels)
@@ -359,7 +467,7 @@ def _old_difference_witness(spec, t, cmp, bound):
         threshold = -p_bound if cmp == "<=" else -p_bound + 1
     else:
         threshold = 0 if cmp == "<=" else 1
-    labels = synthesis._min_walk_below(edges, start, accepting, threshold)
+    labels = old_min_walk_below(edges, start, accepting, threshold)
     if labels is None:
         return None
     return tuple(labels)

@@ -265,6 +265,20 @@ def test_bad_obs_lines_exit_65(capsys, tmp_path, obs, message):
     assert (code, out, err) == (65, "", "format error: %s\n" % message)
 
 
+@pytest.mark.parametrize("objective", [
+    ["--measure", "sum", "--cmp", "ge", "--nu", "0"],
+    ["--measure", "dsum", "--cmp", "gt", "--nu", "1", "--lambda", "1/2", "--json"],
+])
+def test_solve_prefix_dead_end_arena_exits_65(capsys, tmp_path, objective):
+    bad = tmp_path / "dead.arena"
+    bad.write_text(
+        "arena\nvertex: v0 adam\nvertex: v1 eve\nvertex: v2 adam critical\n"
+        "initial: v0\nedge: v0 - 1 v1\nedge: v0 - 2 v2\n"
+    )
+    code, out, err = run(capsys, "solve-prefix", str(bad), *objective)
+    assert (code, out, err) == (65, "", "format error: arena has dead ends: ['v1', 'v2']\n")
+
+
 def test_json_output_is_deterministic(capsys):
     code1, out1, _ = run(
         capsys, "synth", "threshold", PAPER, "--cmp", "ge", "--nu", "7", "--json"

@@ -1,6 +1,11 @@
+import ast
 import itertools
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -247,3 +252,80 @@ def test_transducer_domain_states_matches_transition_scan():
         assert set(trimmed.states) == reach and set(trimmed.finals) <= reach
         sizes.append(len(reach))
     assert min(sizes) == 1 and max(sizes) >= 8
+
+
+# --- the breadth-first kernel -----------------------------------------------
+
+_GRAPH = {0: [(1, "a"), (2, "b")], 1: [(3, "c"), (2, "d")], 2: [(4, "e")], 3: [(0, "f")]}
+
+
+def _succ(node):
+    return _GRAPH.get(node, ())
+
+
+def test_bfs_links_in_discovery_order():
+    links, found = core.bfs(_succ, [0])
+    assert found is None
+    # keys in discovery order; each value is the first edge that reached it
+    assert list(links.items()) == [
+        (0, None), (1, (0, "a")), (2, (0, "b")), (3, (1, "c")), (4, (2, "e")),
+    ]
+    # several starts, one repeated: each is a root, in the order given
+    links, _ = core.bfs(_succ, [2, 1, 2])
+    assert list(links.items()) == [
+        (2, None), (1, None), (4, (2, "e")), (3, (1, "c")), (0, (3, "f")),
+    ]
+
+
+def test_bfs_tests_the_goal_when_a_node_is_dequeued():
+    # 3 is discovered (from 1) before 2 is dequeued, so the goal at 2 is
+    # met after 3 joined the links; 4, found only from 2, never does
+    links, found = core.bfs(_succ, [0], lambda node: node == 2)
+    assert found == 2
+    assert list(links) == [0, 1, 2, 3]
+    # the first dequeued node that meets the goal wins, a start included
+    assert core.bfs(_succ, [0], lambda node: node in (4, 3))[1] == 3
+    assert core.bfs(_succ, [0], lambda node: True) == ({0: None}, 0)
+    assert core.bfs(_succ, [0], lambda node: node == 9)[1] is None
+
+
+def test_walk_back_spells_the_first_walk_found():
+    links, found = core.bfs(_succ, [0], lambda node: node == 4)
+    assert core.walk_back(links, found) == ["b", "e"]
+    assert core.walk_back(links, 0) == []
+    with pytest.raises(core.InternalError, match="cycle"):
+        core.walk_back({0: (1, "x"), 1: (0, "y")}, 0)
+
+
+_CYCLE_GUARD = """
+from wsynth import core
+try:
+    core.walk_back({0: (1, "x"), 1: (0, "y")}, 0)
+except core.InternalError as exc:
+    print("InternalError:", exc)
+"""
+
+
+def test_walk_back_cycle_guard_holds_under_python_O():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", _CYCLE_GUARD],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "InternalError: parent links form a cycle\n"
+
+
+def test_no_assert_statement_in_the_program():
+    # every correctness gate must hold under python -O, where assert is gone
+    src = Path(__file__).resolve().parent.parent / "src" / "wsynth"
+    files = sorted(src.glob("*.py"))
+    assert len(files) >= 8
+    found = [
+        "%s:%d" % (path.name, node.lineno)
+        for path in files
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []

@@ -154,6 +154,38 @@ def test_residual_equality_matches_enumeration(paper_spec):
             assert domain.residual_languages_equal(paper_spec, p, q) == expected
 
 
+def old_residual_languages_equal(spec, p, q):
+    """The depth-first product search that the breadth-first kernel replaced."""
+    start = (domain._closure(spec, [p]), domain._closure(spec, [q]))
+    seen = {start}
+    queue = [start]
+    while queue:
+        left, right = queue.pop()
+        if domain._accepts(spec, left) != domain._accepts(spec, right):
+            return False
+        for a in spec.inputs:
+            nxt = (domain._dom_step(spec, left, a), domain._dom_step(spec, right, a))
+            if nxt not in seen:
+                seen.add(nxt)
+                queue.append(nxt)
+    return True
+
+
+def test_residual_equality_matches_the_old_search():
+    rng = random.Random(53)
+    verdicts = []
+    for _ in range(100):
+        spec = random_spec(rng, max_states=rng.randint(2, 10),
+                           final_bias=rng.choice((0.3, 0.6)))
+        for p, q in itertools.product(spec.states, repeat=2):
+            verdict = domain.residual_languages_equal(spec, p, q)
+            assert verdict == old_residual_languages_equal(spec, p, q), (
+                core.emit_wfa(spec), p, q)
+            verdicts.append(verdict)
+    assert verdicts.count(True) >= 100 and verdicts.count(False) >= 100, (
+        verdicts.count(True), verdicts.count(False))
+
+
 def test_make_domain_safe_keeps_paper_fixture(paper_spec):
     result = domain.make_domain_safe(paper_spec)
     assert result is not domain.NO_BOOLEAN_REALIZER

@@ -124,6 +124,8 @@ def test_attractor_and_safety_match_old_kernel_on_random_arenas():
         safe = [v for v in arena.vertices if rng.random() < 0.7]
         region, strat = games.solve_safety(arena, safe)
         assert (region, strat.choice) == old_solve_safety(arena, safe)
+        # the choices are keyed in vertex order, whatever the string hashing
+        assert list(strat.choice) == [v for v in arena.vertices if v in strat.choice]
     assert grown >= 100
 
 
@@ -146,8 +148,6 @@ def test_mp_rejects_deadlocks():
     arena = mk_arena([("v", EVE), ("w", EVE)], [("v", 0, "w")])
     with pytest.raises(ValueError, match="dead"):
         games.solve_mean_payoff(arena)
-    fixed = arena.ensure_deadlock_free(complete=True)
-    assert not fixed.deadlocks()
 
 
 def cycle_mean_under(arena, choice_eve, choice_adam):

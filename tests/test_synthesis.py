@@ -30,7 +30,7 @@ from wsynth.synthesis import (
 )
 
 from conftest import (always_transducer, always_d_realizer, first_c_realizer,
-                      old_value_witness, random_spec)
+                      old_min_walk_below, old_value_witness, random_spec)
 from test_games import mk_arena, random_arena
 
 
@@ -673,9 +673,25 @@ def _old_min_walk_below(nodes, edges, source, accepting, threshold):
     return labels
 
 
-def _old_min_walk_adapter(edges, source, accepting, threshold):
-    nodes = {source} | {src for src, *_ in edges} | {dst for _s, _w, dst, _l in edges}
-    return _old_min_walk_below(nodes, edges, source, accepting, threshold)
+def _old_min_walk_adapter(n, edges, accepting, threshold):
+    return _old_min_walk_below(set(range(n)), edges, 0, accepting, threshold)
+
+
+def _numbered(edges, source, accepting):
+    """The part of a labelled graph reachable from source, renumbered
+    0..n-1 in breadth-first discovery order over edges, as
+    synthesis._min_walk_below takes it: (names, edges, accepting), with
+    names[i] the old name of node i and accepting in number order."""
+    names = [source]
+    number = {source: 0}
+    for node in names:
+        for _src, _w, dst, _label in (e for e in edges if e[0] == node):
+            if dst not in number:
+                number[dst] = len(names)
+                names.append(dst)
+    kept = [(number[src], w, number[dst], label)
+            for src, w, dst, label in edges if src in number]
+    return names, kept, sorted(number[v] for v in accepting if v in number)
 
 
 def _random_labelled_graph(rng):
@@ -709,9 +725,13 @@ def test_min_walk_below_matches_old_search_on_random_graphs():
     for _trial in range(1500):
         nodes, edges, source, accepting = _random_labelled_graph(rng)
         threshold = rng.randint(-4, 4)
-        new = synthesis._min_walk_below(edges, source, accepting, threshold)
+        names, numbered, goals = _numbered(edges, source, accepting)
+        new = synthesis._min_walk_below(len(names), numbered, goals, threshold)
         old = _old_min_walk_below(set(nodes), edges, source, accepting, threshold)
         assert (new is None) == (old is None), (edges, accepting, threshold)
+        # the search on named nodes that this one replaced gives the same word
+        named = old_min_walk_below(edges, source, [names[i] for i in goals], threshold)
+        assert new == named, (edges, accepting, threshold)
         if new is None:
             kinds["none"] += 1
             continue
@@ -722,14 +742,14 @@ def test_min_walk_below_matches_old_search_on_random_graphs():
 
 
 def test_min_walk_below_negative_cycle_off_the_live_part():
-    # the -5 loop at v1 reaches no accepting node, so it must not count
-    edges = [("v0", 1, "v1", 0), ("v1", -5, "v1", 1), ("v0", 2, "v2", 2)]
-    assert synthesis._min_walk_below(edges, "v0", ["v2"], 2) is None
-    assert synthesis._min_walk_below(edges, "v0", ["v2"], 3) == [2]
-    # once v1 can reach v2, the loop is pumped until the value drops below
-    edges.append(("v1", 0, "v2", 3))
-    labels = synthesis._min_walk_below(edges, "v0", ["v2"], -7)
-    assert _replay(edges, "v0", ["v2"], labels) < -7
+    # the -5 loop at 1 reaches no accepting node, so it must not count
+    edges = [(0, 1, 1, 0), (1, -5, 1, 1), (0, 2, 2, 2)]
+    assert synthesis._min_walk_below(3, edges, [2], 2) is None
+    assert synthesis._min_walk_below(3, edges, [2], 3) == [2]
+    # once 1 can reach 2, the loop is pumped until the value drops below
+    edges.append((1, 0, 2, 3))
+    labels = synthesis._min_walk_below(3, edges, [2], -7)
+    assert _replay(edges, 0, [2], labels) < -7
 
 
 def _random_selector_machine(rng, spec):
@@ -762,6 +782,82 @@ def _random_selector_machine(rng, spec):
         finals=tuple(q for q in order if q in base.finals),
         transitions=transitions,
     )
+
+
+# --- the Boolean checks as written before core.bfs ---------------------------
+
+
+def _old_domain_equal_witness(spec, t):
+    """None when dom(t) = dom(spec), else a separating input word (a BFS
+    that copies the path into every queue entry, with no step cache)."""
+    start = (t.initial, domain._closure(spec, [spec.initial]))
+    seen = {start}
+    queue = collections.deque([(start, ())])
+    while queue:
+        (s, subset), path = queue.popleft()
+        if (s is not None and s in t.finals) != domain._accepts(spec, subset):
+            return path
+        for a in spec.inputs:
+            entry = t.transitions.get((s, a)) if s is not None else None
+            node = (entry[1] if entry else None, domain._dom_step(spec, subset, a))
+            if node not in seen:
+                seen.add(node)
+                queue.append((node, path + (a,)))
+    return None
+
+
+def _old_boolean_witness(spec, t):
+    """None when every accepted input's run accepts, else a witness word."""
+    start = (t.initial, spec.initial)
+    seen = {start}
+    queue = collections.deque([(start, ())])
+    while queue:
+        (s, p), path = queue.popleft()
+        if s in t.finals and (p is None or p not in spec.finals):
+            return path
+        for a in spec.inputs:
+            entry = t.transitions.get((s, a))
+            if entry is None:
+                continue
+            b, s2 = entry
+            p2 = None
+            if p is not None:
+                mid = spec.transitions.get((p, a))
+                if mid is not None:
+                    out = spec.transitions.get((mid[0], b))
+                    p2 = out[0] if out is not None else None
+            node = (s2, p2)
+            if node not in seen:
+                seen.add(node)
+                queue.append((node, path + (a,)))
+    return None
+
+
+def test_boolean_checks_match_the_old_searches():
+    rng = random.Random(4401)
+    outcomes = collections.Counter()
+    for _trial in range(1200):
+        spec = random_spec(rng, max_states=rng.randint(2, 10))
+        t = _random_selector_machine(rng, spec)
+        finals, transitions = t.finals, t.transitions
+        if rng.random() < 0.3:
+            # another choice of final states moves the machine's domain
+            finals = tuple(q for q in t.states if rng.random() < 0.5)
+        if rng.random() < 0.4:
+            # other outputs lead the spec run off its accepting paths
+            transitions = {key: (rng.choice(spec.outputs), tgt)
+                           for key, (_b, tgt) in transitions.items()}
+        t = core.MealyTransducer(spec.inputs, spec.outputs, t.states, t.initial,
+                                 finals, transitions)
+        for name, new, old in (
+            ("domain", synthesis._domain_equal_witness, _old_domain_equal_witness),
+            ("boolean", synthesis._boolean_witness, _old_boolean_witness),
+        ):
+            got, want = new(spec, t), old(spec, t)
+            assert (None if got is None else tuple(got)) == want, (
+                core.emit_wfa(spec), core.emit_mealy(t), name)
+            outcomes[name, want is None] += 1
+    assert min(outcomes.values()) >= 100, outcomes
 
 
 _ORACLE_OBJECTIVES = (
