@@ -3,8 +3,9 @@
 Exit codes: 0 realizable/holds/yes, 1 unrealizable/fails/no,
 2 unknown-at-cap, 64 usage error, 65 input format error, 70 internal
 error (a broken guarantee, e.g. a synthesized machine that fails
-verification).  Output on stdout is byte-deterministic for identical
-inputs and flags; timings and diagnostics go to stderr.
+verification, or any other unexpected exception).  Output on stdout is
+byte-deterministic for identical inputs and flags; timings and
+diagnostics go to stderr.
 """
 
 from __future__ import annotations
@@ -394,29 +395,11 @@ def _cmd_solve_prefix(args):
 
 
 def _trace_reduction(arena, obj):
-    """Dump the intermediate game of the applicable reduction to stderr."""
-    work, nu = arena, obj.nu
-    if obj.measure == "avg":
-        work, nu = prefix.reduce_avg_to_sum(arena, obj.nu)
-    if obj.measure in ("sum", "avg"):
-        scaled, nu_int = prefix._scale_sum_objective(work, nu)
-        reduction = prefix.reduce_sum_prefix_to_mp(scaled, obj.cmp, nu_int)
-        if reduction is prefix.EVE_WINS_TRIVIALLY:
-            sys.stderr.write("reduction: eve avoids every critical vertex\n")
-        else:
-            sys.stderr.write("reduction: mean-payoff game\n")
-            sys.stderr.write(games.emit_arena(reduction.arena))
-    elif obj.cmp == ">=":
-        reduction = prefix.reduce_dsum_prefix_to_ds(arena, obj.nu, obj.discount)
-        if reduction is prefix.EVE_WINS_TRIVIALLY:
-            sys.stderr.write("reduction: eve avoids every critical vertex\n")
-        elif reduction is prefix.ADAM_WINS_IMMEDIATELY:
-            sys.stderr.write("reduction: initial check on the empty prefix fails\n")
-        else:
-            sys.stderr.write("reduction: discounted-sum game\n")
-            sys.stderr.write(games.emit_arena(reduction.arena))
-    else:
-        sys.stderr.write("reduction: none (positional enumeration + path check)\n")
+    """Name the game that decides obj, dumping its arena, to stderr."""
+    game = prefix.reduce_prefix_game(arena, obj)
+    sys.stderr.write("reduction: %s\n" % game.name)
+    if game.reduction is not None:
+        sys.stderr.write(games.emit_arena(game.reduction.arena))
 
 
 def _cmd_dsum_path(args):
@@ -517,6 +500,10 @@ def main(argv=None) -> int:
         return EXIT_FORMAT
     except InternalError as exc:
         sys.stderr.write("internal error: %s\n" % exc)
+        return EXIT_SOFTWARE
+    except Exception as exc:
+        # a fault in the program, never an answer; repr keeps it on one line
+        sys.stderr.write("internal error: %r\n" % (exc,))
         return EXIT_SOFTWARE
     if getattr(args, "json", False):
         sys.stderr.write("elapsed_ms: %d\n" % int((time.monotonic() - started) * 1000))

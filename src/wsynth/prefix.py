@@ -24,11 +24,10 @@ from .core import AVG, DSUM, SUM, InternalError
 from .dsumpath import NO, WeightedGraph, exists_path_leq, exists_path_lt
 from .games import ADAM, EVE, Arena, ImperfectArena, PositionalStrategy
 
-EVE_WINS_TRIVIALLY = "eve_wins_trivially"
-ADAM_WINS_IMMEDIATELY = "adam_wins_immediately"
 HYPOTHESIS_FAILED = "hypothesis_failed"
 
-_SINK = "__sink__"
+# helper vertices are 1-tuples: parsed vertex names are strings
+_SINK = ("sink",)
 
 
 @dataclass
@@ -57,9 +56,13 @@ class PrefixObjective:
 def reduce_avg_to_sum(arena: Arena, nu: Fraction):
     """Same arena with weights q*w - p for nu = p/q; objective becomes Sum cmp 0."""
     nu = Fraction(nu)
-    p, q = nu.numerator, nu.denominator
-    edges = [(src, a, q * w - p, dst) for src, a, w, dst in arena.edges]
-    reduced = Arena(
+    return _reweight(arena, nu.denominator, nu.numerator), Fraction(0)
+
+
+def _reweight(arena: Arena, scale: int, shift: int):
+    """Same arena with every weight w replaced by scale*w - shift."""
+    edges = [(src, a, scale * w - shift, dst) for src, a, w, dst in arena.edges]
+    return Arena(
         vertices=arena.vertices,
         owner=dict(arena.owner),
         initial=arena.initial,
@@ -67,32 +70,27 @@ def reduce_avg_to_sum(arena: Arena, nu: Fraction):
         critical=arena.critical,
         obs=dict(arena.obs),
     )
-    return reduced, Fraction(0)
 
 
 @dataclass
 class MeanPayoffReduction:
     arena: Arena
     edge_origin: dict  # reduced edge index -> original edge index or None
-    copies: dict  # original Eve-critical vertex -> copy vertex name
 
 
-def reduce_sum_prefix_to_mp(arena: Arena, cmp: str, nu: int):
+def reduce_sum_prefix_to_mp(arena: Arena, cmp: str, nu: int, forcing):
     """Critical prefix Sum game to a mean-payoff >= 0 game.
 
     nu must already be an integer (callers scale rational thresholds into
     the weights); a strict comparison is first lowered to >= nu+1.
-    Vertices from which Adam cannot force a critical visit are replaced
-    by an absorbing zero vertex (no check is ever due there), critical
-    vertices gain a cash-in edge of weight -nu back to the initial
-    vertex, and Eve-owned critical vertices are split so that Adam owns
-    the moment of the check.
+    forcing is the set of vertices from which Adam can force a critical
+    visit.  The others are replaced by an absorbing zero vertex (no check
+    is ever due there), critical vertices gain a cash-in edge of weight
+    -nu back to the initial vertex, and Eve-owned critical vertices are
+    split so that Adam owns the moment of the check.
     """
     if cmp == ">":
         nu = nu + 1
-    forcing, _ = games.attractor(arena, arena.critical, ADAM)
-    if arena.initial not in forcing:
-        return EVE_WINS_TRIVIALLY
 
     vertices = []
     owner = {}
@@ -140,7 +138,7 @@ def reduce_sum_prefix_to_mp(arena: Arena, cmp: str, nu: int):
         edges=edges,
         critical=frozenset(),
     )
-    return MeanPayoffReduction(arena=reduced, edge_origin=edge_origin, copies=copies)
+    return MeanPayoffReduction(arena=reduced, edge_origin=edge_origin)
 
 
 @dataclass
@@ -148,24 +146,17 @@ class DsumReduction:
     arena: Arena
 
 
-def reduce_dsum_prefix_to_ds(arena: Arena, nu: Fraction, lam: Fraction):
+def reduce_dsum_prefix_to_ds(arena: Arena, forcing):
     """Critical prefix Dsum >= nu game to a plain discounted-sum game.
 
     Only for the non-strict comparison: the strict case has no such
     reduction (waiting drives the value to the threshold from above
-    without ever attaining it).  Adam gets the option to stop the game
-    exactly when a check falls due, freezing the current value in a
-    zero sink; gadget vertices keep path lengths unchanged so discounts
-    line up.  The check on the empty prefix (initial vertex critical) is
-    decided directly.
+    without ever attaining it).  forcing is the set of vertices from
+    which Adam can force a critical visit.  Adam gets the option to stop
+    the game exactly when a check falls due, freezing the current value
+    in a zero sink; gadget vertices keep path lengths unchanged so
+    discounts line up.  The caller decides the empty prefix's check.
     """
-    nu = Fraction(nu)
-    lam = Fraction(lam)
-    if arena.initial in arena.critical and not (0 >= nu):
-        return ADAM_WINS_IMMEDIATELY
-    forcing, _ = games.attractor(arena, arena.critical, ADAM)
-    if arena.initial not in forcing:
-        return EVE_WINS_TRIVIALLY
 
     def eve_critical(v):
         return v in arena.critical and arena.owner[v] == EVE
@@ -278,7 +269,7 @@ def check_positional_dsum(arena: Arena, strategy: PositionalStrategy, obj: Prefi
     if not targets:
         return True, None
     graph = WeightedGraph(
-        vertices=tuple(sorted(reachable, key=repr)),
+        vertices=tuple(reachable),
         edges=edges,
         source=arena.initial,
         targets=targets,
@@ -301,22 +292,46 @@ def enumerate_positional(arena: Arena):
         yield PositionalStrategy(dict(zip(eve_vertices, combo)))
 
 
-def _scale_sum_objective(arena: Arena, nu: Fraction):
-    """Integer weights and threshold: multiply weights by denominator(nu)."""
-    nu = Fraction(nu)
-    q = nu.denominator
-    if q == 1:
-        return arena, nu.numerator
-    edges = [(src, a, q * w, dst) for src, a, w, dst in arena.edges]
-    scaled = Arena(
-        vertices=arena.vertices,
-        owner=dict(arena.owner),
-        initial=arena.initial,
-        edges=edges,
-        critical=arena.critical,
-        obs=dict(arena.obs),
-    )
-    return scaled, nu.numerator
+@dataclass
+class PrefixGame:
+    """What decides a critical prefix objective: its winner when no game
+    is left to play, else the game left to solve (None for strict Dsum,
+    which enumerates positional strategies).  avoid is Eve's strategy to
+    stay out of Adam's forcing region where she can."""
+
+    name: str  # as --trace prints it
+    winner: Optional[str] = None
+    avoid: Optional[PositionalStrategy] = None
+    reduction: object = None  # MeanPayoffReduction or DsumReduction
+
+
+def reduce_prefix_game(arena: Arena, obj: PrefixObjective) -> PrefixGame:
+    """Which game decides obj on arena, or its winner when none is needed.
+
+    Dsum first decides the empty prefix's check (initial vertex critical,
+    value 0); strict Dsum has no reduction.  Otherwise one safety game
+    decides whether Eve avoids every critical vertex; on Adam's forcing
+    region left over, non-strict Dsum becomes a discounted-sum game and
+    Sum and Avg, on integer weights and threshold, a mean-payoff game.
+    """
+    empty_fails = obj.nu >= 0 if obj.cmp == ">" else obj.nu > 0
+    if obj.measure == DSUM and arena.initial in arena.critical and empty_fails:
+        return PrefixGame("initial check on the empty prefix fails", ADAM)
+    if obj.measure == DSUM and obj.cmp == ">":
+        return PrefixGame("none (positional enumeration + path check)")
+    safe, avoid = games.solve_safety(arena, arena.vertex_set - arena.critical)
+    if arena.initial in safe:
+        return PrefixGame("eve avoids every critical vertex", EVE, avoid)
+    forcing = arena.vertex_set - safe
+    if obj.measure == DSUM:
+        reduction = reduce_dsum_prefix_to_ds(arena, forcing)
+        return PrefixGame("discounted-sum game", avoid=avoid, reduction=reduction)
+    if obj.measure == AVG:
+        weighted, nu = reduce_avg_to_sum(arena, obj.nu)
+    else:
+        weighted, nu = _reweight(arena, obj.nu.denominator, 0), obj.nu.numerator
+    reduction = reduce_sum_prefix_to_mp(weighted, obj.cmp, int(nu), forcing)
+    return PrefixGame("mean-payoff game", avoid=avoid, reduction=reduction)
 
 
 def solve_prefix_threshold(arena: Arena, obj: PrefixObjective):
@@ -324,66 +339,35 @@ def solve_prefix_threshold(arena: Arena, obj: PrefixObjective):
     strategy (on the given arena) whenever she wins."""
     if arena.deadlocks():
         raise ValueError("prefix games need a deadlock-free arena")
-
-    if obj.measure == AVG:
-        reduced, nu0 = reduce_avg_to_sum(arena, obj.nu)
-        winner, strategy = _solve_sum(reduced, obj.cmp, nu0)
-        return winner, strategy
-    if obj.measure == SUM:
-        return _solve_sum(arena, obj.cmp, obj.nu)
-    if obj.cmp == ">=":
-        reduction = reduce_dsum_prefix_to_ds(arena, obj.nu, obj.discount)
-        if reduction is ADAM_WINS_IMMEDIATELY:
+    game = reduce_prefix_game(arena, obj)
+    reduction = game.reduction
+    if game.winner is not None:
+        return game.winner, game.avoid
+    if isinstance(reduction, MeanPayoffReduction):
+        winner, mp_strategy = games.solve_mean_payoff(reduction.arena)
+        if winner == ADAM:
             return ADAM, None
-        if reduction is EVE_WINS_TRIVIALLY:
-            return EVE, games.solve_safety(arena, arena.vertex_set - arena.critical)[1]
+        # her mean-payoff moves along arena edges, read back at their source
+        # (a copy's edges leave the vertex it splits), over avoid's choices
+        choice = dict(game.avoid.choice)
+        for edge_idx in mp_strategy.choice.values():
+            origin = reduction.edge_origin[edge_idx]
+            if origin is not None:
+                choice[arena.edges[origin][0]] = origin
+        return EVE, PositionalStrategy(choice)
+    if reduction is not None:
         winner, _s, _value = games.solve_discounted_sum(
             reduction.arena, obj.discount, obj.nu, ">="
         )
         if winner == ADAM:
             return ADAM, None
-        strategy = _find_positional_dsum(arena, obj)
-        if strategy is None:
-            raise InternalError("positional sufficiency violated")
-        return EVE, strategy
-    strategy = _find_positional_dsum(arena, obj)
-    if strategy is None:
-        return ADAM, None
-    return EVE, strategy
-
-
-def _find_positional_dsum(arena: Arena, obj: PrefixObjective):
-    if arena.initial in arena.critical:
-        empty_ok = Fraction(0) > obj.nu if obj.cmp == ">" else Fraction(0) >= obj.nu
-        if not empty_ok:
-            return None
     for strategy in enumerate_positional(arena):
         winning, _witness = check_positional_dsum(arena, strategy, obj)
         if winning:
-            return strategy
-    return None
-
-
-def _solve_sum(arena: Arena, cmp: str, nu: Fraction):
-    scaled, nu_int = _scale_sum_objective(arena, nu)
-    reduction = reduce_sum_prefix_to_mp(scaled, cmp, nu_int)
-    if reduction is EVE_WINS_TRIVIALLY:
-        return EVE, games.solve_safety(arena, arena.vertex_set - arena.critical)[1]
-    winner, mp_strategy = games.solve_mean_payoff(reduction.arena)
-    if winner == ADAM:
-        return ADAM, None
-
-    _region, avoid = games.solve_safety(arena, arena.vertex_set - arena.critical)
-    choice = dict(avoid.choice)
-    back = {copy: v for v, copy in reduction.copies.items()}
-    for vertex, edge_idx in mp_strategy.choice.items():
-        original_vertex = back.get(vertex, vertex)
-        if arena.owner.get(original_vertex) != EVE:
-            continue
-        origin = reduction.edge_origin.get(edge_idx)
-        if origin is not None:
-            choice[original_vertex] = origin
-    return EVE, PositionalStrategy(choice)
+            return EVE, strategy
+    if reduction is not None:
+        raise InternalError("positional sufficiency violated")
+    return ADAM, None
 
 
 # ---------------------------------------------------------------------------
@@ -453,7 +437,7 @@ def _forcing_rise_bound(iarena: ImperfectArena, rank):
     return max(h.values(), default=0)
 
 
-_ENERGY_SINK = "__drain__"
+_ENERGY_SINK = ("drain",)
 
 
 def reduce_prefix_energy_to_energy(iarena: ImperfectArena, c0: int):

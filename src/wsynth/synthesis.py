@@ -61,10 +61,11 @@ UNKNOWN_AT_CAP = "unknown_at_cap"
 PASS = "pass"
 FAIL = "fail"
 
-_GAME_SINK = "__sink__"
-_COMPLETE_IN = "__absorb_in__"
-_COMPLETE_OUT = "__absorb_out__"
-_BOT = "__bot__"
+# helper states and vertices are 1-tuples: parsed names are strings
+_GAME_SINK = ("dead_end",)
+_COMPLETE_IN = ("absorb_in",)
+_COMPLETE_OUT = ("absorb_out",)
+_BOT = ("bot",)
 
 
 @dataclass
@@ -415,7 +416,7 @@ def _value_witness(spec, t, rival, bound, at_equal):
         for mid, fan in fans.items():
             edges.extend((mids[mid], w, ins[dst]) for w, dst in fan)
         graph = WeightedGraph(
-            vertices=tuple(sorted(ins + list(mids.values()), key=repr)),
+            vertices=(*ins, *mids.values()),
             edges=edges,
             source=ins[0],
             targets=frozenset(ins[i] for i in accepting),
@@ -580,7 +581,7 @@ def _complete_spec(spec: WeightedSpec) -> WeightedSpec:
     )
 
 
-_START_COPY = "__start__"
+_START_COPY = ("start",)
 
 
 def build_approx_game(spec: WeightedSpec, measure: str, cmp: str, r):
@@ -606,9 +607,6 @@ def build_approx_game(spec: WeightedSpec, measure: str, cmp: str, r):
 
     full = _complete_spec(spec)
     trimmed = domain_mod._live_states(spec)
-
-    def polarity(q):
-        return full.polarity[q]
 
     def weight(q, sym):
         return full.transitions[(q, sym)][1]

@@ -107,7 +107,7 @@ def test_criterion_5_remark_regression(remark_arena_text):
     ok, _ = prefix.check_positional_dsum(arena, strategy, strict)
     assert ok
 
-    reduction = prefix.reduce_dsum_prefix_to_ds(arena, Fraction(1), Fraction(1, 2))
+    reduction = prefix.reduce_dsum_prefix_to_ds(arena, games.attractor(arena, arena.critical, ADAM)[0])
     _w, _s, value = games.solve_discounted_sum(
         reduction.arena, Fraction(1, 2), Fraction(1), ">="
     )

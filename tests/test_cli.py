@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from wsynth import cli, core
+from wsynth import cli, core, synthesis
 from wsynth.core import AVG, DSUM
 
 from conftest import FIXTURES, always_d_realizer, first_c_realizer
@@ -366,22 +367,57 @@ def test_solve_prefix_strategy_lines(capsys, tmp_path):
     assert any(line.startswith("strategy: v1 ") for line in lines)
 
 
-def test_solve_prefix_trace_dumps_reduction(capsys):
-    code, out, err = run(
-        capsys,
-        "solve-prefix", REMARK,
-        "--measure", "dsum", "--cmp", "ge", "--nu", "1", "--lambda", "1/2",
-        "--trace",
+def test_solve_prefix_trace_dumps_reduction(capsys, tmp_path):
+    avoidable = tmp_path / "avoidable.arena"
+    avoidable.write_text(
+        "arena\nvertex: v0 eve\nvertex: v1 adam critical\ninitial: v0\n"
+        "edge: v0 - 0 v0\nedge: v0 - 0 v1\nedge: v1 - 0 v1\n"
     )
-    assert code == 0
-    assert "reduction: discounted-sum game" in err
-    assert "reduction" not in out
-    code, out, err = run(
-        capsys,
-        "solve-prefix", REMARK,
-        "--measure", "sum", "--cmp", "ge", "--nu", "0", "--trace",
+    critical_start = tmp_path / "critical-start.arena"
+    critical_start.write_text(
+        "arena\nvertex: v0 adam critical\ninitial: v0\nedge: v0 - 1 v0\n"
     )
-    assert "reduction: mean-payoff game" in err
+    dsum = ["--measure", "dsum", "--lambda", "1/2"]
+    cases = [
+        (REMARK, ["--measure", "sum", "--cmp", "ge", "--nu", "0"], 0, "mean-payoff game"),
+        (REMARK, [*dsum, "--cmp", "ge", "--nu", "1"], 0, "discounted-sum game"),
+        (REMARK, [*dsum, "--cmp", "gt", "--nu", "1"], 0,
+         "none (positional enumeration + path check)"),
+        (avoidable, ["--measure", "avg", "--cmp", "gt", "--nu", "5"], 0,
+         "eve avoids every critical vertex"),
+        (avoidable, [*dsum, "--cmp", "ge", "--nu", "5"], 0, "eve avoids every critical vertex"),
+        (critical_start, [*dsum, "--cmp", "gt", "--nu", "0"], 1,
+         "initial check on the empty prefix fails"),
+        (critical_start, [*dsum, "--cmp", "ge", "--nu", "1"], 1,
+         "initial check on the empty prefix fails"),
+    ]
+    for arena, objective, want, line in cases:
+        code, out, err = run(capsys, "solve-prefix", str(arena), *objective)
+        traced = run(capsys, "solve-prefix", str(arena), *objective, "--trace")
+        assert traced[:2] == (code, out) and code == want
+        lines = traced[2].splitlines()
+        assert lines[0].startswith("objective: ")
+        assert lines[1] == "reduction: " + line
+        # the arena of a game left to solve follows; a decided game ends the trace
+        assert (lines[2:3] == ["arena"]) == line.endswith(" game")
+
+
+def test_unexpected_exception_exits_70_with_one_line(capsys, monkeypatch):
+    def broken(_spec):
+        raise KeyError("no such\nstate")
+
+    monkeypatch.setattr(synthesis, "synth_best_value", broken)
+    code, out, err = run(capsys, "synth", "best-value", PAPER)
+    assert (code, out) == (70, "")
+    assert err == "internal error: KeyError('no such\\nstate')\n"
+
+    def interrupted(_spec):
+        raise KeyboardInterrupt
+
+    # not an Exception: a timeout or an interrupt still reaches the caller
+    monkeypatch.setattr(synthesis, "synth_best_value", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        cli.main(["synth", "best-value", PAPER])
 
 
 def test_bad_cap_and_slack_exit_64_before_reading_the_spec(capsys):
@@ -704,3 +740,118 @@ def test_partial_parser_matches_full_parser(capsys, monkeypatch, argv):
     assert _parse_outcome(capsys, cli.main, argv) == full
     if argv[:1] in (["--help"], ["-h"], ["frobnicate"]):
         assert all(name in full[1] + full[2] for name in cli._COMMANDS)
+
+
+# Eight Sum/Avg/Dsum objectives: each comparison, rational and negative
+# thresholds, and Dsum thresholds where the empty prefix fails the check
+_PREFIX_OBJECTIVES = [
+    ["--measure", "sum", "--cmp", "gt", "--nu", "0"],
+    ["--measure", "sum", "--cmp", "ge", "--nu", "1/2"],
+    ["--measure", "avg", "--cmp", "gt", "--nu", "-1/2"],
+    ["--measure", "avg", "--cmp", "ge", "--nu", "1"],
+    ["--measure", "dsum", "--cmp", "gt", "--nu", "0", "--lambda", "1/2"],
+    ["--measure", "dsum", "--cmp", "ge", "--nu", "1", "--lambda", "1/2"],
+    ["--measure", "dsum", "--cmp", "gt", "--nu", "-1", "--lambda", "2/3"],
+    ["--measure", "dsum", "--cmp", "ge", "--nu", "0", "--lambda", "1/3"],
+]
+
+# SHA-256 of the exit code and stdout (winner and strategy lines) of
+# solve-prefix over _seeded_prefix_arena(0..99) x _PREFIX_OBJECTIVES
+_SOLVE_PREFIX_SHA256 = "3f62e3790b6c844e2e6c6c36a2a1c36417e712412dde39f21dbfd6605c30a88a"
+
+
+def _seeded_prefix_arena(seed):
+    """Arena text on v0..v(n-1), n <= 6, every vertex with 1..3 edges and
+    at most four Eve vertices with a choice."""
+    rng = random.Random("solve-prefix/%d" % seed)
+    n = rng.randint(2, 6)
+    lines = ["arena"]
+    choices = 0
+    edges = []
+    for v in range(n):
+        owner = rng.choice(["eve", "adam"])
+        mark = " critical" if rng.random() < 0.3 or v == n - 1 else ""
+        lines.append("vertex: v%d %s%s" % (v, owner, mark))
+        degree = rng.randint(1, 3)
+        if owner == "eve" and degree > 1:
+            choices += 1
+            degree = degree if choices <= 4 else 1
+        for dst in rng.sample(range(n), min(degree, n)):
+            edges.append("edge: v%d - %d v%d" % (v, rng.randint(-3, 3), dst))
+    return "\n".join(lines + ["initial: v0"] + edges) + "\n"
+
+
+def test_solve_prefix_stdout_pinned(capsys, tmp_path):
+    digest = hashlib.sha256()
+    for seed in range(100):
+        arena = tmp_path / ("a%d.arena" % seed)
+        arena.write_text(_seeded_prefix_arena(seed))
+        for objective in _PREFIX_OBJECTIVES:
+            code, out, _ = run(capsys, "solve-prefix", str(arena), *objective)
+            digest.update(("%d\n%s" % (code, out)).encode())
+    assert digest.hexdigest() == _SOLVE_PREFIX_SHA256
+
+
+# The names the program once gave its own helper states and vertices; a
+# spec state or arena vertex with one of them must change nothing
+_FORMER_HELPER_NAMES = (
+    "__sink__", "__drain__", "__absorb_in__", "__absorb_out__", "__bot__", "__start__",
+)
+
+
+def _renamed(text, old, new):
+    return re.sub(r"\b%s\b" % re.escape(old), new, text)
+
+
+def _outcomes(capsys, calls, rename=None):
+    """(exit code, stdout) of each call, with stdout's names renamed back."""
+    results = []
+    for argv in calls:
+        code, out, _ = run(capsys, *argv)
+        results.append((code, _renamed(out, *rename) if rename else out))
+    return results
+
+
+def test_former_helper_names_are_ordinary_names(capsys, tmp_path):
+    first_c, always_d = tmp_path / "first-c.mealy", tmp_path / "always-d.mealy"
+    first_c.write_text(core.emit_mealy(first_c_realizer()))
+    always_d.write_text(core.emit_mealy(always_d_realizer()))
+    spec_commands = [
+        ["synth", "threshold", "{sum}", "--cmp", "ge", "--nu", "7"],
+        ["synth", "threshold", "{sum}", "--cmp", "gt", "--nu", "5"],
+        ["synth", "best-value", "{sum}"],
+        ["synth", "approx", "{sum}", "--cmp", "le", "--r", "4"],
+        ["synth", "approx", "{avg}", "--cmp", "lt", "--r", "1", "--cap", "16"],
+        ["domain-safe", "{sum}"],
+        ["verify", "{sum}", str(first_c), "--objective", "best-value"],
+        ["verify", "{sum}", str(always_d), "--objective", "best-value"],
+        ["verify", "{sum}", str(first_c), "--objective", "threshold", "--cmp", "ge",
+         "--nu", "6"],
+        ["verify", "{sum}", str(always_d), "--objective", "approx", "--cmp", "le",
+         "--r", "4"],
+    ]
+
+    def spec_calls(text):
+        sum_spec, avg_spec = tmp_path / "sum.wfa", tmp_path / "avg.wfa"
+        sum_spec.write_text(text)
+        avg_spec.write_text(text.replace("measure: sum", "measure: avg"))
+        return [[arg.format(sum=sum_spec, avg=avg_spec) for arg in argv]
+                for argv in spec_commands]
+
+    def arena_calls(text):
+        arena = tmp_path / "game.arena"
+        arena.write_text(text)
+        return [["solve-prefix", str(arena), *objective] for objective in _PREFIX_OBJECTIVES]
+
+    paper = (FIXTURES / "paper-example.wfa").read_text()
+    expected = _outcomes(capsys, spec_calls(paper))
+    for name in _FORMER_HELPER_NAMES:
+        rng = random.Random("helper-names/" + name)
+        state = "q%d" % rng.randrange(8)
+        renamed = spec_calls(_renamed(paper, state, name))
+        assert _outcomes(capsys, renamed, (name, state)) == expected, (name, state)
+        arena_text = _seeded_prefix_arena(rng.randrange(100))
+        vertex = "v%d" % rng.randrange(arena_text.count("vertex:"))
+        want = _outcomes(capsys, arena_calls(arena_text))
+        renamed = arena_calls(_renamed(arena_text, vertex, name))
+        assert _outcomes(capsys, renamed, (name, vertex)) == want, (name, vertex)

@@ -192,7 +192,7 @@ def test_remark_strict_eve_wins():
 
 def test_remark_nonstrict_reduction_value_is_one(remark_arena_text):
     arena = games.parse_arena(remark_arena_text)
-    reduction = prefix.reduce_dsum_prefix_to_ds(arena, Fraction(1), Fraction(1, 2))
+    reduction = prefix.reduce_dsum_prefix_to_ds(arena, games.attractor(arena, arena.critical, ADAM)[0])
     winner, _s, value = games.solve_discounted_sum(
         reduction.arena, Fraction(1, 2), Fraction(1), ">="
     )

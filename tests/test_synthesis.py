@@ -46,7 +46,7 @@ def test_spec_to_prefix_arena_shape(paper_spec):
         assert arena.owner[q] == expected
     assert not arena.deadlocks()
     # finals have no continuations in the fixture, so the sink exists
-    assert "__sink__" in arena.owner
+    assert ("dead_end",) in arena.owner
 
 
 def test_spec_to_prefix_arena_epsilon_spec():
@@ -459,10 +459,10 @@ def test_build_approx_game_structure(paper_spec):
     assert domain._live_states(paper_spec) == set(paper_spec.states)
     arena, credit = synthesis.build_approx_game(paper_spec, SUM, "<=", Fraction(0))
     assert credit == 0  # slack 0 non-strict is the best-value game
-    assert ("__bot__", "choose", -1, "__bot__") in arena.edges
+    assert (("bot",), "choose", -1, ("bot",)) in arena.edges
     # critical vertices are exactly the pairs whose rival run accepts, plus bot
     for v in arena.critical:
-        if v != "__bot__":
+        if v != ("bot",):
             assert v[1] in paper_spec.finals
 
 
