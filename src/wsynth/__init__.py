@@ -19,7 +19,6 @@ from .core import (
     run_transducer,
 )
 from .domain import (
-    NO_BOOLEAN_REALIZER,
     domain_membership,
     is_domain_safe,
     make_domain_safe,
@@ -46,6 +45,7 @@ from .games import (
 )
 from .prefix import PrefixObjective, check_positional_dsum, solve_prefix_threshold
 from .synthesis import (
+    NO_BOOLEAN_REALIZER,
     Objective,
     SynthResult,
     gen_spec_from_mp_game,

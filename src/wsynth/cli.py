@@ -198,7 +198,7 @@ def _cmd_domain_safe(args):
     spec = _load_spec(args.spec)
     already = domain.is_domain_safe(spec)
     result = domain.make_domain_safe(spec)
-    if result is domain.NO_BOOLEAN_REALIZER:
+    if result is None:
         _emit(
             args,
             {"command": "domain-safe", "answer": "no_boolean_realizer",
@@ -228,22 +228,33 @@ def _require(condition, message):
         raise UsageError(message)
 
 
-def _cmd_synth(args):
-    # flags are validated before any file is read
-    if args.objective == "threshold":
+_CMP = {"gt": ">", "ge": ">=", "lt": "<", "le": "<="}
+
+
+def _objective(args):
+    """The objective that --objective, --cmp, --nu and --r name; flags are
+    validated before any file is read."""
+    kind = args.objective.replace("-", "_")
+    if kind == "threshold":
         _require(args.cmp in ("gt", "ge"), "threshold needs --cmp gt|ge")
         _require(args.nu is not None, "threshold needs --nu")
-        nu = _rational(args.nu)
-    elif args.objective == "approx":
+        bound = _rational(args.nu)
+    elif kind == "approx":
         _require(args.cmp in ("lt", "le"), "approx needs --cmp lt|le")
         _require(args.slack is not None, "approx needs --r")
-        slack = _rational(args.slack)
-        _require(slack >= 0, "--r must be nonnegative")
+        bound = _rational(args.slack)
+        _require(bound >= 0, "--r must be nonnegative")
+    else:
+        return synthesis.Objective(kind=kind)
+    return synthesis.Objective(kind=kind, cmp=_CMP[args.cmp], bound=bound)
+
+
+def _cmd_synth(args):
+    obj = _objective(args)
     _require(args.cap is None or args.cap >= 0, "--cap must be nonnegative")
     spec = _load_spec(args.spec)
     if args.objective == "threshold":
-        cmp = ">" if args.cmp == "gt" else ">="
-        result = synthesis.synth_threshold(spec, cmp, nu)
+        result = synthesis.synth_threshold(spec, obj.cmp, obj.bound)
     elif args.objective == "best-value":
         result = synthesis.synth_best_value(spec)
     else:
@@ -252,9 +263,8 @@ def _cmd_synth(args):
                 "unsupported: approximate dsum synthesis requires external "
                 "determinization of discounted-sum automata"
             )
-        cmp = "<" if args.cmp == "lt" else "<="
         cap = args.cap if args.cap is not None else _default_cap(spec)
-        result = synthesis.synth_approx(spec, spec.measure, cmp, slack, cap)
+        result = synthesis.synth_approx(spec, spec.measure, obj.cmp, obj.bound, cap)
 
     payload = {"command": "synth", "objective": args.objective, "answer": result.status}
     lines = [result.status]
@@ -279,34 +289,12 @@ def _cmd_synth(args):
 
 
 def _default_cap(spec):
-    wmax = max((abs(w) for (_s, (_t, w)) in
-                ((k, v) for k, v in spec.transitions.items())), default=1)
+    wmax = max((abs(w) for _t, w in spec.transitions.values()), default=1)
     return 4 * max(1, len(spec.states)) * max(1, wmax)
 
 
 def _cmd_verify(args):
-    if args.objective == "boolean":
-        obj = synthesis.Objective(kind="boolean")
-    elif args.objective == "threshold":
-        _require(args.cmp in ("gt", "ge"), "threshold needs --cmp gt|ge")
-        _require(args.nu is not None, "threshold needs --nu")
-        obj = synthesis.Objective(
-            kind="threshold",
-            cmp=">" if args.cmp == "gt" else ">=",
-            bound=_rational(args.nu),
-        )
-    elif args.objective == "best-value":
-        obj = synthesis.Objective(kind="best_value")
-    else:
-        _require(args.cmp in ("lt", "le"), "approx needs --cmp lt|le")
-        _require(args.slack is not None, "approx needs --r")
-        slack = _rational(args.slack)
-        _require(slack >= 0, "--r must be nonnegative")
-        obj = synthesis.Objective(
-            kind="approx",
-            cmp="<" if args.cmp == "lt" else "<=",
-            bound=slack,
-        )
+    obj = _objective(args)
     spec = _load_spec(args.spec)
     machine = _load_mealy(args.mealy)
     verdict, witness = synthesis.verify_realizer(spec, machine, obj)
@@ -369,7 +357,7 @@ def _cmd_solve_prefix(args):
     try:
         obj = prefix.PrefixObjective(
             measure=args.measure,
-            cmp=">" if args.cmp == "gt" else ">=",
+            cmp=_CMP[args.cmp],
             nu=_rational(args.nu),
             discount=discount,
         )

@@ -16,7 +16,7 @@ fractions.Fraction.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -114,7 +114,9 @@ class WeightedSpec:
 
     transitions maps (state, symbol) -> (target, weight); determinism is
     the key shape of that dict.  polarity maps every state to INPUT or
-    OUTPUT and is inferred, never declared, in files.
+    OUTPUT and is inferred, never declared, in files.  _dom_steps is the
+    step table of the lazily determinized domain automaton, filled by
+    domain._dom_step; a spec derived by dataclasses.replace starts empty.
     """
 
     inputs: tuple
@@ -126,6 +128,7 @@ class WeightedSpec:
     measure: str = SUM
     discount: Optional[Fraction] = None
     polarity: dict = field(default_factory=dict)
+    _dom_steps: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.polarity:
@@ -139,12 +142,8 @@ class WeightedSpec:
         return [q for q in self.states if self.polarity[q] == OUTPUT]
 
     def with_measure(self, measure, discount=None):
-        return WeightedSpec(
-            inputs=self.inputs,
-            outputs=self.outputs,
-            states=self.states,
-            initial=self.initial,
-            finals=self.finals,
+        return replace(
+            self,
             transitions=dict(self.transitions),
             measure=measure,
             discount=discount,
@@ -418,11 +417,9 @@ def transducer_domain_states(t: MealyTransducer):
 
 def trim_transducer(t: MealyTransducer) -> MealyTransducer:
     reach = transducer_domain_states(t)
-    return MealyTransducer(
-        inputs=t.inputs,
-        outputs=t.outputs,
+    return replace(
+        t,
         states=tuple(q for q in t.states if q in reach),
-        initial=t.initial,
         finals=tuple(q for q in t.finals if q in reach),
         transitions={
             key: val for key, val in t.transitions.items() if key[0] in reach

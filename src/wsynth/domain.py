@@ -8,21 +8,26 @@ words.  A specification where every reachable output transition is safe
 lets a strategy follow any run without monitoring the domain: every run
 on a domain word ends in a final state.
 
+The domain automaton is determinized lazily, one subset at a time; each
+spec memoizes its subset steps in its own table, so every question asked
+of one spec (membership, residual equality, the verifier's domain check)
+shares them.  All domain comparisons run one difference search,
+first_difference.
+
 make_domain_safe prunes an arbitrary specification into an equivalent
 domain-safe one (same domain, same Boolean realizers) by solving a safety
-game that tracks two runs on the same input, or reports that no Boolean
-realizer exists at all.
+game that tracks two runs on the same input, or returns None when no
+Boolean realizer exists at all.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import partial
 
 from . import games
-from .core import INPUT, OUTPUT, WeightedSpec, bfs, word
+from .core import INPUT, OUTPUT, WeightedSpec, bfs, walk_back, word
 from .games import ADAM, EVE, Arena
-
-NO_BOOLEAN_REALIZER = "no_boolean_realizer"
 
 _DEAD = "__dead__"
 
@@ -44,14 +49,19 @@ def _closure(spec: WeightedSpec, states):
 
 
 def _dom_step(spec: WeightedSpec, subset, symbol):
-    nxt = set()
-    for q in subset:
-        if spec.polarity[q] != INPUT:
-            continue
-        entry = spec.transitions.get((q, symbol))
-        if entry is not None:
-            nxt.add(entry[0])
-    return _closure(spec, nxt)
+    """The subset that symbol leads to, memoized in the spec's step table."""
+    key = (subset, symbol)
+    nxt = spec._dom_steps.get(key)
+    if nxt is None:
+        targets = set()
+        for q in subset:
+            if spec.polarity[q] != INPUT:
+                continue
+            entry = spec.transitions.get((q, symbol))
+            if entry is not None:
+                targets.add(entry[0])
+        nxt = spec._dom_steps[key] = _closure(spec, targets)
+    return nxt
 
 
 def _accepts(spec: WeightedSpec, subset):
@@ -68,25 +78,33 @@ def domain_membership(spec: WeightedSpec, u) -> bool:
     return _accepts(spec, subset)
 
 
-def _same_domain(left: WeightedSpec, p, right: WeightedSpec, q, symbols) -> bool:
-    """L(A_dom(left), p) = L(A_dom(right), q) over symbols, by a BFS of the
-    determinized product for a pair of subsets that disagree on acceptance."""
+def _domain(spec: WeightedSpec, state):
+    """The determinized domain automaton of spec from state, as
+    (start, step, accepts) for first_difference."""
+    return _closure(spec, [state]), partial(_dom_step, spec), partial(_accepts, spec)
+
+
+def first_difference(left, right, symbols):
+    """The shortest word over symbols on which two deterministic automata
+    disagree, or None.  Each automaton is (start, step, accepts); the
+    search is a BFS of their product for a pair that disagrees."""
+    (l_start, l_step, l_accepts), (r_start, r_step, r_accepts) = left, right
 
     def successors(pair):
-        lset, rset = pair
+        lstate, rstate = pair
         for a in symbols:
-            yield (_dom_step(left, lset, a), _dom_step(right, rset, a)), a
+            yield (l_step(lstate, a), r_step(rstate, a)), a
 
     def differs(pair):
-        return _accepts(left, pair[0]) != _accepts(right, pair[1])
+        return l_accepts(pair[0]) != r_accepts(pair[1])
 
-    start = (_closure(left, [p]), _closure(right, [q]))
-    return bfs(successors, [start], differs)[1] is None
+    links, found = bfs(successors, [(l_start, r_start)], differs)
+    return None if found is None else walk_back(links, found)
 
 
 def residual_languages_equal(spec: WeightedSpec, p, q) -> bool:
     """L(A_dom, p) = L(A_dom, q)."""
-    return _same_domain(spec, p, spec, q, spec.inputs)
+    return first_difference(_domain(spec, p), _domain(spec, q), spec.inputs) is None
 
 
 def domains_equal(left: WeightedSpec, right: WeightedSpec) -> bool:
@@ -95,7 +113,9 @@ def domains_equal(left: WeightedSpec, right: WeightedSpec) -> bool:
         common = sorted(set(left.inputs) | set(right.inputs))
     else:
         common = left.inputs
-    return _same_domain(left, left.initial, right, right.initial, common)
+    return first_difference(
+        _domain(left, left.initial), _domain(right, right.initial), common
+    ) is None
 
 
 def reachable_states(spec: WeightedSpec):
@@ -239,6 +259,18 @@ def two_run_game_to_dot(game: TwoRunSafetyGame) -> str:
     )
 
 
+def _restrict(spec: WeightedSpec, keep, transitions) -> WeightedSpec:
+    """spec on the states in keep (the initial among them) and on
+    transitions, which must stay inside keep."""
+    return replace(
+        spec,
+        states=tuple(q for q in spec.states if q in keep),
+        finals=tuple(f for f in spec.finals if f in keep),
+        transitions=transitions,
+        polarity={q: spec.polarity[q] for q in spec.states if q in keep},
+    )
+
+
 def trim(spec: WeightedSpec) -> WeightedSpec:
     """Keep states reachable from the initial and co-reachable to a final.
 
@@ -247,36 +279,25 @@ def trim(spec: WeightedSpec) -> WeightedSpec:
     no transitions.
     """
     core = _live_states(spec)
-    keep = core | {spec.initial}
     transitions = {
         key: val
         for key, val in spec.transitions.items()
         if key[0] in core and val[0] in core
     }
-    return WeightedSpec(
-        inputs=spec.inputs,
-        outputs=spec.outputs,
-        states=tuple(q for q in spec.states if q in keep),
-        initial=spec.initial,
-        finals=tuple(f for f in spec.finals if f in keep),
-        transitions=transitions,
-        measure=spec.measure,
-        discount=spec.discount,
-        polarity={q: spec.polarity[q] for q in spec.states if q in keep},
-    )
+    return _restrict(spec, core | {spec.initial}, transitions)
 
 
 def make_domain_safe(spec: WeightedSpec):
     """Prune to a domain-safe spec with the same domain and realizers.
 
-    Returns NO_BOOLEAN_REALIZER when Eve loses the two-run safety game
-    from the diagonal initial vertex, i.e. when no transducer with the
-    specification's domain can stay inside the relation.
+    Returns None when Eve loses the two-run safety game from the diagonal
+    initial vertex, i.e. when no transducer with the specification's
+    domain can stay inside the relation.
     """
     game = build_two_run_game(spec)
     forcing, _ = games.attractor(game.arena, game.losing, ADAM)
     if game.arena.initial in forcing:
-        return NO_BOOLEAN_REALIZER
+        return None
     index = {q: k for k, q in enumerate(spec.states)}
 
     def outside(kind, eve, adam):
@@ -295,15 +316,4 @@ def make_domain_safe(spec: WeightedSpec):
         if spec.polarity[src] == OUTPUT and outside("io", tgt, src):
             continue
         transitions[(src, sym)] = (tgt, w)
-    pruned = WeightedSpec(
-        inputs=spec.inputs,
-        outputs=spec.outputs,
-        states=tuple(q for q in spec.states if q in keep),
-        initial=spec.initial,
-        finals=tuple(f for f in spec.finals if f in keep),
-        transitions=transitions,
-        measure=spec.measure,
-        discount=spec.discount,
-        polarity={q: spec.polarity[q] for q in spec.states if q in keep},
-    )
-    return trim(pruned)
+    return trim(_restrict(spec, keep, transitions))

@@ -24,8 +24,6 @@ from .core import AVG, DSUM, SUM, InternalError
 from .dsumpath import NO, WeightedGraph, exists_path_leq, exists_path_lt
 from .games import ADAM, EVE, Arena, ImperfectArena, PositionalStrategy
 
-HYPOTHESIS_FAILED = "hypothesis_failed"
-
 # helper vertices are 1-tuples: parsed vertex names are strings
 _SINK = ("sink",)
 
@@ -445,14 +443,14 @@ def reduce_prefix_energy_to_energy(iarena: ImperfectArena, c0: int):
 
     Requires that Adam can force a critical visit from every vertex (checked
     in the perfect-information game, which suffices against observation-based
-    strategies).  Every critical vertex gets, for each action, a -B escape to
+    strategies); raises ValueError otherwise.  Every critical vertex gets, for each action, a -B escape to
     a fresh sink: dropping below -B anywhere lets Adam convert the deficit
     into a failed check, so level >= 0 with credit c0 + B in the result is
     equivalent to the prefix objective with credit c0.
     """
     rank = _force_critical_everywhere(iarena)
     if rank is None:
-        return HYPOTHESIS_FAILED
+        raise ValueError("Adam cannot force a critical visit from every vertex")
     bound = _forcing_rise_bound(iarena, rank)
     wmax = max((abs(w) for _s, _a, w, _d in iarena.edges), default=0)
     if bound > len(iarena.vertices) * wmax:

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
 
@@ -49,13 +49,14 @@ from .core import (
     walk_back,
     word,
 )
-from .domain import NO_BOOLEAN_REALIZER, make_domain_safe
+from .domain import make_domain_safe
 from .dsumpath import NO as PATH_NO
 from .dsumpath import WeightedGraph, exists_path_leq, exists_path_lt
 from .games import ADAM, EVE, Arena, ImperfectArena
 
 REALIZABLE = "realizable"
 UNREALIZABLE = "unrealizable"
+NO_BOOLEAN_REALIZER = "no_boolean_realizer"
 UNKNOWN_AT_CAP = "unknown_at_cap"
 
 PASS = "pass"
@@ -205,24 +206,15 @@ def _check_alphabets(spec, t):
 
 def _domain_equal_witness(spec, t):
     """None when dom(t) = dom(spec), else a separating input word."""
-    steps = {}  # (subset, input) -> next subset of the domain automaton
 
-    def successors(node):
-        s, subset = node
-        for a in spec.inputs:
-            entry = t.transitions.get((s, a)) if s is not None else None
-            nxt_sub = steps.get((subset, a))
-            if nxt_sub is None:
-                nxt_sub = steps[(subset, a)] = domain_mod._dom_step(spec, subset, a)
-            yield (entry[1] if entry else None, nxt_sub), a
+    def step(s, a):
+        entry = t.transitions.get((s, a))
+        return entry[1] if entry else None
 
-    def differs(node):
-        s, subset = node
-        return (s is not None and s in t.finals) != domain_mod._accepts(spec, subset)
-
-    start = (t.initial, domain_mod._closure(spec, [spec.initial]))
-    links, found = bfs(successors, [start], differs)
-    return None if found is None else walk_back(links, found)
+    machine = (t.initial, step, t.finals.__contains__)
+    return domain_mod.first_difference(
+        machine, domain_mod._domain(spec, spec.initial), spec.inputs
+    )
 
 
 def _boolean_witness(spec, t):
@@ -497,7 +489,7 @@ def check_difference(spec, t, u):
 def synth_threshold(spec: WeightedSpec, cmp: str, nu) -> SynthResult:
     nu = Fraction(nu)
     safe = make_domain_safe(spec)
-    if safe is NO_BOOLEAN_REALIZER:
+    if safe is None:
         return SynthResult(status=NO_BOOLEAN_REALIZER)
     arena, provenance = spec_to_prefix_arena(safe)
     obj = prefix.PrefixObjective(
@@ -527,7 +519,7 @@ def synth_best_value(spec: WeightedSpec) -> SynthResult:
     """
     work = spec.with_measure(SUM) if spec.measure == AVG else spec
     safe = make_domain_safe(work)
-    if safe is NO_BOOLEAN_REALIZER:
+    if safe is None:
         return SynthResult(status=NO_BOOLEAN_REALIZER)
     out_states = [q for q in safe.states if safe.polarity[q] == OUTPUT]
     pools = []
@@ -568,17 +560,7 @@ def _complete_spec(spec: WeightedSpec) -> WeightedSpec:
         sink = _COMPLETE_OUT if polarity[q] == INPUT else _COMPLETE_IN
         for sym in symbols:
             transitions.setdefault((q, sym), (sink, 0))
-    return WeightedSpec(
-        inputs=spec.inputs,
-        outputs=spec.outputs,
-        states=states,
-        initial=spec.initial,
-        finals=spec.finals,
-        transitions=transitions,
-        measure=spec.measure,
-        discount=spec.discount,
-        polarity=polarity,
-    )
+    return replace(spec, states=states, transitions=transitions, polarity=polarity)
 
 
 _START_COPY = ("start",)
@@ -780,10 +762,7 @@ def synth_approx(spec: WeightedSpec, measure: str, cmp: str, r, cap: int) -> Syn
         return SynthResult(status=UNREALIZABLE)
 
     iarena, credit = build_approx_game(spec, measure, cmp, r)
-    outcome = prefix.reduce_prefix_energy_to_energy(iarena, credit)
-    if outcome is prefix.HYPOTHESIS_FAILED:
-        raise InternalError("approx game always lets Adam finish a rival run")
-    reduced, buffered = outcome
+    reduced, buffered = prefix.reduce_prefix_energy_to_energy(iarena, credit)
     effective_cap = max(cap, buffered)
     status, strategy = games.solve_imperfect_energy_capped(
         reduced, buffered, effective_cap

@@ -1,10 +1,11 @@
 import itertools
 import random
 from collections import deque
+from dataclasses import replace
 
 import pytest
 
-from wsynth import core, domain, games
+from wsynth import core, domain, games, synthesis
 from wsynth.games import ADAM, EVE, Arena
 
 from conftest import brute_best_value, brute_domain, old_solve_safety, random_spec
@@ -188,7 +189,7 @@ def test_residual_equality_matches_the_old_search():
 
 def test_make_domain_safe_keeps_paper_fixture(paper_spec):
     result = domain.make_domain_safe(paper_spec)
-    assert result is not domain.NO_BOOLEAN_REALIZER
+    assert result is not None
     assert domain.unsafe_transitions(result) == set()
     assert domain.domains_equal(result, paper_spec)
     assert set(result.states) == set(paper_spec.states)
@@ -209,7 +210,7 @@ def test_make_domain_safe_prunes_dead_branch():
         },
     )
     result = domain.make_domain_safe(spec)
-    assert result is not domain.NO_BOOLEAN_REALIZER
+    assert result is not None
     assert ("o0", "d") not in result.transitions
     assert ("o0", "c") in result.transitions
 
@@ -235,7 +236,7 @@ def test_make_domain_safe_unrealizable():
         },
     )
     assert not boolean_realizable_oracle(spec)
-    assert domain.make_domain_safe(spec) is domain.NO_BOOLEAN_REALIZER
+    assert domain.make_domain_safe(spec) is None
 
 
 def test_two_run_game_vertex_bound(paper_spec):
@@ -299,7 +300,7 @@ def test_make_domain_safe_random_suite(seed):
         spec = random_spec(rng)
         oracle_says = boolean_realizable_oracle(spec)
         result = domain.make_domain_safe(spec)
-        if result is domain.NO_BOOLEAN_REALIZER:
+        if result is None:
             assert not oracle_says
             continue
         assert oracle_says
@@ -307,7 +308,7 @@ def test_make_domain_safe_random_suite(seed):
         assert domain.domains_equal(result, spec)
         assert domain.unsafe_transitions(result) == set()
         twice = domain.make_domain_safe(result)
-        assert twice is not domain.NO_BOOLEAN_REALIZER
+        assert twice is not None
         assert canonical_form(twice) == canonical_form(result)
 
 
@@ -404,7 +405,7 @@ def old_make_domain_safe(spec):
     arena, losing = old_build_two_run_game(spec)
     region, _ = old_solve_safety(arena, [v for v in arena.vertices if v not in losing])
     if arena.initial not in region:
-        return domain.NO_BOOLEAN_REALIZER
+        return None
     vertex_set = set(arena.vertices)
 
     def diagonal_ok(q):
@@ -450,11 +451,152 @@ def test_two_run_game_matches_tuple_game(paper_spec):
         assert domain.two_run_game_to_dot(game) == games.arena_to_dot(arena, highlight=losing)
         result = domain.make_domain_safe(spec)
         old = old_make_domain_safe(spec)
-        if old is domain.NO_BOOLEAN_REALIZER:
-            assert result is domain.NO_BOOLEAN_REALIZER
+        if old is None:
+            assert result is None
             answers["no_boolean_realizer"] += 1
             continue
         text = core.emit_wfa(result)
         assert text == core.emit_wfa(old)
         answers["trim_only" if text == core.emit_wfa(domain.trim(spec)) else "game_pruned"] += 1
     assert min(answers.values()) >= 20, answers
+
+
+def _spec_over(rng, inputs):
+    """random_spec's shape over the given input alphabet."""
+    ni, no = rng.randint(1, 3), rng.randint(1, 3)
+    in_states = ["i%d" % k for k in range(ni)]
+    out_states = ["o%d" % k for k in range(no)]
+    transitions = {}
+    for src in in_states:
+        for sym in inputs:
+            if rng.random() < 0.75:
+                transitions[(src, sym)] = (rng.choice(out_states), 0)
+    for src in out_states:
+        for sym in ("c", "d"):
+            if rng.random() < 0.75:
+                transitions[(src, sym)] = (rng.choice(in_states), 0)
+    return core.WeightedSpec(
+        inputs=tuple(inputs), outputs=("c", "d"), states=tuple(in_states + out_states),
+        initial="i0", finals=tuple(q for q in in_states if rng.random() < 0.6),
+        transitions=transitions,
+    )
+
+
+def _mutant(rng, spec):
+    """spec with one transition redirected, dropped or added, or one final
+    state toggled: a domain that may or may not differ."""
+    transitions = dict(spec.transitions)
+    finals = set(spec.finals)
+    choice = rng.randrange(3)
+    if choice == 0 and transitions:
+        key = rng.choice(sorted(transitions))
+        if rng.random() < 0.5:
+            del transitions[key]
+        else:
+            same = [q for q in spec.states if spec.polarity[q] == spec.polarity[transitions[key][0]]]
+            transitions[key] = (rng.choice(same), 0)
+    elif choice == 1:
+        q = rng.choice(spec.input_states())
+        finals ^= {q}
+    else:
+        src = rng.choice(spec.states)
+        pol = spec.polarity[src]
+        sym = rng.choice(spec.inputs if pol == core.INPUT else spec.outputs)
+        targets = [q for q in spec.states if spec.polarity[q] != pol]
+        transitions[(src, sym)] = (rng.choice(targets), 0)
+    return replace(spec, finals=tuple(q for q in spec.states if q in finals),
+                   transitions=transitions)
+
+
+def _runs_after(spec, states, a):
+    """Oracle: the spec states that input a and any output lead to."""
+    out = set()
+    for q in states:
+        mid = spec.transitions.get((q, a))
+        if mid is None:
+            continue
+        for b in spec.outputs:
+            entry = spec.transitions.get((mid[0], b))
+            if entry is not None:
+                out.add(entry[0])
+    return frozenset(out)
+
+
+def _shortest_separating_word(left, right, symbols, max_len):
+    """Oracle: the first word, by length then symbol order, that is in
+    exactly one of the two domains, by enumerating every word up to
+    max_len; None when there is none that short."""
+    level = [((), frozenset([left.initial]), frozenset([right.initial]))]
+    for _n in range(max_len + 1):
+        for u, lstates, rstates in level:
+            if lstates.isdisjoint(left.finals) != rstates.isdisjoint(right.finals):
+                return u
+        level = [(u + (a,), _runs_after(left, lstates, a), _runs_after(right, rstates, a))
+                 for u, lstates, rstates in level for a in symbols]
+    return None
+
+
+def _in_domain(spec, u):
+    """Oracle: whether some output word completes u into the spec."""
+    states = frozenset([spec.initial])
+    for a in u:
+        states = _runs_after(spec, states, a)
+    return not states.isdisjoint(spec.finals)
+
+
+def test_first_difference_on_domains_that_differ():
+    rng = random.Random(61)
+    outcomes = {"word": 0, "none": 0}
+    for _ in range(500):
+        left = _spec_over(rng, ("a", "b"))
+        roll = rng.random()
+        if roll < 0.2:
+            right = _spec_over(rng, rng.choice((("a",), ("a", "b", "e"), ("b", "e"))))
+        elif roll < 0.3:
+            right = domain.trim(left)
+        else:
+            right = _mutant(rng, left)
+        symbols = sorted(set(left.inputs) | set(right.inputs))
+        got = domain.first_difference(
+            domain._domain(left, left.initial), domain._domain(right, right.initial), symbols)
+        want = _shortest_separating_word(left, right, symbols, 6)
+        assert domain.domains_equal(left, right) == (got is None)
+        if got is None:
+            assert want is None, (core.emit_wfa(left), core.emit_wfa(right), want)
+            outcomes["none"] += 1
+            continue
+        assert _in_domain(left, got) != _in_domain(right, got), (
+            core.emit_wfa(left), core.emit_wfa(right), got)
+        if want is not None:
+            assert len(got) <= len(want), (core.emit_wfa(left), core.emit_wfa(right), got, want)
+        outcomes["word"] += 1
+    assert min(outcomes.values()) >= 100, outcomes
+
+
+def test_derived_specs_do_not_read_their_source_step_table():
+    rng = random.Random(67)
+    words = [u for n in range(5) for u in itertools.product(("a", "b"), repeat=n)]
+    derived_count = 0
+    for _ in range(300):
+        spec = random_spec(rng, max_states=rng.randint(2, 8),
+                           measure=rng.choice((core.SUM, core.AVG)))
+        for u in words:  # fill the source's step table first
+            domain.domain_membership(spec, u)
+        domain.unsafe_transitions(spec)
+        assert spec._dom_steps
+        safe = domain.make_domain_safe(spec)
+        # the others keep the domain; a restriction to fewer transitions
+        # changes it, so a table copied from the source would answer wrongly
+        fewer = {key: val for key, val in spec.transitions.items() if rng.random() < 0.7}
+        derived = [domain.trim(spec), synthesis._complete_spec(spec), spec.with_measure(core.SUM),
+                   domain._restrict(spec, set(spec.states), fewer)]
+        derived += [] if safe is None else [safe]
+        for result in derived:
+            assert result is spec or not result._dom_steps
+            fresh = core.parse_wfa(core.emit_wfa(result))
+            assert [domain.domain_membership(result, u) for u in words] == [
+                domain.domain_membership(fresh, u) for u in words], core.emit_wfa(spec)
+            assert {(str(p), b, str(q)) for p, b, q in domain.unsafe_transitions(result)} == (
+                domain.unsafe_transitions(fresh)), core.emit_wfa(spec)
+            derived_count += 1
+    assert derived_count >= 1200

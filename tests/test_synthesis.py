@@ -194,7 +194,7 @@ def test_threshold_no_boolean_realizer():
         },
     )
     result = synth_threshold(spec, ">=", Fraction(0))
-    assert result.status == domain.NO_BOOLEAN_REALIZER
+    assert result.status == synthesis.NO_BOOLEAN_REALIZER
 
 
 def test_extract_transducer_domain(paper_spec):
@@ -508,7 +508,7 @@ def test_approx_zero_slack_agrees_with_best_value_enumeration():
     for trial in range(18):
         spec = random_spec(rng, max_states=4, max_w=2)
         enumerated = synth_best_value(spec)
-        if enumerated.status == domain.NO_BOOLEAN_REALIZER:
+        if enumerated.status == synthesis.NO_BOOLEAN_REALIZER:
             continue
         energy = synth_approx(spec, SUM, "<=", Fraction(0), cap=128)
         if energy.status == REALIZABLE:
@@ -756,7 +756,7 @@ def _random_selector_machine(rng, spec):
     """Follows one random output per output state, on the spec itself or on
     its domain-safe pruning (whose machines pass the Boolean checks)."""
     safe = domain.make_domain_safe(spec)
-    base = spec if safe == domain.NO_BOOLEAN_REALIZER or rng.random() < 0.3 else safe
+    base = spec if safe is None or rng.random() < 0.3 else safe
     pick = {}
     for q in base.states:
         options = [b for b in base.outputs if (q, b) in base.transitions]
@@ -858,6 +858,24 @@ def test_boolean_checks_match_the_old_searches():
                 core.emit_wfa(spec), core.emit_mealy(t), name)
             outcomes[name, want is None] += 1
     assert min(outcomes.values()) >= 100, outcomes
+
+
+def test_second_verify_call_computes_no_new_subset_step(paper_spec, monkeypatch):
+    spec = core.parse_wfa(core.emit_wfa(paper_spec))  # an empty step table
+    closures = []
+    closure = domain._closure
+
+    def counted(spec, states):
+        closures.append(1)
+        return closure(spec, states)
+
+    monkeypatch.setattr(domain, "_closure", counted)
+    assert verify_realizer(spec, first_c_realizer(), Objective(kind="boolean"))[0] == PASS
+    first = len(closures)
+    closures.clear()
+    verify_realizer(spec, always_d_realizer(), Objective(kind="best_value"))
+    # only the start subset is closed again; every step comes from the table
+    assert first > 1 and len(closures) == 1, (first, len(closures))
 
 
 _ORACLE_OBJECTIVES = (
