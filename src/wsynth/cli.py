@@ -56,22 +56,15 @@ def _read(path):
         raise UsageError("cannot read %s: %s" % (path, exc))
 
 
-def _load_spec(path):
-    return core.parse_wfa(_read(path))
-
-
-def _load_mealy(path):
-    return core.parse_mealy(_read(path))
-
-
-def _load_arena(path):
-    return games.parse_arena(_read(path))
-
-
-def _write_out(text, out_path):
+def _write_out(text, args, payload):
+    """Write text to the -o file; without one, into the JSON payload
+    under "text" with --json, or else to stdout."""
+    out_path = getattr(args, "out", None)
     if out_path:
         with open(out_path, "w", encoding="utf-8") as handle:
             handle.write(text)
+    elif args.json:
+        payload["text"] = text
     else:
         sys.stdout.write(text)
 
@@ -90,10 +83,6 @@ def _strategy_lines(arena, strategy):
         if v in strategy.choice:
             lines.append("strategy: %s %d" % (v, strategy.choice[v]))
     return lines
-
-
-def _word_arg(text):
-    return core.word(text)
 
 
 def _attach_negative_rationals(argv):
@@ -195,7 +184,7 @@ def build_parser(command=None):
 
 
 def _cmd_domain_safe(args):
-    spec = _load_spec(args.spec)
+    spec = core.parse_wfa(_read(args.spec))
     already = domain.is_domain_safe(spec)
     result = domain.make_domain_safe(spec)
     if result is None:
@@ -206,20 +195,19 @@ def _cmd_domain_safe(args):
             ["no boolean realizer"],
         )
         return EXIT_NO
+    payload = {
+        "command": "domain-safe",
+        "answer": "domain_safe",
+        "already_safe": already,
+        "states": len(result.states),
+        "transitions": len(result.transitions),
+    }
     if args.dot:
         game = domain.build_two_run_game(spec)
-        _write_out(domain.two_run_game_to_dot(game), args.out)
+        _write_out(domain.two_run_game_to_dot(game), args, payload)
     else:
-        _write_out(core.emit_wfa(result), args.out)
-    if args.json:
-        payload = {
-            "command": "domain-safe",
-            "answer": "domain_safe",
-            "already_safe": already,
-            "states": len(result.states),
-            "transitions": len(result.transitions),
-        }
-        sys.stdout.write(json.dumps(payload, sort_keys=True) + "\n")
+        _write_out(core.emit_wfa(result), args, payload)
+    _emit(args, payload, [])
     return EXIT_YES
 
 
@@ -252,7 +240,7 @@ def _objective(args):
 def _cmd_synth(args):
     obj = _objective(args)
     _require(args.cap is None or args.cap >= 0, "--cap must be nonnegative")
-    spec = _load_spec(args.spec)
+    spec = core.parse_wfa(_read(args.spec))
     if args.objective == "threshold":
         result = synthesis.synth_threshold(spec, obj.cmp, obj.bound)
     elif args.objective == "best-value":
@@ -271,20 +259,17 @@ def _cmd_synth(args):
     code = EXIT_NO
     if result.status == synthesis.REALIZABLE:
         code = EXIT_YES
-        text = core.emit_mealy(result.transducer)
-        if args.dot:
-            text = core.mealy_to_dot(result.transducer)
-        _write_out(text, args.out)
-        payload["transducer_states"] = len(result.transducer.states)
+        machine = result.transducer
+        text = core.mealy_to_dot(machine) if args.dot else core.emit_mealy(machine)
+        _write_out(text, args, payload)
+        payload["transducer_states"] = len(machine.states)
+        if not args.out:
+            lines = []  # the machine is the answer
     elif result.status == synthesis.UNKNOWN_AT_CAP:
         code = EXIT_UNKNOWN
         payload["cap"] = result.cap
         lines = ["unknown at cap %d" % result.cap]
-    if args.json:
-        sys.stdout.write(json.dumps(payload, sort_keys=True) + "\n")
-    elif result.status != synthesis.REALIZABLE or args.out:
-        for line in lines:
-            sys.stdout.write(line + "\n")
+    _emit(args, payload, lines)
     return code
 
 
@@ -295,8 +280,8 @@ def _default_cap(spec):
 
 def _cmd_verify(args):
     obj = _objective(args)
-    spec = _load_spec(args.spec)
-    machine = _load_mealy(args.mealy)
+    spec = core.parse_wfa(_read(args.spec))
+    machine = core.parse_mealy(_read(args.mealy))
     verdict, witness = synthesis.verify_realizer(spec, machine, obj)
     if verdict == synthesis.PASS:
         _emit(args, {"command": "verify", "answer": "pass"}, ["pass"])
@@ -322,9 +307,9 @@ def _value_text(value):
 
 
 def _cmd_eval(args):
-    spec = _load_spec(args.spec)
-    u = _word_arg(args.input)
-    v = _word_arg(args.output)
+    spec = core.parse_wfa(_read(args.spec))
+    u = core.word(args.input)
+    v = core.word(args.output)
     try:
         value = core.evaluate(spec, u, v)
     except ValueError as exc:
@@ -338,9 +323,9 @@ def _cmd_eval(args):
 
 
 def _cmd_bestval(args):
-    spec = _load_spec(args.spec)
+    spec = core.parse_wfa(_read(args.spec))
     try:
-        value = core.best_value(spec, _word_arg(args.input))
+        value = core.best_value(spec, core.word(args.input))
     except ValueError as exc:
         raise UsageError(str(exc))
     _emit(
@@ -352,7 +337,7 @@ def _cmd_bestval(args):
 
 
 def _cmd_solve_prefix(args):
-    arena = _load_arena(args.arena)
+    arena = games.parse_arena(_read(args.arena))
     discount = _rational(args.discount) if args.discount else None
     try:
         obj = prefix.PrefixObjective(
@@ -366,14 +351,15 @@ def _cmd_solve_prefix(args):
     dead = arena.deadlocks()
     if dead:
         raise FormatError("arena has dead ends: %r" % (dead,))
+    payload = {"command": "solve-prefix"}
     if args.dot:
-        sys.stdout.write(games.arena_to_dot(arena))
+        _write_out(games.arena_to_dot(arena), args, payload)
     if args.trace:
         sys.stderr.write("objective: %s %s %s\n" % (obj.measure, obj.cmp, obj.nu))
         _trace_reduction(arena, obj)
     winner, strategy = prefix.solve_prefix_threshold(arena, obj)
     lines = ["winner: %s" % winner]
-    payload = {"command": "solve-prefix", "answer": winner}
+    payload["answer"] = winner
     if winner == EVE and strategy is not None:
         strategy_lines = _strategy_lines(arena, strategy)
         lines.extend(strategy_lines)
@@ -391,7 +377,7 @@ def _trace_reduction(arena, obj):
 
 
 def _cmd_dsum_path(args):
-    arena = _load_arena(args.arena)
+    arena = games.parse_arena(_read(args.arena))
     lam = _rational(args.discount)
     nu = _rational(args.nu)
     if not (0 < lam < 1):
@@ -405,10 +391,9 @@ def _cmd_dsum_path(args):
         discount=lam,
     )
     checker = dsumpath.exists_path_lt if args.strict else dsumpath.exists_path_leq
-    mrg = dsumpath.compute_mrg(graph, nu) if args.trace else None
-    answer, witness = checker(graph, nu, mrg)
+    answer, witness = checker(graph, nu)
     if args.trace:
-        table = mrg[0]
+        table = dsumpath.compute_mrg(graph, nu)[0]
         if table is None:
             sys.stderr.write("no vertex reaches a target\n")
         else:
@@ -436,24 +421,23 @@ def _cmd_dsum_path(args):
 
 
 def _cmd_gen(args):
-    arena = _load_arena(args.arena)
+    arena = games.parse_arena(_read(args.arena))
     try:
         spec, (measure, cmp, nu) = synthesis.gen_spec_from_mp_game(arena)
     except ValueError as exc:
         raise FormatError(str(exc))
-    _write_out(core.emit_wfa(spec), args.out)
-    if args.json:
-        payload = {
-            "command": "gen",
-            "answer": "ok",
-            "objective": {
-                "measure": measure,
-                "cmp": cmp,
-                "nu": format_rational(nu),
-            },
-            "states": len(spec.states),
-        }
-        sys.stdout.write(json.dumps(payload, sort_keys=True) + "\n")
+    payload = {
+        "command": "gen",
+        "answer": "ok",
+        "objective": {
+            "measure": measure,
+            "cmp": cmp,
+            "nu": format_rational(nu),
+        },
+        "states": len(spec.states),
+    }
+    _write_out(core.emit_wfa(spec), args, payload)
+    _emit(args, payload, [])
     return EXIT_YES
 
 

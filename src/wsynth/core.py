@@ -173,9 +173,6 @@ class MealyTransducer:
             if src not in known or tgt not in known:
                 raise SpecError("dangling state in transition %r" % ((src, sym),))
 
-    def step(self, state, symbol):
-        return self.transitions.get((state, symbol))
-
 
 def _infer_polarity(spec: WeightedSpec) -> dict:
     """Assign input/output polarity to every state.
@@ -605,24 +602,6 @@ def emit_mealy(t: MealyTransducer) -> str:
 
 def _dot_escape(name):
     return str(name).replace('"', '\\"')
-
-
-def spec_to_dot(spec: WeightedSpec) -> str:
-    lines = ["digraph wfa {", "  rankdir=LR;"]
-    for q in spec.states:
-        shape = "doublecircle" if q in spec.finals else (
-            "circle" if spec.polarity[q] == INPUT else "box"
-        )
-        lines.append('  "%s" [shape=%s];' % (_dot_escape(q), shape))
-    lines.append('  __init [shape=point];')
-    lines.append('  __init -> "%s";' % _dot_escape(spec.initial))
-    for (src, sym), (tgt, w) in spec.transitions.items():
-        lines.append(
-            '  "%s" -> "%s" [label="%s|%d"];'
-            % (_dot_escape(src), _dot_escape(tgt), _dot_escape(sym), w)
-        )
-    lines.append("}")
-    return "\n".join(lines) + "\n"
 
 
 def mealy_to_dot(t: MealyTransducer) -> str:

@@ -107,17 +107,6 @@ def residual_languages_equal(spec: WeightedSpec, p, q) -> bool:
     return first_difference(_domain(spec, p), _domain(spec, q), spec.inputs) is None
 
 
-def domains_equal(left: WeightedSpec, right: WeightedSpec) -> bool:
-    """dom(left) = dom(right) via DFA equivalence of the domain automata."""
-    if set(left.inputs) != set(right.inputs):
-        common = sorted(set(left.inputs) | set(right.inputs))
-    else:
-        common = left.inputs
-    return first_difference(
-        _domain(left, left.initial), _domain(right, right.initial), common
-    ) is None
-
-
 def reachable_states(spec: WeightedSpec):
     succ = {}
     for (src, sym), (tgt, _w) in spec.transitions.items():
@@ -168,7 +157,7 @@ class TwoRunSafetyGame:
     Adam owns ii (he picks the next input) and io (he answers with his
     own output), Eve owns oo.  Dead runs are kept explicit so that a run
     that dies counts as non-accepting.  Eve loses when Adam's run is
-    final while hers is not.
+    final while hers is not: the arena's critical vertices.
 
     The arena's vertices are 0..N-1 in breadth-first discovery order.
     Over the m run states (the spec's states in order, then the dead
@@ -177,7 +166,6 @@ class TwoRunSafetyGame:
     """
 
     arena: Arena
-    losing: frozenset
     codes: list
     ids: dict
     names: tuple
@@ -250,12 +238,12 @@ def build_two_run_game(spec: WeightedSpec) -> TwoRunSafetyGame:
         critical=losing,
     )
     names = tuple(spec.states) + (_DEAD,)
-    return TwoRunSafetyGame(arena, losing, codes, ids, names)
+    return TwoRunSafetyGame(arena, codes, ids, names)
 
 
 def two_run_game_to_dot(game: TwoRunSafetyGame) -> str:
     return games.arena_to_dot(
-        game.arena, highlight=game.losing, label=lambda v: str(game.name(v))
+        game.arena, highlight=game.arena.critical, label=lambda v: str(game.name(v))
     )
 
 
@@ -295,7 +283,7 @@ def make_domain_safe(spec: WeightedSpec):
     domain can stay inside the relation.
     """
     game = build_two_run_game(spec)
-    forcing, _ = games.attractor(game.arena, game.losing, ADAM)
+    forcing, _ = games.attractor(game.arena, game.arena.critical, ADAM)
     if game.arena.initial in forcing:
         return None
     index = {q: k for k, q in enumerate(spec.states)}

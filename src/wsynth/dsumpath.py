@@ -284,39 +284,38 @@ def _pumped_witness(graph: WeightedGraph, table: MrgTable, nu, strict, edges):
     return _witness(graph, stem + loop * pumps + tail_edges)
 
 
-def exists_path_leq(graph: WeightedGraph, nu, mrg=None) -> tuple:
+def exists_path_leq(graph: WeightedGraph, nu) -> tuple:
     """Is there a path from the source to a target with Dsum <= nu?
 
     Returns (NO, None) or (YES, PathWitness); witnesses are validated
     against the claimed comparison before being returned.  A witness
     that no pumping built has the fewest edges of any path with
-    Dsum <= nu.  mrg may hold compute_mrg(graph, nu), which is then not
-    computed again.
+    Dsum <= nu.
     """
-    return _exists_path(graph, nu, False, mrg)
+    return _exists_path(graph, nu, False)
 
 
-def exists_path_lt(graph: WeightedGraph, nu, mrg=None) -> tuple:
+def exists_path_lt(graph: WeightedGraph, nu) -> tuple:
     """Strict variant: a path with Dsum < nu.
 
     At a fixpoint the table holds the attained maximum relative gap, so a
     strict witness exists iff some target gap is strictly positive; away
     from the fixpoint pumping yields strict witnesses.
     """
-    return _exists_path(graph, nu, True, mrg)
+    return _exists_path(graph, nu, True)
 
 
-def _exists_path(graph: WeightedGraph, nu, strict, mrg):
+def _exists_path(graph: WeightedGraph, nu, strict):
     nu = Fraction(nu)
-    table, _vertices, edges = compute_mrg(graph, nu, strict) if mrg is None else mrg
+    table, _vertices, edges = compute_mrg(graph, nu, strict)
     if table is None:
         return NO, None
-    for i, raised in enumerate(table.raised):
-        hits = _hits(graph, raised, strict)
-        if hits:
-            _vs, path_edges = _backtrack(graph, table, i, min(hits, key=repr))
-            witness = _witness(graph, path_edges)
-            break
+    # the table stops at its first round with a hit, so only its last can hold one
+    last = len(table.raised) - 1
+    hits = _hits(graph, table.raised[last], strict)
+    if hits:
+        _vs, path_edges = _backtrack(graph, table, last, min(hits, key=repr))
+        witness = _witness(graph, path_edges)
     else:
         witness = _pumped_witness(graph, table, nu, strict, edges)
         if witness is None:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import itemgetter
 
-from .core import FormatError, InternalError
+from .core import FormatError, InternalError, _tokenize
 
 EVE = "eve"
 ADAM = "adam"
@@ -28,8 +28,8 @@ class Arena:
     """Perfect-information weighted game graph.
 
     edges is an ordered list of (src, action, weight, dst); the action is
-    kept only for files and provenance, perfect-information solvers ignore
-    it.  Edge indices into this list are the currency of strategies.
+    kept for files and for the spec symbol an edge stands for,
+    perfect-information solvers ignore it.  Edge indices into this list are the currency of strategies.
     vertex_set holds the vertices; out(v) and incoming() index the edges
     by source and by target.
     """
@@ -116,9 +116,6 @@ class PositionalStrategy:
     """vertex -> edge index into the arena's edge list."""
 
     choice: dict
-
-    def edge(self, arena, v):
-        return arena.edges[self.choice[v]]
 
 
 @dataclass
@@ -634,12 +631,8 @@ def solve_imperfect_energy_capped(iarena: ImperfectArena, c0: int, cap: int):
 
 
 def parse_arena(text: str) -> Arena:
-    lines = []
-    for number, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            lines.append((number, line))
-    if not lines or lines[0][1] != "arena":
+    lines = list(_tokenize(text))
+    if not lines or lines[0][1] != "arena" or lines[0][2]:
         raise FormatError("expected 'arena' header", lines[0][0] if lines else 1)
     vertices = []
     owner = {}
@@ -648,12 +641,7 @@ def parse_arena(text: str) -> Arena:
     edges = []
     obs = {}
     obs_lines = {}
-    for number, line in lines[1:]:
-        if ":" not in line:
-            raise FormatError("expected 'key: ...'", number)
-        key, rest = line.split(":", 1)
-        tokens = rest.split()
-        key = key.strip()
+    for number, key, tokens in lines[1:]:
         if key == "vertex":
             if len(tokens) < 2 or tokens[1] not in (EVE, ADAM):
                 raise FormatError("vertex takes: name eve|adam [critical]", number)

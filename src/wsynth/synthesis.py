@@ -34,20 +34,15 @@ from .core import (
     AVG,
     DSUM,
     INPUT,
-    NEG_INF,
     OUTPUT,
     SUM,
     FormatError,
     InternalError,
     MealyTransducer,
     WeightedSpec,
-    best_value,
     bfs,
-    evaluate,
-    run_transducer,
     trim_transducer,
     walk_back,
-    word,
 )
 from .domain import make_domain_safe
 from .dsumpath import NO as PATH_NO
@@ -103,19 +98,15 @@ class SynthResult:
 # Specification as a game arena
 
 
-def spec_to_prefix_arena(spec: WeightedSpec):
+def spec_to_prefix_arena(spec: WeightedSpec) -> Arena:
     """Interpret the (domain-safe) spec as a critical prefix arena.
 
     Input states belong to Adam, output states to Eve, final states are
     critical; deadlocked states get a 0-weight exit to a fresh sink so
-    plays never get stuck.  Returns (arena, provenance) where provenance
-    maps edge indices back to (state, symbol) of the spec transition.
+    plays never get stuck.  A spec transition's edge carries its symbol
+    as the action; every other edge goes into the sink.
     """
-    edges = []
-    provenance = {}
-    for (src, sym), (tgt, w) in spec.transitions.items():
-        provenance[len(edges)] = (src, sym)
-        edges.append((src, sym, w, tgt))
+    edges = [(src, sym, w, tgt) for (src, sym), (tgt, w) in spec.transitions.items()]
     vertices = list(spec.states)
     owner = {
         q: (ADAM if spec.polarity[q] == INPUT else EVE) for q in spec.states
@@ -126,21 +117,18 @@ def spec_to_prefix_arena(spec: WeightedSpec):
         vertices.append(_GAME_SINK)
         owner[_GAME_SINK] = ADAM
         for q in dead:
-            provenance[len(edges)] = None
             edges.append((q, "-", 0, _GAME_SINK))
-        provenance[len(edges)] = None
         edges.append((_GAME_SINK, "-", 0, _GAME_SINK))
-    arena = Arena(
+    return Arena(
         vertices=tuple(vertices),
         owner=owner,
         initial=spec.initial,
         edges=edges,
         critical=frozenset(spec.finals),
     )
-    return arena, provenance
 
 
-def extract_transducer(spec: WeightedSpec, arena: Arena, provenance, strategy):
+def extract_transducer(spec: WeightedSpec, arena: Arena, strategy):
     """Mealy machine following Eve's positional strategy on the spec arena.
 
     State space: input states reachable under the strategy.  Domain
@@ -151,10 +139,10 @@ def extract_transducer(spec: WeightedSpec, arena: Arena, provenance, strategy):
     def pick(mid):
         if mid not in strategy.choice:
             raise ValueError("strategy undefined at reachable output state %r" % (mid,))
-        origin = provenance.get(strategy.choice[mid])
-        if origin is None:
+        _src, sym, _w, dst = arena.edges[strategy.choice[mid]]
+        if dst == _GAME_SINK:
             raise ValueError("strategy escapes the specification at %r" % (mid,))
-        return origin[1]
+        return sym
 
     return _follow_outputs(spec, pick)
 
@@ -467,21 +455,6 @@ def _require_pass(verdict, witness):
         )
 
 
-def check_difference(spec, t, u):
-    """bestVal(u) - S(u (x) f(u)); NEG_INF handling mirrors the objective."""
-    u = word(u)
-    out = run_transducer(t, u)
-    top = best_value(spec, u)
-    if out is None:
-        return None if top is NEG_INF else NEG_INF
-    got = evaluate(spec, u, out)
-    if top is NEG_INF and got is NEG_INF:
-        return None
-    if got is NEG_INF:
-        return NEG_INF
-    return top - got
-
-
 # ---------------------------------------------------------------------------
 # Threshold synthesis
 
@@ -491,14 +464,14 @@ def synth_threshold(spec: WeightedSpec, cmp: str, nu) -> SynthResult:
     safe = make_domain_safe(spec)
     if safe is None:
         return SynthResult(status=NO_BOOLEAN_REALIZER)
-    arena, provenance = spec_to_prefix_arena(safe)
+    arena = spec_to_prefix_arena(safe)
     obj = prefix.PrefixObjective(
         measure=spec.measure, cmp=cmp, nu=nu, discount=spec.discount
     )
     winner, strategy = prefix.solve_prefix_threshold(arena, obj)
     if winner == ADAM:
         return SynthResult(status=UNREALIZABLE)
-    t = extract_transducer(safe, arena, provenance, strategy)
+    t = extract_transducer(safe, arena, strategy)
     verdict, witness = verify_realizer(
         spec, t, Objective(kind="threshold", cmp=cmp, bound=nu)
     )

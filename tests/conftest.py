@@ -8,7 +8,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from wsynth import core, dsumpath
+from wsynth import core, domain, dsumpath
 from wsynth.games import ADAM, EVE
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -133,6 +133,32 @@ def first_c_realizer():
             ("wait", "b"): ("d", "done"),
         },
     )
+
+
+def check_difference(spec, t, u):
+    """bestVal(u) - S(u (x) f(u)); NEG_INF handling mirrors the objective."""
+    u = core.word(u)
+    out = core.run_transducer(t, u)
+    top = core.best_value(spec, u)
+    if out is None:
+        return None if top is core.NEG_INF else core.NEG_INF
+    got = core.evaluate(spec, u, out)
+    if top is core.NEG_INF and got is core.NEG_INF:
+        return None
+    if got is core.NEG_INF:
+        return core.NEG_INF
+    return top - got
+
+
+def domains_equal(left, right):
+    """dom(left) = dom(right) via DFA equivalence of the domain automata."""
+    if set(left.inputs) != set(right.inputs):
+        common = sorted(set(left.inputs) | set(right.inputs))
+    else:
+        common = left.inputs
+    return domain.first_difference(
+        domain._domain(left, left.initial), domain._domain(right, right.initial), common
+    ) is None
 
 
 def old_attractor(arena, targets, player):

@@ -27,7 +27,13 @@ from wsynth.synthesis import (
     verify_realizer,
 )
 
-from conftest import always_d_realizer, first_c_realizer, random_spec
+from conftest import (
+    always_d_realizer,
+    check_difference,
+    domains_equal,
+    first_c_realizer,
+    random_spec,
+)
 from test_domain import boolean_realizable_oracle, every_domain_run_accepts
 from test_games import mk_arena, random_arena, remark_arena
 from test_prefix_games import sum_prefix_oracle
@@ -93,7 +99,7 @@ def test_criterion_4_approximate_synthesis(paper_spec):
     )[0] == PASS
     for i in range(2, 7):
         u = "a" * i + "b"
-        assert synthesis.check_difference(avg, witness, u) == Fraction(2, i + 1)
+        assert check_difference(avg, witness, u) == Fraction(2, i + 1)
     report(4, "approximate sum r=4 and avg r=2/3 realizable; differences exact")
 
 
@@ -217,7 +223,7 @@ def test_criterion_8_domain_safety_suite():
         transformed += 1
         assert realizable
         assert every_domain_run_accepts(result, 6)
-        assert domain.domains_equal(result, spec)
+        assert domains_equal(result, spec)
         assert domain.unsafe_transitions(result) == set()
     assert transformed > 50
     report(8, "200 random specs: runs accept, domain kept, realizability kept")

@@ -144,8 +144,8 @@ _FUZZ_OBJECTIVES = [
 ]
 
 
-def _mutate(rng, text):
-    """One random edit of a machine file: a character, a token or a line."""
+def _mutate(rng, text, tokens=_FUZZ_TOKENS):
+    """One random edit of an input file: a character, a token or a line."""
     lines = text.splitlines()
     kind = rng.randrange(6)
     if kind == 0 and text:
@@ -156,9 +156,9 @@ def _mutate(rng, text):
         return text[:i] + rng.choice("abcdxz01:-# \n\t") + text[i:]
     if kind == 2 and lines:
         i = rng.randrange(len(lines))
-        tokens = lines[i].split(" ")
-        tokens[rng.randrange(len(tokens))] = rng.choice(_FUZZ_TOKENS)
-        lines[i] = " ".join(tokens)
+        words = lines[i].split(" ")
+        words[rng.randrange(len(words))] = rng.choice(tokens)
+        lines[i] = " ".join(words)
     elif kind == 3 and lines:
         i = rng.randrange(len(lines))
         lines.insert(rng.randrange(len(lines) + 1), lines[i])
@@ -188,6 +188,45 @@ def test_verify_never_raises_on_mutated_machines(capsys, tmp_path):
         assert code in (0, 1, 65), text
         codes[code] = codes.get(code, 0) + 1
     assert min(codes.get(code, 0) for code in (0, 1, 65)) >= 30, codes
+
+
+# the file argument of each call is None
+_FUZZ_SPEC_CALLS = [
+    ["synth", "threshold", None, "--cmp", "ge", "--nu", "6"],
+    ["domain-safe", None],
+]
+_FUZZ_ARENA_CALLS = [
+    ["solve-prefix", None, "--measure", "dsum", "--cmp", "gt", "--nu", "1", "--lambda", "1/2"],
+    ["dsum-path", None, "--nu", "3/2", "--lambda", "1/2"],
+]
+_FUZZ_SPEC_TOKENS = ["a", "c", "q0", "q7", "-1", "x", "wfa", "measure:", "sum", "dsum",
+                     "inputs:", "outputs:", "initial:", "finals:", "trans:", "#", ""]
+_FUZZ_ARENA_TOKENS = ["v0", "v1", "-", "-1", "x", "arena", "vertex:", "eve", "adam",
+                      "critical", "initial:", "edge:", "obs:", "#", ""]
+
+
+@pytest.mark.parametrize("fixture, calls, tokens", [
+    ("paper-example.wfa", _FUZZ_SPEC_CALLS, _FUZZ_SPEC_TOKENS),
+    ("remark.arena", _FUZZ_ARENA_CALLS, _FUZZ_ARENA_TOKENS),
+])
+def test_readers_never_raise_on_mutated_files(capsys, tmp_path, fixture, calls, tokens):
+    # seeded mutants of the .wfa and .arena fixtures through the commands
+    # that read them: each run ends in an answer or a format error
+    rng = random.Random(9)
+    base = (FIXTURES / fixture).read_text()
+    path = tmp_path / fixture
+    codes = {}
+    for trial in range(300):
+        text = base
+        for _ in range(rng.randint(1, 2)):
+            text = _mutate(rng, text, tokens)
+        path.write_text(text)
+        argv = [str(path) if arg is None else arg for arg in calls[trial % len(calls)]]
+        code = cli.main(argv)
+        capsys.readouterr()
+        assert code in (0, 1, 65), (argv, text)
+        codes[code] = codes.get(code, 0) + 1
+    assert codes.get(65, 0) >= 50 and codes.get(0, 0) + codes.get(1, 0) >= 50, codes
 
 
 def test_dsum_path_remark(capsys):
@@ -303,6 +342,43 @@ def test_json_verify_witness(capsys, tmp_path):
     payload = json.loads(out)
     assert payload["answer"] == "fail"
     assert payload["witness"]
+
+
+_TEXT_COMMANDS = [
+    (["synth", "threshold", PAPER, "--cmp", "ge", "--nu", "6"], core.parse_mealy),
+    (["synth", "approx", PAPER, "--cmp", "le", "--r", "4", "--cap", "64"], core.parse_mealy),
+    (["domain-safe", PAPER], core.parse_wfa),
+    (["gen", "mp-to-spec", REMARK], core.parse_wfa),
+]
+
+
+@pytest.mark.parametrize("argv, parse", _TEXT_COMMANDS)
+def test_json_puts_the_text_in_the_object(capsys, tmp_path, argv, parse):
+    # without -o, stdout is one JSON object; the text a human run prints
+    # is its "text" key, and with -o it goes to the file instead
+    code, text, _ = run(capsys, *argv)
+    assert code == 0
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["text"] == text
+    parse(payload["text"])
+    target = tmp_path / "out"
+    code, out, _ = run(capsys, *argv, "-o", str(target), "--json")
+    assert code == 0
+    assert "text" not in json.loads(out)
+    assert target.read_text() == text
+
+
+@pytest.mark.parametrize("argv", [
+    ["domain-safe", PAPER, "--dot"],
+    ["synth", "threshold", PAPER, "--cmp", "ge", "--nu", "6", "--dot"],
+    ["solve-prefix", REMARK, "--measure", "sum", "--cmp", "ge", "--nu", "0", "--dot"],
+])
+def test_json_puts_dot_text_in_the_object(capsys, argv):
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == 0
+    assert json.loads(out)["text"].startswith("digraph")
 
 
 # SHA-256 of `domain-safe --dot` on the paper fixture, as the two-run game

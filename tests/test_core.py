@@ -188,10 +188,7 @@ def test_mealy_round_trip_and_size():
     assert core.run_transducer(again, "ab") == ("d", "d")
 
 
-def test_dot_export_one_node_per_state(paper_spec):
-    dot = core.spec_to_dot(paper_spec)
-    for q in paper_spec.states:
-        assert dot.count('"%s" [shape=' % q) == 1
+def test_dot_export_one_node_per_state():
     t = first_c_transducer()
     mdot = core.mealy_to_dot(t)
     for q in t.states:

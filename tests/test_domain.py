@@ -8,7 +8,13 @@ import pytest
 from wsynth import core, domain, games, synthesis
 from wsynth.games import ADAM, EVE, Arena
 
-from conftest import brute_best_value, brute_domain, old_solve_safety, random_spec
+from conftest import (
+    brute_best_value,
+    brute_domain,
+    domains_equal,
+    old_solve_safety,
+    random_spec,
+)
 
 
 def residual_words(spec, state, max_len):
@@ -191,7 +197,7 @@ def test_make_domain_safe_keeps_paper_fixture(paper_spec):
     result = domain.make_domain_safe(paper_spec)
     assert result is not None
     assert domain.unsafe_transitions(result) == set()
-    assert domain.domains_equal(result, paper_spec)
+    assert domains_equal(result, paper_spec)
     assert set(result.states) == set(paper_spec.states)
     assert result.transitions == paper_spec.transitions
 
@@ -305,7 +311,7 @@ def test_make_domain_safe_random_suite(seed):
             continue
         assert oracle_says
         assert every_domain_run_accepts(result, 6)
-        assert domain.domains_equal(result, spec)
+        assert domains_equal(result, spec)
         assert domain.unsafe_transitions(result) == set()
         twice = domain.make_domain_safe(result)
         assert twice is not None
@@ -447,7 +453,7 @@ def test_two_run_game_matches_tuple_game(paper_spec):
         arena, losing = old_build_two_run_game(spec)
         assert [game.name(v) for v in game.arena.vertices] == list(arena.vertices)
         assert len(game.arena.edges) == len(arena.edges)
-        assert {game.name(v) for v in game.losing} == losing
+        assert {game.name(v) for v in game.arena.critical} == losing
         assert domain.two_run_game_to_dot(game) == games.arena_to_dot(arena, highlight=losing)
         result = domain.make_domain_safe(spec)
         old = old_make_domain_safe(spec)
@@ -560,7 +566,7 @@ def test_first_difference_on_domains_that_differ():
         got = domain.first_difference(
             domain._domain(left, left.initial), domain._domain(right, right.initial), symbols)
         want = _shortest_separating_word(left, right, symbols, 6)
-        assert domain.domains_equal(left, right) == (got is None)
+        assert domains_equal(left, right) == (got is None)
         if got is None:
             assert want is None, (core.emit_wfa(left), core.emit_wfa(right), want)
             outcomes["none"] += 1

@@ -574,8 +574,6 @@ def compare_with_fraction_kernel(graph, nu, seen):
         if answer == YES:
             assert (witness.edges, witness.vertices) == (old_wit.edges, old_wit.vertices)
             assert witness.value == old_wit.value
-        # the full table, as dsum-path --trace hands it over, gives the same result
-        assert checker(graph, nu, (table, vertices, edges)) == (answer, witness)
         seen["pumped"] += pumped
         seen[answer] += 1
     seen["self_loop"] += any(src == dst for src, _w, dst in graph.edges)
@@ -669,11 +667,34 @@ def test_table_stopped_without_a_hit_cannot_answer():
         targets=frozenset(["t"]),
         discount=Fraction(1, 2),
     )
-    stopped = dsumpath.compute_mrg(graph, Fraction(0), False)
-    assert (stopped[0].rounds, len(stopped[0].raised)) == (2, 2)
-    assert exists_path_leq(graph, Fraction(0), stopped)[0] == YES
+    table, _v, edges = dsumpath.compute_mrg(graph, Fraction(0), False)
+    assert (table.rounds, len(table.raised)) == (2, 2)
     with pytest.raises(dsumpath.InternalError, match="all n rounds"):
-        exists_path_lt(graph, Fraction(0), stopped)
+        dsumpath._pumped_witness(graph, table, Fraction(0), True, edges)
+
+
+def test_round_bound_counts_vertices_that_reach_a_target(monkeypatch):
+    # n is the number of vertices that reach a target, so pruning x sets
+    # n = 2: no round up to 2 hits, s still rises in round 2, and the
+    # answer is pumped.  On the unpruned graph n = 3 and round 3 hits with
+    # a shorter path, so a hit found before pruning is final only if its
+    # path is simple.
+    graph = WeightedGraph(
+        vertices=("s", "t", "x"),
+        edges=[("s", -100, "s"), ("s", 0, "t"), ("s", 0, "x")],
+        source="s",
+        targets=frozenset(["t"]),
+        discount=Fraction(1, 2),
+    )
+    nu = Fraction(-75)
+    answer, witness = exists_path_leq(graph, nu)
+    assert (answer, witness.vertices, witness.value) == (
+        YES, ["s", "s", "s", "s", "t"], Fraction(-175, 2))
+    monkeypatch.setattr(dsumpath, "_prune_to_targets", lambda graph: (
+        list(graph.vertices),
+        [(i, src, w, dst) for i, (src, w, dst) in enumerate(graph.edges)]))
+    answer, witness = exists_path_leq(graph, nu)
+    assert (answer, witness.vertices, witness.value) == (YES, ["s", "s", "s", "t"], nu)
 
 
 def test_dsum_of_edges_matches_fraction_sum():

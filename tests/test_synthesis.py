@@ -20,7 +20,6 @@ from wsynth.synthesis import (
     UNKNOWN_AT_CAP,
     UNREALIZABLE,
     Objective,
-    check_difference,
     gen_spec_from_mp_game,
     synth_approx,
     synth_best_value,
@@ -29,8 +28,9 @@ from wsynth.synthesis import (
     verify_realizer,
 )
 
-from conftest import (always_transducer, always_d_realizer, first_c_realizer,
-                      old_min_walk_below, old_value_witness, random_spec)
+from conftest import (always_transducer, always_d_realizer, check_difference,
+                      first_c_realizer, old_min_walk_below, old_value_witness,
+                      random_spec)
 from test_games import mk_arena, random_arena
 
 
@@ -39,7 +39,7 @@ from test_games import mk_arena, random_arena
 
 def test_spec_to_prefix_arena_shape(paper_spec):
     safe = domain.make_domain_safe(paper_spec)
-    arena, provenance = synthesis.spec_to_prefix_arena(safe)
+    arena = synthesis.spec_to_prefix_arena(safe)
     assert arena.critical == frozenset(safe.finals)
     for q in safe.states:
         expected = ADAM if safe.polarity[q] == core.INPUT else EVE
@@ -53,7 +53,7 @@ def test_spec_to_prefix_arena_epsilon_spec():
     spec = core.parse_wfa(
         "wfa\nmeasure: sum\ninputs: a\noutputs: c\ninitial: q0\nfinals: q0\n"
     )
-    arena, _ = synthesis.spec_to_prefix_arena(spec)
+    arena = synthesis.spec_to_prefix_arena(spec)
     assert "q0" in arena.critical
     assert not arena.deadlocks()
 
