@@ -186,7 +186,8 @@ def build_parser(command=None):
 def _cmd_domain_safe(args):
     spec = core.parse_wfa(_read(args.spec))
     already = domain.is_domain_safe(spec)
-    result = domain.make_domain_safe(spec)
+    game = domain.build_two_run_game(spec)
+    result = domain.make_domain_safe(spec, game)
     if result is None:
         _emit(
             args,
@@ -203,7 +204,6 @@ def _cmd_domain_safe(args):
         "transitions": len(result.transitions),
     }
     if args.dot:
-        game = domain.build_two_run_game(spec)
         _write_out(domain.two_run_game_to_dot(game), args, payload)
     else:
         _write_out(core.emit_wfa(result), args, payload)

@@ -275,14 +275,16 @@ def trim(spec: WeightedSpec) -> WeightedSpec:
     return _restrict(spec, core | {spec.initial}, transitions)
 
 
-def make_domain_safe(spec: WeightedSpec):
+def make_domain_safe(spec: WeightedSpec, game=None):
     """Prune to a domain-safe spec with the same domain and realizers.
 
     Returns None when Eve loses the two-run safety game from the diagonal
     initial vertex, i.e. when no transducer with the specification's
-    domain can stay inside the relation.
+    domain can stay inside the relation.  game is spec's two-run game,
+    built here unless the caller already has it.
     """
-    game = build_two_run_game(spec)
+    if game is None:
+        game = build_two_run_game(spec)
     forcing, _ = games.attractor(game.arena, game.arena.critical, ADAM)
     if game.arena.initial in forcing:
         return None

@@ -33,6 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import itemgetter
 
 from .core import InternalError, bfs, walk_back
 
@@ -51,15 +52,16 @@ class WeightedGraph:
     discount: Fraction
 
     def __post_init__(self):
-        self.discount = Fraction(self.discount)
-        if not (0 < self.discount < 1):
+        if not isinstance(self.discount, Fraction):
+            self.discount = Fraction(self.discount)
+        if not 0 < self.discount.numerator < self.discount.denominator:
             raise ValueError("discount must lie strictly between 0 and 1")
         known = set(self.vertices)
         if self.source not in known:
             raise ValueError("unknown source vertex")
-        for src, _w, dst in self.edges:
-            if src not in known or dst not in known:
-                raise ValueError("edge endpoints must be vertices")
+        if not (known.issuperset(map(itemgetter(0), self.edges))
+                and known.issuperset(map(itemgetter(2), self.edges))):
+            raise ValueError("edge endpoints must be vertices")
 
 
 @dataclass
@@ -116,8 +118,9 @@ class MrgTable:
     predecessor) for each vertex that round i reached or raised over that
     edge, where R_i(v) = b * p^i * mrg_i(v); round 0 holds the source
     alone.  A vertex missing from raised[i] kept its value
-    (R_i = p * R_{i-1}), or is not reached yet (-infinity).  rounds is n,
-    and raised holds rounds 0..n unless the computation stopped at a hit.
+    (R_i = p * R_{i-1}), or is not reached yet (-infinity).  rounds is n
+    (|V| if a hit was final before pruning), and raised holds rounds 0..n
+    unless the computation stopped at a hit, whose witness edges are hit.
     rows is the Fraction view, rows[i][v] = mrg_i(v), built on demand.
     """
 
@@ -125,6 +128,7 @@ class MrgTable:
     raised: list
     nu_den: int  # b
     lam_num: int  # p
+    hit: list = None
 
     @cached_property
     def rows(self):
@@ -141,7 +145,8 @@ class MrgTable:
 
 
 def compute_mrg(graph: WeightedGraph, nu: Fraction, strict=None):
-    """Tables over the pruned graph; None when the source cannot reach T.
+    """(table, vertices, edges) over the graph pruned to the n vertices
+    that reach a target; table is None when the source is not one.
 
     Only edges out of a vertex raised in round i-1 can raise a vertex in
     round i: any other edge's candidate is p times its round i-1
@@ -151,45 +156,70 @@ def compute_mrg(graph: WeightedGraph, nu: Fraction, strict=None):
     the kept value, the lowest edge index wins a tie.  With strict None
     all n rounds are computed; with strict False or True the table ends
     at the first round with a hit for that check.
+
+    The rounds relax the graph as given.  Rounds 0..n of the pruned table
+    are these rounds restricted to the pruned vertices, parents and ties
+    included: such vertices are only reached from each other, and a round
+    raises a vertex by its own candidates alone.  So a hit in round k is
+    final, with vertices and edges None, when its witness has k or more
+    distinct vertices.  Any other hit, a fixpoint, round |V| or 2|E| edge
+    visits without a hit prune the graph once, restricting the rows so
+    far to it and cutting them to n rounds.
     """
-    vertices, edges = _prune_to_targets(graph)
-    if graph.source not in set(vertices):
-        return None, vertices, edges
     p, q = graph.discount.numerator, graph.discount.denominator
-    nu = Fraction(nu)
     b = nu.denominator
-    n = len(vertices)
     out = {}
-    for idx, src, w, dst in edges:
+    for idx, (src, w, dst) in enumerate(graph.edges):
         out.setdefault(src, []).append((idx, w * b, dst))
     powers = [1]  # p^i, one more per round computed
     raised = [{graph.source: (nu.numerator, None, None)}]
     latest = {graph.source: (nu.numerator, 0)}  # v -> (R_k(v), last round k raising v)
-    for i in range(1, n + 1):
-        if strict is not None and _hits(graph, raised[-1], strict):
+    rounds, vertices, edges, hit = len(graph.vertices), None, None, None
+    budget = 2 * len(graph.edges)  # edge visits left before pruning
+    while True:
+        k = len(raised) - 1
+        hits = strict is not None and _hits(graph, raised[k], strict)
+        if hits:
+            on_path, hit = _backtrack(graph, raised, k, min(hits, key=repr))
+        if vertices is None and (
+            k > len(set(on_path)) if hits else budget <= 0 or k == rounds or not raised[k]
+        ):
+            vertices, edges = _prune_to_targets(graph)
+            live = set(vertices)
+            if graph.source not in live:
+                return None, vertices, edges
+            rounds = len(vertices)
+            raised = [{v: step for v, step in row.items() if v in live}
+                      for row in raised[: rounds + 1]]
+            if k > rounds:  # rounds 0..n hold no hit
+                hit = None
+            out = {u: [e for e in outs if e[2] in live] for u, outs in out.items() if u in live}
+        if hits or k >= rounds:
             break
-        if not raised[-1]:
-            raised.extend({} for _ in range(n + 1 - i))
+        if not raised[k]:
+            raised.extend({} for _ in range(rounds - k))
             break
         power = powers[-1] * p
         powers.append(power)
         best = {}
-        for u, step in raised[-1].items():
+        for u, step in raised[k].items():
             qr = q * step[0]
-            for idx, wb, dst in out.get(u, ()):
+            outs = out.get(u, ())
+            budget -= len(outs)
+            for idx, wb, dst in outs:
                 cand = qr - wb * power
                 cur = best.get(dst)
                 if cur is None:
                     kept = latest.get(dst)
-                    if kept is not None and cand <= kept[0] * powers[i - kept[1]]:
+                    if kept is not None and cand <= kept[0] * powers[k + 1 - kept[1]]:
                         continue
                 elif cand < cur[0] or (cand == cur[0] and idx > cur[1]):
                     continue
                 best[dst] = (cand, idx, u)
         for v, step in best.items():
-            latest[v] = (step[0], i)
+            latest[v] = (step[0], k + 1)
         raised.append(best)
-    table = MrgTable(rounds=n, raised=raised, nu_den=b, lam_num=p)
+    table = MrgTable(rounds=rounds, raised=raised, nu_den=b, lam_num=p, hit=hit)
     return table, vertices, edges
 
 
@@ -199,12 +229,12 @@ def _hits(graph, raised, strict):
     return [v for v in graph.targets if v in raised and raised[v][0] >= floor]
 
 
-def _backtrack(graph: WeightedGraph, table: MrgTable, round_i, vertex):
+def _backtrack(graph: WeightedGraph, raised, round_i, vertex):
     """Path from the source achieving round round_i's value at vertex."""
     path_edges = []
     v = vertex
     for i in range(round_i, 0, -1):
-        step = table.raised[i].get(v)
+        step = raised[i].get(v)
         if step is not None:
             path_edges.append(step[1])
             v = step[2]
@@ -242,7 +272,7 @@ def _pumped_witness(graph: WeightedGraph, table: MrgTable, nu, strict, edges):
         return None
     # prefer a deterministic pick
     v_star = min(rising, key=repr)
-    vertices, path_edges = _backtrack(graph, table, n, v_star)
+    vertices, path_edges = _backtrack(graph, table.raised, n, v_star)
     if len(path_edges) != n:
         raise InternalError("a freshly raised value needs a full-length path")
     first_seen = {}
@@ -310,12 +340,8 @@ def _exists_path(graph: WeightedGraph, nu, strict):
     table, _vertices, edges = compute_mrg(graph, nu, strict)
     if table is None:
         return NO, None
-    # the table stops at its first round with a hit, so only its last can hold one
-    last = len(table.raised) - 1
-    hits = _hits(graph, table.raised[last], strict)
-    if hits:
-        _vs, path_edges = _backtrack(graph, table, last, min(hits, key=repr))
-        witness = _witness(graph, path_edges)
+    if table.hit is not None:
+        witness = _witness(graph, table.hit)
     else:
         witness = _pumped_witness(graph, table, nu, strict, edges)
         if witness is None:

@@ -8,10 +8,8 @@ import itertools
 import random
 from fractions import Fraction
 
-import pytest
-
 from wsynth import core, domain, dsumpath, games, prefix, synthesis
-from wsynth.core import AVG, DSUM, NEG_INF, SUM
+from wsynth.core import AVG, DSUM, SUM
 from wsynth.games import ADAM, EVE
 from wsynth.prefix import PrefixObjective
 from wsynth.synthesis import (
@@ -35,8 +33,7 @@ from conftest import (
     random_spec,
 )
 from test_domain import boolean_realizable_oracle, every_domain_run_accepts
-from test_games import mk_arena, random_arena, remark_arena
-from test_prefix_games import sum_prefix_oracle
+from test_games import random_arena
 
 
 def report(number, name):

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from wsynth import cli, core, synthesis
+from wsynth import cli, core, domain, synthesis
 from wsynth.core import AVG, DSUM
 
 from conftest import FIXTURES, always_d_realizer, first_c_realizer
@@ -406,6 +406,17 @@ def test_trace_goes_to_stderr(capsys):
     assert code == 1
     assert "mrg[0]" in err
     assert "mrg" not in out
+
+
+@pytest.mark.parametrize("dot", [[], ["--dot"]])
+def test_domain_safe_builds_the_two_run_game_once(capsys, monkeypatch, dot):
+    builds = []
+    build = domain.build_two_run_game
+    monkeypatch.setattr(domain, "build_two_run_game",
+                        lambda spec: builds.append(spec) or build(spec))
+    code, out, _ = run(capsys, "domain-safe", PAPER, *dot)
+    assert (code, len(builds)) == (0, 1)
+    assert out.startswith("digraph" if dot else "wfa")
 
 
 def test_synth_best_value_round_trip(capsys, tmp_path):

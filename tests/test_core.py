@@ -326,3 +326,32 @@ def test_no_assert_statement_in_the_program():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def unread_imports(tree):
+    """(line, name) for each name the module imports and never reads."""
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) or (
+            isinstance(node, ast.ImportFrom) and node.module != "__future__"
+        ):
+            for alias in node.names:
+                imported.setdefault(alias.asname or alias.name.split(".")[0], node.lineno)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted((line, name) for name, line in imported.items() if name not in read)
+
+
+def test_no_unread_import():
+    # the project depends on no linter; a package's __init__ imports what it exports
+    root = Path(__file__).resolve().parent.parent
+    files = sorted((root / "src").rglob("*.py")) + sorted((root / "tests").glob("*.py"))
+    files = [path for path in files if path.name != "__init__.py"]
+    assert len(files) >= 16
+    found = [
+        "%s:%d %s" % (path.name, line, name)
+        for path in files
+        for line, name in unread_imports(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert found == []
+    assert unread_imports(ast.parse("import os.path\nfrom a import b as c, d\nprint(d)\n")) == [
+        (1, "os"), (2, "c")]

@@ -9,7 +9,6 @@ from wsynth import core, domain, games, synthesis
 from wsynth.games import ADAM, EVE, Arena
 
 from conftest import (
-    brute_best_value,
     brute_domain,
     domains_equal,
     old_solve_safety,

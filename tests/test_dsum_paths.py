@@ -1,4 +1,3 @@
-import itertools
 import os
 import random
 import subprocess
@@ -33,6 +32,28 @@ def remark_graph():
         discount=Fraction(1, 2),
     )
 
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"source": "x"}, "unknown source vertex"),
+    ({"edges": [("v0", 1, "x")]}, "edge endpoints must be vertices"),
+    ({"edges": [("v0", 1, "v1"), ("x", 1, "v1")]}, "edge endpoints must be vertices"),
+    ({"discount": Fraction(0)}, "strictly between 0 and 1"),
+    ({"discount": 1}, "strictly between 0 and 1"),
+    ({"discount": Fraction(-1, 2)}, "strictly between 0 and 1"),
+    ({"discount": Fraction(3, 2)}, "strictly between 0 and 1"),
+])
+def test_weighted_graph_rejects_bad_parts(change, message):
+    parts = dict(vertices=("v0", "v1"), edges=[], source="v0", targets=frozenset(["v1"]),
+                 discount=Fraction(1, 2))
+    with pytest.raises(ValueError, match=message):
+        WeightedGraph(**dict(parts, **change))
+
+
+def test_weighted_graph_takes_any_rational_discount():
+    graph = WeightedGraph(vertices=("v0",), edges=[("v0", 0, "v0")], source="v0",
+                          targets=frozenset(), discount="2/3")
+    assert graph.discount == Fraction(2, 3) and type(graph.discount) is Fraction
 
 def dsum(weights, lam):
     return sum(lam**i * w for i, w in enumerate(weights, start=1))
@@ -721,6 +742,170 @@ def test_mrg_rows_stay_after_fixpoint():
     assert table.rows[2] == table.rows[3]
     assert table.rows[3] == {"s": Fraction(-1, 3), "a": Fraction(-13, 9),
                              "t": Fraction(-79, 27)}
+
+
+# --- the prune-first kernel as an oracle for one relaxation --------------------
+#
+# prune_first_* below are compute_mrg and _exists_path as they were before
+# the relaxation ran on the graph as given: prune to the vertices that reach
+# a target, then relax.  They are the reference for answers, witnesses and
+# the strict=None tables.
+
+
+def prune_first_compute_mrg(graph, nu, strict=None):
+    vertices, edges = dsumpath._prune_to_targets(graph)
+    if graph.source not in set(vertices):
+        return None, vertices, edges
+    p, q = graph.discount.numerator, graph.discount.denominator
+    nu = Fraction(nu)
+    b = nu.denominator
+    n = len(vertices)
+    out = {}
+    for idx, src, w, dst in edges:
+        out.setdefault(src, []).append((idx, w * b, dst))
+    powers = [1]
+    raised = [{graph.source: (nu.numerator, None, None)}]
+    latest = {graph.source: (nu.numerator, 0)}
+    for i in range(1, n + 1):
+        if strict is not None and dsumpath._hits(graph, raised[-1], strict):
+            break
+        if not raised[-1]:
+            raised.extend({} for _ in range(n + 1 - i))
+            break
+        power = powers[-1] * p
+        powers.append(power)
+        best = {}
+        for u, step in raised[-1].items():
+            qr = q * step[0]
+            for idx, wb, dst in out.get(u, ()):
+                cand = qr - wb * power
+                cur = best.get(dst)
+                if cur is None:
+                    kept = latest.get(dst)
+                    if kept is not None and cand <= kept[0] * powers[i - kept[1]]:
+                        continue
+                elif cand < cur[0] or (cand == cur[0] and idx > cur[1]):
+                    continue
+                best[dst] = (cand, idx, u)
+        for v, step in best.items():
+            latest[v] = (step[0], i)
+        raised.append(best)
+    table = dsumpath.MrgTable(rounds=n, raised=raised, nu_den=b, lam_num=p)
+    return table, vertices, edges
+
+
+def prune_first_exists_path(graph, nu, strict):
+    nu = Fraction(nu)
+    table, _vertices, edges = prune_first_compute_mrg(graph, nu, strict)
+    if table is None:
+        return NO, None
+    last = len(table.raised) - 1
+    hits = dsumpath._hits(graph, table.raised[last], strict)
+    if hits:
+        _vs, path_edges = dsumpath._backtrack(graph, table.raised, last, min(hits, key=repr))
+        witness = dsumpath._witness(graph, path_edges)
+    else:
+        witness = dsumpath._pumped_witness(graph, table, nu, strict, edges)
+        if witness is None:
+            return NO, None
+    return YES, witness
+
+
+def route_instance(rng):
+    """A core around the source plus dead branches and far edges.
+
+    Dead vertices reach no target, and some sit on loops of negative
+    weight, whose relative gap rises every round.  Far edges leave
+    vertices the source never reaches: they add to |E| but are never
+    visited, so the relaxation can run past n rounds before its edge
+    budget runs out.  Some sources carry a heavy loop that has to be
+    pumped a few times before the exit to c1 meets nu.
+    """
+    core = ["c%d" % i for i in range(rng.randint(1, 4))]
+    dead = ["d%d" % i for i in range(rng.randint(0, 3))]
+    far = ["f%d" % i for i in range(rng.randint(0, 3))]
+    targets = {v for v in core[1:] if rng.random() < 0.5}
+    if not targets or rng.random() < 0.1:
+        targets.add(core[0])
+    lam = rng.choice(ORACLE_LAMBDAS)
+    nu = Fraction(rng.randint(-8, 4), rng.randint(1, 4))
+    edges = []
+    if len(core) > 1 and rng.random() < 0.4:
+        loop, exit_weight, pumps = -rng.randint(5, 60), rng.randint(0, 3), rng.randint(2, 3)
+        edges += [("c0", loop, "c0"), ("c0", exit_weight, "c1")]
+        targets.add("c1")
+        nu = dsum([loop] * pumps + [exit_weight], lam)
+    for v in core:
+        for _ in range(rng.randint(1, 3)):
+            dst = rng.choice(core + dead)
+            edges.append((v, rng.randint(-4, -1) if dst == v else rng.randint(-3, 6), dst))
+    for v in dead:
+        for _ in range(rng.randint(0, 2)):
+            dst = rng.choice(dead)
+            edges.append((v, rng.randint(-4, -1) if dst == v else rng.randint(-3, 3), dst))
+    for v in far:
+        for _ in range(rng.randint(1, 6)):
+            edges.append((v, rng.randint(-3, 3), rng.choice(far + core[:rng.randint(0, 1)])))
+    rng.shuffle(edges)
+    graph = WeightedGraph(
+        vertices=tuple(core + dead + far),
+        edges=edges,
+        source=core[0],
+        targets=frozenset(targets),
+        discount=lam,
+    )
+    return graph, nu
+
+
+def test_one_relaxation_matches_prune_first(monkeypatch):
+    events = []
+    prune, pump = dsumpath._prune_to_targets, dsumpath._pumped_witness
+
+    def prune_spy(graph):
+        # why compute_mrg prunes: a hit it cannot call final, or no hit in budget
+        caller = sys._getframe(1)
+        if caller.f_code is dsumpath.compute_mrg.__code__:
+            state = caller.f_locals
+            events.append("hit" if state["hits"] else "budget" if state["budget"] <= 0 else "")
+        return prune(graph)
+
+    def pump_spy(*args):
+        events.append("pumped")
+        return pump(*args)
+
+    monkeypatch.setattr(dsumpath, "_prune_to_targets", prune_spy)
+    monkeypatch.setattr(dsumpath, "_pumped_witness", pump_spy)
+    routes = {("hit",): "pruned_hit_stands", ("hit", "pumped"): "hit_past_n_pumped"}
+    seen = dict.fromkeys(["final_unpruned_hit", "pruned_hit_stands", "hit_past_n_pumped",
+                          "budget_prune", "no", "no_target"], 0)
+    rng = random.Random(31)
+    for _ in range(1500):
+        graph, nu = route_instance(rng)
+        table, vertices, edges = dsumpath.compute_mrg(graph, nu)
+        old_table, old_vertices, old_edges = prune_first_compute_mrg(graph, nu)
+        assert (vertices, edges) == (old_vertices, old_edges)
+        assert (table is None) == (old_table is None)
+        if table is not None:
+            assert (table.rounds, table.raised, table.hit) == (
+                old_table.rounds, old_table.raised, None)
+        for strict in (False, True):
+            del events[:]
+            checker = exists_path_lt if strict else exists_path_leq
+            answer, witness = checker(graph, nu)
+            route = tuple(events)
+            old_answer, old_witness = prune_first_exists_path(graph, nu, strict)
+            assert answer == old_answer, (graph, nu, strict)
+            if answer == YES:
+                assert (witness.vertices, witness.edges, witness.value) == (
+                    old_witness.vertices, old_witness.edges, old_witness.value)
+            if not route:
+                seen["final_unpruned_hit"] += 1
+            elif route in routes:
+                seen[routes[route]] += 1
+            seen["budget_prune"] += route[:1] == ("budget",)
+            seen["no"] += answer == NO
+            seen["no_target"] += table is None
+    assert min(seen.values()) >= 50, seen
 
 
 # --- dsum-path --trace, pinned byte for byte ----------------------------------

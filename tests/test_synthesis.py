@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from wsynth import core, domain, games, prefix, synthesis
+from wsynth import core, domain, games, synthesis
 from wsynth.core import AVG, DSUM, NEG_INF, SUM
 from wsynth.games import ADAM, EVE
 from wsynth.synthesis import (
