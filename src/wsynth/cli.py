@@ -11,6 +11,7 @@ diagnostics go to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -96,23 +97,25 @@ def _attach_negative_rationals(argv):
     return out
 
 
+def _objective_flags(p):
+    p.add_argument("--cmp", choices=["gt", "ge", "lt", "le"], default=None)
+    p.add_argument("--nu", default=None)
+    p.add_argument("--r", dest="slack", default=None)
+
+
 def _domain_safe_args(p):
     p.add_argument("spec")
     p.add_argument("-o", dest="out", default=None)
     p.add_argument("--dot", action="store_true", help="emit the two-run game as DOT")
-    p.add_argument("--json", action="store_true")
 
 
 def _synth_args(p):
     p.add_argument("objective", choices=["threshold", "best-value", "approx"])
     p.add_argument("spec")
-    p.add_argument("--cmp", choices=["gt", "ge", "lt", "le"], default=None)
-    p.add_argument("--nu", default=None)
-    p.add_argument("--r", dest="slack", default=None)
+    _objective_flags(p)
     p.add_argument("--cap", type=int, default=None)
     p.add_argument("-o", dest="out", default=None)
     p.add_argument("--dot", action="store_true")
-    p.add_argument("--json", action="store_true")
 
 
 def _verify_args(p):
@@ -123,23 +126,18 @@ def _verify_args(p):
         required=True,
         choices=["boolean", "threshold", "best-value", "approx"],
     )
-    p.add_argument("--cmp", choices=["gt", "ge", "lt", "le"], default=None)
-    p.add_argument("--nu", default=None)
-    p.add_argument("--r", dest="slack", default=None)
-    p.add_argument("--json", action="store_true")
+    _objective_flags(p)
 
 
 def _eval_args(p):
     p.add_argument("spec")
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
-    p.add_argument("--json", action="store_true")
 
 
 def _bestval_args(p):
     p.add_argument("spec")
     p.add_argument("--input", required=True)
-    p.add_argument("--json", action="store_true")
 
 
 def _solve_prefix_args(p):
@@ -150,7 +148,6 @@ def _solve_prefix_args(p):
     p.add_argument("--lambda", dest="discount", default=None)
     p.add_argument("--trace", action="store_true")
     p.add_argument("--dot", action="store_true")
-    p.add_argument("--json", action="store_true")
 
 
 def _dsum_path_args(p):
@@ -159,27 +156,25 @@ def _dsum_path_args(p):
     p.add_argument("--lambda", dest="discount", required=True)
     p.add_argument("--strict", action="store_true")
     p.add_argument("--trace", action="store_true")
-    p.add_argument("--json", action="store_true")
 
 
 def _gen_args(p):
     p.add_argument("what", choices=["mp-to-spec"])
     p.add_argument("arena")
     p.add_argument("-o", dest="out", default=None)
-    p.add_argument("--json", action="store_true")
 
 
-def build_parser(command=None):
-    """The wsynth parser.  Given a known command, only its subparser is
-    built: the others cannot take part in parsing a command line that
-    starts with it.  Otherwise all are, so help and invalid-choice errors
-    list every command."""
+@functools.cache
+def build_parser():
+    """The wsynth parser with every subcommand, built on first use and
+    shared by every later call in the process."""
     parser = _Parser(prog="wsynth", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, add_arguments, _run) in _COMMANDS.items():
-        if command in _COMMANDS and name != command:
-            continue
-        add_arguments(sub.add_parser(name, help=help_text))
+        command = sub.add_parser(name, help=help_text)
+        add_arguments(command)
+        # last, where every command's help has always listed it
+        command.add_argument("--json", action="store_true")
     return parser
 
 
@@ -459,7 +454,7 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     argv = _attach_negative_rationals(sys.argv[1:] if argv is None else argv)
-    parser = build_parser(argv[0] if argv else None)
+    parser = build_parser()
     started = time.monotonic()
     try:
         args = parser.parse_args(argv)
@@ -477,7 +472,7 @@ def main(argv=None) -> int:
         # a fault in the program, never an answer; repr keeps it on one line
         sys.stderr.write("internal error: %r\n" % (exc,))
         return EXIT_SOFTWARE
-    if getattr(args, "json", False):
+    if args.json:
         sys.stderr.write("elapsed_ms: %d\n" % int((time.monotonic() - started) * 1000))
     return code
 

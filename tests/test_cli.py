@@ -3,6 +3,8 @@ import json
 import os
 import random
 import re
+import shlex
+import shutil
 import subprocess
 import sys
 from fractions import Fraction
@@ -797,7 +799,7 @@ def _parse_outcome(capsys, parse, argv):
 
 
 def _full_parse(argv):
-    cli.build_parser().parse_args(argv)
+    cli.build_parser.__wrapped__().parse_args(argv)
 
 
 _PARSE_ERRORS = [
@@ -820,13 +822,98 @@ _PARSE_ERRORS = [
                          + [[name, "--help"] for name in cli._COMMANDS]
                          + _PARSE_ERRORS)
 def test_partial_parser_matches_full_parser(capsys, monkeypatch, argv):
-    # main builds only the subparser its first argument names
+    # main reuses the parser of its first call; _full_parse builds a fresh one
     monkeypatch.setenv("COLUMNS", "80")
     full = _parse_outcome(capsys, _full_parse, argv)
     assert full[0] in (0, 64)
     assert _parse_outcome(capsys, cli.main, argv) == full
     if argv[:1] in (["--help"], ["-h"], ["frobnicate"]):
         assert all(name in full[1] + full[2] for name in cli._COMMANDS)
+
+
+_PARSER_COUNT = """
+import argparse, contextlib, io, sys
+built = []
+init = argparse.ArgumentParser.__init__
+def counted(self, *args, **kwargs):
+    built.append(kwargs.get("prog"))
+    init(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = counted
+from wsynth import cli
+print(len(built))
+paper, remark = sys.argv[1], sys.argv[2]
+calls = [
+    ["bestval", paper, "--input", "ab"],
+    ["eval", paper, "--input", "ab", "--output", "cd"],
+    ["synth", "fast", paper],
+    ["dsum-path", remark, "--nu", "1", "--lambda", "1/2"],
+    ["solve-prefix", remark, "--measure", "sum", "--cmp", "ge", "--nu", "1"],
+]
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    codes = [cli.main(argv) for argv in calls]
+print(*codes)
+print(len(built))
+"""
+
+
+def test_one_parser_per_process():
+    # importing builds no parser; the first main call builds the top-level
+    # parser and its 8 subparsers, and later calls build none
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    done = subprocess.run(
+        [sys.executable, "-c", _PARSER_COUNT, PAPER, REMARK],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert len(cli._COMMANDS) == 8
+    assert done.stdout.splitlines() == ["0", "0 0 64 1 0", "9"]
+
+
+def _readme_session():
+    """(argv, documented stdout) of each `$ wsynth` line of the README's
+    example session."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = text.split("### Example session", 1)[1].split("```sh\n", 1)[1]
+    session = []
+    for line in block.split("```", 1)[0].splitlines():
+        if line.startswith("$ "):
+            argv = shlex.split(line[2:])
+            assert argv[0] == "wsynth"
+            session.append((argv[1:], ""))
+        else:
+            session[-1] = (session[-1][0], session[-1][1] + line + "\n")
+    return session
+
+
+def test_readme_example_session_runs_as_written(capsys, monkeypatch, tmp_path):
+    shutil.copytree(FIXTURES, tmp_path / "fixtures")
+    monkeypatch.chdir(tmp_path)
+    session = _readme_session()
+    assert len({argv[0] for argv, _ in session}) >= 4
+    for argv, documented in session:
+        cli.main(argv)
+        assert capsys.readouterr().out == documented, argv
+
+
+_ENTRY = """
+import sys
+from wsynth import cli
+sys.argv = ["wsynth"] + sys.argv[1:]
+cli.entry()
+"""
+
+
+@pytest.mark.parametrize("argv, code, out", [
+    (["bestval", "fixtures/paper-example.wfa", "--input", "ab"], 0, "10\n"),
+    (["dsum-path", "fixtures/remark.arena", "--nu", "1", "--lambda", "1/2"], 1, "no\n"),
+])
+def test_entry_point_exits_with_the_answer_code(argv, code, out):
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    done = subprocess.run(
+        [sys.executable, "-c", _ENTRY] + argv,
+        cwd=root, env=env, capture_output=True, text=True,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (code, out, "")
 
 
 # Eight Sum/Avg/Dsum objectives: each comparison, rational and negative
