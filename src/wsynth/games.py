@@ -95,14 +95,16 @@ class ImperfectArena:
         for v in self.vertices:
             if v not in self.obs:
                 raise ValueError("vertex %r has no observation" % (v,))
-        for src, a, _w, dst in self.edges:
-            if src not in known or dst not in known:
-                raise ValueError("edge endpoints must be vertices")
-            if a not in self.actions:
-                raise ValueError("unknown action %r" % (a,))
+        actions = set(self.actions)
         self._succ = {}
         for src, a, w, dst in self.edges:
+            if src not in known or dst not in known:
+                raise ValueError("edge endpoints must be vertices")
+            if a not in actions:
+                raise ValueError("unknown action %r" % (a,))
             self._succ.setdefault((src, a), []).append((w, dst))
+        if self.initial not in known:
+            raise ValueError("unknown initial vertex %r" % (self.initial,))
 
     def moves(self, v, a):
         return self._succ.get((v, a), [])
@@ -530,9 +532,20 @@ def solve_imperfect_energy_capped(iarena: ImperfectArena, c0: int, cap: int):
     credit per vertex.  Clamping is monotone, the loss test fires on the
     lowest credit whenever it fires at all, and observations depend on
     vertices only, so the floor map commutes with the belief update: a
-    belief loses exactly when its floor does.  Losing floors are found by
-    a predecessor worklist.  The strategy is read off the full beliefs it
-    reaches, taking the first safe action in iarena.actions order.
+    belief loses exactly when its floor does.
+
+    Floors are solved on the fly, depth first.  Each explored floor plays
+    its current action, the first in iarena.actions order that neither
+    loses at once nor leads to a floor marked lost, and pushes only that
+    action's successors.  A floor left with no action is marked lost, and
+    every predecessor still playing into it moves on to its next action.
+    A popped floor that no live edge leads to is skipped, and the search
+    stops once the initial floor is lost.  Every mark is sound, so each
+    action before a current one loses.  When the stack empties, the
+    unmarked explored floors and their current actions form a set Eve can
+    stay in, so all of them win: each current action is the first safe
+    one, as with the whole floor game solved.  The strategy is read off
+    the full beliefs it reaches, playing their floors' current actions.
     """
     if c0 < 0:
         raise ValueError("initial credit must be nonnegative")
@@ -574,40 +587,42 @@ def solve_imperfect_energy_capped(iarena: ImperfectArena, c0: int, cap: int):
         return frozenset(low.items())
 
     initial = frozenset([(iarena.initial, min(c0, cap))])
-    # safe: floor -> actions none of whose successors has lost yet; a
-    # floor loses when its set becomes empty
-    safe = {}
-    preds = {initial: []}  # floor -> (predecessor floor, action) pairs
-    losing = deque()
-    queue = deque([initial])
-    while queue:
-        floor = queue.popleft()
-        actions = set()
-        for action in iarena.actions:
-            result = floor_updates(floor, action)
-            if result is None:
+    actions = iarena.actions
+    lost = len(actions)
+    cur = {}  # explored floor -> index of its current action, or lost
+    preds = {}  # floor -> (floor, action index) edges that led to it
+    stack = [initial]
+
+    def advance(floor, start):
+        """Play the first action from index start on that neither loses at
+        once nor leads to a lost floor, and push its unexplored successors;
+        False when there is none."""
+        for i in range(start, lost):
+            result = floor_updates(floor, actions[i])
+            if result is None or any(cur.get(nxt) == lost for nxt in result):
                 continue
-            actions.add(action)
+            cur[floor] = i
             for nxt in result:
-                if nxt not in preds:
-                    preds[nxt] = []
-                    queue.append(nxt)
-                preds[nxt].append((floor, action))
-        safe[floor] = actions
-        if not actions:
-            losing.append(floor)
+                preds.setdefault(nxt, []).append((floor, i))
+            stack.extend(nxt for nxt in result if nxt not in cur)
+            return True
+        cur[floor] = lost
+        return False
 
-    while losing:
-        floor = losing.popleft()
-        for pred, action in preds[floor]:
-            actions = safe[pred]
-            if action in actions:
-                actions.remove(action)
-                if not actions:
-                    losing.append(pred)
-
-    if not safe[initial]:
-        return NOT_WIN_AT_CAP, None
+    while stack:
+        floor = stack.pop()
+        if floor in cur or floor != initial and all(
+            cur[f] != i for f, i in preds[floor]
+        ):
+            continue  # explored, or no live edge leads here
+        dead = [] if advance(floor, 0) else [floor]
+        while dead:
+            floor = dead.pop()
+            if floor == initial:
+                return NOT_WIN_AT_CAP, None
+            for f, i in preds[floor]:
+                if cur[f] == i and not advance(f, i + 1):
+                    dead.append(f)
 
     act = {}
     step = {}
@@ -615,8 +630,7 @@ def solve_imperfect_energy_capped(iarena: ImperfectArena, c0: int, cap: int):
     seen = {initial}
     while reached:
         belief = reached.popleft()
-        actions = safe[floor_of(belief)]
-        action = next(a for a in iarena.actions if a in actions)
+        action = actions[cur[floor_of(belief)]]
         act[belief] = action
         for o, nxt in updates(belief, action).items():
             step[(belief, o)] = nxt

@@ -3,16 +3,17 @@ import os
 import random
 import subprocess
 import sys
+from collections import deque
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from wsynth import games
+from wsynth import core, games, prefix, synthesis
 from wsynth.core import InternalError
 from wsynth.games import ADAM, EVE, Arena, ImperfectArena
 
-from conftest import old_attractor, old_solve_safety
+from conftest import old_attractor, old_solve_safety, random_spec
 
 
 def mk_arena(vertices, edges, initial=None, critical=()):
@@ -797,6 +798,119 @@ def old_solve_imperfect_energy_capped(iarena, c0, cap):
     return games.WIN, games.MemoryStrategy(initial=initial, act=act, step=step)
 
 
+def full_floor_solve(iarena, c0, cap, limit=None):
+    """The floor solver as it was before the on-the-fly search: it builds
+    every reachable floor belief, trying every action at each, then finds
+    the losing floors with a predecessor worklist and reads the strategy
+    off the full beliefs, playing the first safe action of their floor.
+    With a limit, it gives up (None) once more than `limit` floors or
+    beliefs are reached."""
+    if c0 < 0:
+        raise ValueError("initial credit must be nonnegative")
+    if cap < c0:
+        raise ValueError("cap must be at least the initial credit")
+    obs = iarena.obs
+
+    def updates(belief, action):
+        per_obs = {}
+        for v, c in belief:
+            for w, dst in iarena.moves(v, action):
+                per_obs.setdefault(obs[dst], set()).add((dst, min(cap, c + w)))
+        return {o: frozenset(b) for o, b in per_obs.items()}
+
+    def floor_updates(floor, action):
+        per_obs = {}
+        for v, c in floor:
+            moves = iarena.moves(v, action)
+            if not moves:
+                return None
+            for w, dst in moves:
+                nc = c + w
+                if nc < 0:
+                    return None
+                if nc > cap:
+                    nc = cap
+                low = per_obs.setdefault(obs[dst], {})
+                if low.get(dst, nc) >= nc:
+                    low[dst] = nc
+        return [frozenset(low.items()) for low in per_obs.values()]
+
+    def floor_of(belief):
+        low = {}
+        for v, c in belief:
+            if low.get(v, c) >= c:
+                low[v] = c
+        return frozenset(low.items())
+
+    initial = frozenset([(iarena.initial, min(c0, cap))])
+    safe = {}
+    preds = {initial: []}
+    losing = deque()
+    queue = deque([initial])
+    while queue:
+        if limit is not None and len(preds) > limit:
+            return None
+        floor = queue.popleft()
+        actions = set()
+        for action in iarena.actions:
+            result = floor_updates(floor, action)
+            if result is None:
+                continue
+            actions.add(action)
+            for nxt in result:
+                if nxt not in preds:
+                    preds[nxt] = []
+                    queue.append(nxt)
+                preds[nxt].append((floor, action))
+        safe[floor] = actions
+        if not actions:
+            losing.append(floor)
+
+    while losing:
+        floor = losing.popleft()
+        for pred, action in preds[floor]:
+            actions = safe[pred]
+            if action in actions:
+                actions.remove(action)
+                if not actions:
+                    losing.append(pred)
+
+    if not safe[initial]:
+        return games.NOT_WIN_AT_CAP, None
+
+    act = {}
+    step = {}
+    reached = deque([initial])
+    seen = {initial}
+    while reached:
+        if limit is not None and len(seen) > limit:
+            return None
+        belief = reached.popleft()
+        actions = safe[floor_of(belief)]
+        action = next(a for a in iarena.actions if a in actions)
+        act[belief] = action
+        for o, nxt in updates(belief, action).items():
+            step[(belief, o)] = nxt
+            if nxt not in seen:
+                seen.add(nxt)
+                reached.append(nxt)
+    return games.WIN, games.MemoryStrategy(initial=initial, act=act, step=step)
+
+
+def assert_same_answer(answer, expected, context):
+    """Equal statuses, and equal strategies as mappings.  Their insertion
+    order follows the iteration order of frozenset beliefs, which CPython
+    derives from how each set was built, and no caller reads it."""
+    (status, strat), (old_status, old_strat) = answer, expected
+    assert status == old_status, context
+    if strat is None or old_strat is None:
+        assert strat is old_strat is None
+        return
+    assert strat.initial == old_strat.initial
+    assert strat.act == old_strat.act, context
+    assert strat.step == old_strat.step, context
+
+
 def random_iarena(rng):
     """Up to 4 vertices in up to 3 observation classes; each (vertex,
     action) pair is missing with probability 1/4 and otherwise has one or
@@ -831,18 +945,11 @@ def test_energy_capped_matches_old_solver_on_random_arenas():
         c0 = rng.randint(0, 3)
         cap = c0 + rng.randint(0, 12 - c0) if trial % 3 else trial // 3 % 13
         c0 = min(c0, cap)
-        status, strat = games.solve_imperfect_energy_capped(ia, c0, cap)
-        old_status, old_strat = old_solve_imperfect_energy_capped(ia, c0, cap)
-        assert status == old_status, (ia, c0, cap)
-        if strat is None or old_strat is None:
-            assert strat is old_strat is None
-        else:
-            # Equal as mappings.  Their insertion order follows the
-            # iteration order of frozenset beliefs, which CPython derives
-            # from how each set was built, and no caller reads it.
-            assert strat.initial == old_strat.initial
-            assert strat.act == old_strat.act, (ia, c0, cap)
-            assert strat.step == old_strat.step, (ia, c0, cap)
+        answer = games.solve_imperfect_energy_capped(ia, c0, cap)
+        for oracle in (old_solve_imperfect_energy_capped, full_floor_solve):
+            assert_same_answer(answer, oracle(ia, c0, cap), (ia, c0, cap))
+        status, strat = answer
+        if strat is not None:
             credits = [c for belief in strat.act for _v, c in belief]
             seen["at_cap"] += cap > c0 and cap in credits
         seen[status] += 1
@@ -852,6 +959,181 @@ def test_energy_capped_matches_old_solver_on_random_arenas():
         seen["negative"] += any(w < 0 for _s, _a, w, _d in ia.edges)
     assert caps == set(range(13))
     assert min(seen.values()) >= 50, seen
+
+
+def random_large_iarena(rng):
+    """5 to 10 vertices, 2 or 3 actions and 1 to 4 observation classes;
+    each (vertex, action) pair is missing with probability 0.15 and
+    otherwise has one or two moves of weight -3..3."""
+    n = rng.randint(5, 10)
+    names = ["v%d" % i for i in range(n)]
+    actions = ("x", "y", "z")[: rng.randint(2, 3)]
+    edges = []
+    for v in names:
+        for a in actions:
+            if rng.random() < 0.15:
+                continue
+            for _ in range(rng.randint(1, 2)):
+                edges.append((v, a, rng.randint(-3, 3), rng.choice(names)))
+    classes = rng.randint(1, 4)
+    return ImperfectArena(
+        vertices=tuple(names),
+        initial=names[0],
+        actions=actions,
+        edges=edges,
+        obs={v: "o%d" % rng.randrange(classes) for v in names},
+    )
+
+
+def test_energy_capped_matches_full_floor_solve_on_larger_arenas():
+    # A few of these arenas reach millions of floors or beliefs; the
+    # oracle gives up on those past 1,000, which keeps the test fast.
+    rng = random.Random(1616)
+    seen = {games.WIN: 0, games.NOT_WIN_AT_CAP: 0, "too_big": 0}
+    caps = set()
+    sizes = set()
+    for trial in range(200):
+        ia = random_large_iarena(rng)
+        cap = trial % 41
+        c0 = rng.randint(0, min(cap, 6))
+        expected = full_floor_solve(ia, c0, cap, limit=1000)
+        if expected is None:
+            seen["too_big"] += 1
+            continue
+        answer = games.solve_imperfect_energy_capped(ia, c0, cap)
+        assert_same_answer(answer, expected, (ia, c0, cap))
+        seen[answer[0]] += 1
+        caps.add(cap)
+        sizes.add((len(ia.vertices), len(set(ia.obs.values()))))
+    assert min(seen[games.WIN], seen[games.NOT_WIN_AT_CAP]) >= 50, seen
+    assert seen["too_big"] <= 40, seen
+    assert 40 in caps and len(caps) >= 35, caps
+    assert {n for n, _ in sizes} == set(range(5, 11)), sizes
+    assert {k for _, k in sizes} == set(range(1, 5)), sizes
+
+
+def test_energy_capped_matches_full_floor_solve_on_approx_games():
+    # the games synth approx solves: built from random specs and reduced
+    # to plain energy games, with the initial credit the reduction asks for
+    rng = random.Random(2718)
+    seen = {games.WIN: 0, games.NOT_WIN_AT_CAP: 0}
+    for trial in range(300):
+        measure = rng.choice([core.SUM, core.AVG])
+        spec = random_spec(rng, max_states=8, max_w=3, measure=measure)
+        cmp = rng.choice(["<=", "<"])
+        # synth approx answers a strict bound of 0 without a game
+        r = Fraction(rng.randint(cmp == "<", 4), rng.choice([1, 1, 2, 3]))
+        iarena, credit = synthesis.build_approx_game(spec, measure, cmp, r)
+        try:
+            reduced, c0 = prefix.reduce_prefix_energy_to_energy(iarena, credit)
+        except ValueError:
+            continue  # Adam cannot force a critical visit everywhere
+        cap = max(c0, rng.randint(0, 24))
+        answer = games.solve_imperfect_energy_capped(reduced, c0, cap)
+        assert_same_answer(answer, full_floor_solve(reduced, c0, cap), core.emit_wfa(spec))
+        seen[answer[0]] += 1
+    assert min(seen.values()) >= 80, seen
+
+
+def counting_moves(ia):
+    """Wrap ia.moves; the returned list collects the (vertex, action) pair
+    of every call."""
+    calls = []
+    moves = ia.moves
+
+    def counted(v, a):
+        calls.append((v, a))
+        return moves(v, a)
+
+    ia.moves = counted
+    return calls
+
+
+def test_energy_capped_leaves_later_actions_untried_after_a_win():
+    # staying put on a 0-weight loop wins at once, so the search never
+    # needs to look at the second action
+    ia = ImperfectArena(
+        vertices=("v",),
+        initial="v",
+        actions=("stay", "jump"),
+        edges=[("v", "stay", 0, "v"), ("v", "jump", -1, "v")],
+        obs={"v": "o"},
+    )
+    calls = counting_moves(ia)
+    status, strat = games.solve_imperfect_energy_capped(ia, 1, 3)
+    assert status == games.WIN
+    assert strat.act == {strat.initial: "stay"}
+    assert calls and {a for _v, a in calls} == {"stay"}
+
+
+def test_energy_capped_stops_once_the_initial_floor_loses():
+    # Adam moves from s either into the safe chain w -> w2 or to the dead
+    # end d.  The search takes an action's successor floors from the last
+    # observation class to the first, so it meets d first; s then has no
+    # action left, and the w chain is never expanded.
+    ia = ImperfectArena(
+        vertices=("s", "w", "w2", "d"),
+        initial="s",
+        actions=("go",),
+        edges=[
+            ("s", "go", 0, "w"),
+            ("s", "go", 0, "d"),
+            ("w", "go", 0, "w2"),
+            ("w2", "go", 0, "w2"),
+        ],
+        obs={"s": "S", "w": "W", "w2": "W2", "d": "D"},
+    )
+    calls = counting_moves(ia)
+    assert games.solve_imperfect_energy_capped(ia, 0, 0) == (games.NOT_WIN_AT_CAP, None)
+    assert {v for v, _a in calls} == {"s", "d"}
+
+
+def test_energy_capped_skips_floors_no_live_edge_leads_to():
+    # "risky" lets Adam move to a (class A) or to the dead end d (class D).
+    # The search meets d first, so s moves on to "safe"; the floor at a,
+    # still on the stack, is then reached by no live edge and is skipped.
+    ia = ImperfectArena(
+        vertices=("s", "a", "d"),
+        initial="s",
+        actions=("risky", "safe"),
+        edges=[
+            ("s", "risky", 0, "a"),
+            ("s", "risky", 0, "d"),
+            ("s", "safe", 0, "s"),
+            ("a", "risky", 0, "a"),
+        ],
+        obs={"s": "S", "a": "A", "d": "D"},
+    )
+    calls = counting_moves(ia)
+    status, strat = games.solve_imperfect_energy_capped(ia, 0, 0)
+    assert status == games.WIN
+    assert strat.act == {strat.initial: "safe"}
+    assert "a" not in {v for v, _a in calls}
+
+
+def test_imperfect_arena_validation_errors():
+    # observations are checked first, then the edges in order (endpoints
+    # before the action), then the initial vertex, so input that was
+    # malformed before the initial-vertex check reports the same error
+    good = dict(vertices=("v", "w"), initial="v", actions=("go",),
+                edges=[("v", "go", 0, "w")], obs={"v": "o", "w": "o"})
+    cases = [
+        (dict(obs={"v": "o"}, edges=[("v", "go", 0, "z")], initial="z"),
+         "vertex 'w' has no observation"),
+        (dict(edges=[("v", "jump", 0, "w"), ("z", "go", 0, "w")]),
+         "unknown action 'jump'"),
+        (dict(edges=[("v", "go", 0, "z"), ("v", "jump", 0, "w")]),
+         "edge endpoints must be vertices"),
+        (dict(edges=[("z", "jump", 0, "w")]), "edge endpoints must be vertices"),
+        (dict(edges=[("v", "jump", 0, "w")], initial="z"), "unknown action 'jump'"),
+        (dict(initial="nowhere"), "unknown initial vertex 'nowhere'"),
+    ]
+    for change, message in cases:
+        with pytest.raises(ValueError) as exc:
+            ImperfectArena(**dict(good, **change))
+        assert str(exc.value) == message
+    ia = ImperfectArena(**good)
+    assert ia.moves("v", "go") == [(0, "w")] and ia.moves("w", "go") == []
 
 
 # --- arena text format ------------------------------------------------------
