@@ -177,35 +177,37 @@ class MealyTransducer:
 def _infer_polarity(spec: WeightedSpec) -> dict:
     """Assign input/output polarity to every state.
 
-    Propagates from the initial state (input polarity) along transitions
-    and from symbols that occur in only one alphabet.  States left
-    unconstrained (unreachable, ambiguous symbols) default to input
-    polarity unless one of their outgoing symbols forces output.
+    Alternation makes polarity a 2-colouring of the transition graph.  The
+    initial state is anchored as input, and the source of a transition
+    whose symbol lies in exactly one alphabet as that alphabet's side; one
+    bfs over the transitions, both ways, then gives every state it reaches
+    the opposite polarity of its neighbour.  States no anchor reaches
+    (unreachable, ambiguous symbols only) default to input polarity.
     """
     inputs, outputs = set(spec.inputs), set(spec.outputs)
     polarity = {}
+    neighbours = {}
 
     def assign(state, pol):
-        if polarity.get(state, pol) != pol:
-            raise SpecError("polarity conflict at state %r" % state)
-        polarity[state] = pol
+        if polarity.setdefault(state, pol) != pol:
+            raise SpecError("polarity conflict at state %r" % (state,))
 
     assign(spec.initial, INPUT)
-    changed = True
-    while changed:
-        changed = False
-        for (src, sym), (tgt, _w) in spec.transitions.items():
-            before = (polarity.get(src), polarity.get(tgt))
-            if sym in inputs and sym not in outputs:
-                assign(src, INPUT)
-            elif sym in outputs and sym not in inputs:
-                assign(src, OUTPUT)
-            if src in polarity:
-                assign(tgt, OUTPUT if polarity[src] == INPUT else INPUT)
-            if tgt in polarity and src not in polarity:
-                assign(src, OUTPUT if polarity[tgt] == INPUT else INPUT)
-            if before != (polarity.get(src), polarity.get(tgt)):
-                changed = True
+    for (src, sym), (tgt, _w) in spec.transitions.items():
+        if sym in inputs and sym not in outputs:
+            assign(src, INPUT)
+        elif sym in outputs and sym not in inputs:
+            assign(src, OUTPUT)
+        neighbours.setdefault(src, []).append(tgt)
+        neighbours.setdefault(tgt, []).append(src)
+
+    def successors(state):
+        flip = OUTPUT if polarity[state] == INPUT else INPUT
+        for other in neighbours.get(state, ()):
+            assign(other, flip)
+            yield other, None
+
+    bfs(successors, list(polarity))
     for q in spec.states:
         polarity.setdefault(q, INPUT)
     return polarity

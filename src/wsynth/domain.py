@@ -162,7 +162,9 @@ class TwoRunSafetyGame:
     The arena's vertices are 0..N-1 in breadth-first discovery order.
     Over the m run states (the spec's states in order, then the dead
     run), vertex v has the code (kind * m + eve) * m + adam in codes[v],
-    and ids maps each code back to its vertex.
+    and ids maps each code back to its vertex.  names holds the run
+    states' names; the dead run's is __dead__, extended with _ until no
+    spec state has it.
     """
 
     arena: Arena
@@ -237,7 +239,10 @@ def build_two_run_game(spec: WeightedSpec) -> TwoRunSafetyGame:
         edges=edges,
         critical=losing,
     )
-    names = tuple(spec.states) + (_DEAD,)
+    dead_name = _DEAD
+    while dead_name in index:
+        dead_name += "_"
+    names = tuple(spec.states) + (dead_name,)
     return TwoRunSafetyGame(arena, codes, ids, names)
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import itemgetter
 
-from .core import FormatError, InternalError, _tokenize
+from .core import FormatError, InternalError, _dot_escape, _tokenize, bfs
 
 EVE = "eve"
 ADAM = "adam"
@@ -626,17 +626,14 @@ def solve_imperfect_energy_capped(iarena: ImperfectArena, c0: int, cap: int):
 
     act = {}
     step = {}
-    reached = deque([initial])
-    seen = {initial}
-    while reached:
-        belief = reached.popleft()
-        action = actions[cur[floor_of(belief)]]
-        act[belief] = action
+
+    def successors(belief):
+        act[belief] = action = actions[cur[floor_of(belief)]]
         for o, nxt in updates(belief, action).items():
             step[(belief, o)] = nxt
-            if nxt not in seen:
-                seen.add(nxt)
-                reached.append(nxt)
+            yield nxt, o
+
+    bfs(successors, [initial])
     return WIN, MemoryStrategy(initial=initial, act=act, step=step)
 
 
@@ -731,7 +728,7 @@ def arena_to_dot(arena: Arena, highlight=(), label=str) -> str:
     highlight = set(highlight)
 
     def quoted(v):
-        return '"%s"' % label(v).replace('"', "'")
+        return '"%s"' % _dot_escape(label(v))
 
     lines = ["digraph arena {", "  rankdir=LR;"]
     for v in arena.vertices:

@@ -13,17 +13,17 @@ approximate objectives on one synchronized product of the machine, the
 spec run it produces and (for best-value and approx) a rival spec run.
 Dsum checks that product letter by letter with the exact path checks of
 dsumpath; Sum/Avg join each input step with its output fan into one
-scaled integer edge for a min-walk search.  Every REALIZABLE result must
-pass it before being returned.  Its reach, co-reach and witness searches
-run on the breadth-first kernel core.bfs, as does the one loop that reads
-a machine off a choice of outputs (extract_transducer, best-value
-selectors).
+scaled integer edge for a min-walk search.  Every REALIZABLE result but
+synth_approx's empty-domain machine passes it before being returned.
+Its reach, co-reach and witness searches run on the breadth-first kernel
+core.bfs, as do the approximate game's construction and every machine
+read-off (extract_transducer, best-value selectors, belief strategies);
+_value_product numbers its nodes into flat arrays as it explores.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
@@ -571,28 +571,14 @@ def build_approx_game(spec: WeightedSpec, measure: str, cmp: str, r):
 
     per_step = slack if measure == AVG else 0
     initial = (spec.initial, spec.initial)
-    vertices = []
-    edges = []
-    obs = {}
-    critical = set()
-    seen = set()
-    queue = deque()
+    edges = [(_BOT, "choose", -1, _BOT)]
+    obs = {_BOT: _BOT}
+    critical = {_BOT}
 
-    def note(v):
-        if v not in seen:
-            seen.add(v)
-            vertices.append(v)
-            queue.append(v)
-
-    note(initial)
-    note(_BOT)
-    obs[_BOT] = _BOT
-    critical.add(_BOT)
-    edges.append((_BOT, "choose", -1, _BOT))
-    while queue:
-        v = queue.popleft()
+    def successors(v):
+        """Record v's observation, criticality and out-edges; yield its targets."""
         if v == _BOT:
-            continue
+            return
         if len(v) == 2:
             p, q = v
             obs[v] = ("i", p)
@@ -605,8 +591,8 @@ def build_approx_game(spec: WeightedSpec, measure: str, cmp: str, r):
                 p2 = step(p, a)
                 nxt = (p2, q2, a)
                 w = scale * (weight(p, a) - weight(q, a)) + per_step
-                note(nxt)
                 edges.append((v, "choose", w, nxt))
+                yield nxt, None
             if p not in spec.finals and q in spec.finals:
                 edges.append((v, "choose", 0, _BOT))
             edges.append((v, "choose", 0, v))
@@ -621,8 +607,10 @@ def build_approx_game(spec: WeightedSpec, measure: str, cmp: str, r):
                         continue
                     w = scale * (weight(p, b) - weight(q, b_adv)) + per_step
                     nxt = (p2, q2)
-                    note(nxt)
                     edges.append((v, b, w, nxt))
+                    yield nxt, None
+
+    vertices = list(bfs(successors, [initial, _BOT])[0])
 
     credit = 0 if measure == AVG else (slack if not strict else slack - 1)
     if strict and measure == AVG:
@@ -666,26 +654,13 @@ def _transducer_from_belief_strategy(spec, full, strategy):
                 return vertex[0]
         raise InternalError("belief %r is not at an input observation" % (belief,))
 
-    b0 = strategy.initial
-    states = {}
-    order = []
-
-    def name(belief):
-        if belief not in states:
-            states[belief] = "m%d" % len(states)
-            order.append(belief)
-        return states[belief]
-
-    transitions = {}
+    moves = {}  # (belief, a) -> (b, next belief)
     finals = []
-    queue = deque([b0])
-    seen = {b0}
-    while queue:
-        belief = queue.popleft()
-        src = name(belief)
+
+    def successors(belief):
         p = input_state_of(belief)
         if p in spec.finals:
-            finals.append(src)
+            finals.append(belief)
         for a in spec.inputs:
             p2 = full.transitions[(p, a)][0]
             mid = strategy.step.get((belief, ("o", p2, a)))
@@ -696,17 +671,20 @@ def _transducer_from_belief_strategy(spec, full, strategy):
             nxt = strategy.step.get((mid, ("i", p3)))
             if nxt is None:
                 continue
-            transitions[(src, a)] = (b, name(nxt))
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
+            moves[(belief, a)] = (b, nxt)
+            yield nxt, a
+
+    beliefs = bfs(successors, [strategy.initial])[0]
+    name = {belief: "m%d" % k for k, belief in enumerate(beliefs)}
     return MealyTransducer(
         inputs=spec.inputs,
         outputs=spec.outputs,
-        states=tuple(states[b] for b in order),
-        initial=name(b0),
-        finals=tuple(finals),
-        transitions=transitions,
+        states=tuple(name.values()),
+        initial=name[strategy.initial],
+        finals=tuple(name[belief] for belief in finals),
+        transitions={
+            (name[belief], a): (b, name[nxt]) for (belief, a), (b, nxt) in moves.items()
+        },
     )
 
 

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import types
 from fractions import Fraction
 from pathlib import Path
 
@@ -203,6 +204,75 @@ def test_alternation_partition(paper_spec):
             assert sym in paper_spec.inputs
         else:
             assert sym in paper_spec.outputs
+
+
+def sweep_polarity(spec):
+    """Polarity as first inferred: sweep every transition until nothing changes."""
+    inputs, outputs = set(spec.inputs), set(spec.outputs)
+    polarity = {}
+
+    def assign(state, pol):
+        if polarity.get(state, pol) != pol:
+            raise core.SpecError("polarity conflict at state %r" % state)
+        polarity[state] = pol
+
+    assign(spec.initial, core.INPUT)
+    changed = True
+    while changed:
+        changed = False
+        for (src, sym), (tgt, _w) in spec.transitions.items():
+            before = (polarity.get(src), polarity.get(tgt))
+            if sym in inputs and sym not in outputs:
+                assign(src, core.INPUT)
+            elif sym in outputs and sym not in inputs:
+                assign(src, core.OUTPUT)
+            if src in polarity:
+                assign(tgt, core.OUTPUT if polarity[src] == core.INPUT else core.INPUT)
+            if tgt in polarity and src not in polarity:
+                assign(src, core.OUTPUT if polarity[tgt] == core.INPUT else core.INPUT)
+            if before != (polarity.get(src), polarity.get(tgt)):
+                changed = True
+    for q in spec.states:
+        polarity.setdefault(q, core.INPUT)
+    return polarity
+
+
+def _polarity_or_error(infer, spec):
+    try:
+        return infer(spec)
+    except core.SpecError:
+        return "SpecError"
+
+
+def test_infer_polarity_matches_the_sweep_on_random_transitions():
+    # _infer_polarity reads only these fields, so no validation runs here
+    rng = random.Random(1717)
+    kinds = {"conflict": 0, "unanchored": 0, "foreign": 0, "agree": 0}
+    for _trial in range(20000):
+        states = ["s%d" % k for k in range(rng.randint(1, 7))]
+        symbols = "abcxyz"
+        inputs = tuple(s for s in symbols if rng.random() < 0.4)
+        outputs = tuple(s for s in symbols if rng.random() < 0.4)
+        transitions = {}
+        for _ in range(rng.randint(0, 10)):
+            transitions[(rng.choice(states), rng.choice(symbols))] = (
+                rng.choice(states), 0)
+        spec = types.SimpleNamespace(
+            inputs=inputs, outputs=outputs, states=tuple(states),
+            initial=rng.choice(states), transitions=transitions,
+        )
+        new = _polarity_or_error(core._infer_polarity, spec)
+        assert new == _polarity_or_error(sweep_polarity, spec), spec
+        if new == "SpecError":
+            kinds["conflict"] += 1
+            continue
+        kinds["agree"] += 1
+        # an anchored transition always joins opposite polarities
+        kinds["unanchored"] += any(
+            new[src] == new[tgt] for (src, _s), (tgt, _w) in transitions.items())
+        kinds["foreign"] += any(
+            sym not in inputs and sym not in outputs for _q, sym in transitions)
+    assert min(kinds.values()) >= 1000, kinds
 
 
 def test_mealy_single_transition_four_lines():

@@ -252,6 +252,31 @@ def test_two_run_game_vertex_bound(paper_spec):
     assert dot.startswith("digraph")
 
 
+def dot_node_ids(dot):
+    """The distinct node ids that a DOT text declares, the __init point aside."""
+    return {line.split(" [shape=")[0] for line in dot.splitlines()
+            if " [shape=" in line and not line.startswith("  __init ")}
+
+
+def test_dot_gives_every_vertex_its_own_node_id():
+    # a spec state named like the dead run must not share its node ids
+    spec = core.parse_wfa(
+        "wfa\nmeasure: sum\ninputs: a b\noutputs: x y\ninitial: __dead__\n"
+        "finals: __dead__\ntrans: __dead__ a 0 m\ntrans: m x 0 __dead__\n"
+    )
+    game = domain.build_two_run_game(spec)
+    assert len(game.arena.vertices) == 12
+    assert len(dot_node_ids(domain.two_run_game_to_dot(game))) == len(game.arena.vertices)
+    # nor may vertex names that differ only in a double or a single quote
+    arena = Arena(
+        vertices=('a"b', "a'b"), owner={'a"b': EVE, "a'b": ADAM}, initial='a"b',
+        edges=[('a"b', "-", 0, "a'b"), ("a'b", "-", 0, 'a"b')],
+    )
+    dot = games.arena_to_dot(arena)
+    assert len(dot_node_ids(dot)) == len(arena.vertices)
+    assert '  "a\\"b" -> "a\'b" [label="0"];' in dot.splitlines()
+
+
 def every_domain_run_accepts(spec, max_len):
     """Every run on u (x) v with u in dom ends in a final state."""
     for n in range(max_len + 1):

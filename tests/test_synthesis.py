@@ -1,4 +1,5 @@
 import collections
+import importlib.util
 import itertools
 import json
 import os
@@ -470,6 +471,182 @@ def test_build_approx_game_rejects_dsum(paper_spec):
     dspec = paper_spec.with_measure(DSUM, Fraction(1, 2))
     with pytest.raises(ValueError, match="determinization"):
         synthesis.build_approx_game(dspec, DSUM, "<=", Fraction(1))
+
+
+# --- the approx game and its machine read-off against their old loops -------
+
+
+def old_build_approx_game(spec, measure, cmp, r):
+    """build_approx_game as it was: its own queue and seen set."""
+    r = Fraction(r)
+    strict = cmp == "<"
+    scale, slack = r.denominator, r.numerator
+    full = synthesis._complete_spec(spec)
+    trimmed = domain._live_states(spec)
+
+    def weight(q, sym):
+        return full.transitions[(q, sym)][1]
+
+    def step(q, sym):
+        return full.transitions[(q, sym)][0]
+
+    bot = synthesis._BOT
+    per_step = slack if measure == AVG else 0
+    initial = (spec.initial, spec.initial)
+    vertices = []
+    edges = []
+    obs = {}
+    critical = set()
+    seen = set()
+    queue = collections.deque()
+
+    def note(v):
+        if v not in seen:
+            seen.add(v)
+            vertices.append(v)
+            queue.append(v)
+
+    note(initial)
+    note(bot)
+    obs[bot] = bot
+    critical.add(bot)
+    edges.append((bot, "choose", -1, bot))
+    while queue:
+        v = queue.popleft()
+        if v == bot:
+            continue
+        if len(v) == 2:
+            p, q = v
+            obs[v] = ("i", p)
+            if q in spec.finals:
+                critical.add(v)
+            for a in spec.inputs:
+                q2 = step(q, a)
+                if q2 not in trimmed:
+                    continue
+                p2 = step(p, a)
+                nxt = (p2, q2, a)
+                w = scale * (weight(p, a) - weight(q, a)) + per_step
+                note(nxt)
+                edges.append((v, "choose", w, nxt))
+            if p not in spec.finals and q in spec.finals:
+                edges.append((v, "choose", 0, bot))
+            edges.append((v, "choose", 0, v))
+        else:
+            p, q, a = v
+            obs[v] = ("o", p, a)
+            for b in spec.outputs:
+                p2 = step(p, b)
+                for b_adv in spec.outputs:
+                    q2 = step(q, b_adv)
+                    if q2 not in trimmed:
+                        continue
+                    w = scale * (weight(p, b) - weight(q, b_adv)) + per_step
+                    nxt = (p2, q2)
+                    note(nxt)
+                    edges.append((v, b, w, nxt))
+    if strict and measure == AVG:
+        copy = synthesis._START_COPY
+        vertices.append(copy)
+        obs[copy] = obs[initial]
+        if initial in critical:
+            critical.add(copy)
+        for src, action, w, dst in list(edges):
+            if src == initial:
+                edges.append((copy, action, w - 1, dst))
+    return vertices, edges, obs, critical
+
+
+def old_transducer_from_belief_strategy(spec, full, strategy):
+    """_transducer_from_belief_strategy as it was: names given on discovery."""
+
+    def input_state_of(belief):
+        for vertex, _credit in sorted(belief, key=repr):
+            if vertex == synthesis._START_COPY:
+                return spec.initial
+            if isinstance(vertex, tuple) and len(vertex) == 2:
+                return vertex[0]
+        raise core.InternalError("belief %r is not at an input observation" % (belief,))
+
+    b0 = strategy.initial
+    states = {}
+    order = []
+
+    def name(belief):
+        if belief not in states:
+            states[belief] = "m%d" % len(states)
+            order.append(belief)
+        return states[belief]
+
+    transitions = {}
+    finals = []
+    queue = collections.deque([b0])
+    seen = {b0}
+    while queue:
+        belief = queue.popleft()
+        src = name(belief)
+        p = input_state_of(belief)
+        if p in spec.finals:
+            finals.append(src)
+        for a in spec.inputs:
+            p2 = full.transitions[(p, a)][0]
+            mid = strategy.step.get((belief, ("o", p2, a)))
+            if mid is None:
+                continue
+            b = strategy.act[mid]
+            p3 = full.transitions[(p2, b)][0]
+            nxt = strategy.step.get((mid, ("i", p3)))
+            if nxt is None:
+                continue
+            transitions[(src, a)] = (b, name(nxt))
+            if nxt not in seen:
+                seen.add(nxt)
+                queue.append(nxt)
+    return core.MealyTransducer(
+        inputs=spec.inputs, outputs=spec.outputs,
+        states=tuple(states[b] for b in order), initial=name(b0),
+        finals=tuple(finals), transitions=transitions,
+    )
+
+
+def _load_bench_gen():
+    path = Path(__file__).resolve().parent.parent / "bench" / "gen.py"
+    module_spec = importlib.util.spec_from_file_location("bench_gen", path)
+    module = importlib.util.module_from_spec(module_spec)
+    module_spec.loader.exec_module(module)
+    return module
+
+
+def _memory_specs(seed, count):
+    """Seeded Boolean-realizable Sum/Avg specs: an input DFA times output memory."""
+    gen = _load_bench_gen()
+    rng = random.Random(seed)
+    for _ in range(count):
+        measure = rng.choice((SUM, AVG))
+        data = gen.memory_spec(rng, rng.randint(2, 3), rng.randint(2, 4), "ab", "xy",
+                               measure, out_w=(-3, 3))
+        yield core.parse_wfa(gen.emit_wfa(data))
+
+
+def test_approx_game_and_machine_match_the_old_loops(monkeypatch):
+    cases = [(spec, cmp, Fraction(r)) for spec in _memory_specs(1707, 40)
+             for cmp in ("<", "<=") for r in (1, 3, "5/2")]
+    for spec, cmp, r in cases:
+        arena, _credit = synthesis.build_approx_game(spec, spec.measure, cmp, r)
+        vertices, edges, obs, critical = old_build_approx_game(spec, spec.measure, cmp, r)
+        assert list(arena.vertices) == vertices
+        assert arena.edges == edges
+        assert arena.obs == obs and arena.critical == critical
+    new = [synth_approx(spec, spec.measure, cmp, r, cap=8) for spec, cmp, r in cases]
+    monkeypatch.setattr(synthesis, "_transducer_from_belief_strategy",
+                        old_transducer_from_belief_strategy)
+    old = [synth_approx(spec, spec.measure, cmp, r, cap=8) for spec, cmp, r in cases]
+    assert [n.status for n in new] == [o.status for o in old]
+    for n, o in zip(new, old):
+        if n.transducer is not None:
+            assert core.emit_mealy(n.transducer) == core.emit_mealy(o.transducer)
+    assert sum(n.transducer is not None and len(n.transducer.states) > 1
+               for n in new) >= 60
 
 
 def test_approx_strict_realizable_cases(paper_spec):
