@@ -406,26 +406,6 @@ def walk_back(links, node):
     return steps
 
 
-def transducer_domain_states(t: MealyTransducer):
-    """States reachable from the initial state via transitions."""
-    succ = {}
-    for (src, a), (_b, tgt) in t.transitions.items():
-        succ.setdefault(src, []).append((tgt, a))
-    return bfs(lambda s: succ.get(s, ()), [t.initial])[0].keys()
-
-
-def trim_transducer(t: MealyTransducer) -> MealyTransducer:
-    reach = transducer_domain_states(t)
-    return replace(
-        t,
-        states=tuple(q for q in t.states if q in reach),
-        finals=tuple(q for q in t.finals if q in reach),
-        transitions={
-            key: val for key, val in t.transitions.items() if key[0] in reach
-        },
-    )
-
-
 # ---------------------------------------------------------------------------
 # Text formats
 

@@ -281,7 +281,8 @@ def check_positional_dsum(arena: Arena, strategy: PositionalStrategy, obj: Prefi
 
 
 def enumerate_positional(arena: Arena):
-    """Eve's positional strategies, vertices by arena order, edges by file order."""
+    """Eve's positional strategies: her vertices in arena order, each
+    one's edges in arena order, the last vertex varying fastest."""
     eve_vertices = [v for v in arena.vertices if arena.owner[v] == EVE]
     pools = [arena.out(v) for v in eve_vertices]
     if any(not pool for pool in pools):

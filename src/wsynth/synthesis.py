@@ -1,11 +1,13 @@
 """End-to-end synthesis pipelines and the independent realizer verifier.
 
 Threshold synthesis plays the critical prefix game on the domain-safe
-specification (final states critical); best-value synthesis enumerates
-output selectors over the domain-safe automaton (any best-value realizer
-is such a subautomaton); approximate synthesis for Sum/Avg reduces to an
-imperfect-information critical prefix energy game where Adam secretly
-runs a rival run of the same automaton.
+specification's arena (final states critical); best-value synthesis
+searches Eve's positional strategies in that same arena (any best-value
+realizer folds into a subautomaton of the spec, which is one of them);
+approximate synthesis for Sum/Avg reduces to an imperfect-information
+critical prefix energy game where Adam secretly runs a rival run of the
+same automaton.  Eve's choices at a state are the arena's edges, in the
+order of the state's alphabet.
 
 verify_realizer is deliberately independent of the synthesis route: it
 checks domains by DFA equivalence, and threshold, best-value and
@@ -17,13 +19,12 @@ scaled integer edge for a min-walk search.  Every REALIZABLE result but
 synth_approx's empty-domain machine passes it before being returned.
 Its reach, co-reach and witness searches run on the breadth-first kernel
 core.bfs, as do the approximate game's construction and every machine
-read-off (extract_transducer, best-value selectors, belief strategies);
-_value_product numbers its nodes into flat arrays as it explores.
+read-off (extract_transducer, belief strategies); _value_product numbers
+its nodes into flat arrays as it explores.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
@@ -41,7 +42,6 @@ from .core import (
     MealyTransducer,
     WeightedSpec,
     bfs,
-    trim_transducer,
     walk_back,
 )
 from .domain import make_domain_safe
@@ -104,15 +104,24 @@ def spec_to_prefix_arena(spec: WeightedSpec) -> Arena:
     Input states belong to Adam, output states to Eve, final states are
     critical; deadlocked states get a 0-weight exit to a fresh sink so
     plays never get stuck.  A spec transition's edge carries its symbol
-    as the action; every other edge goes into the sink.
+    as the action; every other edge goes into the sink.  Each state's
+    edges are listed in the order of its alphabet, states in spec order,
+    so Eve's choices never depend on the order of a file's trans: lines.
     """
-    edges = [(src, sym, w, tgt) for (src, sym), (tgt, w) in spec.transitions.items()]
     vertices = list(spec.states)
-    owner = {
-        q: (ADAM if spec.polarity[q] == INPUT else EVE) for q in spec.states
-    }
-    have_out = {src for (src, _sym) in spec.transitions}
-    dead = [q for q in spec.states if q not in have_out]
+    owner = {}
+    edges = []
+    dead = []
+    for q in spec.states:
+        adam = spec.polarity[q] == INPUT
+        owner[q] = ADAM if adam else EVE
+        before = len(edges)
+        for sym in spec.inputs if adam else spec.outputs:
+            entry = spec.transitions.get((q, sym))
+            if entry is not None:
+                edges.append((q, sym, entry[1], entry[0]))
+        if len(edges) == before:
+            dead.append(q)
     if dead:
         vertices.append(_GAME_SINK)
         owner[_GAME_SINK] = ADAM
@@ -135,21 +144,6 @@ def extract_transducer(spec: WeightedSpec, arena: Arena, strategy):
     equality with the spec holds by domain-safety (any followed run on a
     domain word ends in a final state).
     """
-
-    def pick(mid):
-        if mid not in strategy.choice:
-            raise ValueError("strategy undefined at reachable output state %r" % (mid,))
-        _src, sym, _w, dst = arena.edges[strategy.choice[mid]]
-        if dst == _GAME_SINK:
-            raise ValueError("strategy escapes the specification at %r" % (mid,))
-        return sym
-
-    return _follow_outputs(spec, pick)
-
-
-def _follow_outputs(spec: WeightedSpec, pick):
-    """Transducer over the spec's input states reachable when every output
-    state q takes the output pick(q)."""
     transitions = {}
 
     def successors(p):
@@ -158,8 +152,11 @@ def _follow_outputs(spec: WeightedSpec, pick):
             if entry is None:
                 continue
             mid = entry[0]
-            b = pick(mid)
-            tgt = spec.transitions[(mid, b)][0]
+            if mid not in strategy.choice:
+                raise ValueError("strategy undefined at reachable output state %r" % (mid,))
+            _src, b, _w, tgt = arena.edges[strategy.choice[mid]]
+            if tgt == _GAME_SINK:
+                raise ValueError("strategy escapes the specification at %r" % (mid,))
             transitions[(p, a)] = (b, tgt)
             yield tgt, a
 
@@ -484,25 +481,21 @@ def synth_threshold(spec: WeightedSpec, cmp: str, nu) -> SynthResult:
 
 
 def synth_best_value(spec: WeightedSpec) -> SynthResult:
-    """Enumerate output selectors over the domain-safe automaton.
+    """Search Eve's positional strategies on the domain-safe spec arena.
 
     Complete because a best-value realizer can be folded into a
-    subautomaton of the specification, and Boolean realizers never leave
-    the safety region that make_domain_safe keeps.
+    subautomaton of the specification, which is such a strategy, and
+    Boolean realizers never leave the safety region that make_domain_safe
+    keeps.  Each strategy is read off as a machine and verified; the
+    first that passes is returned.
     """
-    work = spec.with_measure(SUM) if spec.measure == AVG else spec
-    safe = make_domain_safe(work)
+    safe = make_domain_safe(spec)
     if safe is None:
         return SynthResult(status=NO_BOOLEAN_REALIZER)
-    out_states = [q for q in safe.states if safe.polarity[q] == OUTPUT]
-    pools = []
-    for q in out_states:
-        choices = [sym for sym in safe.outputs if (q, sym) in safe.transitions]
-        pools.append(choices)
+    arena = spec_to_prefix_arena(safe)
     objective = Objective(kind="best_value")
-    for combo in itertools.product(*pools):
-        selector = dict(zip(out_states, combo))
-        candidate = _follow_outputs(safe, selector.__getitem__)
+    for strategy in prefix.enumerate_positional(arena):
+        candidate = extract_transducer(safe, arena, strategy)
         verdict, _witness = verify_realizer(spec, candidate, objective)
         if verdict == PASS:
             return SynthResult(status=REALIZABLE, transducer=candidate)
@@ -643,22 +636,15 @@ def _transducer_from_belief_strategy(spec, full, strategy):
 
     Beliefs sitting at input observations become machine states; input a
     leads through the observation (o, step(p,a), a), where the strategy
-    names the output symbol, and on to the next input observation.
+    names the output symbol, and on to the next input observation (i, p3),
+    whose p3 is recorded as the reached belief's input state.
     """
-
-    def input_state_of(belief):
-        for vertex, _credit in sorted(belief, key=repr):
-            if vertex == _START_COPY:
-                return spec.initial
-            if isinstance(vertex, tuple) and len(vertex) == 2:
-                return vertex[0]
-        raise InternalError("belief %r is not at an input observation" % (belief,))
-
+    state_of = {strategy.initial: spec.initial}  # belief -> its input state
     moves = {}  # (belief, a) -> (b, next belief)
     finals = []
 
     def successors(belief):
-        p = input_state_of(belief)
+        p = state_of[belief]
         if p in spec.finals:
             finals.append(belief)
         for a in spec.inputs:
@@ -671,6 +657,7 @@ def _transducer_from_belief_strategy(spec, full, strategy):
             nxt = strategy.step.get((mid, ("i", p3)))
             if nxt is None:
                 continue
+            state_of[nxt] = p3
             moves[(belief, a)] = (b, nxt)
             yield nxt, a
 
@@ -722,7 +709,6 @@ def synth_approx(spec: WeightedSpec, measure: str, cmp: str, r, cap: int) -> Syn
         return SynthResult(status=UNKNOWN_AT_CAP, cap=cap)
     full = _complete_spec(spec)
     t = _transducer_from_belief_strategy(spec, full, strategy)
-    t = trim_transducer(t)
     verdict, witness = verify_realizer(
         spec, t, Objective(kind="approx", cmp=cmp, bound=r)
     )

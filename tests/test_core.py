@@ -287,40 +287,6 @@ def test_mealy_single_transition_four_lines():
     assert len(core.emit_mealy(t).strip().splitlines()) == 4
 
 
-def old_transducer_domain_states(t):
-    """The per-state scan over every transition that the successor map replaced."""
-    seen = {t.initial}
-    queue = [t.initial]
-    while queue:
-        state = queue.pop()
-        for (src, _a), (_b, tgt) in t.transitions.items():
-            if src == state and tgt not in seen:
-                seen.add(tgt)
-                queue.append(tgt)
-    return seen
-
-
-def test_transducer_domain_states_matches_transition_scan():
-    rng = random.Random(43)
-    sizes = []
-    for _ in range(300):
-        states = tuple("s%d" % k for k in range(rng.randint(1, 12)))
-        transitions = {
-            (q, a): (rng.choice("cd"), rng.choice(states))
-            for q in states for a in "ab" if rng.random() < 0.5
-        }
-        t = core.MealyTransducer(
-            inputs=("a", "b"), outputs=("c", "d"), states=states, initial=states[0],
-            finals=states[:1], transitions=transitions,
-        )
-        reach = core.transducer_domain_states(t)
-        assert reach == old_transducer_domain_states(t)
-        trimmed = core.trim_transducer(t)
-        assert set(trimmed.states) == reach and set(trimmed.finals) <= reach
-        sizes.append(len(reach))
-    assert min(sizes) == 1 and max(sizes) >= 8
-
-
 # --- the breadth-first kernel -----------------------------------------------
 
 _GRAPH = {0: [(1, "a"), (2, "b")], 1: [(3, "c"), (2, "d")], 2: [(4, "e")], 3: [(0, "f")]}

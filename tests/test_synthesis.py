@@ -1,4 +1,5 @@
 import collections
+import hashlib
 import importlib.util
 import itertools
 import json
@@ -11,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from wsynth import core, domain, games, synthesis
+from wsynth import cli, core, domain, games, synthesis
 from wsynth.core import AVG, DSUM, NEG_INF, SUM
 from wsynth.games import ADAM, EVE
 from wsynth.synthesis import (
@@ -679,7 +680,7 @@ def test_approx_avg_strict_at_two_thirds_unknown(paper_spec):
 
 def test_approx_zero_slack_agrees_with_best_value_enumeration():
     # approximate with slack 0 (non-strict) decides best-value realizability;
-    # cross-validate the energy route against the selector enumeration
+    # cross-validate the energy route against the positional search
     rng = random.Random(404)
     checked = 0
     for trial in range(18):
@@ -1254,3 +1255,128 @@ def test_verify_stdout_independent_of_hash_seed(tmp_path):
         outputs.append(done.stdout)
     assert outputs[0].count("witness:") >= 10
     assert outputs[1:] == outputs[:1] * 3
+
+
+# --- best value as a positional search on the spec arena ---------------------
+
+
+def old_synth_best_value(spec, verify):
+    """synth_best_value as it was: every output selector over the domain-safe
+    spec, output states in spec order, outputs in alphabet order."""
+    work = spec.with_measure(SUM) if spec.measure == AVG else spec
+    safe = domain.make_domain_safe(work)
+    if safe is None:
+        return synthesis.NO_BOOLEAN_REALIZER, None
+    out_states = [q for q in safe.states if safe.polarity[q] == core.OUTPUT]
+    pools = [[b for b in safe.outputs if (q, b) in safe.transitions] for q in out_states]
+    for combo in itertools.product(*pools):
+        selector = dict(zip(out_states, combo))
+        transitions = {}
+
+        def successors(p):
+            for a in safe.inputs:
+                entry = safe.transitions.get((p, a))
+                if entry is None:
+                    continue
+                b = selector[entry[0]]
+                tgt = safe.transitions[(entry[0], b)][0]
+                transitions[(p, a)] = (b, tgt)
+                yield tgt, a
+
+        seen = core.bfs(successors, [safe.initial])[0]
+        candidate = core.MealyTransducer(
+            inputs=safe.inputs, outputs=safe.outputs,
+            states=tuple(q for q in safe.states if q in seen), initial=safe.initial,
+            finals=tuple(f for f in safe.finals if f in seen), transitions=transitions,
+        )
+        if verify(spec, candidate, Objective(kind="best_value"))[0] == PASS:
+            return REALIZABLE, candidate
+    return UNREALIZABLE, None
+
+
+def _generated_specs(seed, count, choice_cap):
+    """Seeded bench/gen.py memory specs as data, Sum, Avg and Dsum in turn."""
+    gen = _load_bench_gen()
+    rng = random.Random(seed)
+    for i in range(count):
+        measure = (SUM, AVG, DSUM)[i % 3]
+        discount = rng.choice(("1/2", "2/3", "3/4")) if measure == DSUM else None
+        yield gen, gen.memory_spec(rng, rng.randint(3, 4), rng.randint(2, 3), "ab", "xy",
+                                   measure, discount=discount, choice_cap=choice_cap)
+
+
+def test_best_value_search_matches_the_old_selector_loop(monkeypatch):
+    calls = {"new": 0, "old": 0}
+    original = synthesis.verify_realizer
+
+    def counting(key):
+        def verify(*args):
+            calls[key] += 1
+            return original(*args)
+        return verify
+
+    monkeypatch.setattr(synthesis, "verify_realizer", counting("new"))
+    statuses = collections.Counter()
+    for cap in range(5):
+        for gen, data in _generated_specs(1808 + cap, 24, cap):
+            spec = core.parse_wfa(gen.emit_wfa(data))
+            before = dict(calls)
+            new = synth_best_value(spec)
+            status, machine = old_synth_best_value(spec, counting("old"))
+            assert new.status == status
+            if machine is not None:
+                assert core.emit_mealy(new.transducer) == core.emit_mealy(machine)
+            assert calls["new"] - before["new"] == calls["old"] - before["old"]
+            statuses[status, calls["new"] - before["new"] > 1] += 1
+    # both answers occur, and both after more than one candidate
+    assert statuses[REALIZABLE, True] >= 5 and statuses[UNREALIZABLE, True] >= 5
+
+
+def _reverse_each_state(data):
+    """The same spec with each state's trans: lines in reverse order."""
+    blocks = {}
+    for line in data["trans"]:
+        blocks.setdefault(line[0], []).append(line)
+    return dict(data, trans=[line for block in blocks.values() for line in block[::-1]])
+
+
+def test_synth_stdout_independent_of_trans_line_order(tmp_path, capsys):
+    rng = random.Random(1809)
+    differ = 0
+    for i, (gen, data) in enumerate(_generated_specs(1809, 90, 4)):
+        flipped = _reverse_each_state(data)
+        differ += flipped["trans"] != data["trans"]
+        paths = []
+        for tag, variant in (("file", data), ("flipped", flipped)):
+            path = tmp_path / ("%s%d.wfa" % (tag, i))
+            path.write_text(gen.emit_wfa(variant))
+            paths.append(str(path))
+        cmp, nu = rng.choice(("gt", "ge")), rng.choice(("-1", "0", "1/2", "1"))
+        for argv in (["synth", "threshold", "{}", "--cmp", cmp, "--nu", nu],
+                     ["synth", "best-value", "{}"]):
+            outputs = []
+            for path in paths:
+                code = cli.main([path if arg == "{}" else arg for arg in argv])
+                outputs.append((code, capsys.readouterr().out))
+            assert outputs[0] == outputs[1], (argv, gen.emit_wfa(data))
+    assert differ >= 80
+
+
+def test_synthesized_machines_are_pinned():
+    """A hash over the machines synthesized for a fixed seeded set, so that a
+    change of tie-break cannot slip through unnoticed."""
+    digest = hashlib.sha256()
+    rng = random.Random(1810)
+    for gen, data in _generated_specs(1810, 30, 4):
+        spec = core.parse_wfa(gen.emit_wfa(data))
+        nu = rng.choice((-1, 0, Fraction(1, 2), 1))
+        results = [synth_threshold(spec, rng.choice((">", ">=")), nu),
+                   synth_best_value(spec)]
+        if spec.measure != DSUM:
+            cmp, r = rng.choice(("<", "<=")), rng.randint(1, 3)
+            results.append(synth_approx(spec, spec.measure, cmp, r, cap=8))
+        for result in results:
+            digest.update(result.status.encode())
+            if result.transducer is not None:
+                digest.update(core.emit_mealy(result.transducer).encode())
+    assert digest.hexdigest() == "b0fc27a05e00205238d04f3bc59859026d2cc885a8963038dc68eec6ad88e017"
