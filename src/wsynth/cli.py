@@ -55,6 +55,8 @@ def _read(path):
             return handle.read()
     except OSError as exc:
         raise UsageError("cannot read %s: %s" % (path, exc))
+    except UnicodeDecodeError as exc:
+        raise FormatError("cannot decode %s: %s" % (path, exc))
 
 
 def _write_out(text, args, payload):
@@ -62,8 +64,11 @@ def _write_out(text, args, payload):
     under "text" with --json, or else to stdout."""
     out_path = getattr(args, "out", None)
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise UsageError("cannot write %s: %s" % (out_path, exc))
     elif args.json:
         payload["text"] = text
     else:
@@ -247,7 +252,7 @@ def _cmd_synth(args):
                 "determinization of discounted-sum automata"
             )
         cap = args.cap if args.cap is not None else _default_cap(spec)
-        result = synthesis.synth_approx(spec, spec.measure, obj.cmp, obj.bound, cap)
+        result = synthesis.synth_approx(spec, obj.cmp, obj.bound, cap)
 
     payload = {"command": "synth", "objective": args.objective, "answer": result.status}
     lines = [result.status]

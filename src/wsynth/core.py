@@ -408,48 +408,87 @@ def walk_back(links, node):
 
 # ---------------------------------------------------------------------------
 # Text formats
+#
+# .wfa, .mealy and .arena share one line grammar: '#' starts a comment and
+# blank lines are skipped; the first line names the format, and every other
+# line is a directive `key: token token ...`.  Parsers keep names in
+# first-mention order as the keys of a dict, which also tests membership.
+
+_ANY = (0, None, None)
 
 
-def _tokenize(text: str):
-    """Yield (line_number, key, tokens) per meaningful line."""
+def _directives(text: str, header: str, arity: dict, weighted=None):
+    """Yield (line number, key, tokens) for each directive after the header.
+
+    arity maps each directive to (fewest tokens, most tokens or None, the
+    message when the count is off); any other key is an unknown directive.
+    On the `weighted` directive, token 2 is an integer weight and is
+    yielded as an int.
+    """
     for number, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if ":" in line:
-            key, rest = line.split(":", 1)
-            yield number, key.strip(), rest.split()
-        else:
-            yield number, line, []
+        key, _colon, rest = line.partition(":")
+        key, tokens = key.strip(), rest.split()
+        if header is not None:
+            if key != header or tokens:
+                raise FormatError("expected '%s' header" % header, number)
+            header = None
+            continue
+        rule = arity.get(key)
+        if rule is None:
+            raise FormatError("unknown directive %r" % key, number)
+        low, high, message = rule
+        if len(tokens) < low or high is not None and len(tokens) > high:
+            raise FormatError(message, number)
+        if key == weighted:
+            try:
+                tokens[2] = int(tokens[2])
+            except ValueError:
+                raise FormatError("weight must be an integer", number)
+        yield number, key, tokens
+    if header is not None:
+        raise FormatError("expected '%s' header" % header, 1)
+
+
+def _build(make, **fields):
+    """make(**fields), with the SpecError or ValueError it raises as a FormatError."""
+    try:
+        return make(**fields)
+    except ValueError as exc:
+        raise FormatError(str(exc))
+
+
+_WFA = {
+    "measure": (1, 1, "measure must be one of sum|avg|dsum"),
+    "discount": (1, 1, "discount takes one rational"),
+    "inputs": _ANY,
+    "outputs": _ANY,
+    "initial": (1, 1, "initial takes one state"),
+    "finals": _ANY,
+    "trans": (4, 4, "trans takes: source symbol weight target"),
+}
 
 
 def parse_wfa(text: str) -> WeightedSpec:
     """Parse the .wfa format (see emit_wfa for the shape)."""
-    lines = list(_tokenize(text))
-    if not lines or lines[0][1] != "wfa" or lines[0][2]:
-        raise FormatError("expected 'wfa' header", lines[0][0] if lines else 1)
-    measure = None
-    discount = None
-    inputs = outputs = None
-    initial = None
-    finals = None
+    measure = discount = inputs = outputs = initial = None
+    finals = ()
     transitions = {}
-    states = []
-    seen_states = set()
-
-    def note_state(name):
-        if name not in seen_states:
-            seen_states.add(name)
-            states.append(name)
-
-    for number, key, tokens in lines[1:]:
-        if key == "measure":
-            if len(tokens) != 1 or tokens[0] not in MEASURES:
-                raise FormatError("measure must be one of sum|avg|dsum", number)
+    states = {}
+    for number, key, tokens in _directives(text, "wfa", _WFA, "trans"):
+        if key == "trans":
+            src, sym, weight, tgt = tokens
+            if (src, sym) in transitions:
+                raise FormatError("nondeterministic at %s/%s" % (src, sym), number)
+            states[src] = states[tgt] = None
+            transitions[(src, sym)] = (tgt, weight)
+        elif key == "measure":
             measure = tokens[0]
+            if measure not in MEASURES:
+                raise FormatError(_WFA["measure"][2], number)
         elif key == "discount":
-            if len(tokens) != 1:
-                raise FormatError("discount takes one rational", number)
             try:
                 discount = parse_rational(tokens[0])
             except ValueError as exc:
@@ -459,50 +498,28 @@ def parse_wfa(text: str) -> WeightedSpec:
         elif key == "outputs":
             outputs = tuple(tokens)
         elif key == "initial":
-            if len(tokens) != 1:
-                raise FormatError("initial takes one state", number)
             initial = tokens[0]
-            note_state(initial)
+            states[initial] = None
         elif key == "finals":
             finals = tuple(tokens)
-            for f in finals:
-                note_state(f)
-        elif key == "trans":
-            if len(tokens) != 4:
-                raise FormatError("trans takes: source symbol weight target", number)
-            src, sym, weight, tgt = tokens
-            try:
-                weight = int(weight)
-            except ValueError:
-                raise FormatError("weight must be an integer", number)
-            if (src, sym) in transitions:
-                raise FormatError("nondeterministic at %s/%s" % (src, sym), number)
-            note_state(src)
-            note_state(tgt)
-            transitions[(src, sym)] = (tgt, weight)
-        else:
-            raise FormatError("unknown directive %r" % key, number)
+            states.update(dict.fromkeys(finals))
     if measure is None:
         raise FormatError("missing measure")
     if inputs is None or outputs is None:
         raise FormatError("missing inputs or outputs")
     if initial is None:
         raise FormatError("missing initial")
-    if finals is None:
-        finals = ()
-    try:
-        return WeightedSpec(
-            inputs=inputs,
-            outputs=outputs,
-            states=tuple(states),
-            initial=initial,
-            finals=finals,
-            transitions=transitions,
-            measure=measure,
-            discount=discount,
-        )
-    except SpecError as exc:
-        raise FormatError(str(exc))
+    return _build(
+        WeightedSpec,
+        inputs=inputs,
+        outputs=outputs,
+        states=tuple(states),
+        initial=initial,
+        finals=finals,
+        transitions=transitions,
+        measure=measure,
+        discount=discount,
+    )
 
 
 def emit_wfa(spec: WeightedSpec) -> str:
@@ -518,61 +535,44 @@ def emit_wfa(spec: WeightedSpec) -> str:
     return "\n".join(lines) + "\n"
 
 
+_MEALY = {
+    "initial": (1, 1, "initial takes one state"),
+    "finals": _ANY,
+    "trans": (4, 4, "trans takes: source input output target"),
+}
+
+
 def parse_mealy(text: str) -> MealyTransducer:
-    lines = list(_tokenize(text))
-    if not lines or lines[0][1] != "mealy" or lines[0][2]:
-        raise FormatError("expected 'mealy' header", lines[0][0] if lines else 1)
     initial = None
     finals = ()
     transitions = {}
-    states = []
-    seen = set()
-    inputs = []
-    outputs = []
-
-    def note_state(name):
-        if name not in seen:
-            seen.add(name)
-            states.append(name)
-
-    for number, key, tokens in lines[1:]:
-        if key == "initial":
-            if len(tokens) != 1:
-                raise FormatError("initial takes one state", number)
-            initial = tokens[0]
-            note_state(initial)
-        elif key == "finals":
-            finals = tuple(tokens)
-            for f in finals:
-                note_state(f)
-        elif key == "trans":
-            if len(tokens) != 4:
-                raise FormatError("trans takes: source input output target", number)
+    states = {}
+    inputs = {}
+    outputs = {}
+    for number, key, tokens in _directives(text, "mealy", _MEALY):
+        if key == "trans":
             src, a, b, tgt = tokens
             if (src, a) in transitions:
                 raise FormatError("nondeterministic at %s/%s" % (src, a), number)
-            note_state(src)
-            note_state(tgt)
-            if a not in inputs:
-                inputs.append(a)
-            if b not in outputs:
-                outputs.append(b)
+            states[src] = states[tgt] = inputs[a] = outputs[b] = None
             transitions[(src, a)] = (b, tgt)
-        else:
-            raise FormatError("unknown directive %r" % key, number)
+        elif key == "initial":
+            initial = tokens[0]
+            states[initial] = None
+        elif key == "finals":
+            finals = tuple(tokens)
+            states.update(dict.fromkeys(finals))
     if initial is None:
         raise FormatError("missing initial")
-    try:
-        return MealyTransducer(
-            inputs=tuple(inputs),
-            outputs=tuple(outputs),
-            states=tuple(states),
-            initial=initial,
-            finals=finals,
-            transitions=transitions,
-        )
-    except SpecError as exc:
-        raise FormatError(str(exc))
+    return _build(
+        MealyTransducer,
+        inputs=tuple(inputs),
+        outputs=tuple(outputs),
+        states=tuple(states),
+        initial=initial,
+        finals=finals,
+        transitions=transitions,
+    )
 
 
 def emit_mealy(t: MealyTransducer) -> str:
@@ -582,21 +582,32 @@ def emit_mealy(t: MealyTransducer) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _dot_escape(name):
-    return str(name).replace('"', '\\"')
+def _dot(graph: str, nodes, initial, edges) -> str:
+    """Graphviz text of a left-to-right digraph with an arrow into initial.
+
+    nodes are (name, attributes) pairs and edges (source, target, label)
+    triples; every name and label is quoted, its double quotes escaped.
+    """
+
+    def quoted(text):
+        return '"%s"' % str(text).replace('"', '\\"')
+
+    lines = ["digraph %s {" % graph, "  rankdir=LR;"]
+    lines += ["  %s [%s];" % (quoted(v), attributes) for v, attributes in nodes]
+    lines.append("  __init [shape=point];")
+    lines.append("  __init -> %s;" % quoted(initial))
+    lines += [
+        "  %s -> %s [label=%s];" % (quoted(src), quoted(dst), quoted(label))
+        for src, dst, label in edges
+    ]
+    lines.append("}")
+    return "\n".join(lines) + "\n"
 
 
 def mealy_to_dot(t: MealyTransducer) -> str:
-    lines = ["digraph mealy {", "  rankdir=LR;"]
-    for q in t.states:
-        shape = "doublecircle" if q in t.finals else "circle"
-        lines.append('  "%s" [shape=%s];' % (_dot_escape(q), shape))
-    lines.append('  __init [shape=point];')
-    lines.append('  __init -> "%s";' % _dot_escape(t.initial))
-    for (src, a), (b, tgt) in t.transitions.items():
-        lines.append(
-            '  "%s" -> "%s" [label="%s|%s"];'
-            % (_dot_escape(src), _dot_escape(tgt), _dot_escape(a), _dot_escape(b))
-        )
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return _dot(
+        "mealy",
+        [(q, "shape=doublecircle" if q in t.finals else "shape=circle") for q in t.states],
+        t.initial,
+        [(src, tgt, "%s|%s" % (a, b)) for (src, a), (b, tgt) in t.transitions.items()],
+    )

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import itemgetter
 
-from .core import FormatError, InternalError, _dot_escape, _tokenize, bfs
+from .core import FormatError, InternalError, _build, _directives, _dot, bfs
 
 EVE = "eve"
 ADAM = "adam"
@@ -641,69 +641,57 @@ def solve_imperfect_energy_capped(iarena: ImperfectArena, c0: int, cap: int):
 # Text format
 
 
+_ARENA = {
+    "vertex": (2, None, "vertex takes: name eve|adam [critical]"),
+    "initial": (1, 1, "initial takes one vertex"),
+    "edge": (4, 4, "edge takes: src action weight dst"),
+    "obs": (2, None, "obs takes: name v1 v2 ..."),
+}
+
+
 def parse_arena(text: str) -> Arena:
-    lines = list(_tokenize(text))
-    if not lines or lines[0][1] != "arena" or lines[0][2]:
-        raise FormatError("expected 'arena' header", lines[0][0] if lines else 1)
-    vertices = []
     owner = {}
     critical = set()
     initial = None
     edges = []
     obs = {}
     obs_lines = {}
-    for number, key, tokens in lines[1:]:
-        if key == "vertex":
-            if len(tokens) < 2 or tokens[1] not in (EVE, ADAM):
-                raise FormatError("vertex takes: name eve|adam [critical]", number)
+    for number, key, tokens in _directives(text, "arena", _ARENA, "edge"):
+        if key == "edge":
+            edges.append(tuple(tokens))
+        elif key == "vertex":
             name = tokens[0]
+            if tokens[1] not in (EVE, ADAM):
+                raise FormatError(_ARENA["vertex"][2], number)
             if name in owner:
                 raise FormatError("duplicate vertex %r" % name, number)
-            vertices.append(name)
             owner[name] = tokens[1]
-            if len(tokens) == 3 and tokens[2] == "critical":
+            if tokens[2:] == ["critical"]:
                 critical.add(name)
             elif len(tokens) > 2:
-                raise FormatError("vertex takes: name eve|adam [critical]", number)
-        elif key == "initial":
-            if len(tokens) != 1:
-                raise FormatError("initial takes one vertex", number)
-            initial = tokens[0]
-        elif key == "edge":
-            if len(tokens) != 4:
-                raise FormatError("edge takes: src action weight dst", number)
-            src, action, weight, dst = tokens
-            try:
-                weight = int(weight)
-            except ValueError:
-                raise FormatError("weight must be an integer", number)
-            edges.append((src, action, weight, dst))
+                raise FormatError(_ARENA["vertex"][2], number)
         elif key == "obs":
-            if len(tokens) < 2:
-                raise FormatError("obs takes: name v1 v2 ...", number)
             for v in tokens[1:]:
                 if v in obs:
                     raise FormatError("vertex %r is listed in obs twice" % v, number)
                 obs[v] = tokens[0]
                 obs_lines[v] = number
-        else:
-            raise FormatError("unknown directive %r" % key, number)
+        elif key == "initial":
+            initial = tokens[0]
     if initial is None:
         raise FormatError("missing initial")
     for v, number in obs_lines.items():
         if v not in owner:
             raise FormatError("obs names unknown vertex %r" % v, number)
-    try:
-        return Arena(
-            vertices=tuple(vertices),
-            owner=owner,
-            initial=initial,
-            edges=edges,
-            critical=frozenset(critical),
-            obs=obs,
-        )
-    except ValueError as exc:
-        raise FormatError(str(exc))
+    return _build(
+        Arena,
+        vertices=tuple(owner),
+        owner=owner,
+        initial=initial,
+        edges=edges,
+        critical=frozenset(critical),
+        obs=obs,
+    )
 
 
 def emit_arena(arena: Arena) -> str:
@@ -726,23 +714,16 @@ def emit_arena(arena: Arena) -> str:
 def arena_to_dot(arena: Arena, highlight=(), label=str) -> str:
     """Graphviz text; label(v) names vertex v."""
     highlight = set(highlight)
-
-    def quoted(v):
-        return '"%s"' % _dot_escape(label(v))
-
-    lines = ["digraph arena {", "  rankdir=LR;"]
+    nodes = []
     for v in arena.vertices:
-        shape = "ellipse" if arena.owner[v] == EVE else "box"
-        extra = ""
+        attributes = "shape=ellipse" if arena.owner[v] == EVE else "shape=box"
         if v in arena.critical:
-            extra += ", peripheries=2"
+            attributes += ", peripheries=2"
         if v in highlight:
-            extra += ', style=filled, fillcolor="lightgray"'
-        lines.append("  %s [shape=%s%s];" % (quoted(v), shape, extra))
-    lines.append("  __init [shape=point];")
-    lines.append("  __init -> %s;" % quoted(arena.initial))
-    for src, action, w, dst in arena.edges:
-        text = "%d" % w if action == "-" else "%s|%d" % (action, w)
-        lines.append('  %s -> %s [label="%s"];' % (quoted(src), quoted(dst), text))
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+            attributes += ', style=filled, fillcolor="lightgray"'
+        nodes.append((label(v), attributes))
+    edges = [
+        (label(src), label(dst), "%d" % w if action == "-" else "%s|%d" % (action, w))
+        for src, action, w, dst in arena.edges
+    ]
+    return _dot("arena", nodes, label(arena.initial), edges)

@@ -532,7 +532,7 @@ def _complete_spec(spec: WeightedSpec) -> WeightedSpec:
 _START_COPY = ("start",)
 
 
-def build_approx_game(spec: WeightedSpec, measure: str, cmp: str, r):
+def build_approx_game(spec: WeightedSpec, cmp: str, r):
     """Imperfect-information critical prefix energy game for approximate
     synthesis: Eve steers a run of the completed automaton while Adam
     secretly steers a rival run over the trimmed states, sharing inputs.
@@ -542,7 +542,7 @@ def build_approx_game(spec: WeightedSpec, measure: str, cmp: str, r):
     once, on the edges leaving a one-shot copy of the initial vertex.
     Returns (ImperfectArena, initial credit).
     """
-    if measure not in (SUM, AVG):
+    if spec.measure not in (SUM, AVG):
         raise ValueError(
             "approximate synthesis supports sum and avg; dsum requires external "
             "determinization and is not offered"
@@ -562,7 +562,7 @@ def build_approx_game(spec: WeightedSpec, measure: str, cmp: str, r):
     def step(q, sym):
         return full.transitions[(q, sym)][0]
 
-    per_step = slack if measure == AVG else 0
+    per_step = slack if spec.measure == AVG else 0
     initial = (spec.initial, spec.initial)
     edges = [(_BOT, "choose", -1, _BOT)]
     obs = {_BOT: _BOT}
@@ -605,8 +605,8 @@ def build_approx_game(spec: WeightedSpec, measure: str, cmp: str, r):
 
     vertices = list(bfs(successors, [initial, _BOT])[0])
 
-    credit = 0 if measure == AVG else (slack if not strict else slack - 1)
-    if strict and measure == AVG:
+    credit = 0 if spec.measure == AVG else (slack if not strict else slack - 1)
+    if strict and spec.measure == AVG:
         copy = _START_COPY
         vertices.append(copy)
         obs[copy] = obs[initial]
@@ -675,7 +675,7 @@ def _transducer_from_belief_strategy(spec, full, strategy):
     )
 
 
-def synth_approx(spec: WeightedSpec, measure: str, cmp: str, r, cap: int) -> SynthResult:
+def synth_approx(spec: WeightedSpec, cmp: str, r, cap: int) -> SynthResult:
     """Approximate synthesis via the capped knowledge solver.
 
     WIN yields a verified transducer; NOT_WIN_AT_CAP is reported as
@@ -699,7 +699,7 @@ def synth_approx(spec: WeightedSpec, measure: str, cmp: str, r, cap: int) -> Syn
     if cmp == "<" and r == 0:
         return SynthResult(status=UNREALIZABLE)
 
-    iarena, credit = build_approx_game(spec, measure, cmp, r)
+    iarena, credit = build_approx_game(spec, cmp, r)
     reduced, buffered = prefix.reduce_prefix_energy_to_energy(iarena, credit)
     effective_cap = max(cap, buffered)
     status, strategy = games.solve_imperfect_energy_capped(

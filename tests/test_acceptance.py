@@ -9,7 +9,7 @@ import random
 from fractions import Fraction
 
 from wsynth import core, domain, dsumpath, games, prefix, synthesis
-from wsynth.core import AVG, DSUM, SUM
+from wsynth.core import AVG, DSUM
 from wsynth.games import ADAM, EVE
 from wsynth.prefix import PrefixObjective
 from wsynth.synthesis import (
@@ -74,7 +74,7 @@ def test_criterion_3_best_value_unrealizable(paper_spec):
 
 
 def test_criterion_4_approximate_synthesis(paper_spec):
-    result = synth_approx(paper_spec, SUM, "<=", Fraction(4), cap=64)
+    result = synth_approx(paper_spec, "<=", Fraction(4), cap=64)
     assert result.status == REALIZABLE
     verdict, _ = verify_realizer(
         paper_spec,
@@ -84,7 +84,7 @@ def test_criterion_4_approximate_synthesis(paper_spec):
     assert verdict == PASS
 
     avg = paper_spec.with_measure(AVG)
-    result_avg = synth_approx(avg, AVG, "<=", Fraction(2, 3), cap=64)
+    result_avg = synth_approx(avg, "<=", Fraction(2, 3), cap=64)
     assert result_avg.status == REALIZABLE
 
     witness = first_c_realizer()
@@ -231,7 +231,7 @@ def test_criterion_9_documented_substitutions(paper_spec):
     # stand in for them. the capped
     # energy solver is a semi-decision: strict r=4 comes back unknown, and an
     # exhaustive small-machine oracle confirms no realizer of that size
-    result = synth_approx(paper_spec, SUM, "<", Fraction(4), cap=64)
+    result = synth_approx(paper_spec, "<", Fraction(4), cap=64)
     assert result.status == UNKNOWN_AT_CAP
 
     objective = Objective(kind="approx", cmp="<", bound=Fraction(4))

@@ -292,6 +292,43 @@ def test_format_errors_exit_65(capsys, tmp_path):
     assert "format error" in err
 
 
+@pytest.mark.parametrize("argv, name", [
+    (["synth", "threshold", "{}", "--cmp", "ge", "--nu", "6"], "bad.wfa"),
+    (["verify", PAPER, "{}", "--objective", "boolean"], "bad.mealy"),
+    (["solve-prefix", "{}", "--measure", "sum", "--cmp", "ge", "--nu", "0"], "bad.arena"),
+])
+def test_undecodable_input_exits_65(capsys, tmp_path, argv, name):
+    bad = tmp_path / name
+    bad.write_bytes(b"\xff\xfe not utf-8\n")
+    code, out, err = run(capsys, *[str(bad) if arg == "{}" else arg for arg in argv])
+    assert (code, out) == (65, "")
+    assert err.startswith("format error: cannot decode %s: " % bad)
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["synth", "threshold", PAPER, "--cmp", "ge", "--nu", "6"],
+    ["domain-safe", PAPER],
+    ["gen", "mp-to-spec", REMARK],
+])
+def test_unwritable_out_exits_64(capsys, tmp_path, argv):
+    for target in (tmp_path / "missing" / "out.txt", tmp_path):
+        code, out, err = run(capsys, *argv, "-o", str(target))
+        assert (code, out) == (64, "")
+        assert err.startswith("usage error: cannot write %s: " % target)
+        assert err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_dot_escapes_quotes_in_edge_labels(capsys, tmp_path):
+    arena = tmp_path / "quote.arena"
+    arena.write_text('arena\nvertex: v eve critical\ninitial: v\nedge: v a"b 1 v\n')
+    code, out, _ = run(capsys, "solve-prefix", str(arena), "--measure", "sum",
+                       "--cmp", "ge", "--nu", "0", "--dot")
+    assert code == 0
+    assert '  "v" -> "v" [label="a\\"b|1"];' in out.splitlines()
+
+
 @pytest.mark.parametrize("obs, message", [
     ("obs: o1 v0 ghost\nobs: o2 v1\n", "line 10: obs names unknown vertex 'ghost'"),
     ("obs: o1 v0 v1\nobs: o2 v0\n", "line 11: vertex 'v0' is listed in obs twice"),

@@ -1023,7 +1023,7 @@ def test_energy_capped_matches_full_floor_solve_on_approx_games():
         cmp = rng.choice(["<=", "<"])
         # synth approx answers a strict bound of 0 without a game
         r = Fraction(rng.randint(cmp == "<", 4), rng.choice([1, 1, 2, 3]))
-        iarena, credit = synthesis.build_approx_game(spec, measure, cmp, r)
+        iarena, credit = synthesis.build_approx_game(spec, cmp, r)
         try:
             reduced, c0 = prefix.reduce_prefix_energy_to_energy(iarena, credit)
         except ValueError:

@@ -309,7 +309,7 @@ def test_best_value_matches_bounded_oracle():
 
 
 def test_approx_sum_r4_realizable(paper_spec):
-    result = synth_approx(paper_spec, SUM, "<=", Fraction(4), cap=64)
+    result = synth_approx(paper_spec, "<=", Fraction(4), cap=64)
     assert result.status == REALIZABLE
     verdict, _ = verify_realizer(
         paper_spec,
@@ -321,12 +321,12 @@ def test_approx_sum_r4_realizable(paper_spec):
 
 def test_approx_avg_two_thirds_realizable(paper_spec):
     avg = paper_spec.with_measure(AVG)
-    result = synth_approx(avg, AVG, "<=", Fraction(2, 3), cap=64)
+    result = synth_approx(avg, "<=", Fraction(2, 3), cap=64)
     assert result.status == REALIZABLE
 
 
 def test_approx_sum_strict_r4_unknown(paper_spec):
-    result = synth_approx(paper_spec, SUM, "<", Fraction(4), cap=64)
+    result = synth_approx(paper_spec, "<", Fraction(4), cap=64)
     assert result.status == UNKNOWN_AT_CAP
 
 
@@ -382,7 +382,7 @@ def test_approx_r0_matches_best_value(paper_spec):
 
 
 def test_approx_strict_zero_unrealizable(paper_spec):
-    assert synth_approx(paper_spec, SUM, "<", Fraction(0), cap=16).status == (
+    assert synth_approx(paper_spec, "<", Fraction(0), cap=16).status == (
         UNREALIZABLE
     )
 
@@ -459,7 +459,7 @@ def test_gen_spec_cross_validation():
 def test_build_approx_game_structure(paper_spec):
     # all eight fixture states are both reachable and co-reachable
     assert domain._live_states(paper_spec) == set(paper_spec.states)
-    arena, credit = synthesis.build_approx_game(paper_spec, SUM, "<=", Fraction(0))
+    arena, credit = synthesis.build_approx_game(paper_spec, "<=", Fraction(0))
     assert credit == 0  # slack 0 non-strict is the best-value game
     assert (("bot",), "choose", -1, ("bot",)) in arena.edges
     # critical vertices are exactly the pairs whose rival run accepts, plus bot
@@ -471,7 +471,7 @@ def test_build_approx_game_structure(paper_spec):
 def test_build_approx_game_rejects_dsum(paper_spec):
     dspec = paper_spec.with_measure(DSUM, Fraction(1, 2))
     with pytest.raises(ValueError, match="determinization"):
-        synthesis.build_approx_game(dspec, DSUM, "<=", Fraction(1))
+        synthesis.build_approx_game(dspec, "<=", Fraction(1))
 
 
 # --- the approx game and its machine read-off against their old loops -------
@@ -633,15 +633,15 @@ def test_approx_game_and_machine_match_the_old_loops(monkeypatch):
     cases = [(spec, cmp, Fraction(r)) for spec in _memory_specs(1707, 40)
              for cmp in ("<", "<=") for r in (1, 3, "5/2")]
     for spec, cmp, r in cases:
-        arena, _credit = synthesis.build_approx_game(spec, spec.measure, cmp, r)
+        arena, _credit = synthesis.build_approx_game(spec, cmp, r)
         vertices, edges, obs, critical = old_build_approx_game(spec, spec.measure, cmp, r)
         assert list(arena.vertices) == vertices
         assert arena.edges == edges
         assert arena.obs == obs and arena.critical == critical
-    new = [synth_approx(spec, spec.measure, cmp, r, cap=8) for spec, cmp, r in cases]
+    new = [synth_approx(spec, cmp, r, cap=8) for spec, cmp, r in cases]
     monkeypatch.setattr(synthesis, "_transducer_from_belief_strategy",
                         old_transducer_from_belief_strategy)
-    old = [synth_approx(spec, spec.measure, cmp, r, cap=8) for spec, cmp, r in cases]
+    old = [synth_approx(spec, cmp, r, cap=8) for spec, cmp, r in cases]
     assert [n.status for n in new] == [o.status for o in old]
     for n, o in zip(new, old):
         if n.transducer is not None:
@@ -653,7 +653,7 @@ def test_approx_game_and_machine_match_the_old_loops(monkeypatch):
 def test_approx_strict_realizable_cases(paper_spec):
     # first-c keeps every difference at most 4 (sum) resp. 2/3 (avg), so
     # strict slacks just above those lines are attainable
-    result = synth_approx(paper_spec, SUM, "<", Fraction(5), cap=64)
+    result = synth_approx(paper_spec, "<", Fraction(5), cap=64)
     assert result.status == REALIZABLE
     verdict, _ = verify_realizer(
         paper_spec, result.transducer,
@@ -662,7 +662,7 @@ def test_approx_strict_realizable_cases(paper_spec):
     assert verdict == PASS
 
     avg = paper_spec.with_measure(AVG)
-    result = synth_approx(avg, AVG, "<", Fraction(1), cap=64)
+    result = synth_approx(avg, "<", Fraction(1), cap=64)
     assert result.status == REALIZABLE
     verdict, _ = verify_realizer(
         avg, result.transducer, Objective(kind="approx", cmp="<", bound=Fraction(1))
@@ -674,7 +674,7 @@ def test_approx_avg_strict_at_two_thirds_unknown(paper_spec):
     # aab pins the difference at exactly 2/3, so strictly below is hopeless;
     # the capped solver can only report unknown
     avg = paper_spec.with_measure(AVG)
-    result = synth_approx(avg, AVG, "<", Fraction(2, 3), cap=64)
+    result = synth_approx(avg, "<", Fraction(2, 3), cap=64)
     assert result.status == UNKNOWN_AT_CAP
 
 
@@ -688,7 +688,7 @@ def test_approx_zero_slack_agrees_with_best_value_enumeration():
         enumerated = synth_best_value(spec)
         if enumerated.status == synthesis.NO_BOOLEAN_REALIZER:
             continue
-        energy = synth_approx(spec, SUM, "<=", Fraction(0), cap=128)
+        energy = synth_approx(spec, "<=", Fraction(0), cap=128)
         if energy.status == REALIZABLE:
             assert enumerated.status == REALIZABLE, core.emit_wfa(spec)
         if enumerated.status == REALIZABLE:
@@ -1374,7 +1374,7 @@ def test_synthesized_machines_are_pinned():
                    synth_best_value(spec)]
         if spec.measure != DSUM:
             cmp, r = rng.choice(("<", "<=")), rng.randint(1, 3)
-            results.append(synth_approx(spec, spec.measure, cmp, r, cap=8))
+            results.append(synth_approx(spec, cmp, r, cap=8))
         for result in results:
             digest.update(result.status.encode())
             if result.transducer is not None:
