@@ -355,7 +355,7 @@ def _cmd_solve_prefix(args):
     if args.dot:
         _write_out(games.arena_to_dot(arena), args, payload)
     if args.trace:
-        sys.stderr.write("objective: %s %s %s\n" % (obj.measure, obj.cmp, obj.nu))
+        sys.stderr.write("objective: %s %s %s\n" % (obj.measure, obj.cmp, format_rational(obj.nu)))
         _trace_reduction(arena, obj)
     winner, strategy = prefix.solve_prefix_threshold(arena, obj)
     lines = ["winner: %s" % winner]

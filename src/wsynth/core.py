@@ -15,8 +15,10 @@ fractions.Fraction.
 
 from __future__ import annotations
 
+import re
 from collections import deque
 from dataclasses import dataclass, field, replace
+from decimal import Decimal
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -90,22 +92,34 @@ DSUM = "dsum"
 MEASURES = (SUM, AVG, DSUM)
 
 
+def _integer(text: str) -> int:
+    """int(text) of any length: int() and str() stop at 4,300 digits on
+    Python 3.11+, and Decimal does not."""
+    try:
+        return int(text)
+    except ValueError:
+        if not re.fullmatch(r"\s*[+-]?\d+(_\d+)*\s*", text):  # what int() reads
+            raise
+        return int(Decimal(text))
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse 'P/Q' or a plain integer into an exact Fraction."""
     try:
         if "/" in text:
             num, den = text.split("/", 1)
-            return Fraction(int(num), int(den))
-        return Fraction(int(text))
+            return Fraction(_integer(num), _integer(den))
+        return Fraction(_integer(text))
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError("not a rational: %r" % text) from exc
 
 
 def format_rational(value: Fraction) -> str:
+    """'P/Q', or 'P' for an integer, in plain digits of any length."""
     value = Fraction(value)
     if value.denominator == 1:
-        return str(value.numerator)
-    return "%d/%d" % (value.numerator, value.denominator)
+        return str(Decimal(value.numerator))
+    return "%s/%s" % (Decimal(value.numerator), Decimal(value.denominator))
 
 
 @dataclass
@@ -444,7 +458,7 @@ def _directives(text: str, header: str, arity: dict, weighted=None):
             raise FormatError(message, number)
         if key == weighted:
             try:
-                tokens[2] = int(tokens[2])
+                tokens[2] = _integer(tokens[2])
             except ValueError:
                 raise FormatError("weight must be an integer", number)
         yield number, key, tokens
@@ -531,7 +545,7 @@ def emit_wfa(spec: WeightedSpec) -> str:
     lines.append("initial: %s" % spec.initial)
     lines.append("finals: %s" % " ".join(spec.finals))
     for (src, sym), (tgt, w) in spec.transitions.items():
-        lines.append("trans: %s %s %d %s" % (src, sym, w, tgt))
+        lines.append("trans: %s %s %s %s" % (src, sym, format_rational(w), tgt))
     return "\n".join(lines) + "\n"
 
 

@@ -23,7 +23,7 @@ Boolean realizer exists at all.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import cached_property, partial
 
 from . import games
 from .core import INPUT, OUTPUT, WeightedSpec, bfs, walk_back, word
@@ -114,13 +114,15 @@ def reachable_states(spec: WeightedSpec):
     return bfs(lambda q: succ.get(q, ()), [spec.initial])[0].keys()
 
 
-def _live_states(spec: WeightedSpec):
-    """States reachable from the initial state that also reach a final one."""
-    pred = {}
-    for (src, sym), (tgt, _w) in spec.transitions.items():
+def _live_states(spec: WeightedSpec, transitions=None):
+    """States reachable from the initial state that also reach a final one,
+    along transitions (the spec's own by default)."""
+    succ, pred = {}, {}
+    for (src, sym), (tgt, _w) in (spec.transitions if transitions is None else transitions).items():
+        succ.setdefault(src, []).append((tgt, sym))
         pred.setdefault(tgt, []).append((src, sym))
-    co_reach = bfs(lambda q: pred.get(q, ()), spec.finals)[0]
-    return reachable_states(spec) & co_reach.keys()
+    reach = bfs(lambda q: succ.get(q, ()), [spec.initial])[0]
+    return reach.keys() & bfs(lambda q: pred.get(q, ()), spec.finals)[0].keys()
 
 
 def unsafe_transitions(spec: WeightedSpec):
@@ -157,25 +159,37 @@ class TwoRunSafetyGame:
     Adam owns ii (he picks the next input) and io (he answers with his
     own output), Eve owns oo.  Dead runs are kept explicit so that a run
     that dies counts as non-accepting.  Eve loses when Adam's run is
-    final while hers is not: the arena's critical vertices.
+    final while hers is not: the critical vertices.
 
-    The arena's vertices are 0..N-1 in breadth-first discovery order.
-    Over the m run states (the spec's states in order, then the dead
-    run), vertex v has the code (kind * m + eve) * m + adam in codes[v],
-    and ids maps each code back to its vertex.  names holds the run
-    states' names; the dead run's is __dead__, extended with _ until no
-    spec state has it.
+    The vertices are 0..N-1 in breadth-first discovery order.  Over the m
+    run states (the spec's states in order, then the dead run), vertex v
+    has the code (kind * m + eve) * m + adam in codes[v], and ids maps
+    each code back to its vertex.  names holds the run states' names; the
+    dead run's is __dead__, extended with _ until no spec state has it.
+    Edges are numbered as explored, each vertex's consecutively, into the
+    lists games.attract reads: owner, out (edge ranges), srcs, incoming.
     """
 
-    arena: Arena
     codes: list
     ids: dict
     names: tuple
+    owner: list
+    out: list
+    srcs: list
+    incoming: list
+    critical: frozenset
 
-    def vertex(self, kind, eve, adam):
-        """The vertex of (kind, eve, adam) by state indices, or None."""
-        m = len(self.names)
-        return self.ids.get((_KINDS.index(kind) * m + eve) * m + adam)
+    @cached_property
+    def arena(self) -> Arena:
+        """The game as a generic Arena, built on first access."""
+        dsts = {e: v for v, edges in enumerate(self.incoming) for e in edges}
+        return Arena(
+            vertices=tuple(range(len(self.codes))),
+            owner=dict(enumerate(self.owner)),
+            initial=0,
+            edges=[(src, "-", 0, dsts[e]) for e, src in enumerate(self.srcs)],
+            critical=self.critical,
+        )
 
     def name(self, vertex):
         m = len(self.names)
@@ -207,43 +221,36 @@ def build_two_run_game(spec: WeightedSpec) -> TwoRunSafetyGame:
     start = index[spec.initial] * (m + 1)
     codes = [start]
     ids = {start: 0}
-    eve_ids = []
-    edges = []
+    out, srcs, incoming = [], [], [[]]
     for vertex, code in enumerate(codes):  # codes grows: a FIFO queue
         kind, rest = divmod(code, mm)
         left, right = divmod(rest, m)
         if kind == 0:  # ii: Adam picks an input, both runs read it
             moves = [mm + l * m + r for l, r in zip(in_rows[left], in_rows[right])]
         elif kind == 1:  # oo: Eve's run outputs
-            eve_ids.append(vertex)
             moves = [2 * mm + l * m + right for l in out_rows[left]]
         else:  # io: Adam's run outputs
             moves = [left * m + r for r in out_rows[right]]
+        out.append(range(len(srcs), len(srcs) + len(moves)))
         for nxt in moves:
             target = ids.get(nxt)
             if target is None:
                 target = ids[nxt] = len(codes)
                 codes.append(nxt)
-            edges.append((vertex, "-", 0, target))
+                incoming.append([])
+            incoming[target].append(len(srcs))
+            srcs.append(vertex)
     final = [q in spec.finals for q in spec.states] + [False]
-    losing = frozenset(
+    critical = frozenset(
         v for v, code in enumerate(codes)
         if code < mm and final[code % m] and not final[code // m]
     )
-    owner = dict.fromkeys(range(len(codes)), ADAM)
-    owner.update(dict.fromkeys(eve_ids, EVE))
-    arena = Arena(
-        vertices=tuple(range(len(codes))),
-        owner=owner,
-        initial=0,
-        edges=edges,
-        critical=losing,
-    )
+    owner = [EVE if mm <= code < 2 * mm else ADAM for code in codes]
     dead_name = _DEAD
     while dead_name in index:
         dead_name += "_"
     names = tuple(spec.states) + (dead_name,)
-    return TwoRunSafetyGame(arena, codes, ids, names)
+    return TwoRunSafetyGame(codes, ids, names, owner, out, srcs, incoming, critical)
 
 
 def two_run_game_to_dot(game: TwoRunSafetyGame) -> str:
@@ -252,32 +259,25 @@ def two_run_game_to_dot(game: TwoRunSafetyGame) -> str:
     )
 
 
-def _restrict(spec: WeightedSpec, keep, transitions) -> WeightedSpec:
-    """spec on the states in keep (the initial among them) and on
-    transitions, which must stay inside keep."""
-    return replace(
-        spec,
-        states=tuple(q for q in spec.states if q in keep),
-        finals=tuple(f for f in spec.finals if f in keep),
-        transitions=transitions,
-        polarity={q: spec.polarity[q] for q in spec.states if q in keep},
-    )
-
-
-def trim(spec: WeightedSpec) -> WeightedSpec:
-    """Keep states reachable from the initial and co-reachable to a final.
+def trim(spec: WeightedSpec, transitions=None) -> WeightedSpec:
+    """Keep states reachable from the initial and co-reachable to a final,
+    along transitions (the spec's own by default, or a subset of them).
 
     The initial state always survives so the result stays well-formed;
     when it is not co-reachable the domain is empty and the result keeps
     no transitions.
     """
-    core = _live_states(spec)
-    transitions = {
-        key: val
-        for key, val in spec.transitions.items()
-        if key[0] in core and val[0] in core
-    }
-    return _restrict(spec, core | {spec.initial}, transitions)
+    if transitions is None:
+        transitions = spec.transitions
+    live = _live_states(spec, transitions)
+    keep = live | {spec.initial}
+    return replace(
+        spec,
+        states=tuple(q for q in spec.states if q in keep),
+        finals=tuple(f for f in spec.finals if f in keep),
+        transitions={k: v for k, v in transitions.items() if k[0] in live and v[0] in live},
+        polarity={q: spec.polarity[q] for q in spec.states if q in keep},
+    )
 
 
 def make_domain_safe(spec: WeightedSpec, game=None):
@@ -290,15 +290,16 @@ def make_domain_safe(spec: WeightedSpec, game=None):
     """
     if game is None:
         game = build_two_run_game(spec)
-    forcing, _ = games.attractor(game.arena, game.arena.critical, ADAM)
-    if game.arena.initial in forcing:
+    forcing, _ = games.attract(game.incoming, game.srcs, game.owner, game.out,
+                               game.critical, ADAM)
+    if 0 in forcing:  # the initial vertex
         return None
     index = {q: k for k, q in enumerate(spec.states)}
+    m = len(game.names)
 
     def outside(kind, eve, adam):
         """Whether the vertex exists and Adam forces it into a losing one."""
-        v = game.vertex(kind, index[eve], index[adam])
-        return v is not None and v in forcing
+        return game.ids.get((_KINDS.index(kind) * m + index[eve]) * m + index[adam]) in forcing
 
     keep = {
         q for q in spec.states
@@ -311,4 +312,4 @@ def make_domain_safe(spec: WeightedSpec, game=None):
         if spec.polarity[src] == OUTPUT and outside("io", tgt, src):
             continue
         transitions[(src, sym)] = (tgt, w)
-    return trim(_restrict(spec, keep, transitions))
+    return trim(spec, transitions)

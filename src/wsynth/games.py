@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import itemgetter
 
-from .core import FormatError, InternalError, _build, _directives, _dot, bfs
+from .core import FormatError, InternalError, _build, _directives, _dot, bfs, format_rational
 
 EVE = "eve"
 ADAM = "adam"
@@ -133,20 +133,16 @@ class MemoryStrategy:
     step: dict
 
 
-def attractor(arena: Arena, targets, player):
-    """Vertices from which `player` forces a visit to `targets`.
+def attract(incoming, srcs, owner, out, targets, player):
+    """Vertices from which `player` forces a visit to `targets`, and for
+    those of the player's added through an edge, one attracting edge.
 
-    Returns (vertex set, PositionalStrategy) where the strategy records,
-    for the player's vertices added through an edge, one attracting edge.
-    An opponent vertex joins once all its edges lead into the region; its
-    count of edges still outside starts at its out-degree when first met.
+    incoming[v] lists the edges into vertex v, srcs[e] is edge e's source,
+    owner[v] is EVE or ADAM and len(out[v]) is v's out-degree.  An opponent
+    vertex joins once all its edges lead into the region; its count of
+    edges still outside starts at its out-degree when first met.
     """
-    known = arena.vertex_set
-    region = set(t for t in targets if t in known)
-    owner = arena.owner
-    out = arena._out
-    incoming = arena.incoming()
-    srcs = arena._src
+    region = set(targets)
     pending = {}
     strategy = {}
     queue = list(region)
@@ -165,6 +161,14 @@ def attractor(arena: Arena, targets, player):
                 if not left:
                     region.add(src)
                     queue.append(src)
+    return region, strategy
+
+
+def attractor(arena: Arena, targets, player):
+    """attract on the arena's lists, ignoring targets that are not vertices."""
+    known = arena.vertex_set
+    region, strategy = attract(arena.incoming(), arena._src, arena.owner, arena._out,
+                               [t for t in targets if t in known], player)
     return region, PositionalStrategy(strategy)
 
 
@@ -701,7 +705,7 @@ def emit_arena(arena: Arena) -> str:
         lines.append("vertex: %s %s%s" % (v, arena.owner[v], mark))
     lines.append("initial: %s" % (arena.initial,))
     for src, action, w, dst in arena.edges:
-        lines.append("edge: %s %s %d %s" % (src, action, w, dst))
+        lines.append("edge: %s %s %s %s" % (src, action, format_rational(w), dst))
     if arena.obs:
         classes = {}
         for v, o in arena.obs.items():
@@ -722,8 +726,8 @@ def arena_to_dot(arena: Arena, highlight=(), label=str) -> str:
         if v in highlight:
             attributes += ', style=filled, fillcolor="lightgray"'
         nodes.append((label(v), attributes))
-    edges = [
-        (label(src), label(dst), "%d" % w if action == "-" else "%s|%d" % (action, w))
-        for src, action, w, dst in arena.edges
-    ]
+    edges = []
+    for src, action, w, dst in arena.edges:
+        text = format_rational(w)
+        edges.append((label(src), label(dst), text if action == "-" else "%s|%s" % (action, text)))
     return _dot("arena", nodes, label(arena.initial), edges)

@@ -320,6 +320,25 @@ def test_unwritable_out_exits_64(capsys, tmp_path, argv):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_values_of_any_length(capsys, tmp_path):
+    """int() and str() stop at 4,300 digits on Python 3.11+; the CLI reads
+    and prints integers and rationals of any length."""
+    spec = tmp_path / "big.wfa"
+    spec.write_text("wfa\nmeasure: dsum\ndiscount: 999/1000\ninputs: a\noutputs: c\n"
+                    "initial: p\nfinals: p\ntrans: p a 1 q\ntrans: q c %s p\n" % ("9" * 4000))
+    code, out, _ = run(capsys, "eval", str(spec), "--input", "a" * 200, "--output", "c" * 200)
+    value = core.evaluate(core.parse_wfa(spec.read_text()), "a" * 200, "c" * 200)
+    assert value.numerator > 10**4300
+    assert code == 0 and core.parse_rational(out.strip()) == value
+    code, out, _ = run(capsys, "domain-safe", str(spec))
+    assert code == 0 and out == spec.read_text()
+    code, out, _ = run(capsys, "dsum-path", REMARK, "--nu", "9" * 5000, "--lambda", "1/2")
+    assert (code, out) == (0, "yes\nwitness: v0 v1\nvalue: 3/2\n")
+    code, _, err = run(capsys, "solve-prefix", REMARK, "--measure", "sum", "--cmp", "ge",
+                       "--nu=-" + "9" * 5000, "--trace")
+    assert code in (0, 1) and err.startswith("objective: sum >= -%s\n" % ("9" * 5000))
+
+
 def test_dot_escapes_quotes_in_edge_labels(capsys, tmp_path):
     arena = tmp_path / "quote.arena"
     arena.write_text('arena\nvertex: v eve critical\ninitial: v\nedge: v a"b 1 v\n')

@@ -181,6 +181,28 @@ def test_wfa_round_trip(paper_spec):
     assert again == paper_spec
 
 
+BIG = 10**5000 - 1  # more digits than int() and str() take on Python 3.11+
+BIG_TEXT = "9" * 5000
+
+
+def test_integers_of_any_length_read_and_write():
+    text = ("wfa\nmeasure: sum\ninputs: a\noutputs: c\ninitial: p\nfinals: p\n"
+            "trans: p a %s q\ntrans: q c -%s p\n" % (BIG_TEXT, BIG_TEXT))
+    spec = core.parse_wfa(text)
+    assert spec.transitions == {("p", "a"): ("q", BIG), ("q", "c"): ("p", -BIG)}
+    assert core.emit_wfa(spec) == text
+    assert core.parse_rational(BIG_TEXT + "/7") == Fraction(BIG, 7)
+    assert core.parse_rational(" +" + BIG_TEXT) == BIG
+    assert core.format_rational(Fraction(-BIG, 7)) == "-%s/7" % BIG_TEXT
+    assert core.format_rational(BIG) == BIG_TEXT
+    # what int() rejects for its form is still rejected at any length
+    for token in (BIG_TEXT + "x", BIG_TEXT + "e2", "1__" + BIG_TEXT, BIG_TEXT + ".0"):
+        with pytest.raises(core.FormatError, match="weight must be an integer"):
+            core.parse_wfa(text.replace(BIG_TEXT, token, 1))
+        with pytest.raises(ValueError, match="not a rational"):
+            core.parse_rational(token)
+
+
 def test_mealy_round_trip_and_size():
     t = always_transducer("d")
     text = core.emit_mealy(t)

@@ -491,6 +491,40 @@ def test_two_run_game_matches_tuple_game(paper_spec):
     assert min(answers.values()) >= 20, answers
 
 
+def test_two_run_attractor_matches_the_arena_path(paper_spec):
+    """games.attract on the game's own lists against games.attractor on
+    its generic Arena, the path make_domain_safe took before."""
+    rng = random.Random(43)
+    specs = [paper_spec] + [
+        random_spec(rng, max_states=rng.randint(2, 12), final_bias=rng.choice([0.3, 0.6, 0.9]))
+        for _ in range(300)
+    ]
+    seen = {"dead_run": 0, "eve_twin_edges_in_region": 0, "initial_lost": 0, "initial_safe": 0}
+    for spec in specs:
+        game = domain.build_two_run_game(spec)
+        region, _ = games.attract(
+            game.incoming, game.srcs, game.owner, game.out, game.critical, ADAM)
+        assert region == games.attractor(game.arena, game.arena.critical, ADAM)[0]
+        assert game.critical == game.arena.critical
+        dead = game.names[-1]
+        seen["dead_run"] += any(dead in game.name(v) for v in game.arena.vertices)
+        for v in region:
+            targets = [game.arena.edges[i][3] for i in game.arena.out(v)]
+            if game.owner[v] == EVE and len(set(targets)) < len(targets):
+                seen["eve_twin_edges_in_region"] += 1
+        seen["initial_lost" if 0 in region else "initial_safe"] += 1
+    assert min(seen.values()) >= 20, seen
+
+
+def test_make_domain_safe_builds_no_arena(paper_spec):
+    rng = random.Random(47)
+    for spec in [paper_spec] + [random_spec(rng) for _ in range(20)]:
+        game = domain.build_two_run_game(spec)
+        domain.make_domain_safe(spec, game)
+        assert "arena" not in vars(game)
+        assert game.arena is game.arena  # built once, on first access
+
+
 def _spec_over(rng, inputs):
     """random_spec's shape over the given input alphabet."""
     ni, no = rng.randint(1, 3), rng.randint(1, 3)
@@ -619,7 +653,7 @@ def test_derived_specs_do_not_read_their_source_step_table():
         # changes it, so a table copied from the source would answer wrongly
         fewer = {key: val for key, val in spec.transitions.items() if rng.random() < 0.7}
         derived = [domain.trim(spec), synthesis._complete_spec(spec), spec.with_measure(core.SUM),
-                   domain._restrict(spec, set(spec.states), fewer)]
+                   domain.trim(spec, fewer)]
         derived += [] if safe is None else [safe]
         for result in derived:
             assert result is spec or not result._dom_steps

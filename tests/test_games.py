@@ -1145,6 +1145,17 @@ def test_arena_round_trip(remark_arena_text):
     assert games.parse_arena(games.emit_arena(arena)) == arena
 
 
+def test_arena_weights_of_any_length():
+    digits = "9" * 5000  # more than int() and str() take on Python 3.11+
+    text = "arena\nvertex: v eve critical\ninitial: v\nedge: v - -%s v\nedge: v a %s v\n" % (
+        digits, digits)
+    arena = games.parse_arena(text)
+    assert [w for _src, _a, w, _dst in arena.edges] == [-(10**5000 - 1), 10**5000 - 1]
+    assert games.emit_arena(arena) == text
+    dot = games.arena_to_dot(arena)
+    assert '[label="-%s"]' % digits in dot and '[label="a|%s"]' % digits in dot
+
+
 def test_arena_obs_round_trip(remark_arena_text):
     arena = games.parse_arena(remark_arena_text + "obs: o2 v1\nobs: o1 v0\n")
     assert arena.obs == {"v1": "o2", "v0": "o1"}
