@@ -601,6 +601,8 @@ def _dot(graph: str, nodes, initial, edges) -> str:
 
     nodes are (name, attributes) pairs and edges (source, target, label)
     triples; every name and label is quoted, its double quotes escaped.
+    The arrow starts at a point node __init, extended with _ until no
+    node has that name (a quoted "__init" is the same DOT id).
     """
 
     def quoted(text):
@@ -608,8 +610,12 @@ def _dot(graph: str, nodes, initial, edges) -> str:
 
     lines = ["digraph %s {" % graph, "  rankdir=LR;"]
     lines += ["  %s [%s];" % (quoted(v), attributes) for v, attributes in nodes]
-    lines.append("  __init [shape=point];")
-    lines.append("  __init -> %s;" % quoted(initial))
+    names = {str(v) for v, _attributes in nodes}
+    point = "__init"
+    while point in names:
+        point += "_"
+    lines.append("  %s [shape=point];" % point)
+    lines.append("  %s -> %s;" % (point, quoted(initial)))
     lines += [
         "  %s -> %s [label=%s];" % (quoted(src), quoted(dst), quoted(label))
         for src, dst, label in edges

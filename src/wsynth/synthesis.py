@@ -228,7 +228,7 @@ def _boolean_witness(spec, t):
     return None if found is None else walk_back(links, found)
 
 
-def _min_walk_below(n, edges, accepting, threshold):
+def _min_walk_below(n, edges, accepting, threshold, verdict_only=False):
     """Is there a walk from node 0 to an accepting node of value < threshold?
 
     Nodes are 0..n-1, every one reachable from node 0, in breadth-first
@@ -239,7 +239,10 @@ def _min_walk_below(n, edges, accepting, threshold):
     chain of the cheapest accepting node is the witness; otherwise |live|
     parent steps back from the relaxed node land on a negative cycle
     (Cherkassky & Goldberg, Math. Prog. 1999), which the witness pumps
-    just enough.
+    just enough.  With verdict_only, it returns an empty list as soon as
+    a relaxation brings an accepting node below threshold: every relaxed
+    distance is the value of a real walk, so that is a violation, though
+    its parent chain may run through a cycle.
     """
     backward = [[] for _ in range(n)]
     for edge in edges:
@@ -249,6 +252,7 @@ def _min_walk_below(n, edges, accepting, threshold):
         return None
     n_live = len(live)
     live_edges = [edge for edge in edges if edge[0] in live and edge[2] in live]
+    stop_at = frozenset(accepting) if verdict_only else ()
     dist = [None] * n
     dist[0] = 0
     parent = [None] * n  # node -> (prev, edge)
@@ -261,6 +265,8 @@ def _min_walk_below(n, edges, accepting, threshold):
                 continue
             cand = dist[src] + w
             if dist[dst] is None or cand < dist[dst]:
+                if dst in stop_at and cand < threshold:
+                    return []
                 dist[dst] = cand
                 parent[dst] = (src, edge)
                 changed = True
@@ -371,9 +377,10 @@ def _value_product(spec, t, rival):
     return order, steps, fans, accepting
 
 
-def _value_witness(spec, t, rival, bound, at_equal):
+def _value_witness(spec, t, rival, bound, at_equal, verdict_only=False):
     """A domain word on which some walk of _value_product has value < bound
-    (<= bound when at_equal), or None.
+    (<= bound when at_equal), or None.  With verdict_only, a Sum/Avg word
+    may be cut short: only whether it is None counts.
 
     Dsum checks the letter-level product itself, steps and fans as
     separate edges.  Sum/Avg join each step with its fan into one edge of
@@ -412,36 +419,40 @@ def _value_witness(spec, t, rival, bound, at_equal):
         for src, a, w_in, _mid, fan in steps
         for w_out, dst in fan
     ]
-    labels = _min_walk_below(len(order), edges, accepting, limit + at_equal)
+    labels = _min_walk_below(
+        len(order), edges, accepting, limit + at_equal, verdict_only=verdict_only
+    )
     return None if labels is None else tuple(labels)
 
 
-def verify_realizer(spec: WeightedSpec, t: MealyTransducer, obj: Objective):
+def verify_realizer(
+    spec: WeightedSpec, t: MealyTransducer, obj: Objective, *, verdict_only=False
+):
     """Independent check of a candidate realizer; (PASS, None) or (FAIL, word).
 
     Boolean: domain equality plus acceptance of every produced pair.
     Threshold: no domain word's pair value may fall at or below the line.
     Best-value / approximate: no adversary run may beat the produced run
     by more than the allowed slack (best-value is slack 0, non-strict).
+    verdict_only is for callers that read the verdict alone: a FAIL then
+    comes as (FAIL, None), and a Sum/Avg value check may stop at the
+    first violating walk instead of building its witness.
     """
     _check_alphabets(spec, t)
     witness = _domain_equal_witness(spec, t)
-    if witness is not None:
-        return FAIL, tuple(witness)
-    witness = _boolean_witness(spec, t)
-    if witness is not None:
-        return FAIL, tuple(witness)
-    if obj.kind == "boolean":
-        return PASS, None
-    if obj.kind == "threshold":
-        witness = _value_witness(spec, t, False, obj.bound, obj.cmp == ">")
-    elif obj.kind == "best_value":
-        witness = _value_witness(spec, t, True, 0, False)
-    else:
-        witness = _value_witness(spec, t, True, -obj.bound, obj.cmp == "<")
+    if witness is None:
+        witness = _boolean_witness(spec, t)
+    if witness is None and obj.kind != "boolean":
+        if obj.kind == "threshold":
+            bound, rival, at_equal = obj.bound, False, obj.cmp == ">"
+        elif obj.kind == "best_value":
+            bound, rival, at_equal = 0, True, False
+        else:
+            bound, rival, at_equal = -obj.bound, True, obj.cmp == "<"
+        witness = _value_witness(spec, t, rival, bound, at_equal, verdict_only)
     if witness is None:
         return PASS, None
-    return FAIL, tuple(witness)
+    return FAIL, None if verdict_only else tuple(witness)
 
 
 def _require_pass(verdict, witness):
@@ -496,7 +507,7 @@ def synth_best_value(spec: WeightedSpec) -> SynthResult:
     objective = Objective(kind="best_value")
     for strategy in prefix.enumerate_positional(arena):
         candidate = extract_transducer(safe, arena, strategy)
-        verdict, _witness = verify_realizer(spec, candidate, objective)
+        verdict, _witness = verify_realizer(spec, candidate, objective, verdict_only=True)
         if verdict == PASS:
             return SynthResult(status=REALIZABLE, transducer=candidate)
     return SynthResult(status=UNREALIZABLE)

@@ -117,6 +117,19 @@ def test_verify_fail_prints_witness_and_values(capsys, tmp_path):
     assert any(line.startswith("best:") for line in lines)
 
 
+@pytest.mark.parametrize("measure, stdout", [
+    ("sum", "fail\nwitness: a b\nvalue: 6\nbest: 10\n"),
+    ("avg", "fail\nwitness: a b\nvalue: 3/2\nbest: 5/2\n"),
+])
+def test_verify_best_value_fail_stdout_is_pinned(capsys, tmp_path, measure, stdout):
+    spec = tmp_path / "spec.wfa"
+    spec.write_text((FIXTURES / "paper-example.wfa").read_text().replace(
+        "measure: sum", "measure: " + measure))
+    machine = str(FIXTURES / "always-d.mealy")
+    code, out, _ = run(capsys, "verify", str(spec), machine, "--objective", "best-value")
+    assert (code, out) == (1, stdout)
+
+
 STRAY_MEALY = "mealy\ninitial: s\nfinals: s\ntrans: s x c s\ntrans: s a z s\n"
 
 
@@ -346,6 +359,23 @@ def test_dot_escapes_quotes_in_edge_labels(capsys, tmp_path):
                        "--cmp", "ge", "--nu", "0", "--dot")
     assert code == 0
     assert '  "v" -> "v" [label="a\\"b|1"];' in out.splitlines()
+
+
+def test_dot_initial_arrow_point_is_no_state(capsys, tmp_path):
+    spec = tmp_path / "init.wfa"
+    spec.write_text(re.sub(r"\bq0\b", "__init", (FIXTURES / "paper-example.wfa").read_text()))
+    code, out, _ = run(capsys, "synth", "threshold", str(spec), "--cmp", "ge", "--nu", "0",
+                       "--dot")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[2] == '  "__init" [shape=circle];'
+    assert lines[6:8] == ['  __init_ [shape=point];', '  __init_ -> "__init";']
+    arena = tmp_path / "init.arena"
+    arena.write_text("arena\nvertex: __init eve\nvertex: __init_ adam\ninitial: __init_\n"
+                     "edge: __init a 1 __init_\nedge: __init_ b 0 __init\n")
+    code, out, _ = run(capsys, "solve-prefix", str(arena), "--measure", "sum",
+                       "--cmp", "ge", "--nu", "0", "--dot")
+    assert '  __init__ -> "__init_";' in out.splitlines()
 
 
 @pytest.mark.parametrize("obs, message", [

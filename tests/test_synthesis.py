@@ -851,7 +851,8 @@ def _old_min_walk_below(nodes, edges, source, accepting, threshold):
     return labels
 
 
-def _old_min_walk_adapter(n, edges, accepting, threshold):
+def _old_min_walk_adapter(n, edges, accepting, threshold, verdict_only=False):
+    # the full answer also settles a verdict-only call
     return _old_min_walk_below(set(range(n)), edges, 0, accepting, threshold)
 
 
@@ -919,15 +920,34 @@ def test_min_walk_below_matches_old_search_on_random_graphs():
     assert min(kinds.values()) >= 100, kinds
 
 
+def test_min_walk_below_verdict_only_matches_the_full_search():
+    # the graphs of test_min_walk_below_matches_old_search_on_random_graphs
+    rng = random.Random(2103)
+    early = 0
+    for _trial in range(1500):
+        _nodes, edges, source, accepting = _random_labelled_graph(rng)
+        threshold = rng.randint(-4, 4)
+        names, numbered, goals = _numbered(edges, source, accepting)
+        full = synthesis._min_walk_below(len(names), numbered, goals, threshold)
+        verdict = synthesis._min_walk_below(len(names), numbered, goals, threshold,
+                                            verdict_only=True)
+        assert (verdict is None) == (full is None), (edges, accepting, threshold)
+        early += verdict == [] and full != []
+    # hundreds of violations stop before their witness is built
+    assert early >= 300, early
+
+
 def test_min_walk_below_negative_cycle_off_the_live_part():
     # the -5 loop at 1 reaches no accepting node, so it must not count
     edges = [(0, 1, 1, 0), (1, -5, 1, 1), (0, 2, 2, 2)]
     assert synthesis._min_walk_below(3, edges, [2], 2) is None
+    assert synthesis._min_walk_below(3, edges, [2], 2, verdict_only=True) is None
     assert synthesis._min_walk_below(3, edges, [2], 3) == [2]
     # once 1 can reach 2, the loop is pumped until the value drops below
     edges.append((1, 0, 2, 3))
     labels = synthesis._min_walk_below(3, edges, [2], -7)
     assert _replay(edges, 0, [2], labels) < -7
+    assert synthesis._min_walk_below(3, edges, [2], -7, verdict_only=True) == []
 
 
 def _random_selector_machine(rng, spec):
@@ -1115,6 +1135,21 @@ def test_verify_realizer_matches_old_search_on_random_selectors(monkeypatch):
             assert _violates(spec, t, obj, witness), (core.emit_wfa(spec), obj, witness)
     verdicts = [v for v, _w in new]
     assert verdicts.count(PASS) >= 100 and verdicts.count(FAIL) >= 100
+
+
+def test_verify_realizer_verdict_only_gives_the_same_verdicts():
+    boolean = Objective(kind="boolean")
+    tally = collections.Counter()
+    for spec, t in _oracle_cases(2104, 500):
+        value_check = verify_realizer(spec, t, boolean)[0] == PASS
+        for obj in _ORACLE_OBJECTIVES:
+            verdict, _witness = verify_realizer(spec, t, obj)
+            assert verify_realizer(spec, t, obj, verdict_only=True) == (verdict, None), (
+                core.emit_wfa(spec), obj)
+            tally[spec.measure, verdict, value_check and verdict == FAIL] += 1
+    for measure in (SUM, AVG):
+        assert tally[measure, PASS, False] >= 100, tally
+        assert tally[measure, FAIL, True] >= 100, tally
 
 
 # --- one synchronized product against the four builders it replaced ---------
@@ -1310,9 +1345,9 @@ def test_best_value_search_matches_the_old_selector_loop(monkeypatch):
     original = synthesis.verify_realizer
 
     def counting(key):
-        def verify(*args):
+        def verify(*args, **kwargs):
             calls[key] += 1
-            return original(*args)
+            return original(*args, **kwargs)
         return verify
 
     monkeypatch.setattr(synthesis, "verify_realizer", counting("new"))
