@@ -221,8 +221,16 @@ _CMP = {"gt": ">", "ge": ">=", "lt": "<", "le": "<="}
 
 def _objective(args):
     """The objective that --objective, --cmp, --nu and --r name; flags are
-    validated before any file is read."""
+    validated before any file is read, and a flag the objective does not
+    read is rejected rather than ignored."""
     kind = args.objective.replace("-", "_")
+    for flag, value, readers in (
+        ("--cmp", args.cmp, ("threshold", "approx")),
+        ("--nu", args.nu, ("threshold",)),
+        ("--r", args.slack, ("approx",)),
+        ("--cap", getattr(args, "cap", None), ("approx",)),  # synth only
+    ):
+        _require(value is None or kind in readers, "%s takes no %s" % (args.objective, flag))
     if kind == "threshold":
         _require(args.cmp in ("gt", "ge"), "threshold needs --cmp gt|ge")
         _require(args.nu is not None, "threshold needs --nu")

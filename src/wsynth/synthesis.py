@@ -436,23 +436,32 @@ def verify_realizer(
     by more than the allowed slack (best-value is slack 0, non-strict).
     verdict_only is for callers that read the verdict alone: a FAIL then
     comes as (FAIL, None), and a Sum/Avg value check may stop at the
-    first violating walk instead of building its witness.
+    first violating walk instead of building its witness.  It also runs
+    the value check first, since the FAIL verdict does not depend on
+    which check fails; only a machine that passes it pays for the domain
+    and Boolean checks.
     """
     _check_alphabets(spec, t)
-    witness = _domain_equal_witness(spec, t)
-    if witness is None:
-        witness = _boolean_witness(spec, t)
-    if witness is None and obj.kind != "boolean":
-        if obj.kind == "threshold":
-            bound, rival, at_equal = obj.bound, False, obj.cmp == ">"
-        elif obj.kind == "best_value":
-            bound, rival, at_equal = 0, True, False
-        else:
-            bound, rival, at_equal = -obj.bound, True, obj.cmp == "<"
-        witness = _value_witness(spec, t, rival, bound, at_equal, verdict_only)
-    if witness is None:
-        return PASS, None
-    return FAIL, None if verdict_only else tuple(witness)
+    checks = [_domain_equal_witness, _boolean_witness]
+    if obj.kind != "boolean":
+        checks.insert(0 if verdict_only else 2, _value_check(obj, verdict_only))
+    for check in checks:
+        witness = check(spec, t)
+        if witness is not None:
+            return FAIL, None if verdict_only else tuple(witness)
+    return PASS, None
+
+
+def _value_check(obj, verdict_only):
+    """The value check of a threshold, best-value or approx objective, as a
+    function of (spec, t) like the domain and Boolean checks."""
+    if obj.kind == "threshold":
+        bound, rival, at_equal = obj.bound, False, obj.cmp == ">"
+    elif obj.kind == "best_value":
+        bound, rival, at_equal = 0, True, False
+    else:
+        bound, rival, at_equal = -obj.bound, True, obj.cmp == "<"
+    return lambda spec, t: _value_witness(spec, t, rival, bound, at_equal, verdict_only)
 
 
 def _require_pass(verdict, witness):

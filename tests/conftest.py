@@ -8,7 +8,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from wsynth import core, domain, dsumpath
+from wsynth import core, domain, dsumpath, synthesis
 from wsynth.games import ADAM, EVE
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -133,6 +133,24 @@ def first_c_realizer():
             ("wait", "b"): ("d", "done"),
         },
     )
+
+
+def old_verify_verdict_only(spec, t, obj):
+    """verify_realizer(spec, t, obj, verdict_only=True) in its first check
+    order: the domain check, then the Boolean check, then the value check."""
+    synthesis._check_alphabets(spec, t)
+    witness = synthesis._domain_equal_witness(spec, t)
+    if witness is None:
+        witness = synthesis._boolean_witness(spec, t)
+    if witness is None and obj.kind != "boolean":
+        if obj.kind == "threshold":
+            bound, rival, at_equal = obj.bound, False, obj.cmp == ">"
+        elif obj.kind == "best_value":
+            bound, rival, at_equal = 0, True, False
+        else:
+            bound, rival, at_equal = -obj.bound, True, obj.cmp == "<"
+        witness = synthesis._value_witness(spec, t, rival, bound, at_equal, True)
+    return (synthesis.PASS if witness is None else synthesis.FAIL), None
 
 
 def check_difference(spec, t, u):

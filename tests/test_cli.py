@@ -18,6 +18,7 @@ from wsynth.core import AVG, DSUM
 from conftest import FIXTURES, always_d_realizer, first_c_realizer
 
 PAPER = str(FIXTURES / "paper-example.wfa")
+BEST_VALUE_REALIZABLE = str(FIXTURES / "best-value-realizable.wfa")
 REMARK = str(FIXTURES / "remark.arena")
 
 
@@ -77,6 +78,19 @@ def test_synth_threshold_unrealizable(capsys):
 def test_synth_best_value_exit_one(capsys):
     code, out, _ = run(capsys, "synth", "best-value", PAPER)
     assert code == 1
+
+
+def test_synth_best_value_realizable_stdout_is_pinned(capsys, monkeypatch):
+    calls = []
+    verify = synthesis.verify_realizer
+    monkeypatch.setattr(synthesis, "verify_realizer",
+                        lambda *args, **kwargs: calls.append(1) or verify(*args, **kwargs))
+    code, out, _ = run(capsys, "synth", "best-value", BEST_VALUE_REALIZABLE)
+    assert (code, out) == (0, "mealy\ninitial: i0m0\nfinals: i1m1\n"
+                           "trans: i0m0 a y i1m1\ntrans: i0m0 b y i1m1\n"
+                           "trans: i1m1 a x i1m1\ntrans: i1m1 b x i1m1\n")
+    # two candidates fail before the third passes
+    assert len(calls) == 3
 
 
 def test_synth_approx_round_trip(capsys, tmp_path):
@@ -605,6 +619,33 @@ def test_bad_cap_and_slack_exit_64_before_reading_the_spec(capsys):
                          "--cap", "-1")
     assert (code, out) == (64, "")
     assert err == "usage error: --cap must be nonnegative\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["synth", "best-value", "{}", "--cmp", "ge", "--nu", "6"], "best-value takes no --cmp"),
+    (["synth", "best-value", "{}", "--nu", "6"], "best-value takes no --nu"),
+    (["synth", "best-value", "{}", "--r", "1"], "best-value takes no --r"),
+    (["synth", "best-value", "{}", "--cap", "8"], "best-value takes no --cap"),
+    (["synth", "threshold", "{}", "--cmp", "ge", "--nu", "6", "--r", "1"],
+     "threshold takes no --r"),
+    (["synth", "threshold", "{}", "--cmp", "ge", "--nu", "6", "--cap", "8"],
+     "threshold takes no --cap"),
+    (["synth", "approx", "{}", "--cmp", "le", "--r", "4", "--nu", "6"], "approx takes no --nu"),
+    (["verify", "{}", "{}", "--objective", "approx", "--cmp", "le", "--r", "4", "--nu", "6"],
+     "approx takes no --nu"),
+    (["verify", "{}", "{}", "--objective", "threshold", "--cmp", "ge", "--nu", "6", "--r", "1"],
+     "threshold takes no --r"),
+    (["verify", "{}", "{}", "--objective", "best-value", "--cmp", "ge"],
+     "best-value takes no --cmp"),
+    (["verify", "{}", "{}", "--objective", "best-value", "--nu", "6"], "best-value takes no --nu"),
+    (["verify", "{}", "{}", "--objective", "boolean", "--r", "1"], "boolean takes no --r"),
+    (["verify", "{}", "{}", "--objective", "boolean", "--cmp", "le"], "boolean takes no --cmp"),
+])
+def test_ignored_objective_flag_exits_64_before_reading_the_spec(capsys, argv, message):
+    # a flag the objective does not read is a usage error, not an answer
+    missing = str(FIXTURES / "missing.wfa")
+    code, out, err = run(capsys, *[missing if arg == "{}" else arg for arg in argv])
+    assert (code, out, err) == (64, "", "usage error: %s\n" % message)
 
 
 def test_verify_negative_slack_exits_64_before_reading_the_files(capsys):

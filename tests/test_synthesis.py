@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from wsynth import cli, core, domain, games, synthesis
+from wsynth import cli, core, domain, games, prefix, synthesis
 from wsynth.core import AVG, DSUM, NEG_INF, SUM
 from wsynth.games import ADAM, EVE
 from wsynth.synthesis import (
@@ -32,7 +32,7 @@ from wsynth.synthesis import (
 
 from conftest import (always_transducer, always_d_realizer, check_difference,
                       first_c_realizer, old_min_walk_below, old_value_witness,
-                      random_spec)
+                      old_verify_verdict_only, random_spec)
 from test_games import mk_arena, random_arena
 
 
@@ -1139,17 +1139,44 @@ def test_verify_realizer_matches_old_search_on_random_selectors(monkeypatch):
 
 def test_verify_realizer_verdict_only_gives_the_same_verdicts():
     boolean = Objective(kind="boolean")
+    rng = random.Random(2105)
     tally = collections.Counter()
-    for spec, t in _oracle_cases(2104, 500):
-        value_check = verify_realizer(spec, t, boolean)[0] == PASS
-        for obj in _ORACLE_OBJECTIVES:
-            verdict, _witness = verify_realizer(spec, t, obj)
-            assert verify_realizer(spec, t, obj, verdict_only=True) == (verdict, None), (
-                core.emit_wfa(spec), obj)
-            tally[spec.measure, verdict, value_check and verdict == FAIL] += 1
+    for spec, selector in _oracle_cases(2104, 500):
+        # the same machine with other outputs, whose spec run may die where
+        # the machine accepts: the Boolean check fails, the value check may not
+        redrawn = core.MealyTransducer(
+            spec.inputs, spec.outputs, selector.states, selector.initial, selector.finals,
+            {key: (rng.choice(spec.outputs), tgt)
+             for key, (_b, tgt) in selector.transitions.items()})
+        for t in (selector, redrawn):
+            value_check = verify_realizer(spec, t, boolean)[0] == PASS
+            failing = [name for name, check in (("domain", synthesis._domain_equal_witness),
+                                                ("boolean", synthesis._boolean_witness))
+                       if check(spec, t) is not None]
+            for obj in _ORACLE_OBJECTIVES:
+                verdict, _witness = verify_realizer(spec, t, obj)
+                fast = verify_realizer(spec, t, obj, verdict_only=True)
+                assert fast == (verdict, None), (core.emit_wfa(spec), core.emit_mealy(t), obj)
+                tally[spec.measure, verdict, value_check and verdict == FAIL] += 1
+                if synthesis._value_check(obj, True)(spec, t) is None:
+                    # the value check runs first and passes: the others decide
+                    for name in failing:
+                        tally["value passes", name + " fails", fast] += 1
     for measure in (SUM, AVG):
         assert tally[measure, PASS, False] >= 100, tally
         assert tally[measure, FAIL, True] >= 100, tally
+    for name in ("domain", "boolean"):
+        assert tally["value passes", name + " fails", (FAIL, None)] >= 50, tally
+
+
+def test_verdict_only_pass_still_needs_the_domain_check(paper_spec):
+    # d on b is the best answer (12), so the value check passes, but the
+    # machine leaves out the spec's domain words a^n b for n >= 1
+    only_b = core.parse_mealy("mealy\ninitial: wait\nfinals: done\ntrans: wait b d done\n")
+    best = Objective(kind="best_value")
+    assert synthesis._value_check(best, True)(paper_spec, only_b) is None
+    assert verify_realizer(paper_spec, only_b, best) == (FAIL, ("a", "b"))
+    assert verify_realizer(paper_spec, only_b, best, verdict_only=True) == (FAIL, None)
 
 
 # --- one synchronized product against the four builders it replaced ---------
@@ -1365,6 +1392,43 @@ def test_best_value_search_matches_the_old_selector_loop(monkeypatch):
             statuses[status, calls["new"] - before["new"] > 1] += 1
     # both answers occur, and both after more than one candidate
     assert statuses[REALIZABLE, True] >= 5 and statuses[UNREALIZABLE, True] >= 5
+
+
+def test_verdict_only_order_matches_the_old_order_on_every_candidate(monkeypatch):
+    best = Objective(kind="best_value")
+    original = synthesis.verify_realizer
+    calls = collections.Counter()
+
+    def counting(key, verify):
+        def counted(*args, **kwargs):
+            calls[key] += 1
+            return verify(*args, **kwargs)
+        return counted
+
+    oracle = counting("old", lambda spec, t, obj, **_flags: old_verify_verdict_only(spec, t, obj))
+    verdicts = collections.Counter()
+    for cap in range(5):  # 120 specs
+        for gen, data in _generated_specs(2200 + cap, 24, cap):
+            spec = core.parse_wfa(gen.emit_wfa(data))
+            safe = domain.make_domain_safe(spec)
+            if safe is not None:
+                arena = synthesis.spec_to_prefix_arena(safe)
+                for strategy in prefix.enumerate_positional(arena):
+                    candidate = synthesis.extract_transducer(safe, arena, strategy)
+                    verdict = original(spec, candidate, best, verdict_only=True)
+                    assert verdict == old_verify_verdict_only(spec, candidate, best), (
+                        gen.emit_wfa(data), core.emit_mealy(candidate))
+                    verdicts[verdict] += 1
+            before = calls.copy()
+            monkeypatch.setattr(synthesis, "verify_realizer", counting("new", original))
+            new = synth_best_value(spec)
+            monkeypatch.setattr(synthesis, "verify_realizer", oracle)
+            old = synth_best_value(spec)
+            assert new.status == old.status
+            if new.transducer is not None:
+                assert core.emit_mealy(new.transducer) == core.emit_mealy(old.transducer)
+            assert calls["new"] - before["new"] == calls["old"] - before["old"]
+    assert verdicts[PASS, None] >= 100 and verdicts[FAIL, None] >= 300, verdicts
 
 
 def _reverse_each_state(data):
