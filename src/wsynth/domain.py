@@ -65,7 +65,7 @@ def _dom_step(spec: WeightedSpec, subset, symbol):
 
 
 def _accepts(spec: WeightedSpec, subset):
-    return any(q in spec.finals for q in subset)
+    return not subset.isdisjoint(spec.finals)
 
 
 def domain_membership(spec: WeightedSpec, u) -> bool:
@@ -158,37 +158,36 @@ class TwoRunSafetyGame:
     Vertices are (kind, eve_state, adam_state) with kind ii / oo / io;
     Adam owns ii (he picks the next input) and io (he answers with his
     own output), Eve owns oo.  Dead runs are kept explicit so that a run
-    that dies counts as non-accepting.  Eve loses when Adam's run is
-    final while hers is not: the critical vertices.
+    that dies counts as non-accepting, and so every oo vertex has one edge
+    per output.  Eve loses when Adam's run is final while hers is not:
+    the critical vertices.
 
-    The vertices are 0..N-1 in breadth-first discovery order.  Over the m
-    run states (the spec's states in order, then the dead run), vertex v
-    has the code (kind * m + eve) * m + adam in codes[v], and ids maps
-    each code back to its vertex.  names holds the run states' names; the
-    dead run's is __dead__, extended with _ until no spec state has it.
-    Edges are numbered as explored, each vertex's consecutively, into the
-    lists games.attract reads: owner, out (edge ranges), srcs, incoming.
+    Over the m run states (the spec's states in order, then the dead run),
+    a vertex has the code (kind * m + eve) * m + adam.  codes lists the
+    reached codes in breadth-first discovery order, so vertex v is codes[v];
+    moves[v] lists v's successor codes in edge order; preds maps each
+    reached code to its predecessor codes, one entry per edge; critical
+    holds the critical codes.  names holds the run states' names; the dead
+    run's is __dead__, extended with _ until no spec state has it.
     """
 
     codes: list
-    ids: dict
+    moves: list
+    preds: dict
     names: tuple
-    owner: list
-    out: list
-    srcs: list
-    incoming: list
     critical: frozenset
 
     @cached_property
     def arena(self) -> Arena:
-        """The game as a generic Arena, built on first access."""
-        dsts = {e: v for v, edges in enumerate(self.incoming) for e in edges}
+        """The game as a generic Arena on vertices 0..N-1, built on first access."""
+        ids = {code: v for v, code in enumerate(self.codes)}
+        mm = len(self.names) ** 2
         return Arena(
             vertices=tuple(range(len(self.codes))),
-            owner=dict(enumerate(self.owner)),
+            owner={v: EVE if mm <= code < 2 * mm else ADAM for v, code in enumerate(self.codes)},
             initial=0,
-            edges=[(src, "-", 0, dsts[e]) for e, src in enumerate(self.srcs)],
-            critical=self.critical,
+            edges=[(v, "-", 0, ids[nxt]) for v, moves in enumerate(self.moves) for nxt in moves],
+            critical=frozenset(ids[code] for code in self.critical),
         )
 
     def name(self, vertex):
@@ -220,9 +219,9 @@ def build_two_run_game(spec: WeightedSpec) -> TwoRunSafetyGame:
     mm = m * m
     start = index[spec.initial] * (m + 1)
     codes = [start]
-    ids = {start: 0}
-    out, srcs, incoming = [], [], [[]]
-    for vertex, code in enumerate(codes):  # codes grows: a FIFO queue
+    moves_of = []
+    preds = {start: []}
+    for code in codes:  # codes grows: a FIFO queue
         kind, rest = divmod(code, mm)
         left, right = divmod(rest, m)
         if kind == 0:  # ii: Adam picks an input, both runs read it
@@ -231,26 +230,23 @@ def build_two_run_game(spec: WeightedSpec) -> TwoRunSafetyGame:
             moves = [2 * mm + l * m + right for l in out_rows[left]]
         else:  # io: Adam's run outputs
             moves = [left * m + r for r in out_rows[right]]
-        out.append(range(len(srcs), len(srcs) + len(moves)))
+        moves_of.append(moves)
         for nxt in moves:
-            target = ids.get(nxt)
-            if target is None:
-                target = ids[nxt] = len(codes)
+            sources = preds.get(nxt)
+            if sources is None:
+                preds[nxt] = [code]
                 codes.append(nxt)
-                incoming.append([])
-            incoming[target].append(len(srcs))
-            srcs.append(vertex)
+            else:
+                sources.append(code)
     final = [q in spec.finals for q in spec.states] + [False]
     critical = frozenset(
-        v for v, code in enumerate(codes)
-        if code < mm and final[code % m] and not final[code // m]
+        code for code in codes if code < mm and final[code % m] and not final[code // m]
     )
-    owner = [EVE if mm <= code < 2 * mm else ADAM for code in codes]
     dead_name = _DEAD
     while dead_name in index:
         dead_name += "_"
     names = tuple(spec.states) + (dead_name,)
-    return TwoRunSafetyGame(codes, ids, names, owner, out, srcs, incoming, critical)
+    return TwoRunSafetyGame(codes, moves_of, preds, names, critical)
 
 
 def two_run_game_to_dot(game: TwoRunSafetyGame) -> str:
@@ -290,26 +286,24 @@ def make_domain_safe(spec: WeightedSpec, game=None):
     """
     if game is None:
         game = build_two_run_game(spec)
-    forcing, _ = games.attract(game.incoming, game.srcs, game.owner, game.out,
-                               game.critical, ADAM)
-    if 0 in forcing:  # the initial vertex
+    m = len(game.names)
+    mm = m * m
+    # Eve owns the oo codes, mm..2mm-1, each with one edge per output
+    forcing, _ = games.attract(game.preds, range(mm, 2 * mm), lambda _code: len(spec.outputs),
+                               game.critical)
+    if game.codes[0] in forcing:  # the initial vertex
         return None
     index = {q: k for k, q in enumerate(spec.states)}
-    m = len(game.names)
-
-    def outside(kind, eve, adam):
-        """Whether the vertex exists and Adam forces it into a losing one."""
-        return game.ids.get((_KINDS.index(kind) * m + index[eve]) * m + index[adam]) in forcing
-
+    # the diagonal vertex of q is ii for an input state, oo for an output one
     keep = {
         q for q in spec.states
-        if not outside("ii" if spec.polarity[q] == INPUT else "oo", q, q)
+        if index[q] * (m + 1) + (0 if spec.polarity[q] == INPUT else mm) not in forcing
     }
     transitions = {}
     for (src, sym), (tgt, w) in spec.transitions.items():
         if src not in keep or tgt not in keep:
             continue
-        if spec.polarity[src] == OUTPUT and outside("io", tgt, src):
-            continue
+        if spec.polarity[src] == OUTPUT and 2 * mm + index[tgt] * m + index[src] in forcing:
+            continue  # Adam forces a loss from (io, tgt, src)
         transitions[(src, sym)] = (tgt, w)
     return trim(spec, transitions)

@@ -30,8 +30,8 @@ class Arena:
     edges is an ordered list of (src, action, weight, dst); the action is
     kept for files and for the spec symbol an edge stands for,
     perfect-information solvers ignore it.  Edge indices into this list are the currency of strategies.
-    vertex_set holds the vertices; out(v) and incoming() index the edges
-    by source and by target.
+    vertex_set holds the vertices, owned(player) a player's; out(v) indexes
+    the edges by source and incoming() lists each vertex's predecessors.
     """
 
     vertices: tuple
@@ -58,18 +58,24 @@ class Arena:
         self._out = {v: [] for v in self.vertices}
         for i, src in enumerate(srcs):
             self._out[src].append(i)
-        self._in = None
+        self._in, self._owned = None, {}
 
     def out(self, v):
         return self._out[v]
 
     def incoming(self):
-        """vertex -> indices of the edges into it, built on first use."""
+        """vertex -> its predecessors, one per edge in edge order, built on first use."""
         if self._in is None:
             self._in = {v: [] for v in self.vertices}
-            for i, dst in enumerate(self._dst):
-                self._in[dst].append(i)
+            for src, dst in zip(self._src, self._dst):
+                self._in[dst].append(src)
         return self._in
+
+    def owned(self, player):
+        """The player's vertices as a set, built on first use."""
+        if player not in self._owned:
+            self._owned[player] = {v for v in self.vertices if self.owner[v] == player}
+        return self._owned[player]
 
     def deadlocks(self):
         return [v for v in self.vertices if not self._out[v]]
@@ -133,42 +139,45 @@ class MemoryStrategy:
     step: dict
 
 
-def attract(incoming, srcs, owner, out, targets, player):
-    """Vertices from which `player` forces a visit to `targets`, and for
-    those of the player's added through an edge, one attracting edge.
+def attract(preds, theirs, degree, targets):
+    """Vertices from which a player forces a visit to targets, and for
+    those of the player's added through an edge, the vertex it leads to.
 
-    incoming[v] lists the edges into vertex v, srcs[e] is edge e's source,
-    owner[v] is EVE or ADAM and len(out[v]) is v's out-degree.  An opponent
-    vertex joins once all its edges lead into the region; its count of
-    edges still outside starts at its out-degree when first met.
+    preds[v] lists the sources of the edges into vertex v, one per edge.
+    theirs holds the opponent's vertices; such a vertex u joins once all
+    its degree(u) edges lead into the region.  degree is read when u is
+    first met; a count read back from pending is never 0, as u joins at 0.
     """
     region = set(targets)
     pending = {}
-    strategy = {}
+    via = {}
     queue = list(region)
     while queue:
-        for edge_idx in incoming[queue.pop()]:
-            src = srcs[edge_idx]
+        v = queue.pop()
+        for src in preds[v]:
             if src in region:
                 continue
-            if owner[src] == player:
+            if src not in theirs:
                 region.add(src)
-                strategy[src] = edge_idx
+                via[src] = v
                 queue.append(src)
             else:
-                left = pending.get(src, len(out[src])) - 1
+                left = (pending.get(src) or degree(src)) - 1
                 pending[src] = left
                 if not left:
                     region.add(src)
                     queue.append(src)
-    return region, strategy
+    return region, via
 
 
 def attractor(arena: Arena, targets, player):
-    """attract on the arena's lists, ignoring targets that are not vertices."""
+    """attract on the arena's lists, ignoring targets that are not vertices; a
+    vertex of the player's plays its first edge into the vertex it joined through."""
     known = arena.vertex_set
-    region, strategy = attract(arena.incoming(), arena._src, arena.owner, arena._out,
-                               [t for t in targets if t in known], player)
+    out, dsts = arena._out, arena._dst
+    region, via = attract(arena.incoming(), arena.owned(EVE if player == ADAM else ADAM),
+                          lambda v: len(out[v]), [t for t in targets if t in known])
+    strategy = {u: next(e for e in out[u] if dsts[e] == v) for u, v in via.items()}
     return region, PositionalStrategy(strategy)
 
 
@@ -351,7 +360,8 @@ def _credit_bound(out_edges):
     Eve's winning plays close only non-negative cycles, so the worst prefix
     is a simple path, and a simple path leaves each vertex by one edge.
     """
-    return sum(max(0, -min((w for w, _ in es), default=0)) for es in out_edges.values())
+    lows = [min(map(itemgetter(0), es)) for es in out_edges.values() if es]
+    return -sum(low for low in lows if low < 0)
 
 
 def _tight_edges(arena, vertices, player, weight_fn, f):

@@ -58,7 +58,10 @@ def reduce_avg_to_sum(arena: Arena, nu: Fraction):
 
 
 def _reweight(arena: Arena, scale: int, shift: int):
-    """Same arena with every weight w replaced by scale*w - shift."""
+    """Same arena with every weight w replaced by scale*w - shift: the
+    arena itself when that changes no weight."""
+    if (scale, shift) == (1, 0):
+        return arena
     edges = [(src, a, scale * w - shift, dst) for src, a, w, dst in arena.edges]
     return Arena(
         vertices=arena.vertices,

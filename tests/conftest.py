@@ -1,3 +1,4 @@
+import importlib.util
 import itertools
 import sys
 from collections import deque
@@ -12,6 +13,15 @@ from wsynth import core, domain, dsumpath, synthesis
 from wsynth.games import ADAM, EVE
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+
+def load_bench_gen():
+    """bench/gen.py, the benchmark's spec generator, as a module."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "gen.py"
+    module_spec = importlib.util.spec_from_file_location("bench_gen", path)
+    module = importlib.util.module_from_spec(module_spec)
+    module_spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="session")

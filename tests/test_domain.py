@@ -11,6 +11,7 @@ from wsynth.games import ADAM, EVE, Arena
 from conftest import (
     brute_domain,
     domains_equal,
+    load_bench_gen,
     old_solve_safety,
     random_spec,
 )
@@ -492,8 +493,9 @@ def test_two_run_game_matches_tuple_game(paper_spec):
 
 
 def test_two_run_attractor_matches_the_arena_path(paper_spec):
-    """games.attract on the game's own lists against games.attractor on
-    its generic Arena, the path make_domain_safe took before."""
+    """games.attract on the game's predecessor lists against
+    games.attractor on its generic Arena, the path make_domain_safe took
+    before."""
     rng = random.Random(43)
     specs = [paper_spec] + [
         random_spec(rng, max_states=rng.randint(2, 12), final_bias=rng.choice([0.3, 0.6, 0.9]))
@@ -502,18 +504,44 @@ def test_two_run_attractor_matches_the_arena_path(paper_spec):
     seen = {"dead_run": 0, "eve_twin_edges_in_region": 0, "initial_lost": 0, "initial_safe": 0}
     for spec in specs:
         game = domain.build_two_run_game(spec)
-        region, _ = games.attract(
-            game.incoming, game.srcs, game.owner, game.out, game.critical, ADAM)
-        assert region == games.attractor(game.arena, game.arena.critical, ADAM)[0]
-        assert game.critical == game.arena.critical
+        mm = len(game.names) ** 2
+        eve = range(mm, 2 * mm)
+        region, _ = games.attract(game.preds, eve, lambda _code: len(spec.outputs),
+                                  game.critical)
+        ids = {code: v for v, code in enumerate(game.codes)}
+        assert {ids[code] for code in region} == games.attractor(
+            game.arena, game.arena.critical, ADAM)[0]
+        assert {ids[code] for code in game.critical} == game.arena.critical
+        assert list(game.preds) == game.codes  # one dict, filled in discovery order
         dead = game.names[-1]
         seen["dead_run"] += any(dead in game.name(v) for v in game.arena.vertices)
-        for v in region:
-            targets = [game.arena.edges[i][3] for i in game.arena.out(v)]
-            if game.owner[v] == EVE and len(set(targets)) < len(targets):
+        for code in region:
+            targets = game.moves[ids[code]]
+            assert code not in eve or len(targets) == len(spec.outputs)
+            if code in eve and len(set(targets)) < len(targets):
                 seen["eve_twin_edges_in_region"] += 1
-        seen["initial_lost" if 0 in region else "initial_safe"] += 1
+        seen["initial_lost" if game.codes[0] in region else "initial_safe"] += 1
     assert min(seen.values()) >= 20, seen
+
+
+def test_two_run_game_matches_tuple_game_on_bench_specs():
+    """The counts the benchmark pins come from specs of this shape: 3-letter
+    alphabets and 60 states or more."""
+    gen = load_bench_gen()
+    rng = random.Random(53)
+    sizes = []
+    for _ in range(6):
+        k, m = rng.choice([(13, 4), (16, 5)])
+        data = gen.memory_spec(rng, k, m, "abc", "xyz", rng.choice(["sum", "avg"]))
+        spec = core.parse_wfa(gen.emit_wfa(data))
+        game = domain.build_two_run_game(spec)
+        arena, losing = old_build_two_run_game(spec)
+        assert len(game.arena.vertices) == len(arena.vertices)
+        assert len(game.arena.edges) == len(arena.edges)
+        assert {game.name(v) for v in game.arena.critical} == losing
+        assert domain.two_run_game_to_dot(game) == games.arena_to_dot(arena, highlight=losing)
+        sizes.append(len(spec.states))
+    assert min(sizes) >= 60, sizes
 
 
 def test_make_domain_safe_builds_no_arena(paper_spec):

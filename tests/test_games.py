@@ -392,6 +392,32 @@ def test_lift_at_credit_bound_equals_lift_at_large_cap():
             ), games.emit_arena(arena)
 
 
+def test_credit_bound_matches_the_nested_min():
+    rng = random.Random(8128)
+    seen = {"zero": 0, "positive": 0, "empty_list": 0}
+    for trial in range(600):
+        arena = wide_random_arena(rng, 12, WEIGHT_RANGES[trial % len(WEIGHT_RANGES)])
+        out_edges = {
+            v: [(arena.edges[i][2], arena.edges[i][3]) for i in arena.out(v)]
+            for v in arena.vertices
+        }
+        _owner, dual_out = dual_game(arena, out_edges)
+        # the solver's dual game keeps only edges inside Adam's region, so a
+        # vertex may have none; a weight tie must not compare mixed targets
+        for v in arena.vertices:
+            if rng.random() < 0.2:
+                dual_out[v] = []
+            elif out_edges[v] and rng.random() < 0.2:
+                out_edges[v].append((out_edges[v][0][0], ("copy", v)))
+        for out in (out_edges, dual_out):
+            expected = sum(max(0, -min((w for w, _ in es), default=0))
+                           for es in out.values())
+            assert games._credit_bound(out) == expected
+            seen["zero" if expected == 0 else "positive"] += 1
+            seen["empty_list"] += not all(out.values())
+    assert min(seen.values()) >= 50, seen
+
+
 LIFT_WEIGHT_RANGES = ((0, 0), (-1, 0), (-50, 10), (-2, 2), (-9, 3), (-1, 6))
 
 

@@ -105,6 +105,15 @@ def test_avg_reduction_zero_keeps_weights():
     assert [e[2] for e in reduced.edges] == [e[2] for e in arena.edges]
 
 
+def test_identity_reweight_returns_the_arena_itself():
+    # Sum with an integer threshold and Avg with threshold 0 change no weight
+    arena = remark_arena()
+    assert prefix._reweight(arena, 1, 0) is arena
+    assert prefix.reduce_avg_to_sum(arena, Fraction(0))[0] is arena
+    assert prefix._reweight(arena, 2, 0) is not arena
+    assert prefix._reweight(arena, 1, 1) is not arena
+
+
 def test_avg_reduction_arithmetic():
     arena = mk_arena([("v", ADAM)], [("v", 1, "v")])
     reduced, _ = prefix.reduce_avg_to_sum(arena, Fraction(1, 2))

@@ -1,6 +1,5 @@
 import collections
 import hashlib
-import importlib.util
 import itertools
 import json
 import os
@@ -31,7 +30,7 @@ from wsynth.synthesis import (
 )
 
 from conftest import (always_transducer, always_d_realizer, check_difference,
-                      first_c_realizer, old_min_walk_below, old_value_witness,
+                      first_c_realizer, load_bench_gen, old_min_walk_below, old_value_witness,
                       old_verify_verdict_only, random_spec)
 from test_games import mk_arena, random_arena
 
@@ -610,17 +609,9 @@ def old_transducer_from_belief_strategy(spec, full, strategy):
     )
 
 
-def _load_bench_gen():
-    path = Path(__file__).resolve().parent.parent / "bench" / "gen.py"
-    module_spec = importlib.util.spec_from_file_location("bench_gen", path)
-    module = importlib.util.module_from_spec(module_spec)
-    module_spec.loader.exec_module(module)
-    return module
-
-
 def _memory_specs(seed, count):
     """Seeded Boolean-realizable Sum/Avg specs: an input DFA times output memory."""
-    gen = _load_bench_gen()
+    gen = load_bench_gen()
     rng = random.Random(seed)
     for _ in range(count):
         measure = rng.choice((SUM, AVG))
@@ -1358,7 +1349,7 @@ def old_synth_best_value(spec, verify):
 
 def _generated_specs(seed, count, choice_cap):
     """Seeded bench/gen.py memory specs as data, Sum, Avg and Dsum in turn."""
-    gen = _load_bench_gen()
+    gen = load_bench_gen()
     rng = random.Random(seed)
     for i in range(count):
         measure = (SUM, AVG, DSUM)[i % 3]
