@@ -84,11 +84,8 @@ def _emit(args, payload, human_lines):
 
 
 def _strategy_lines(arena, strategy):
-    lines = []
-    for v in arena.vertices:
-        if v in strategy.choice:
-            lines.append("strategy: %s %d" % (v, strategy.choice[v]))
-    return lines
+    return ["strategy: %s %d" % (v, strategy.choice[v])
+            for v in arena.vertices if v in strategy.choice]
 
 
 def _attach_negative_rationals(argv):

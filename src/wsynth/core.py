@@ -382,9 +382,7 @@ def run_transducer(t: MealyTransducer, u):
             return None
         b, state = entry
         out.append(b)
-    if state not in t.finals:
-        return None
-    return tuple(out)
+    return tuple(out) if state in t.finals else None
 
 
 def bfs(successors, starts, goal=None):

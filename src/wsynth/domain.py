@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property, partial
+from itertools import chain, repeat
 
 from . import games
 from .core import INPUT, OUTPUT, WeightedSpec, bfs, walk_back, word
@@ -151,6 +152,17 @@ def is_domain_safe(spec: WeightedSpec) -> bool:
 _KINDS = ("ii", "oo", "io")
 
 
+def _successors(kind, level, m, in_rows, out_rows):
+    """Each successor code of level's codes, all of one kind, in edge order."""
+    mm = m * m
+    if kind == 0:  # ii: Adam picks an input, both runs read it
+        return [mm + l * m + r for c in level for l, r in zip(in_rows[c // m], in_rows[c % m])]
+    if kind == 1:  # oo: Eve's run outputs
+        return [l * m + r for c in level for r in (c % m + 2 * mm,) for l in out_rows[c // m - m]]
+    # io: Adam's run outputs
+    return [b + r for c in level for b in (c - c % m - 2 * mm,) for r in out_rows[c % m]]
+
+
 @dataclass
 class TwoRunSafetyGame:
     """Safety game tracking Eve's run against Adam's run on shared input.
@@ -158,24 +170,32 @@ class TwoRunSafetyGame:
     Vertices are (kind, eve_state, adam_state) with kind ii / oo / io;
     Adam owns ii (he picks the next input) and io (he answers with his
     own output), Eve owns oo.  Dead runs are kept explicit so that a run
-    that dies counts as non-accepting, and so every oo vertex has one edge
-    per output.  Eve loses when Adam's run is final while hers is not:
-    the critical vertices.
+    that dies counts as non-accepting, and so every ii vertex has one edge
+    per input and every other one per output.  Eve loses when Adam's run
+    is final while hers is not: the critical vertices.
 
     Over the m run states (the spec's states in order, then the dead run),
     a vertex has the code (kind * m + eve) * m + adam.  codes lists the
     reached codes in breadth-first discovery order, so vertex v is codes[v];
-    moves[v] lists v's successor codes in edge order; preds maps each
-    reached code to its predecessor codes, one entry per edge; critical
-    holds the critical codes.  names holds the run states' names; the dead
-    run's is __dead__, extended with _ until no spec state has it.
+    preds maps each reached code to its predecessor codes, one entry per
+    edge; critical holds the critical codes.  names holds the run states'
+    names; the dead run's is __dead__, extended with _ until no spec state
+    has it.  in_rows and out_rows give the run state each input and output
+    leads to; moves[v], v's successor codes in edge order, derives from them.
     """
 
     codes: list
-    moves: list
     preds: dict
     names: tuple
     critical: frozenset
+    in_rows: list
+    out_rows: list
+
+    @cached_property
+    def moves(self) -> list:
+        m = len(self.names)
+        return [_successors(code // (m * m), [code], m, self.in_rows, self.out_rows)
+                for code in self.codes]
 
     @cached_property
     def arena(self) -> Arena:
@@ -201,52 +221,41 @@ def build_two_run_game(spec: WeightedSpec) -> TwoRunSafetyGame:
     index = {q: k for k, q in enumerate(spec.states)}
     m = len(spec.states) + 1
     dead = m - 1
-
-    def rows(symbols):
-        """Per run state, the run state each symbol leads to."""
-        table = []
-        for q in spec.states:
-            row = []
-            for symbol in symbols:
-                entry = spec.transitions.get((q, symbol))
-                row.append(index[entry[0]] if entry else dead)
-            table.append(row)
-        table.append([dead] * len(symbols))
-        return table
-
-    in_rows = rows(spec.inputs)
-    out_rows = rows(spec.outputs)
-    mm = m * m
+    in_rows = [[dead] * len(spec.inputs) for _ in range(m)]
+    out_rows = [[dead] * len(spec.outputs) for _ in range(m)]
+    columns = {INPUT: (in_rows, {a: k for k, a in enumerate(spec.inputs)}),
+               OUTPUT: (out_rows, {b: k for k, b in enumerate(spec.outputs)})}
+    for (src, sym), (tgt, _w) in spec.transitions.items():
+        rows, column = columns[spec.polarity[src]]
+        rows[index[src]][column[sym]] = index[tgt]
+    degree = (len(spec.inputs), len(spec.outputs), len(spec.outputs))
+    final = [q in spec.finals for q in spec.states] + [False]
     start = index[spec.initial] * (m + 1)
     codes = [start]
-    moves_of = []
     preds = {start: []}
-    for code in codes:  # codes grows: a FIFO queue
-        kind, rest = divmod(code, mm)
-        left, right = divmod(rest, m)
-        if kind == 0:  # ii: Adam picks an input, both runs read it
-            moves = [mm + l * m + r for l, r in zip(in_rows[left], in_rows[right])]
-        elif kind == 1:  # oo: Eve's run outputs
-            moves = [2 * mm + l * m + right for l in out_rows[left]]
-        else:  # io: Adam's run outputs
-            moves = [left * m + r for r in out_rows[right]]
-        moves_of.append(moves)
-        for nxt in moves:
+    critical = []
+    # every edge goes ii -> oo -> io -> ii, so each breadth-first level holds
+    # one kind, and level-by-level first-seen dedup keeps FIFO discovery order
+    level, kind = [start], 0
+    while level:
+        if kind == 0:
+            critical += [c for c in level if final[c % m] and not final[c // m]]
+        fresh = []
+        parents = chain.from_iterable(zip(*repeat(level, degree[kind])))
+        for code, nxt in zip(parents, _successors(kind, level, m, in_rows, out_rows)):
             sources = preds.get(nxt)
             if sources is None:
                 preds[nxt] = [code]
-                codes.append(nxt)
+                fresh.append(nxt)
             else:
                 sources.append(code)
-    final = [q in spec.finals for q in spec.states] + [False]
-    critical = frozenset(
-        code for code in codes if code < mm and final[code % m] and not final[code // m]
-    )
+        codes += fresh
+        level, kind = fresh, (kind + 1) % 3
     dead_name = _DEAD
     while dead_name in index:
         dead_name += "_"
     names = tuple(spec.states) + (dead_name,)
-    return TwoRunSafetyGame(codes, moves_of, preds, names, critical)
+    return TwoRunSafetyGame(codes, preds, names, frozenset(critical), in_rows, out_rows)
 
 
 def two_run_game_to_dot(game: TwoRunSafetyGame) -> str:
@@ -283,6 +292,13 @@ def make_domain_safe(spec: WeightedSpec, game=None):
     initial vertex, i.e. when no transducer with the specification's
     domain can stay inside the relation.  game is spec's two-run game,
     built here unless the caller already has it.
+
+    Otherwise an output transition (p, b, q) is dropped when Adam forces a
+    loss from (io, q, p), and trim drops what then lies on no accepting
+    run.  That drops each reachable q whose diagonal vertex (reached when
+    both runs follow q's path) Adam attracts: from each (io, q, p) he plays
+    b into (ii, q, q), so all transitions into q go; Eve's moves from
+    (oo, q, q) lead to the (io, q', q) of q's transitions, so all out of q go.
     """
     if game is None:
         game = build_two_run_game(spec)
@@ -294,16 +310,8 @@ def make_domain_safe(spec: WeightedSpec, game=None):
     if game.codes[0] in forcing:  # the initial vertex
         return None
     index = {q: k for k, q in enumerate(spec.states)}
-    # the diagonal vertex of q is ii for an input state, oo for an output one
-    keep = {
-        q for q in spec.states
-        if index[q] * (m + 1) + (0 if spec.polarity[q] == INPUT else mm) not in forcing
+    transitions = {
+        (src, sym): (tgt, w) for (src, sym), (tgt, w) in spec.transitions.items()
+        if spec.polarity[src] == INPUT or 2 * mm + index[tgt] * m + index[src] not in forcing
     }
-    transitions = {}
-    for (src, sym), (tgt, w) in spec.transitions.items():
-        if src not in keep or tgt not in keep:
-            continue
-        if spec.polarity[src] == OUTPUT and 2 * mm + index[tgt] * m + index[src] in forcing:
-            continue  # Adam forces a loss from (io, tgt, src)
-        transitions[(src, sym)] = (tgt, w)
     return trim(spec, transitions)

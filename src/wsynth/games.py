@@ -736,8 +736,7 @@ def arena_to_dot(arena: Arena, highlight=(), label=str) -> str:
         if v in highlight:
             attributes += ', style=filled, fillcolor="lightgray"'
         nodes.append((label(v), attributes))
-    edges = []
-    for src, action, w, dst in arena.edges:
-        text = format_rational(w)
-        edges.append((label(src), label(dst), text if action == "-" else "%s|%s" % (action, text)))
+    edges = [(label(src), label(dst),
+              format_rational(w) if action == "-" else "%s|%s" % (action, format_rational(w)))
+             for src, action, w, dst in arena.edges]
     return _dot("arena", nodes, label(arena.initial), edges)

@@ -413,9 +413,10 @@ def _forcing_rise_bound(iarena: ImperfectArena, rank):
 
     h(v) = max over Eve's actions of the min over Adam's rank-decreasing
     resolutions of max(0, w + h(target)); the nesting computes the maximal
-    prefix sum along the forcing play.
+    prefix sum along the forcing play.  h(v) reads only vertices of lower
+    rank, so the order within a rank does not matter.
     """
-    order = sorted(iarena.vertices, key=lambda v: (rank[v], repr(v)))
+    order = sorted(iarena.vertices, key=rank.__getitem__)
     h = {}
     for v in order:
         if v in iarena.critical:

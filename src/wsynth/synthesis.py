@@ -781,12 +781,9 @@ def gen_spec_from_mp_game(arena: Arena):
         raise ValueError("mean-payoff generator needs a deadlock-free arena")
 
     # force strict Adam/Eve alternation with relay vertices
-    vertices = []
-    owner = {}
+    vertices = list(arena.vertices)
+    owner = dict(arena.owner)
     edges = []
-    for v in arena.vertices:
-        vertices.append(v)
-        owner[v] = arena.owner[v]
     relay_count = 0
     for src, _a, w, dst in arena.edges:
         if arena.owner[src] != arena.owner[dst]:

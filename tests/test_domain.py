@@ -549,8 +549,167 @@ def test_make_domain_safe_builds_no_arena(paper_spec):
     for spec in [paper_spec] + [random_spec(rng) for _ in range(20)]:
         game = domain.build_two_run_game(spec)
         domain.make_domain_safe(spec, game)
-        assert "arena" not in vars(game)
+        assert "arena" not in vars(game) and "moves" not in vars(game)
         assert game.arena is game.arena  # built once, on first access
+        assert game.moves is game.moves
+
+
+def fifo_build_two_run_game(spec):
+    """The two-run game as explored by one FIFO queue that stored each
+    vertex's successor list: (codes, moves, preds, names, critical)."""
+    index = {q: k for k, q in enumerate(spec.states)}
+    m = len(spec.states) + 1
+    dead = m - 1
+
+    def rows(symbols):
+        return [[index[spec.transitions[(q, a)][0]] if (q, a) in spec.transitions else dead
+                 for a in symbols] for q in spec.states] + [[dead] * len(symbols)]
+
+    in_rows, out_rows = rows(spec.inputs), rows(spec.outputs)
+    mm = m * m
+    start = index[spec.initial] * (m + 1)
+    codes = [start]
+    moves_of = []
+    preds = {start: []}
+    for code in codes:  # codes grows: a FIFO queue
+        kind, rest = divmod(code, mm)
+        left, right = divmod(rest, m)
+        if kind == 0:
+            moves = [mm + l * m + r for l, r in zip(in_rows[left], in_rows[right])]
+        elif kind == 1:
+            moves = [2 * mm + l * m + right for l in out_rows[left]]
+        else:
+            moves = [left * m + r for r in out_rows[right]]
+        moves_of.append(moves)
+        for nxt in moves:
+            sources = preds.get(nxt)
+            if sources is None:
+                preds[nxt] = [code]
+                codes.append(nxt)
+            else:
+                sources.append(code)
+    final = [q in spec.finals for q in spec.states] + [False]
+    critical = frozenset(
+        code for code in codes if code < mm and final[code % m] and not final[code // m]
+    )
+    dead_name = domain._DEAD
+    while dead_name in index:
+        dead_name += "_"
+    return codes, moves_of, preds, tuple(spec.states) + (dead_name,), critical
+
+
+def seeded_specs(seed, count, bench_count):
+    """random_spec specs of 2-16 states, then bench memory_spec specs of
+    the threshold-mp shape (3-letter alphabets, up to 63 states)."""
+    gen = load_bench_gen()
+    rng = random.Random(seed)
+    specs = [
+        random_spec(rng, max_states=rng.randint(2, 16), final_bias=rng.choice([0.3, 0.6, 0.9]))
+        for _ in range(count)
+    ]
+    for _ in range(bench_count):
+        data = gen.memory_spec(rng, rng.randint(4, 8), rng.randint(2, 4), "abc", "xyz",
+                               rng.choice(["sum", "avg"]))
+        specs.append(core.parse_wfa(gen.emit_wfa(data)))
+    return specs
+
+
+def test_level_build_matches_the_fifo_build(paper_spec):
+    seen = {"dead_run": 0, "twin_outputs": 0, "twin_preds": 0, "critical": 0}
+    for spec in [paper_spec] + seeded_specs(59, 400, 40):
+        game = domain.build_two_run_game(spec)
+        codes, moves, preds, names, critical = fifo_build_two_run_game(spec)
+        assert game.codes == codes
+        assert game.names == names
+        assert game.critical == critical
+        assert list(game.preds) == list(preds)
+        assert all(sorted(game.preds[code]) == sorted(preds[code]) for code in codes)
+        assert "moves" not in vars(game)
+        assert game.moves == moves
+        seen["dead_run"] += len(names) - 1 in {code % len(names) for code in codes}
+        seen["twin_outputs"] += any(
+            len(set(targets)) < len(targets)
+            for q, targets in (
+                (q, [spec.transitions[(q, b)][0] for b in spec.outputs if (q, b) in spec.transitions])
+                for q in spec.output_states())
+        )
+        seen["twin_preds"] += any(len(set(sources)) < len(sources) for sources in preds.values())
+        seen["critical"] += bool(critical)
+    assert min(seen.values()) >= 100, seen
+
+
+def spec_with_escape(rng):
+    """A random_spec behind an output choice Eve can use to escape it.
+
+    Input e0 reads a or b into output e1; one output of e1 enters the
+    random spec, the other a final loop that accepts every input.  Eve
+    always wins by escaping, so a random spec without a Boolean realizer
+    puts diagonal vertices in Adam's attractor while the initial one is safe.
+    """
+    inner = random_spec(rng, max_states=rng.randint(2, 12), final_bias=rng.choice([0.3, 0.6]))
+    rename = {q: "r" + q for q in inner.states}
+    enter, escape = rng.sample(("c", "d"), 2)
+    transitions = {(rename[src], sym): (rename[tgt], w)
+                   for (src, sym), (tgt, w) in inner.transitions.items()}
+    transitions.update({
+        ("e0", "a"): ("e1", 0), ("e0", "b"): ("e1", 1),
+        ("e1", enter): (rename[inner.initial], 0), ("e1", escape): ("u0", 0),
+        ("u0", "a"): ("u1", 0), ("u0", "b"): ("u1", 0), ("u1", "c"): ("u0", 0),
+        ("u1", "d"): ("u0", 0),
+    })
+    return core.WeightedSpec(
+        inputs=("a", "b"), outputs=("c", "d"),
+        states=("e0", "e1", "u0", "u1") + tuple(rename[q] for q in inner.states),
+        initial="e0", finals=("u0",) + tuple(rename[q] for q in inner.finals),
+        transitions=transitions,
+    )
+
+
+def diagonal_make_domain_safe(spec):
+    """make_domain_safe with the pruning it used to do first: drop every
+    state whose diagonal vertex is in Adam's attractor, then apply the io
+    check and trim.  Returns the result and the states whose diagonal
+    vertex is in the attractor."""
+    game = domain.build_two_run_game(spec)
+    m = len(game.names)
+    mm = m * m
+    forcing, _ = games.attract(game.preds, range(mm, 2 * mm), lambda _code: len(spec.outputs),
+                               game.critical)
+    if game.codes[0] in forcing:
+        return None, set()
+    index = {q: k for k, q in enumerate(spec.states)}
+    diagonal = {q: index[q] * (m + 1) + (0 if spec.polarity[q] == core.INPUT else mm)
+                for q in spec.states}
+    keep = {q for q in spec.states if diagonal[q] not in forcing}
+    transitions = {}
+    for (src, sym), (tgt, w) in spec.transitions.items():
+        if src not in keep or tgt not in keep:
+            continue
+        if spec.polarity[src] == core.OUTPUT and 2 * mm + index[tgt] * m + index[src] in forcing:
+            continue
+        transitions[(src, sym)] = (tgt, w)
+    return domain.trim(spec, transitions), set(spec.states) - keep
+
+
+def test_diagonal_pruning_is_implied_by_the_io_check(paper_spec):
+    """A state whose diagonal vertex Adam attracts loses all its incoming
+    (ii) or outgoing (oo) transitions to the io check, so trim drops it."""
+    seen = {"none": 0, "ii_dropped": 0, "oo_dropped": 0, "diagonals_safe": 0}
+    rng = random.Random(71)
+    specs = [paper_spec] + seeded_specs(61, 1500, 60) + [spec_with_escape(rng) for _ in range(1500)]
+    for spec in specs:
+        result = domain.make_domain_safe(spec)
+        old, dropped = diagonal_make_domain_safe(spec)
+        assert (result is None) == (old is None)
+        if result is None:
+            seen["none"] += 1
+            continue
+        assert core.emit_wfa(result) == core.emit_wfa(old)
+        polarities = {spec.polarity[q] for q in dropped}
+        seen["ii_dropped"] += core.INPUT in polarities
+        seen["oo_dropped"] += core.OUTPUT in polarities
+        seen["diagonals_safe"] += not dropped
+    assert min(seen.values()) >= 100, seen
 
 
 def _spec_over(rng, inputs):

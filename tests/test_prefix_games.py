@@ -4,11 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from wsynth import games, prefix
+from wsynth import core, games, prefix, synthesis
 from wsynth.core import AVG, DSUM, SUM
 from wsynth.games import ADAM, EVE, Arena, ImperfectArena
 from wsynth.prefix import PrefixObjective
 
+from conftest import load_bench_gen
 from test_games import mk_arena, remark_arena, random_arena
 
 
@@ -395,6 +396,50 @@ def test_energy_reduction_matches_direct_solver():
         status, _ = games.solve_imperfect_energy_capped(reduced, credit, cap)
         direct = solve_prefix_energy_capped_direct(ia, c0, cap - buffer, buffer)
         assert status == direct, games.emit_arena
+
+
+def old_forcing_rise_bound(iarena, rank):
+    """prefix._forcing_rise_bound as it was, with ties in rank broken by repr."""
+    h = {}
+    for v in sorted(iarena.vertices, key=lambda v: (rank[v], repr(v))):
+        if v in iarena.critical:
+            h[v] = 0
+            continue
+        worst = 0
+        for a in iarena.available(v):
+            best = None
+            for w, dst in iarena.moves(v, a):
+                if rank[dst] < rank[v]:
+                    rise = max(0, w + h[dst])
+                    best = rise if best is None else min(best, rise)
+            worst = max(worst, best)
+        h[v] = worst
+    return max(h.values(), default=0)
+
+
+def test_forcing_rise_bound_matches_the_repr_tie_break(paper_spec):
+    """The rise bound sorts by rank alone; it must equal the bound computed
+    with ties in rank broken by repr, on the approx arenas synth approx builds."""
+    gen = load_bench_gen()
+    rng = random.Random(67)
+    specs = [paper_spec] + [
+        core.parse_wfa(gen.emit_wfa(gen.memory_spec(
+            rng, rng.randint(2, 3), rng.randint(2, 4), "ab", "xy", rng.choice(["sum", "avg"]),
+            out_w=(-3, 3))))
+        for _ in range(120)
+    ]
+    bounds, tied = set(), 0
+    for spec in specs:
+        for cmp, r in (("<=", rng.randint(1, 4)), ("<", rng.randint(1, 4))):
+            iarena, _credit = synthesis.build_approx_game(spec, cmp, r)
+            rank = prefix._force_critical_everywhere(iarena)
+            if rank is None:
+                continue
+            bound = prefix._forcing_rise_bound(iarena, rank)
+            assert bound == old_forcing_rise_bound(iarena, rank)
+            bounds.add(bound)
+            tied += len(set(rank.values())) < len(rank)
+    assert len(bounds) >= 10 and tied >= 150, (bounds, tied)
 
 
 def test_dsum_strict_adam_wins_every_strategy_refuted():
