@@ -29,7 +29,7 @@ EXIT_FORMAT = 65
 EXIT_SOFTWARE = 70
 
 # argparse reads a separate "-1/2" as an option, not as the flag's value
-_RATIONAL_FLAGS = ("--nu", "--r")
+_RATIONAL_FLAGS = ("--nu", "--r", "--lambda")
 _NEGATIVE_RATIONAL = re.compile(r"^-\d+/\d+$")
 
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import heapq
 import math
-from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import itemgetter
@@ -202,9 +201,11 @@ def solve_safety(arena: Arena, safe):
     return region, PositionalStrategy(choice)
 
 
-def _lift(vertices, owner, out_edges, cap):
+def _lift(names, eve, out, cap):
     """Least energy progress measure; values above cap become None (top).
 
+    Vertices are numbered 0..n-1: eve[v] tells whether Eve owns v, out[v]
+    lists its edges as (w, u), and names[v] names v in errors.
     The measure f maps each vertex to the least credit with which Eve
     keeps the energy level non-negative.  It is the least fixpoint of
     f(v) = opt over edges (v, w, u) of max(0, f(u) - w), with min at Eve's
@@ -214,28 +215,28 @@ def _lift(vertices, owner, out_edges, cap):
     Every round raises f only to values the least fixpoint also reaches,
     so the loop ends on it.  An explicit check confirms the fixpoint.
     """
-    preds = {v: [] for v in vertices}
-    for v in vertices:
-        for w, dst in out_edges[v]:
-            preds[dst].append((v, w))
-    f = {v: 0 for v in vertices}
-    while _lift_round(vertices, owner, out_edges, preds, f, cap):
+    preds = [[] for _ in out]
+    for v, edges in enumerate(out):
+        for w, u in edges:
+            preds[u].append((v, w))
+    f = [0] * len(out)
+    while _lift_round(eve, out, preds, f, cap):
         pass
-    for v in vertices:
+    for v, edges in enumerate(out):
         if f[v] is None:
             continue
         # a target above cap would be top; it differs from f[v] either way
-        needs = [max(0, f[u] - w) for w, u in out_edges[v] if f[u] is not None]
-        if owner[v] == EVE:
-            target = min(needs, default=None)
+        needs = [f[u] - w for w, u in edges if f[u] is not None]
+        if eve[v]:
+            target = max(0, min(needs)) if needs else None
         else:
-            target = max(needs) if needs and len(needs) == len(out_edges[v]) else None
+            target = max(0, max(needs)) if needs and len(needs) == len(edges) else None
         if target != f[v]:
-            raise InternalError("progress measure is not a fixpoint at %r" % (v,))
+            raise InternalError("progress measure is not a fixpoint at %r" % (names[v],))
     return f
 
 
-def _lift_round(vertices, owner, out_edges, preds, f, cap):
+def _lift_round(eve, out, preds, f, cap):
     """One set-lifting round on f, in place; False when nothing needs lifting.
 
     With slack s(e) = f(v) - f(u) + w on an edge e = (v, w, u) between
@@ -255,56 +256,55 @@ def _lift_round(vertices, owner, out_edges, preds, f, cap):
     becomes top.  Each constraint counted holds at the least fixpoint,
     so no vertex is raised past it, and every vertex of I rises.
     """
-    rank = {}
-    queue = deque()
-    for v in vertices:
+    rank = [-1] * len(f)  # order of joining B, -1 outside B
+    joined = []  # B in joining order
+    for v, edges in enumerate(out):
         fv = f[v]
         if fv is None:
             continue
-        if owner[v] == EVE:
+        if eve[v]:
             invalid = True
-            for w, u in out_edges[v]:
+            for w, u in edges:
                 if f[u] is not None and fv + w >= f[u]:
                     invalid = False
                     break
         else:
-            invalid = not out_edges[v]
-            for w, u in out_edges[v]:
+            invalid = not edges
+            for w, u in edges:
                 if f[u] is None or fv + w < f[u]:
                     invalid = True
                     break
         if invalid:
-            rank[v] = len(rank)
-            queue.append(v)
-    if not rank:
+            rank[v] = len(joined)
+            joined.append(v)
+    if not joined:
         return False
 
     tight_left = {}  # Eve vertex -> tight edges not yet into B, below 0 if blocked
-    while queue:
-        u = queue.popleft()
+    for u in joined:  # the FIFO queue: the loop reaches the vertices it appends
         fu = f[u]
         for v, w in preds[u]:
             fv = f[v]
-            if v in rank or fv is None or fv - fu + w != 0:
+            if rank[v] >= 0 or fv is None or fv - fu + w != 0:
                 continue
-            if owner[v] == EVE:
+            if eve[v]:
                 if v not in tight_left:
-                    slacks = [fv - f[x] + w2 for w2, x in out_edges[v] if f[x] is not None]
+                    slacks = [fv - f[x] + w2 for w2, x in out[v] if f[x] is not None]
                     tight_left[v] = slacks.count(0) if max(slacks) == 0 else -1
                 tight_left[v] -= 1
                 if tight_left[v]:
                     continue
-            rank[v] = len(rank)
-            queue.append(v)
+            rank[v] = len(joined)
+            joined.append(v)
 
     heap = []
     unsettled = {}  # Adam vertex -> counted edges into B whose end is unsettled
     worst = {}
-    for v, r in rank.items():
+    for r, v in enumerate(joined):
         fv = f[v]
-        edges = out_edges[v]
-        if owner[v] == EVE:
-            costs = [f[u] - fv - w for w, u in edges if f[u] is not None and u not in rank]
+        edges = out[v]
+        if eve[v]:
+            costs = [f[u] - fv - w for w, u in edges if f[u] is not None and rank[u] < 0]
             if costs:
                 heapq.heappush(heap, (min(costs), r, v))
             continue
@@ -316,7 +316,7 @@ def _lift_round(vertices, owner, out_edges, preds, f, cap):
                 top = True
                 break
             cost = f[u] - fv - w
-            if u not in rank:
+            if rank[u] < 0:
                 most = max(most, cost)
             elif cost > 0 or (cost == 0 and rank[u] < r):
                 count += 1
@@ -337,10 +337,10 @@ def _lift_round(vertices, owner, out_edges, preds, f, cap):
         rise[u] = d
         fu = f[u]
         for v, w in preds[u]:
-            if v in rise or v not in rank:
+            if v in rise or rank[v] < 0:
                 continue
             cost = fu - f[v] - w
-            if owner[v] == EVE:
+            if eve[v]:
                 heapq.heappush(heap, (d + cost, rank[v], v))
             elif v in unsettled and (cost > 0 or (cost == 0 and ru < rank[v])):
                 worst[v] = max(worst[v], d + cost)
@@ -348,32 +348,31 @@ def _lift_round(vertices, owner, out_edges, preds, f, cap):
                 if not unsettled[v]:
                     heapq.heappush(heap, (worst[v], rank[v], v))
 
-    for v in rank:
+    for v in joined:
         d = rise.get(v)
         f[v] = None if d is None or f[v] + d > cap else f[v] + d
     return True
 
 
-def _credit_bound(out_edges):
+def _credit_bound(out):
     """An upper bound on every finite minimal credit of the energy game.
 
     Eve's winning plays close only non-negative cycles, so the worst prefix
     is a simple path, and a simple path leaves each vertex by one edge.
     """
-    lows = [min(map(itemgetter(0), es)) for es in out_edges.values() if es]
-    return -sum(low for low in lows if low < 0)
+    return -sum(min(min(es)[0], 0) for es in out if es)
 
 
-def _tight_edges(arena, vertices, player, weight_fn, f):
-    """First edge per player vertex with finite f that keeps f progressive."""
+def _tight_edges(names, mine, out, ids, f):
+    """First edge per vertex of mine with finite f that keeps f progressive,
+    as name -> ids[v][j] for the j-th edge of out[v]."""
     choice = {}
-    for v in vertices:
-        if arena.owner[v] != player or f[v] is None:
+    for v, fv in enumerate(f):
+        if not mine[v] or fv is None:
             continue
-        for i in arena.out(v):
-            _src, _a, w, dst = arena.edges[i]
-            if f.get(dst) is not None and max(0, f[dst] - weight_fn(w)) <= f[v]:
-                choice[v] = i
+        for (w, u), i in zip(out[v], ids[v]):
+            if f[u] is not None and max(0, f[u] - w) <= fv:
+                choice[names[v]] = i
                 break
     return choice
 
@@ -387,32 +386,35 @@ def solve_mean_payoff(arena: Arena):
     first edge that keeps it.  When Adam wins, his strategy comes the
     same way from the dual game (owners swapped, weights -(N*w+1)) on his
     winning region T alone: T is an Eve trap, and every edge Adam has out
-    of T leads to a vertex the dual lift marks top.
+    of T leads to a vertex the dual lift marks top.  The vertices are
+    numbered once, in arena order, so ties follow arena order.
     """
     if arena.deadlocks():
         raise ValueError("mean-payoff needs a deadlock-free arena")
-    out_edges = {
-        v: [(arena.edges[i][2], arena.edges[i][3]) for i in arena.out(v)]
-        for v in arena.vertices
-    }
-    f = _lift(arena.vertices, arena.owner, out_edges, _credit_bound(out_edges))
-    if f[arena.initial] is not None:
-        choice = _tight_edges(arena, arena.vertices, EVE, lambda w: w, f)
-        return EVE, PositionalStrategy(choice)
+    names = arena.vertices
+    number = {v: k for k, v in enumerate(names)}
+    pairs = [(w, number[dst]) for _src, _a, w, dst in arena.edges]
+    ids = [arena._out[v] for v in names]
+    out = [[pairs[i] for i in es] for es in ids]
+    eve = [arena.owner[v] == EVE for v in names]
+    f = _lift(names, eve, out, _credit_bound(out))
+    if f[number[arena.initial]] is not None:
+        return EVE, PositionalStrategy(_tight_edges(names, eve, out, ids, f))
 
-    n = len(arena.vertices)
-    trap = tuple(v for v in arena.vertices if f[v] is None)
-    dual_owner = {v: (EVE if arena.owner[v] == ADAM else ADAM) for v in trap}
-    dual_out = {}
-    for v in trap:
-        dual_out[v] = [(-(n * w + 1), dst) for w, dst in out_edges[v] if f[dst] is None]
-        if arena.owner[v] == EVE and len(dual_out[v]) < len(out_edges[v]):
-            raise InternalError("Eve can leave Adam's mean-payoff region at %r" % (v,))
-    g = _lift(trap, dual_owner, dual_out, _credit_bound(dual_out))
-    if g[arena.initial] is None:
+    trap = [k for k, fk in enumerate(f) if fk is None]
+    at = {k: j for j, k in enumerate(trap)}  # vertex -> its number in the trap
+    dual_ids = [[i for i in ids[k] if pairs[i][1] in at] for k in trap]
+    for k, es in zip(trap, dual_ids):
+        if eve[k] and len(es) < len(ids[k]):
+            raise InternalError("Eve can leave Adam's mean-payoff region at %r" % (names[k],))
+    n = len(names)
+    dual_out = [[(-(n * pairs[i][0] + 1), at[pairs[i][1]]) for i in es] for es in dual_ids]
+    trap_names = [names[k] for k in trap]
+    dual_eve = [not eve[k] for k in trap]
+    g = _lift(trap_names, dual_eve, dual_out, _credit_bound(dual_out))
+    if g[at[number[arena.initial]]] is None:
         raise InternalError("mean-payoff determinacy violated")
-    choice = _tight_edges(arena, trap, ADAM, lambda w: -(n * w + 1), g)
-    return ADAM, PositionalStrategy(choice)
+    return ADAM, PositionalStrategy(_tight_edges(trap_names, dual_eve, dual_out, dual_ids, g))
 
 
 def _evaluate_profile(arena: Arena, next_edge, lam):

@@ -76,7 +76,7 @@ def _reweight(arena: Arena, scale: int, shift: int):
 @dataclass
 class MeanPayoffReduction:
     arena: Arena
-    edge_origin: dict  # reduced edge index -> original edge index or None
+    edge_origin: list  # reduced edge index -> original edge index or None
 
 
 def reduce_sum_prefix_to_mp(arena: Arena, cmp: str, nu: int, forcing):
@@ -112,25 +112,20 @@ def reduce_sum_prefix_to_mp(arena: Arena, cmp: str, nu: int, forcing):
     owner[_SINK] = EVE
 
     edges = []
-    edge_origin = {}
-
-    def add(src, w, dst, origin):
-        edge_origin[len(edges)] = origin
-        edges.append((src, "-", w, dst))
-
+    edge_origin = []
     for i, (src, _a, w, dst) in enumerate(arena.edges):
-        if src not in forcing:
-            continue
-        reduced_src = copies.get(src, src)
-        reduced_dst = dst if dst in forcing else _SINK
-        add(reduced_src, w, reduced_dst, i)
+        if src in forcing:
+            edges.append((copies.get(src, src), "-", w, dst if dst in forcing else _SINK))
+            edge_origin.append(i)
     for v in arena.vertices:
         if v not in forcing or v not in arena.critical:
             continue
         if v in copies:
-            add(v, 0, copies[v], None)
-        add(v, -nu, arena.initial, None)
-    add(_SINK, 0, _SINK, None)
+            edges.append((v, "-", 0, copies[v]))
+        edges.append((v, "-", -nu, arena.initial))
+    edges.append((_SINK, "-", 0, _SINK))
+    # the edges added after the arena's own stand for none of its edges
+    edge_origin += [None] * (len(edges) - len(edge_origin))
 
     reduced = Arena(
         vertices=tuple(vertices),

@@ -671,6 +671,18 @@ def test_negative_rational_as_separate_flag_value(capsys):
     assert (code, err) == (64, "usage error: --r must be nonnegative\n")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["dsum-path", REMARK, "--nu", "1"], "discount must lie strictly between 0 and 1"),
+    (["solve-prefix", REMARK, "--measure", "dsum", "--cmp", "ge", "--nu", "1"],
+     "dsum needs a discount strictly between 0 and 1"),
+])
+def test_negative_lambda_fails_on_its_value(capsys, argv, message):
+    # --lambda -1/2 is read as the flag's value, as --lambda -1 is
+    for lam in ("-1/2", "-1"):
+        code, out, err = run(capsys, *argv, "--lambda", lam)
+        assert (code, out, err) == (64, "", "usage error: %s\n" % message)
+
+
 _FAILING_VERIFIER = """
 import sys
 from wsynth import cli, synthesis

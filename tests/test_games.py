@@ -1,3 +1,4 @@
+import heapq
 import itertools
 import os
 import random
@@ -13,7 +14,7 @@ from wsynth import core, games, prefix, synthesis
 from wsynth.core import InternalError
 from wsynth.games import ADAM, EVE, Arena, ImperfectArena
 
-from conftest import old_attractor, old_solve_safety, random_spec
+from conftest import load_bench_gen, old_attractor, old_solve_safety, random_spec
 
 
 def mk_arena(vertices, edges, initial=None, critical=()):
@@ -290,6 +291,180 @@ def old_solve_mean_payoff(arena):
     return ADAM, choice
 
 
+def dict_lift(vertices, owner, out_edges, cap):
+    """Set-lifting as it was keyed by vertex name: out_edges[v] lists
+    (w, u) with u a name, and f, rank and preds are dicts."""
+    preds = {v: [] for v in vertices}
+    for v in vertices:
+        for w, dst in out_edges[v]:
+            preds[dst].append((v, w))
+    f = {v: 0 for v in vertices}
+    while dict_lift_round(vertices, owner, out_edges, preds, f, cap):
+        pass
+    for v in vertices:
+        if f[v] is None:
+            continue
+        needs = [max(0, f[u] - w) for w, u in out_edges[v] if f[u] is not None]
+        if owner[v] == EVE:
+            target = min(needs, default=None)
+        else:
+            target = max(needs) if needs and len(needs) == len(out_edges[v]) else None
+        if target != f[v]:
+            raise InternalError("progress measure is not a fixpoint at %r" % (v,))
+    return f
+
+
+def dict_lift_round(vertices, owner, out_edges, preds, f, cap):
+    """One round of dict_lift; games._lift_round says what it computes."""
+    rank = {}
+    queue = deque()
+    for v in vertices:
+        fv = f[v]
+        if fv is None:
+            continue
+        if owner[v] == EVE:
+            invalid = True
+            for w, u in out_edges[v]:
+                if f[u] is not None and fv + w >= f[u]:
+                    invalid = False
+                    break
+        else:
+            invalid = not out_edges[v]
+            for w, u in out_edges[v]:
+                if f[u] is None or fv + w < f[u]:
+                    invalid = True
+                    break
+        if invalid:
+            rank[v] = len(rank)
+            queue.append(v)
+    if not rank:
+        return False
+
+    tight_left = {}
+    while queue:
+        u = queue.popleft()
+        fu = f[u]
+        for v, w in preds[u]:
+            fv = f[v]
+            if v in rank or fv is None or fv - fu + w != 0:
+                continue
+            if owner[v] == EVE:
+                if v not in tight_left:
+                    slacks = [fv - f[x] + w2 for w2, x in out_edges[v] if f[x] is not None]
+                    tight_left[v] = slacks.count(0) if max(slacks) == 0 else -1
+                tight_left[v] -= 1
+                if tight_left[v]:
+                    continue
+            rank[v] = len(rank)
+            queue.append(v)
+
+    heap = []
+    unsettled = {}
+    worst = {}
+    for v, r in rank.items():
+        fv = f[v]
+        edges = out_edges[v]
+        if owner[v] == EVE:
+            costs = [f[u] - fv - w for w, u in edges if f[u] is not None and u not in rank]
+            if costs:
+                heapq.heappush(heap, (min(costs), r, v))
+            continue
+        count = 0
+        most = 0
+        top = not edges
+        for w, u in edges:
+            if f[u] is None:
+                top = True
+                break
+            cost = f[u] - fv - w
+            if u not in rank:
+                most = max(most, cost)
+            elif cost > 0 or (cost == 0 and rank[u] < r):
+                count += 1
+                most = cost
+        if top:
+            continue
+        if count:
+            unsettled[v] = count
+            worst[v] = most
+        else:
+            heapq.heappush(heap, (most, r, v))
+
+    rise = {}
+    while heap:
+        d, ru, u = heapq.heappop(heap)
+        if u in rise:
+            continue
+        rise[u] = d
+        fu = f[u]
+        for v, w in preds[u]:
+            if v in rise or v not in rank:
+                continue
+            cost = fu - f[v] - w
+            if owner[v] == EVE:
+                heapq.heappush(heap, (d + cost, rank[v], v))
+            elif v in unsettled and (cost > 0 or (cost == 0 and ru < rank[v])):
+                worst[v] = max(worst[v], d + cost)
+                unsettled[v] -= 1
+                if not unsettled[v]:
+                    heapq.heappush(heap, (worst[v], rank[v], v))
+
+    for v in rank:
+        d = rise.get(v)
+        f[v] = None if d is None or f[v] + d > cap else f[v] + d
+    return True
+
+
+def dict_credit_bound(out_edges):
+    lows = [min(w for w, _ in es) for es in out_edges.values() if es]
+    return -sum(low for low in lows if low < 0)
+
+
+def dict_tight_edges(arena, vertices, player, weight_fn, f):
+    choice = {}
+    for v in vertices:
+        if arena.owner[v] != player or f[v] is None:
+            continue
+        for i in arena.out(v):
+            _src, _a, w, dst = arena.edges[i]
+            if f.get(dst) is not None and max(0, f[dst] - weight_fn(w)) <= f[v]:
+                choice[v] = i
+                break
+    return choice
+
+
+def dict_solve_mean_payoff(arena):
+    """games.solve_mean_payoff as it was on dicts keyed by vertex name,
+    returning the winner and the strategy's choice dict."""
+    out_edges = {
+        v: [(arena.edges[i][2], arena.edges[i][3]) for i in arena.out(v)]
+        for v in arena.vertices
+    }
+    f = dict_lift(arena.vertices, arena.owner, out_edges, dict_credit_bound(out_edges))
+    if f[arena.initial] is not None:
+        return EVE, dict_tight_edges(arena, arena.vertices, EVE, lambda w: w, f)
+    n = len(arena.vertices)
+    trap = tuple(v for v in arena.vertices if f[v] is None)
+    dual_owner = {v: (EVE if arena.owner[v] == ADAM else ADAM) for v in trap}
+    dual_out = {}
+    for v in trap:
+        dual_out[v] = [(-(n * w + 1), dst) for w, dst in out_edges[v] if f[dst] is None]
+        if arena.owner[v] == EVE and len(dual_out[v]) < len(out_edges[v]):
+            raise InternalError("Eve can leave Adam's mean-payoff region at %r" % (v,))
+    g = dict_lift(trap, dual_owner, dual_out, dict_credit_bound(dual_out))
+    if g[arena.initial] is None:
+        raise InternalError("mean-payoff determinacy violated")
+    return ADAM, dict_tight_edges(arena, trap, ADAM, lambda w: -(n * w + 1), g)
+
+
+def dense(vertices, owner, out_edges):
+    """A game keyed by vertex name as games._lift takes it: the names,
+    Eve's flags and the out-lists on the vertex numbers 0..n-1."""
+    number = {v: k for k, v in enumerate(vertices)}
+    return (tuple(vertices), [owner[v] == EVE for v in vertices],
+            [[(w, number[u]) for w, u in out_edges[v]] for v in vertices])
+
+
 WEIGHT_RANGES = ((-2, 2), (-9, 3), (-1, 6), (-5, 5), (-3, 0), (0, 4))
 
 
@@ -315,6 +490,66 @@ def test_mp_matches_old_solver_on_random_arenas():
         ), games.emit_arena(arena)
         winners.add(winner)
     assert winners == {EVE, ADAM}
+
+
+def mixed_name_arena(rng, max_v, weights):
+    """A wide random arena whose names mix strings and tuples, as the
+    prefix reduction's ("copy", v) and ("sink",) do, listed in shuffled order."""
+    arena = wide_random_arena(rng, max_v, weights)
+    name = {v: rng.choice([v, ("copy", v)]) for v in arena.vertices}
+    name[rng.choice(arena.vertices)] = ("sink",)
+    order = list(arena.vertices)
+    rng.shuffle(order)
+    return Arena(vertices=tuple(name[v] for v in order),
+                 owner={name[v]: who for v, who in arena.owner.items()},
+                 initial=name[arena.initial],
+                 edges=[(name[src], a, w, name[dst]) for src, a, w, dst in arena.edges])
+
+
+def test_mp_matches_dict_solver_on_mixed_names():
+    # the dense solver numbers vertices in arena order: winners, choices and
+    # the order of the choice items are those of the name-keyed solver
+    rng = random.Random(4711)
+    winners = {EVE: 0, ADAM: 0}
+    for trial in range(1000):
+        arena = mixed_name_arena(rng, 25, WEIGHT_RANGES[trial % len(WEIGHT_RANGES)])
+        winner, strat = games.solve_mean_payoff(arena)
+        dict_winner, dict_choice = dict_solve_mean_payoff(arena)
+        assert (winner, list(strat.choice.items())) == (
+            dict_winner, list(dict_choice.items())), games.emit_arena(arena)
+        winners[winner] += 1
+    assert min(winners.values()) >= 200, winners
+
+
+def test_mp_matches_dict_solver_on_reduced_bench_arenas():
+    """The mean-payoff games of threshold-mp-shaped instances: spec arenas of
+    memory specs and random prefix arenas, reduced as solve-prefix does."""
+    gen = load_bench_gen()
+    rng = random.Random(1931)
+    seen = {EVE: 0, ADAM: 0, "copies": 0}
+    for trial in range(120):
+        measure = rng.choice([core.SUM, core.AVG])
+        if trial % 2:
+            k, m = rng.choice([(4, 2), (6, 3), (10, 3), (13, 4)])
+            spec = core.parse_wfa(gen.emit_wfa(gen.memory_spec(rng, k, m, "abc", "xyz", measure)))
+            safe = synthesis.make_domain_safe(spec)
+            if safe is None:
+                continue
+            arena = synthesis.spec_to_prefix_arena(safe)
+        else:
+            arena = games.parse_arena(gen.emit_arena(gen.random_arena(rng, rng.randint(20, 80))))
+        nu = Fraction(rng.choice(["-1", "-1/2", "0", "1/3", "1/2", "1", "2", "-3"]))
+        obj = prefix.PrefixObjective(measure=measure, cmp=rng.choice([">", ">="]), nu=nu)
+        reduction = prefix.reduce_prefix_game(arena, obj).reduction
+        if reduction is None:
+            continue
+        winner, strat = games.solve_mean_payoff(reduction.arena)
+        dict_winner, dict_choice = dict_solve_mean_payoff(reduction.arena)
+        assert (winner, list(strat.choice.items())) == (dict_winner, list(dict_choice.items()))
+        seen[winner] += 1
+        seen["copies"] += any(isinstance(v, tuple) and v[0] == "copy"
+                              for v in reduction.arena.vertices)
+    assert min(seen.values()) >= 10, seen
 
 
 def reaches_negative_cycle(arena, choice, weight_fn):
@@ -383,12 +618,13 @@ def test_lift_at_credit_bound_equals_lift_at_large_cap():
             v: [(arena.edges[i][2], arena.edges[i][3]) for i in arena.out(v)]
             for v in arena.vertices
         }
-        for owner, out in ((arena.owner, out_edges), dual_game(arena, out_edges)):
-            wmax = max(abs(w) for pairs in out.values() for w, _ in pairs)
+        for owner, edges in ((arena.owner, out_edges), dual_game(arena, out_edges)):
+            names, eve, out = dense(arena.vertices, owner, edges)
+            wmax = max(abs(w) for pairs in out for w, _ in pairs)
             bound = games._credit_bound(out)
             assert bound <= n * wmax
-            assert games._lift(arena.vertices, owner, out, bound) == games._lift(
-                arena.vertices, owner, out, 4 * n * wmax
+            assert games._lift(names, eve, out, bound) == games._lift(
+                names, eve, out, 4 * n * wmax
             ), games.emit_arena(arena)
 
 
@@ -401,20 +637,21 @@ def test_credit_bound_matches_the_nested_min():
             v: [(arena.edges[i][2], arena.edges[i][3]) for i in arena.out(v)]
             for v in arena.vertices
         }
-        _owner, dual_out = dual_game(arena, out_edges)
+        n = len(arena.vertices)
+        primal = dense(arena.vertices, arena.owner, out_edges)[2]
+        dual_out = dense(arena.vertices, *dual_game(arena, out_edges))[2]
         # the solver's dual game keeps only edges inside Adam's region, so a
-        # vertex may have none; a weight tie must not compare mixed targets
-        for v in arena.vertices:
+        # vertex may have none; a weight tie compares the targets
+        for v in range(n):
             if rng.random() < 0.2:
                 dual_out[v] = []
-            elif out_edges[v] and rng.random() < 0.2:
-                out_edges[v].append((out_edges[v][0][0], ("copy", v)))
-        for out in (out_edges, dual_out):
-            expected = sum(max(0, -min((w for w, _ in es), default=0))
-                           for es in out.values())
+            elif rng.random() < 0.2:
+                primal[v].append((primal[v][0][0], rng.randrange(n)))
+        for out in (primal, dual_out):
+            expected = sum(max(0, -min((w for w, _ in es), default=0)) for es in out)
             assert games._credit_bound(out) == expected
             seen["zero" if expected == 0 else "positive"] += 1
-            seen["empty_list"] += not all(out.values())
+            seen["empty_list"] += not all(out)
     assert min(seen.values()) >= 50, seen
 
 
@@ -431,9 +668,10 @@ def test_set_lift_matches_old_lift_on_random_arenas():
             for v in arena.vertices
         }
         for owner, out in ((arena.owner, out_edges), dual_game(arena, out_edges)):
-            bound = games._credit_bound(out)
+            names, eve, dense_out = dense(arena.vertices, owner, out)
+            bound = games._credit_bound(dense_out)
             for cap in (bound, rng.randrange(bound) if bound else 0):
-                f = games._lift(arena.vertices, owner, out, cap)
+                f = dict(zip(names, games._lift(names, eve, dense_out, cap)))
                 assert f == old_lift(arena.vertices, owner, out, cap), (
                     games.emit_arena(arena), owner, cap
                 )
@@ -456,8 +694,10 @@ def test_set_lift_clips_at_zero():
     # Adam's u needs one unit to pay the -1 back to v
     owner = {"v": EVE, "u": ADAM}
     out = {"v": [(10, "u")], "u": [(-1, "v")]}
-    cap = games._credit_bound(out)
-    assert games._lift(("v", "u"), owner, out, cap) == {"v": 0, "u": 1}
+    names, eve, dense_out = dense(("v", "u"), owner, out)
+    cap = games._credit_bound(dense_out)
+    assert (eve, dense_out, cap) == ([True, False], [[(10, 1)], [(-1, 0)]], 1)
+    assert games._lift(names, eve, dense_out, cap) == [0, 1]
     assert old_lift(("v", "u"), owner, out, cap) == {"v": 0, "u": 1}
 
 
@@ -467,17 +707,16 @@ from wsynth import core, games
 if not sys.flags.optimize:
     sys.exit("expected python -O")
 real_round = games._lift_round
-def overshoot(vertices, owner, out_edges, preds, f, cap):
-    if real_round(vertices, owner, out_edges, preds, f, cap):
+def overshoot(eve, out, preds, f, cap):
+    if real_round(eve, out, preds, f, cap):
         return True
-    for v in f:
-        if f[v]:
+    for v, fv in enumerate(f):
+        if fv:
             f[v] += 1
     return False
 games._lift_round = overshoot
-owner = {"v": games.EVE, "u": games.ADAM}
 try:
-    games._lift(("v", "u"), owner, {"v": [(10, "u")], "u": [(-1, "v")]}, 1)
+    games._lift(("v", "u"), [True, False], [[(10, 1)], [(-1, 0)]], 1)
 except core.InternalError as exc:
     print("internal error: %s" % exc)
 """
@@ -498,7 +737,7 @@ def test_mp_rejects_adam_region_eve_can_leave(monkeypatch):
     # a lift that puts Eve's vertex e in Adam's region while its successor
     # w stays out of it breaks the premise of the restricted dual game
     arena = mk_arena([("e", EVE), ("w", ADAM)], [("e", 0, "w"), ("w", 0, "w")])
-    monkeypatch.setattr(games, "_lift", lambda vertices, *_: {"e": None, "w": 0})
+    monkeypatch.setattr(games, "_lift", lambda names, *_: [None, 0])
     with pytest.raises(InternalError, match="Eve can leave"):
         games.solve_mean_payoff(arena)
 
@@ -508,7 +747,7 @@ import sys
 from wsynth import core, games
 if not sys.flags.optimize:
     sys.exit("expected python -O")
-games._lift = lambda vertices, owner, out_edges, cap: {v: None for v in vertices}
+games._lift = lambda names, eve, out, cap: [None] * len(out)
 arena = games.parse_arena(sys.stdin.read())
 try:
     games.solve_mean_payoff(arena)
