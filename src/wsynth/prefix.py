@@ -147,8 +147,10 @@ def reduce_dsum_prefix_to_ds(arena: Arena, forcing):
 
     Only for the non-strict comparison: the strict case has no such
     reduction (waiting drives the value to the threshold from above
-    without ever attaining it).  forcing is the set of vertices from
-    which Adam can force a critical visit.  Adam gets the option to stop
+    without ever attaining it).  forcing is Adam's attractor to the
+    critical set, so on a deadlock-free arena every vertex kept keeps a
+    move: Adam's into the region, Eve's one per edge, and a critical
+    check's or a pick's into the sink.  Adam gets the option to stop
     the game exactly when a check falls due, freezing the current value
     in a zero sink; gadget vertices keep path lengths unchanged so
     discounts line up.  The caller decides the empty prefix's check.
@@ -210,13 +212,6 @@ def reduce_dsum_prefix_to_ds(arena: Arena, forcing):
         if v in arena.critical and arena.owner[v] == ADAM:
             edges.append((v, "-", 0, _SINK))
     edges.append((_SINK, "-", 0, _SINK))
-
-    # only critical vertices can lose their moves to the pruning; freezing
-    # the value there is exactly their pending check
-    have_out = {src for src, _a, _w, _d in edges}
-    for v in vertices:
-        if v not in have_out:
-            edges.append((v, "-", 0, _SINK))
 
     reduced = Arena(
         vertices=tuple(vertices),
@@ -280,11 +275,10 @@ def check_positional_dsum(arena: Arena, strategy: PositionalStrategy, obj: Prefi
 
 def enumerate_positional(arena: Arena):
     """Eve's positional strategies: her vertices in arena order, each
-    one's edges in arena order, the last vertex varying fastest."""
+    one's edges in arena order, the last vertex varying fastest.  None
+    when an Eve vertex has no edge; one empty strategy when she owns none."""
     eve_vertices = [v for v in arena.vertices if arena.owner[v] == EVE]
     pools = [arena.out(v) for v in eve_vertices]
-    if any(not pool for pool in pools):
-        return
     for combo in itertools.product(*pools):
         yield PositionalStrategy(dict(zip(eve_vertices, combo)))
 

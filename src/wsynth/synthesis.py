@@ -25,7 +25,7 @@ its nodes into flat arrays as it explores.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -35,7 +35,6 @@ from .core import (
     AVG,
     DSUM,
     INPUT,
-    OUTPUT,
     SUM,
     FormatError,
     InternalError,
@@ -526,27 +525,11 @@ def synth_best_value(spec: WeightedSpec) -> SynthResult:
 # Approximate synthesis
 
 
-def _complete_spec(spec: WeightedSpec) -> WeightedSpec:
-    """Total transition function via fresh non-final absorbing states."""
-    transitions = dict(spec.transitions)
-    needs = False
-    for q in spec.states:
-        symbols = spec.inputs if spec.polarity[q] == INPUT else spec.outputs
-        for sym in symbols:
-            if (q, sym) not in transitions:
-                needs = True
-    if not needs:
-        return spec
-    states = tuple(spec.states) + (_COMPLETE_IN, _COMPLETE_OUT)
-    polarity = dict(spec.polarity)
-    polarity[_COMPLETE_IN] = INPUT
-    polarity[_COMPLETE_OUT] = OUTPUT
-    for q in states:
-        symbols = spec.inputs if polarity[q] == INPUT else spec.outputs
-        sink = _COMPLETE_OUT if polarity[q] == INPUT else _COMPLETE_IN
-        for sym in symbols:
-            transitions.setdefault((q, sym), (sink, 0))
-    return replace(spec, states=states, transitions=transitions, polarity=polarity)
+def _step(spec: WeightedSpec, q, sym, sink):
+    """(target, weight) of q's sym-step.  A missing step leads at weight 0
+    to sink: _COMPLETE_OUT after an input, _COMPLETE_IN after an output.
+    The sinks are non-final and have no steps, so a dead run stays dead."""
+    return spec.transitions.get((q, sym)) or (sink, 0)
 
 
 _START_COPY = ("start",)
@@ -554,8 +537,10 @@ _START_COPY = ("start",)
 
 def build_approx_game(spec: WeightedSpec, cmp: str, r):
     """Imperfect-information critical prefix energy game for approximate
-    synthesis: Eve steers a run of the completed automaton while Adam
-    secretly steers a rival run over the trimmed states, sharing inputs.
+    synthesis: Eve steers a run of the automaton while Adam secretly
+    steers a rival run over the trimmed states, sharing inputs.  Eve's
+    run may die: a missing step moves it at weight 0 into the non-final
+    sinks of _step, where it stays.
 
     Avg adds the (scaled) slack to every step's weight; Sum instead
     grants it as initial credit.  The strict variant charges one unit
@@ -573,15 +558,7 @@ def build_approx_game(spec: WeightedSpec, cmp: str, r):
     strict = cmp == "<"
     scale, slack = r.denominator, r.numerator
 
-    full = _complete_spec(spec)
     trimmed = domain_mod._live_states(spec)
-
-    def weight(q, sym):
-        return full.transitions[(q, sym)][1]
-
-    def step(q, sym):
-        return full.transitions[(q, sym)][0]
-
     per_step = slack if spec.measure == AVG else 0
     initial = (spec.initial, spec.initial)
     edges = [(_BOT, "choose", -1, _BOT)]
@@ -598,12 +575,12 @@ def build_approx_game(spec: WeightedSpec, cmp: str, r):
             if q in spec.finals:
                 critical.add(v)
             for a in spec.inputs:
-                q2 = step(q, a)
+                q2, wq = _step(spec, q, a, _COMPLETE_OUT)
                 if q2 not in trimmed:
                     continue
-                p2 = step(p, a)
+                p2, wp = _step(spec, p, a, _COMPLETE_OUT)
                 nxt = (p2, q2, a)
-                w = scale * (weight(p, a) - weight(q, a)) + per_step
+                w = scale * (wp - wq) + per_step
                 edges.append((v, "choose", w, nxt))
                 yield nxt, None
             if p not in spec.finals and q in spec.finals:
@@ -613,12 +590,12 @@ def build_approx_game(spec: WeightedSpec, cmp: str, r):
             p, q, a = v
             obs[v] = ("o", p, a)
             for b in spec.outputs:
-                p2 = step(p, b)
+                p2, wp = _step(spec, p, b, _COMPLETE_IN)
                 for b_adv in spec.outputs:
-                    q2 = step(q, b_adv)
+                    q2, wq = _step(spec, q, b_adv, _COMPLETE_IN)
                     if q2 not in trimmed:
                         continue
-                    w = scale * (weight(p, b) - weight(q, b_adv)) + per_step
+                    w = scale * (wp - wq) + per_step
                     nxt = (p2, q2)
                     edges.append((v, b, w, nxt))
                     yield nxt, None
@@ -651,7 +628,7 @@ def build_approx_game(spec: WeightedSpec, cmp: str, r):
     return arena, credit
 
 
-def _transducer_from_belief_strategy(spec, full, strategy):
+def _transducer_from_belief_strategy(spec, strategy):
     """Read the Mealy machine off a winning observation-based strategy.
 
     Beliefs sitting at input observations become machine states; input a
@@ -668,12 +645,12 @@ def _transducer_from_belief_strategy(spec, full, strategy):
         if p in spec.finals:
             finals.append(belief)
         for a in spec.inputs:
-            p2 = full.transitions[(p, a)][0]
+            p2 = _step(spec, p, a, _COMPLETE_OUT)[0]
             mid = strategy.step.get((belief, ("o", p2, a)))
             if mid is None:
                 continue
             b = strategy.act[mid]
-            p3 = full.transitions[(p2, b)][0]
+            p3 = _step(spec, p2, b, _COMPLETE_IN)[0]
             nxt = strategy.step.get((mid, ("i", p3)))
             if nxt is None:
                 continue
@@ -727,8 +704,7 @@ def synth_approx(spec: WeightedSpec, cmp: str, r, cap: int) -> SynthResult:
     )
     if status != games.WIN:
         return SynthResult(status=UNKNOWN_AT_CAP, cap=cap)
-    full = _complete_spec(spec)
-    t = _transducer_from_belief_strategy(spec, full, strategy)
+    t = _transducer_from_belief_strategy(spec, strategy)
     verdict, witness = verify_realizer(
         spec, t, Objective(kind="approx", cmp=cmp, bound=r)
     )

@@ -111,6 +111,7 @@ def test_criterion_5_remark_regression(remark_arena_text):
     assert ok
 
     reduction = prefix.reduce_dsum_prefix_to_ds(arena, games.attractor(arena, arena.critical, ADAM)[0])
+    assert not reduction.arena.deadlocks()
     _w, _s, value = games.solve_discounted_sum(
         reduction.arena, Fraction(1, 2), Fraction(1), ">="
     )

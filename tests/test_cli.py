@@ -304,11 +304,50 @@ def test_domain_safe_round_trip(capsys, tmp_path):
     assert set(spec.finals) == {"q2", "q7"}
 
 
-def test_usage_errors_exit_64(capsys):
+# Eve picks x or y before she sees the second input; only one of them
+# leaves that input in the domain
+NO_BOOLEAN_REALIZER = """wfa
+measure: sum
+inputs: a b
+outputs: x y
+initial: i
+finals: f
+trans: i a 0 o1
+trans: o1 x 0 i2
+trans: o1 y 0 i3
+trans: i2 a 0 o2
+trans: i3 b 0 o3
+trans: o2 x 0 f
+trans: o3 x 0 f
+"""
+
+
+def test_domain_safe_without_boolean_realizer_exits_1(capsys, tmp_path):
+    spec = tmp_path / "guess.wfa"
+    spec.write_text(NO_BOOLEAN_REALIZER)
+    code, out, _ = run(capsys, "domain-safe", str(spec))
+    assert (code, out) == (1, "no boolean realizer\n")
+    code, out, _ = run(capsys, "domain-safe", str(spec), "--json")
+    assert code == 1
+    assert json.loads(out) == {"command": "domain-safe", "answer": "no_boolean_realizer",
+                               "already_safe": False}
+
+
+def test_usage_errors_exit_64(capsys, tmp_path):
     assert run(capsys, "synth", "threshold", PAPER)[0] == 64  # missing --cmp/--nu
     assert run(capsys, "nonsense")[0] == 64
     assert run(capsys, "synth", "threshold", PAPER, "--cmp", "ge", "--nu", "x/y")[0] == 64
     assert run(capsys, "eval", PAPER, "--input", "zz", "--output", "cd")[0] == 64
+    assert run(capsys, "bestval", PAPER, "--input", "az")[0] == 64
+    code, out, err = run(capsys, "bestval", str(tmp_path / "missing.wfa"), "--input", "a")
+    assert (code, out) == (64, "")
+    assert err.startswith("usage error: cannot read ")
+    dsum = tmp_path / "dsum.wfa"
+    dsum.write_text(core.emit_wfa(core.parse_wfa(Path(PAPER).read_text()).with_measure(
+        DSUM, Fraction(1, 2))))
+    code, out, err = run(capsys, "synth", "approx", str(dsum), "--cmp", "le", "--r", "4")
+    assert (code, out) == (64, "")
+    assert err.startswith("usage error: unsupported: approximate dsum synthesis")
 
 
 def test_format_errors_exit_65(capsys, tmp_path):
@@ -317,6 +356,11 @@ def test_format_errors_exit_65(capsys, tmp_path):
     code, _, err = run(capsys, "eval", str(bad), "--input", "a", "--output", "c")
     assert code == 65
     assert "format error" in err
+    dead = tmp_path / "dead.arena"
+    dead.write_text("arena\nvertex: v0 adam\nvertex: v1 eve\ninitial: v0\nedge: v0 - 1 v1\n")
+    code, out, err = run(capsys, "gen", "mp-to-spec", str(dead))
+    assert (code, out) == (65, "")
+    assert err == "format error: mean-payoff generator needs a deadlock-free arena\n"
 
 
 @pytest.mark.parametrize("argv, name", [
@@ -501,13 +545,20 @@ def test_dot_flags(capsys):
     assert out.startswith("digraph")
 
 
-def test_trace_goes_to_stderr(capsys):
+def test_trace_goes_to_stderr(capsys, tmp_path):
     code, out, err = run(
         capsys, "dsum-path", REMARK, "--nu", "1", "--lambda", "1/2", "--trace"
     )
     assert code == 1
     assert "mrg[0]" in err
     assert "mrg" not in out
+    # the target v1 is out of the source's reach: no table to print
+    far = tmp_path / "far.arena"
+    far.write_text("arena\nvertex: v0 adam\nvertex: v1 eve critical\ninitial: v0\n"
+                   "edge: v0 - 1 v0\nedge: v1 - 1 v1\n")
+    code, out, err = run(capsys, "dsum-path", str(far), "--nu", "1", "--lambda", "1/2",
+                         "--trace")
+    assert (code, out, err) == (1, "no\n", "no vertex reaches a target\n")
 
 
 @pytest.mark.parametrize("dot", [[], ["--dot"]])
@@ -599,6 +650,15 @@ def test_unexpected_exception_exits_70_with_one_line(capsys, monkeypatch):
     code, out, err = run(capsys, "synth", "best-value", PAPER)
     assert (code, out) == (70, "")
     assert err == "internal error: KeyError('no such\\nstate')\n"
+
+    def unverified(_spec):
+        raise core.InternalError("synthesized machine failed verification")
+
+    # a broken guarantee is reported by its message
+    monkeypatch.setattr(synthesis, "synth_best_value", unverified)
+    code, out, err = run(capsys, "synth", "best-value", PAPER)
+    assert (code, out, err) == (
+        70, "", "internal error: synthesized machine failed verification\n")
 
     def interrupted(_spec):
         raise KeyboardInterrupt

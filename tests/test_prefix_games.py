@@ -203,6 +203,7 @@ def test_remark_strict_eve_wins():
 def test_remark_nonstrict_reduction_value_is_one(remark_arena_text):
     arena = games.parse_arena(remark_arena_text)
     reduction = prefix.reduce_dsum_prefix_to_ds(arena, games.attractor(arena, arena.critical, ADAM)[0])
+    assert not reduction.arena.deadlocks()
     winner, _s, value = games.solve_discounted_sum(
         reduction.arena, Fraction(1, 2), Fraction(1), ">="
     )
@@ -248,6 +249,11 @@ def test_check_positional_dsum_examples():
         no_critical, empty, PrefixObjective(measure=DSUM, cmp=">", nu=Fraction(0), discount=Fraction(1, 2))
     )
     assert ok
+
+    # Eve owns no vertex: one empty strategy; an Eve vertex with no edge: none
+    assert [s.choice for s in prefix.enumerate_positional(no_critical)] == [{}]
+    stuck = mk_arena([("v", EVE), ("w", EVE)], [("v", 0, "w"), ("v", 1, "v")])
+    assert list(prefix.enumerate_positional(stuck)) == []
 
 
 def dsum_prefix_oracle(arena, obj):

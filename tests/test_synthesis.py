@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -476,12 +477,38 @@ def test_build_approx_game_rejects_dsum(paper_spec):
 # --- the approx game and its machine read-off against their old loops -------
 
 
+def complete_spec(spec):
+    """Total transition function via fresh non-final absorbing states: the
+    completed copy the approx game and its read-off once stepped."""
+    transitions = dict(spec.transitions)
+    needs = False
+    for q in spec.states:
+        symbols = spec.inputs if spec.polarity[q] == core.INPUT else spec.outputs
+        for sym in symbols:
+            if (q, sym) not in transitions:
+                needs = True
+    if not needs:
+        return spec
+    states = tuple(spec.states) + (synthesis._COMPLETE_IN, synthesis._COMPLETE_OUT)
+    polarity = dict(spec.polarity)
+    polarity[synthesis._COMPLETE_IN] = core.INPUT
+    polarity[synthesis._COMPLETE_OUT] = core.OUTPUT
+    for q in states:
+        symbols = spec.inputs if polarity[q] == core.INPUT else spec.outputs
+        sink = synthesis._COMPLETE_OUT if polarity[q] == core.INPUT else synthesis._COMPLETE_IN
+        for sym in symbols:
+            transitions.setdefault((q, sym), (sink, 0))
+    return dataclasses.replace(spec, states=states, transitions=transitions,
+                               polarity=polarity)
+
+
 def old_build_approx_game(spec, measure, cmp, r):
-    """build_approx_game as it was: its own queue and seen set."""
+    """build_approx_game as it was: its own queue and seen set, stepping
+    the completed spec."""
     r = Fraction(r)
     strict = cmp == "<"
     scale, slack = r.denominator, r.numerator
-    full = synthesis._complete_spec(spec)
+    full = complete_spec(spec)
     trimmed = domain._live_states(spec)
 
     def weight(q, sym):
@@ -630,8 +657,10 @@ def test_approx_game_and_machine_match_the_old_loops(monkeypatch):
         assert arena.edges == edges
         assert arena.obs == obs and arena.critical == critical
     new = [synth_approx(spec, cmp, r, cap=8) for spec, cmp, r in cases]
-    monkeypatch.setattr(synthesis, "_transducer_from_belief_strategy",
-                        old_transducer_from_belief_strategy)
+    monkeypatch.setattr(
+        synthesis, "_transducer_from_belief_strategy",
+        lambda spec, strategy: old_transducer_from_belief_strategy(
+            spec, complete_spec(spec), strategy))
     old = [synth_approx(spec, cmp, r, cap=8) for spec, cmp, r in cases]
     assert [n.status for n in new] == [o.status for o in old]
     for n, o in zip(new, old):
