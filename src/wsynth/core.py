@@ -594,29 +594,29 @@ def emit_mealy(t: MealyTransducer) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _dot(graph: str, nodes, initial, edges) -> str:
+def _dot(graph: str, nodes, initial, edges, label=str) -> str:
     """Graphviz text of a left-to-right digraph with an arrow into initial.
 
-    nodes are (name, attributes) pairs and edges (source, target, label)
-    triples; every name and label is quoted, its double quotes escaped.
-    The arrow starts at a point node __init, extended with _ until no
-    node has that name (a quoted "__init" is the same DOT id).
+    nodes are (node, attributes) pairs and edges (source, target, text)
+    triples.  Node k gets the id n<k>, in node order, and label(node) as
+    its quoted label; each label escapes backslashes and double quotes.
+    The arrow starts at a point node init, which no n<k> can equal.
     """
 
     def quoted(text):
-        return '"%s"' % str(text).replace('"', '\\"')
+        return '"%s"' % str(text).replace("\\", "\\\\").replace('"', '\\"')
 
+    ids = {v: "n%d" % k for k, (v, _attributes) in enumerate(nodes)}
     lines = ["digraph %s {" % graph, "  rankdir=LR;"]
-    lines += ["  %s [%s];" % (quoted(v), attributes) for v, attributes in nodes]
-    names = {str(v) for v, _attributes in nodes}
-    point = "__init"
-    while point in names:
-        point += "_"
-    lines.append("  %s [shape=point];" % point)
-    lines.append("  %s -> %s;" % (point, quoted(initial)))
     lines += [
-        "  %s -> %s [label=%s];" % (quoted(src), quoted(dst), quoted(label))
-        for src, dst, label in edges
+        "  %s [label=%s, %s];" % (ids[v], quoted(label(v)), attributes)
+        for v, attributes in nodes
+    ]
+    lines.append("  init [shape=point];")
+    lines.append("  init -> %s;" % ids[initial])
+    lines += [
+        "  %s -> %s [label=%s];" % (ids[src], ids[dst], quoted(text))
+        for src, dst, text in edges
     ]
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -264,16 +264,14 @@ def two_run_game_to_dot(game: TwoRunSafetyGame) -> str:
     )
 
 
-def trim(spec: WeightedSpec, transitions=None) -> WeightedSpec:
+def trim(spec: WeightedSpec, transitions) -> WeightedSpec:
     """Keep states reachable from the initial and co-reachable to a final,
-    along transitions (the spec's own by default, or a subset of them).
+    along transitions (a subset of the spec's).
 
     The initial state always survives so the result stays well-formed;
     when it is not co-reachable the domain is empty and the result keeps
     no transitions.
     """
-    if transitions is None:
-        transitions = spec.transitions
     live = _live_states(spec, transitions)
     keep = live | {spec.initial}
     return replace(

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
 
@@ -38,7 +38,6 @@ class Arena:
     initial: object
     edges: list
     critical: frozenset = frozenset()
-    obs: dict = field(default_factory=dict)
 
     def __post_init__(self):
         known = set(self.vertices)
@@ -661,7 +660,6 @@ _ARENA = {
     "vertex": (2, None, "vertex takes: name eve|adam [critical]"),
     "initial": (1, 1, "initial takes one vertex"),
     "edge": (4, 4, "edge takes: src action weight dst"),
-    "obs": (2, None, "obs takes: name v1 v2 ..."),
 }
 
 
@@ -670,8 +668,6 @@ def parse_arena(text: str) -> Arena:
     critical = set()
     initial = None
     edges = []
-    obs = {}
-    obs_lines = {}
     for number, key, tokens in _directives(text, "arena", _ARENA, "edge"):
         if key == "edge":
             edges.append(tuple(tokens))
@@ -686,19 +682,10 @@ def parse_arena(text: str) -> Arena:
                 critical.add(name)
             elif len(tokens) > 2:
                 raise FormatError(_ARENA["vertex"][2], number)
-        elif key == "obs":
-            for v in tokens[1:]:
-                if v in obs:
-                    raise FormatError("vertex %r is listed in obs twice" % v, number)
-                obs[v] = tokens[0]
-                obs_lines[v] = number
         elif key == "initial":
             initial = tokens[0]
     if initial is None:
         raise FormatError("missing initial")
-    for v, number in obs_lines.items():
-        if v not in owner:
-            raise FormatError("obs names unknown vertex %r" % v, number)
     return _build(
         Arena,
         vertices=tuple(owner),
@@ -706,7 +693,6 @@ def parse_arena(text: str) -> Arena:
         initial=initial,
         edges=edges,
         critical=frozenset(critical),
-        obs=obs,
     )
 
 
@@ -718,12 +704,6 @@ def emit_arena(arena: Arena) -> str:
     lines.append("initial: %s" % (arena.initial,))
     for src, action, w, dst in arena.edges:
         lines.append("edge: %s %s %s %s" % (src, action, format_rational(w), dst))
-    if arena.obs:
-        classes = {}
-        for v, o in arena.obs.items():
-            classes.setdefault(o, []).append(v)
-        for o in sorted(classes):
-            lines.append("obs: %s %s" % (o, " ".join(classes[o])))
     return "\n".join(lines) + "\n"
 
 
@@ -737,8 +717,8 @@ def arena_to_dot(arena: Arena, highlight=(), label=str) -> str:
             attributes += ", peripheries=2"
         if v in highlight:
             attributes += ', style=filled, fillcolor="lightgray"'
-        nodes.append((label(v), attributes))
-    edges = [(label(src), label(dst),
+        nodes.append((v, attributes))
+    edges = [(src, dst,
               format_rational(w) if action == "-" else "%s|%s" % (action, format_rational(w)))
              for src, action, w, dst in arena.edges]
-    return _dot("arena", nodes, label(arena.initial), edges)
+    return _dot("arena", nodes, arena.initial, edges, label)

@@ -69,7 +69,6 @@ def _reweight(arena: Arena, scale: int, shift: int):
         initial=arena.initial,
         edges=edges,
         critical=arena.critical,
-        obs=dict(arena.obs),
     )
 
 
@@ -275,8 +274,9 @@ def check_positional_dsum(arena: Arena, strategy: PositionalStrategy, obj: Prefi
 
 def enumerate_positional(arena: Arena):
     """Eve's positional strategies: her vertices in arena order, each
-    one's edges in arena order, the last vertex varying fastest.  None
-    when an Eve vertex has no edge; one empty strategy when she owns none."""
+    one's edges in arena order, the last vertex varying fastest.  It yields
+    nothing when an Eve vertex has no edge, one empty strategy when she
+    owns none."""
     eve_vertices = [v for v in arena.vertices if arena.owner[v] == EVE]
     pools = [arena.out(v) for v in eve_vertices]
     for combo in itertools.product(*pools):
@@ -365,26 +365,30 @@ def solve_prefix_threshold(arena: Arena, obj: PrefixObjective):
 # Critical prefix energy games with imperfect information
 
 
-def _force_critical_everywhere(iarena: ImperfectArena):
-    """Adam's reachability attractor to the critical set, action-model rules.
+def _forcing_rise_bound(iarena: ImperfectArena):
+    """Max energy rise Eve can extract while Adam forces a critical visit,
+    or None when Adam cannot force one from every vertex.
 
-    Returns vertex -> rank (distance-like level), or None when some vertex
-    escapes (Eve can avoid criticality there, hypothesis fails).
+    Ranks are Adam's reachability attractor to the critical set under the
+    action-model rules, swept in vertex order until nothing changes.  Then
+    h(v) = max over Eve's actions of the min over Adam's rank-decreasing
+    resolutions of max(0, w + h(target)); the nesting computes the maximal
+    prefix sum along the forcing play.  h(v) reads only vertices of lower
+    rank, so the order within a rank does not matter.
     """
+    # vertex -> the moves of each available action, read once for both passes
+    table = {v: [iarena.moves(v, a) for a in iarena.available(v)] for v in iarena.vertices}
     rank = {v: 0 for v in iarena.critical}
     changed = True
     while changed:
         changed = False
-        for v in iarena.vertices:
-            if v in rank:
-                continue
-            available = iarena.available(v)
-            if not available:
+        for v, options in table.items():
+            if v in rank or not options:
                 continue
             worst = 0
             ok = True
-            for a in available:
-                levels = [rank[dst] for _w, dst in iarena.moves(v, a) if dst in rank]
+            for moves in options:
+                levels = [rank[dst] for _w, dst in moves if dst in rank]
                 if not levels:
                     ok = False
                     break
@@ -394,27 +398,16 @@ def _force_critical_everywhere(iarena: ImperfectArena):
                 changed = True
     if len(rank) < len(iarena.vertices):
         return None
-    return rank
 
-
-def _forcing_rise_bound(iarena: ImperfectArena, rank):
-    """Max energy rise Eve can extract while Adam forces a critical visit.
-
-    h(v) = max over Eve's actions of the min over Adam's rank-decreasing
-    resolutions of max(0, w + h(target)); the nesting computes the maximal
-    prefix sum along the forcing play.  h(v) reads only vertices of lower
-    rank, so the order within a rank does not matter.
-    """
-    order = sorted(iarena.vertices, key=rank.__getitem__)
     h = {}
-    for v in order:
+    for v in sorted(table, key=rank.__getitem__):
         if v in iarena.critical:
             h[v] = 0
             continue
         worst = 0
-        for a in iarena.available(v):
+        for moves in table[v]:
             best = None
-            for w, dst in iarena.moves(v, a):
+            for w, dst in moves:
                 if rank[dst] >= rank[v]:
                     continue
                 rise = w + h[dst]
@@ -442,10 +435,9 @@ def reduce_prefix_energy_to_energy(iarena: ImperfectArena, c0: int):
     into a failed check, so level >= 0 with credit c0 + B in the result is
     equivalent to the prefix objective with credit c0.
     """
-    rank = _force_critical_everywhere(iarena)
-    if rank is None:
+    bound = _forcing_rise_bound(iarena)
+    if bound is None:
         raise ValueError("Adam cannot force a critical visit from every vertex")
-    bound = _forcing_rise_bound(iarena, rank)
     wmax = max((abs(w) for _s, _a, w, _d in iarena.edges), default=0)
     if bound > len(iarena.vertices) * wmax:
         raise InternalError("forcing rise %d exceeds |V| * W" % bound)

@@ -545,16 +545,9 @@ def build_approx_game(spec: WeightedSpec, cmp: str, r):
     Avg adds the (scaled) slack to every step's weight; Sum instead
     grants it as initial credit.  The strict variant charges one unit
     once, on the edges leaving a one-shot copy of the initial vertex.
-    Returns (ImperfectArena, initial credit).
+    Returns (ImperfectArena, initial credit) for what synth_approx has
+    checked: a Sum or Avg spec, cmp "<" or "<=", an int or Fraction r >= 0.
     """
-    if spec.measure not in (SUM, AVG):
-        raise ValueError(
-            "approximate synthesis supports sum and avg; dsum requires external "
-            "determinization and is not offered"
-        )
-    r = Fraction(r)
-    if r < 0:
-        raise ValueError("approximation slack must be nonnegative")
     strict = cmp == "<"
     scale, slack = r.denominator, r.numerator
 
@@ -678,6 +671,13 @@ def synth_approx(spec: WeightedSpec, cmp: str, r, cap: int) -> SynthResult:
     WIN yields a verified transducer; NOT_WIN_AT_CAP is reported as
     UNKNOWN_AT_CAP since the cap never certifies unrealizability.
     """
+    if spec.measure not in (SUM, AVG):
+        raise ValueError(
+            "approximate synthesis supports sum and avg; dsum requires external "
+            "determinization and is not offered"
+        )
+    if cmp not in ("<", "<="):
+        raise ValueError("cmp must be '<' or '<='")
     r = Fraction(r)
     if r < 0:
         raise ValueError("approximation slack must be nonnegative")

@@ -66,6 +66,37 @@ def test_parse_syntax_error_carries_line_number():
         core.parse_wfa("wfa\nmeasure: sum\ntrans: q0 a q1\n")
 
 
+_SPEC_PARTS = dict(inputs=("a",), outputs=("c",), states=("q0", "q1"), initial="q0",
+                  finals=("q0",), transitions={("q0", "a"): ("q1", 0), ("q1", "c"): ("q0", 0)})
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"initial": "zz"}, "unknown initial state 'zz'"),
+    ({"finals": ("zz",)}, "unknown final state 'zz'"),
+    ({"transitions": {("q0", "a"): ("q1", 0), ("q1", "c"): ("zz", 0)}}, "dangling state"),
+    ({"polarity": {"q0": core.OUTPUT, "q1": core.INPUT}}, "initial state must be an input"),
+    ({"polarity": {"q0": core.INPUT, "q1": core.INPUT}}, "alternation violated"),
+    ({"measure": "max"}, "unknown measure 'max'"),
+])
+def test_spec_built_directly_is_validated(change, message):
+    assert core.WeightedSpec(**_SPEC_PARTS).polarity == {"q0": core.INPUT, "q1": core.OUTPUT}
+    with pytest.raises(core.SpecError, match=message):
+        core.WeightedSpec(**dict(_SPEC_PARTS, **change))
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"initial": "zz"}, "unknown initial state 'zz'"),
+    ({"finals": ("zz",)}, "unknown final state 'zz'"),
+    ({"transitions": {("s", "a"): ("c", "zz")}}, "dangling state"),
+])
+def test_mealy_built_directly_is_validated(change, message):
+    parts = dict(inputs=("a",), outputs=("c",), states=("s",), initial="s", finals=("s",),
+                 transitions={("s", "a"): ("c", "s")})
+    core.MealyTransducer(**parts)
+    with pytest.raises(core.SpecError, match=message):
+        core.MealyTransducer(**dict(parts, **change))
+
+
 def test_discount_validation():
     with pytest.raises(core.FormatError):
         core.parse_wfa("wfa\nmeasure: dsum\ninputs: a\noutputs: c\ninitial: q0\nfinals: q0\n")
@@ -215,7 +246,7 @@ def test_dot_export_one_node_per_state():
     t = first_c_transducer()
     mdot = core.mealy_to_dot(t)
     for q in t.states:
-        assert mdot.count('"%s" [shape=' % q) == 1
+        assert mdot.count('[label="%s", shape=' % q) == 1
 
 
 def test_alternation_partition(paper_spec):

@@ -104,6 +104,12 @@ def test_relative_gap_empty_path():
     assert relative_gap(0, 0, Fraction(1), Fraction(1, 2)) == 1
 
 
+@pytest.mark.parametrize("lam", [Fraction(0), Fraction(1), Fraction(3, 2), Fraction(-1, 2)])
+def test_relative_gap_rejects_a_discount_outside_the_unit_interval(lam):
+    with pytest.raises(ValueError, match="strictly between 0 and 1"):
+        relative_gap(0, 1, Fraction(1), lam)
+
+
 def test_relative_gap_remark_prefix():
     lam = Fraction(1, 2)
     value = dsum([3], lam)

@@ -152,6 +152,30 @@ def test_mp_rejects_deadlocks():
         games.solve_mean_payoff(arena)
 
 
+@pytest.mark.parametrize("lam, cmp, dead_end, message", [
+    (Fraction(1, 2), ">=", True, "deadlock-free"),
+    (Fraction(1, 2), "<", False, "cmp must be"),
+    (Fraction(0), ">", False, "strictly between 0 and 1"),
+    (Fraction(1), ">=", False, "strictly between 0 and 1"),
+])
+def test_discounted_sum_rejects_bad_arguments(lam, cmp, dead_end, message):
+    edges = [("v", 1, "w")] + ([] if dead_end else [("w", 0, "w")])
+    arena = mk_arena([("v", EVE), ("w", ADAM)], edges)
+    with pytest.raises(ValueError, match=message):
+        games.solve_discounted_sum(arena, lam, Fraction(0), cmp)
+
+
+@pytest.mark.parametrize("c0, cap, message", [
+    (-1, 4, "initial credit must be nonnegative"),
+    (3, 2, "cap must be at least the initial credit"),
+])
+def test_capped_energy_rejects_bad_credit_or_cap(c0, cap, message):
+    ia = ImperfectArena(vertices=("v",), initial="v", actions=("go",),
+                        edges=[("v", "go", 0, "v")], obs={"v": "o"})
+    with pytest.raises(ValueError, match=message):
+        games.solve_imperfect_energy_capped(ia, c0, cap)
+
+
 def cycle_mean_under(arena, choice_eve, choice_adam):
     """Mean value of the unique play from the initial vertex."""
     nxt = {}
@@ -1419,12 +1443,6 @@ def test_arena_weights_of_any_length():
     assert games.emit_arena(arena) == text
     dot = games.arena_to_dot(arena)
     assert '[label="-%s"]' % digits in dot and '[label="a|%s"]' % digits in dot
-
-
-def test_arena_obs_round_trip(remark_arena_text):
-    arena = games.parse_arena(remark_arena_text + "obs: o2 v1\nobs: o1 v0\n")
-    assert arena.obs == {"v1": "o2", "v0": "o1"}
-    assert games.parse_arena(games.emit_arena(arena)) == arena
 
 
 def test_arena_parse_errors():

@@ -316,6 +316,20 @@ def test_energy_reduction_hypothesis_failure():
         prefix.reduce_prefix_energy_to_energy(ia, 0)
 
 
+def test_prefix_library_argument_checks():
+    dead_end = mk_arena([("v", EVE), ("w", ADAM)], [("v", 1, "w")], critical=("w",))
+    with pytest.raises(ValueError, match="deadlock-free"):
+        prefix.solve_prefix_threshold(dead_end, PrefixObjective(SUM, ">=", Fraction(0)))
+    arena = remark_arena()
+    with pytest.raises(ValueError, match="path checking applies to dsum"):
+        prefix.check_positional_dsum(arena, games.PositionalStrategy({}),
+                                     PrefixObjective(SUM, ">=", Fraction(0)))
+    eve = mk_arena([("v", EVE), ("w", ADAM)], [("v", 1, "w"), ("w", 0, "v")])
+    with pytest.raises(ValueError, match="strategy undefined at reachable vertex 'v'"):
+        prefix.restrict_to_strategy(eve, games.PositionalStrategy({}))
+    assert prefix.restrict_to_strategy(eve, games.PositionalStrategy({"v": 0}))[0] == {"v", "w"}
+
+
 def solve_prefix_energy_capped_direct(iarena, c0, cap, floor):
     """Test-local oracle: knowledge construction with the check applied
     only at critical vertices; credits float in [-floor, cap]."""
@@ -404,6 +418,36 @@ def test_energy_reduction_matches_direct_solver():
         assert status == direct, games.emit_arena
 
 
+def old_force_critical_everywhere(iarena):
+    """The rank pass the rise bound once took as an argument: Adam's
+    attractor to the critical set, swept in vertex order; None when some
+    vertex escapes it."""
+    rank = {v: 0 for v in iarena.critical}
+    changed = True
+    while changed:
+        changed = False
+        for v in iarena.vertices:
+            if v in rank:
+                continue
+            available = iarena.available(v)
+            if not available:
+                continue
+            worst = 0
+            ok = True
+            for a in available:
+                levels = [rank[dst] for _w, dst in iarena.moves(v, a) if dst in rank]
+                if not levels:
+                    ok = False
+                    break
+                worst = max(worst, min(levels) + 1)
+            if ok:
+                rank[v] = worst
+                changed = True
+    if len(rank) < len(iarena.vertices):
+        return None
+    return rank
+
+
 def old_forcing_rise_bound(iarena, rank):
     """prefix._forcing_rise_bound as it was, with ties in rank broken by repr."""
     h = {}
@@ -424,8 +468,10 @@ def old_forcing_rise_bound(iarena, rank):
 
 
 def test_forcing_rise_bound_matches_the_repr_tie_break(paper_spec):
-    """The rise bound sorts by rank alone; it must equal the bound computed
-    with ties in rank broken by repr, on the approx arenas synth approx builds."""
+    """The one-pass rise bound must equal the bound computed from the old
+    rank pass with ties in rank broken by repr, and fail the forcing
+    hypothesis exactly where that pass did, on the approx arenas synth
+    approx builds."""
     gen = load_bench_gen()
     rng = random.Random(67)
     specs = [paper_spec] + [
@@ -434,18 +480,33 @@ def test_forcing_rise_bound_matches_the_repr_tie_break(paper_spec):
             out_w=(-3, 3))))
         for _ in range(120)
     ]
-    bounds, tied = set(), 0
+    bounds, tied, escaped = set(), 0, 0
     for spec in specs:
         for cmp, r in (("<=", rng.randint(1, 4)), ("<", rng.randint(1, 4))):
             iarena, _credit = synthesis.build_approx_game(spec, cmp, r)
-            rank = prefix._force_critical_everywhere(iarena)
+            bound = prefix._forcing_rise_bound(iarena)
+            rank = old_force_critical_everywhere(iarena)
             if rank is None:
+                assert bound is None
+                escaped += 1
                 continue
-            bound = prefix._forcing_rise_bound(iarena, rank)
             assert bound == old_forcing_rise_bound(iarena, rank)
             bounds.add(bound)
             tied += len(set(rank.values())) < len(rank)
-    assert len(bounds) >= 10 and tied >= 150, (bounds, tied)
+    assert len(bounds) >= 10 and tied >= 150 and escaped >= 10, (bounds, tied, escaped)
+
+
+def test_forcing_rise_bound_fails_on_a_vertex_with_no_action():
+    # Adam cannot force a critical visit from a vertex where Eve has no move
+    iarena = ImperfectArena(vertices=("s", "c", "stuck"), initial="s", actions=("go",),
+                            edges=[("s", "go", 1, "c"), ("c", "go", 0, "s")],
+                            obs={"s": "o", "c": "o", "stuck": "o"}, critical=frozenset({"c"}))
+    assert prefix._forcing_rise_bound(iarena) is None
+    with pytest.raises(ValueError, match="cannot force"):
+        prefix.reduce_prefix_energy_to_energy(iarena, 0)
+    unstuck = ImperfectArena(vertices=("s", "c"), initial="s", actions=("go",),
+                             edges=iarena.edges, obs=iarena.obs, critical=iarena.critical)
+    assert prefix._forcing_rise_bound(unstuck) == 1
 
 
 def test_dsum_strict_adam_wins_every_strategy_refuted():

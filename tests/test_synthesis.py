@@ -208,6 +208,18 @@ def test_extract_transducer_domain(paper_spec):
             assert (core.run_transducer(t, u) is not None) == in_dom
 
 
+def test_extract_transducer_rejects_a_strategy_that_leaves_the_spec():
+    spec = core.parse_wfa("wfa\nmeasure: sum\ninputs: a\noutputs: c\ninitial: q0\n"
+                          "finals: q0\ntrans: q0 a 0 q1\n")
+    arena = synthesis.spec_to_prefix_arena(spec)
+    with pytest.raises(ValueError, match="strategy undefined at reachable output state 'q1'"):
+        synthesis.extract_transducer(spec, arena, games.PositionalStrategy({}))
+    # q1 has no output, so its one edge goes into the game's sink
+    escape = games.PositionalStrategy({"q1": arena.out("q1")[0]})
+    with pytest.raises(ValueError, match="strategy escapes the specification at 'q1'"):
+        synthesis.extract_transducer(spec, arena, escape)
+
+
 # --- best-value synthesis -------------------------------------------------------
 
 
@@ -413,6 +425,18 @@ def test_totalize_empty_domain_machine():
     assert core.run_transducer(total, "aaa") is None
 
 
+def test_totalize_rejects_an_unknown_default_and_renames_its_sink():
+    t = core.MealyTransducer(inputs=("a",), outputs=("c",), states=("s", "__church_sink__"),
+                             initial="s", finals=("s",),
+                             transitions={("s", "a"): ("c", "__church_sink__")})
+    with pytest.raises(ValueError, match="default output 'd' not in the output alphabet"):
+        totalize_for_church(t, "d")
+    total = totalize_for_church(t, "c")
+    assert total.states == ("s", "__church_sink__", "__church_sink___")
+    assert total.transitions[("__church_sink__", "a")] == ("c", "__church_sink___")
+    assert core.run_transducer(total, "a") == core.run_transducer(t, "a")
+
+
 def test_totalize_prefix_outputs_match(paper_spec):
     result = synth_threshold(paper_spec, ">=", Fraction(6))
     t = result.transducer
@@ -468,10 +492,22 @@ def test_build_approx_game_structure(paper_spec):
             assert v[1] in paper_spec.finals
 
 
-def test_build_approx_game_rejects_dsum(paper_spec):
+def test_synth_approx_checks_its_arguments_first(paper_spec):
+    # a dsum spec is refused whatever shortcut its other arguments would take:
+    # an empty domain, a strict comparison at slack 0, or neither
     dspec = paper_spec.with_measure(DSUM, Fraction(1, 2))
-    with pytest.raises(ValueError, match="determinization"):
-        synthesis.build_approx_game(dspec, "<=", Fraction(1))
+    for spec, cmp, r in [(dataclasses.replace(dspec, finals=()), "<=", 1),
+                         (dspec, "<", 0), (dspec, "<=", 1)]:
+        with pytest.raises(ValueError, match="determinization"):
+            synth_approx(spec, cmp, Fraction(r), cap=8)
+    # a comparison the game does not play is refused before any solve
+    for cap in (1, 64):
+        with pytest.raises(ValueError, match="cmp must be"):
+            synth_approx(paper_spec, ">", Fraction(4), cap=cap)
+    with pytest.raises(ValueError, match="slack must be nonnegative"):
+        synth_approx(paper_spec, "<=", Fraction(-1), cap=8)
+    with pytest.raises(ValueError, match="cap must be nonnegative"):
+        synth_approx(paper_spec, "<=", Fraction(4), cap=-1)
 
 
 # --- the approx game and its machine read-off against their old loops -------
