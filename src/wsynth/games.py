@@ -92,7 +92,6 @@ class ImperfectArena:
     actions: tuple
     edges: list  # (src, action, weight, dst)
     obs: dict  # vertex -> observation id
-    critical: frozenset = frozenset()
 
     def __post_init__(self):
         known = set(self.vertices)
@@ -112,9 +111,6 @@ class ImperfectArena:
 
     def moves(self, v, a):
         return self._succ.get((v, a), [])
-
-    def available(self, v):
-        return [a for a in self.actions if (v, a) in self._succ]
 
 
 @dataclass

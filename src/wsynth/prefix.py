@@ -14,7 +14,7 @@ strategies suffice.
 from __future__ import annotations
 
 import itertools
-from collections import deque
+from collections import deque, namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -365,20 +365,25 @@ def solve_prefix_threshold(arena: Arena, obj: PrefixObjective):
 # Critical prefix energy games with imperfect information
 
 
-def _forcing_rise_bound(iarena: ImperfectArena):
+# A critical prefix energy game with imperfect information: an ImperfectArena's
+# fields, not yet indexed, and the critical vertices, where the level is checked.
+PrefixEnergyGame = namedtuple("PrefixEnergyGame", "vertices initial actions edges obs critical")
+
+
+def _forcing_rise_bound(table, critical):
     """Max energy rise Eve can extract while Adam forces a critical visit,
     or None when Adam cannot force one from every vertex.
 
-    Ranks are Adam's reachability attractor to the critical set under the
-    action-model rules, swept in vertex order until nothing changes.  Then
-    h(v) = max over Eve's actions of the min over Adam's rank-decreasing
-    resolutions of max(0, w + h(target)); the nesting computes the maximal
-    prefix sum along the forcing play.  h(v) reads only vertices of lower
-    rank, so the order within a rank does not matter.
+    table maps each vertex, in vertex order, to {action: [(w, dst), ...]}
+    over its available actions in action order.  Ranks are Adam's
+    reachability attractor to the critical set under the action-model
+    rules, swept in vertex order until nothing changes.  Then h(v) = max
+    over Eve's actions of the min over Adam's rank-decreasing resolutions
+    of max(0, w + h(target)); the nesting computes the maximal prefix sum
+    along the forcing play.  h(v) reads only vertices of lower rank, so
+    the order within a rank does not matter.
     """
-    # vertex -> the moves of each available action, read once for both passes
-    table = {v: [iarena.moves(v, a) for a in iarena.available(v)] for v in iarena.vertices}
-    rank = {v: 0 for v in iarena.critical}
+    rank = {v: 0 for v in critical}
     changed = True
     while changed:
         changed = False
@@ -387,7 +392,7 @@ def _forcing_rise_bound(iarena: ImperfectArena):
                 continue
             worst = 0
             ok = True
-            for moves in options:
+            for moves in options.values():
                 levels = [rank[dst] for _w, dst in moves if dst in rank]
                 if not levels:
                     ok = False
@@ -396,16 +401,16 @@ def _forcing_rise_bound(iarena: ImperfectArena):
             if ok:
                 rank[v] = worst
                 changed = True
-    if len(rank) < len(iarena.vertices):
+    if len(rank) < len(table):
         return None
 
     h = {}
     for v in sorted(table, key=rank.__getitem__):
-        if v in iarena.critical:
+        if v in critical:
             h[v] = 0
             continue
         worst = 0
-        for moves in table[v]:
+        for moves in table[v].values():
             best = None
             for w, dst in moves:
                 if rank[dst] >= rank[v]:
@@ -425,40 +430,40 @@ def _forcing_rise_bound(iarena: ImperfectArena):
 _ENERGY_SINK = ("drain",)
 
 
-def reduce_prefix_energy_to_energy(iarena: ImperfectArena, c0: int):
+def reduce_prefix_energy_to_energy(game: PrefixEnergyGame, c0: int):
     """Critical prefix energy game to a plain energy game, plus credit buffer.
 
     Requires that Adam can force a critical visit from every vertex (checked
     in the perfect-information game, which suffices against observation-based
-    strategies); raises ValueError otherwise.  Every critical vertex gets, for each action, a -B escape to
-    a fresh sink: dropping below -B anywhere lets Adam convert the deficit
-    into a failed check, so level >= 0 with credit c0 + B in the result is
-    equivalent to the prefix objective with credit c0.
+    strategies); raises ValueError otherwise.  Every critical vertex gets, for
+    each action, a -B escape to a fresh sink: dropping below -B anywhere lets
+    Adam convert the deficit into a failed check, so level >= 0 with credit
+    c0 + B in the result is equivalent to the prefix objective with credit c0.
+    The result's edges are the game's, then the escapes, then the sink's loops.
     """
-    bound = _forcing_rise_bound(iarena)
+    grouped = {v: {} for v in game.vertices}
+    for src, a, w, dst in game.edges:
+        grouped[src].setdefault(a, []).append((w, dst))
+    table = {v: {a: moves[a] for a in game.actions if a in moves}
+             for v, moves in grouped.items()}
+    bound = _forcing_rise_bound(table, game.critical)
     if bound is None:
         raise ValueError("Adam cannot force a critical visit from every vertex")
-    wmax = max((abs(w) for _s, _a, w, _d in iarena.edges), default=0)
-    if bound > len(iarena.vertices) * wmax:
+    wmax = max((abs(w) for _s, _a, w, _d in game.edges), default=0)
+    if bound > len(game.vertices) * wmax:
         raise InternalError("forcing rise %d exceeds |V| * W" % bound)
 
-    vertices = tuple(iarena.vertices) + (_ENERGY_SINK,)
-    edges = list(iarena.edges)
-    for v in iarena.critical:
+    edges = list(game.edges)
+    for v in game.critical:
         # only enabled actions: an escape edge on a disabled action would
         # hand Eve a brand-new move to hide in the sink
-        for a in iarena.available(v):
-            edges.append((v, a, -bound, _ENERGY_SINK))
-    for a in iarena.actions:
-        edges.append((_ENERGY_SINK, a, 0, _ENERGY_SINK))
-    obs = dict(iarena.obs)
-    obs[_ENERGY_SINK] = _ENERGY_SINK
+        edges.extend((v, a, -bound, _ENERGY_SINK) for a in table[v])
+    edges.extend((_ENERGY_SINK, a, 0, _ENERGY_SINK) for a in game.actions)
     reduced = ImperfectArena(
-        vertices=vertices,
-        initial=iarena.initial,
-        actions=iarena.actions,
+        vertices=tuple(game.vertices) + (_ENERGY_SINK,),
+        initial=game.initial,
+        actions=game.actions,
         edges=edges,
-        obs=obs,
-        critical=frozenset(),
+        obs={**game.obs, _ENERGY_SINK: _ENERGY_SINK},
     )
     return reduced, c0 + bound

@@ -46,7 +46,7 @@ from .core import (
 from .domain import make_domain_safe
 from .dsumpath import NO as PATH_NO
 from .dsumpath import WeightedGraph, exists_path_leq, exists_path_lt
-from .games import ADAM, EVE, Arena, ImperfectArena
+from .games import ADAM, EVE, Arena
 
 REALIZABLE = "realizable"
 UNREALIZABLE = "unrealizable"
@@ -545,7 +545,7 @@ def build_approx_game(spec: WeightedSpec, cmp: str, r):
     Avg adds the (scaled) slack to every step's weight; Sum instead
     grants it as initial credit.  The strict variant charges one unit
     once, on the edges leaving a one-shot copy of the initial vertex.
-    Returns (ImperfectArena, initial credit) for what synth_approx has
+    Returns (prefix.PrefixEnergyGame, initial credit) for what synth_approx has
     checked: a Sum or Avg spec, cmp "<" or "<=", an int or Fraction r >= 0.
     """
     strict = cmp == "<"
@@ -610,7 +610,7 @@ def build_approx_game(spec: WeightedSpec, cmp: str, r):
         start = initial
 
     actions = ("choose",) + tuple(spec.outputs)
-    arena = ImperfectArena(
+    game = prefix.PrefixEnergyGame(
         vertices=tuple(vertices),
         initial=start,
         actions=actions,
@@ -618,7 +618,7 @@ def build_approx_game(spec: WeightedSpec, cmp: str, r):
         edges=edges,
         critical=frozenset(critical),
     )
-    return arena, credit
+    return game, credit
 
 
 def _transducer_from_belief_strategy(spec, strategy):
@@ -644,9 +644,8 @@ def _transducer_from_belief_strategy(spec, strategy):
                 continue
             b = strategy.act[mid]
             p3 = _step(spec, p2, b, _COMPLETE_IN)[0]
-            nxt = strategy.step.get((mid, ("i", p3)))
-            if nxt is None:
-                continue
+            # every move of the mid belief's action lands at (i, p3)
+            nxt = strategy.step[(mid, ("i", p3))]
             state_of[nxt] = p3
             moves[(belief, a)] = (b, nxt)
             yield nxt, a
@@ -696,8 +695,8 @@ def synth_approx(spec: WeightedSpec, cmp: str, r, cap: int) -> SynthResult:
     if cmp == "<" and r == 0:
         return SynthResult(status=UNREALIZABLE)
 
-    iarena, credit = build_approx_game(spec, cmp, r)
-    reduced, buffered = prefix.reduce_prefix_energy_to_energy(iarena, credit)
+    game, credit = build_approx_game(spec, cmp, r)
+    reduced, buffered = prefix.reduce_prefix_energy_to_energy(game, credit)
     effective_cap = max(cap, buffered)
     status, strategy = games.solve_imperfect_energy_capped(
         reduced, buffered, effective_cap

@@ -24,6 +24,18 @@ def load_bench_gen():
     return module
 
 
+def load_bench_workloads(monkeypatch):
+    """bench/workloads.py, the benchmark's instance pools, as a module.  It
+    and the generator it imports as gen are in sys.modules only meanwhile."""
+    monkeypatch.setitem(sys.modules, "gen", load_bench_gen())
+    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    module_spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(module_spec)
+    monkeypatch.setitem(sys.modules, "bench_workloads", module)  # for its dataclasses
+    module_spec.loader.exec_module(module)
+    return module
+
+
 @pytest.fixture(scope="session")
 def paper_spec():
     return core.parse_wfa((FIXTURES / "paper-example.wfa").read_text())

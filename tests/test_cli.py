@@ -15,7 +15,7 @@ import pytest
 from wsynth import cli, core, domain, synthesis
 from wsynth.core import AVG, DSUM
 
-from conftest import FIXTURES, always_d_realizer, first_c_realizer
+from conftest import FIXTURES, always_d_realizer, first_c_realizer, load_bench_gen
 
 PAPER = str(FIXTURES / "paper-example.wfa")
 BEST_VALUE_REALIZABLE = str(FIXTURES / "best-value-realizable.wfa")
@@ -918,6 +918,34 @@ def test_synth_approx_pinned_on_paper_fixture(seed, tmp_path):
         env=env, capture_output=True, text=True, check=True,
     )
     assert done.stdout == _APPROX_PINNED
+
+
+def test_synth_approx_independent_of_hash_seed(tmp_path):
+    # the reduction adds its escape edges in the order of the critical set,
+    # a frozenset of vertex tuples, whose order follows the string hash
+    gen = load_bench_gen()
+    rng = random.Random(2830)
+    calls = []
+    for i in range(20):
+        spec = tmp_path / ("spec%d.wfa" % i)
+        spec.write_text(gen.emit_wfa(gen.memory_spec(
+            rng, rng.randint(2, 3), rng.randint(2, 4), "ab", "xy", rng.choice(["sum", "avg"]),
+            out_w=(-3, 3))))
+        calls.append(["synth", "approx", str(spec), "--cmp", rng.choice(["le", "lt"]),
+                      "--r", str(rng.randint(1, 4)), "--cap", "8",
+                      "-o", str(tmp_path / ("m%d.mealy" % i))])
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    outputs = []
+    for seed in range(4):
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=str(seed))
+        done = subprocess.run(
+            [sys.executable, "-c", _CLI_SCRIPT, json.dumps(calls)],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        outputs.append(done.stdout)
+    codes = [line.split()[0] for line in outputs[0].splitlines()[1:]]
+    assert len(codes) == 20 and codes.count("0") >= 8 and codes.count("2") >= 2, codes
+    assert outputs[1:] == outputs[:1] * 3
 
 
 _CLI_SCRIPT = """

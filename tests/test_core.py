@@ -446,6 +446,28 @@ def test_no_unread_import():
         (1, "os"), (2, "c")]
 
 
+def test_package_exports_are_an_explicit_list():
+    import wsynth
+    from wsynth import synthesis
+
+    exported = wsynth.__all__
+    assert isinstance(exported, list) and len(set(exported)) == len(exported)
+    # every name resolves, and no module is exported
+    assert not [name for name in exported
+                if isinstance(getattr(wsynth, name), types.ModuleType)]
+    # every public name the package imports is in the list
+    public = {name for name, value in vars(wsynth).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert set(exported) == public
+    # with the result constants of the public functions
+    for name in ("REALIZABLE", "UNREALIZABLE", "NO_BOOLEAN_REALIZER", "UNKNOWN_AT_CAP",
+                 "PASS", "FAIL"):
+        assert getattr(wsynth, name) == getattr(synthesis, name)
+    namespace = {}
+    exec("from wsynth import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(exported)
+
+
 def unread_private_names(trees):
     """Sorted (module, name) for each module-level _private name that no tree reads."""
     defined = []

@@ -1,3 +1,5 @@
+import collections
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -9,7 +11,7 @@ from wsynth.core import AVG, DSUM, SUM
 from wsynth.games import ADAM, EVE, Arena, ImperfectArena
 from wsynth.prefix import PrefixObjective
 
-from conftest import load_bench_gen
+from conftest import load_bench_gen, load_bench_workloads
 from test_games import mk_arena, remark_arena, random_arena
 
 
@@ -289,7 +291,7 @@ def test_dsum_initial_critical_empty_prefix():
 
 
 def test_energy_reduction_all_critical_zero_weights():
-    ia = ImperfectArena(
+    game = prefix.PrefixEnergyGame(
         vertices=("a", "b"),
         initial="a",
         actions=("x",),
@@ -297,14 +299,14 @@ def test_energy_reduction_all_critical_zero_weights():
         obs={"a": "a", "b": "b"},
         critical=frozenset(["a", "b"]),
     )
-    reduced, credit = prefix.reduce_prefix_energy_to_energy(ia, 0)
+    reduced, credit = prefix.reduce_prefix_energy_to_energy(game, 0)
     assert credit == 0  # zero weights force a zero buffer
     status, _ = games.solve_imperfect_energy_capped(reduced, credit, credit + 4)
     assert status == games.WIN
 
 
 def test_energy_reduction_hypothesis_failure():
-    ia = ImperfectArena(
+    game = prefix.PrefixEnergyGame(
         vertices=("a", "b"),
         initial="a",
         actions=("x",),
@@ -313,7 +315,7 @@ def test_energy_reduction_hypothesis_failure():
         critical=frozenset(["b"]),
     )
     with pytest.raises(ValueError):
-        prefix.reduce_prefix_energy_to_energy(ia, 0)
+        prefix.reduce_prefix_energy_to_energy(game, 0)
 
 
 def test_prefix_library_argument_checks():
@@ -330,9 +332,10 @@ def test_prefix_library_argument_checks():
     assert prefix.restrict_to_strategy(eve, games.PositionalStrategy({"v": 0}))[0] == {"v", "w"}
 
 
-def solve_prefix_energy_capped_direct(iarena, c0, cap, floor):
+def solve_prefix_energy_capped_direct(game, c0, cap, floor):
     """Test-local oracle: knowledge construction with the check applied
     only at critical vertices; credits float in [-floor, cap]."""
+    iarena = OldImperfectArena(**game._asdict())
 
     def updates(belief, action):
         per_obs = {}
@@ -398,7 +401,7 @@ def test_energy_reduction_matches_direct_solver():
         critical = frozenset(v for v in names if rng.random() < 0.6) or frozenset(
             [names[0]]
         )
-        ia = ImperfectArena(
+        game = prefix.PrefixEnergyGame(
             vertices=tuple(names),
             initial=names[0],
             actions=actions,
@@ -408,14 +411,191 @@ def test_energy_reduction_matches_direct_solver():
         )
         c0 = rng.randint(0, 2)
         try:
-            reduced, credit = prefix.reduce_prefix_energy_to_energy(ia, c0)
+            reduced, credit = prefix.reduce_prefix_energy_to_energy(game, c0)
         except ValueError:
             continue
         buffer = credit - c0
         cap = credit + 8
         status, _ = games.solve_imperfect_energy_capped(reduced, credit, cap)
-        direct = solve_prefix_energy_capped_direct(ia, c0, cap - buffer, buffer)
+        direct = solve_prefix_energy_capped_direct(game, c0, cap - buffer, buffer)
         assert status == direct, games.emit_arena
+
+
+# --- the energy reduction against the two-arena one it replaced ---------------
+
+
+@dataclasses.dataclass
+class OldImperfectArena(ImperfectArena):
+    """ImperfectArena as the two-arena reduction read it: with the critical
+    set and the available actions of a vertex."""
+
+    critical: frozenset = frozenset()
+
+    def available(self, v):
+        return [a for a in self.actions if (v, a) in self._succ]
+
+
+def old_forcing_rise_bound(iarena):
+    """prefix._forcing_rise_bound as it was, on the indexed prefix arena."""
+    # vertex -> the moves of each available action, read once for both passes
+    table = {v: [iarena.moves(v, a) for a in iarena.available(v)] for v in iarena.vertices}
+    rank = {v: 0 for v in iarena.critical}
+    changed = True
+    while changed:
+        changed = False
+        for v, options in table.items():
+            if v in rank or not options:
+                continue
+            worst = 0
+            ok = True
+            for moves in options:
+                levels = [rank[dst] for _w, dst in moves if dst in rank]
+                if not levels:
+                    ok = False
+                    break
+                worst = max(worst, min(levels) + 1)
+            if ok:
+                rank[v] = worst
+                changed = True
+    if len(rank) < len(iarena.vertices):
+        return None
+
+    h = {}
+    for v in sorted(table, key=rank.__getitem__):
+        if v in iarena.critical:
+            h[v] = 0
+            continue
+        worst = 0
+        for moves in table[v]:
+            best = None
+            for w, dst in moves:
+                if rank[dst] >= rank[v]:
+                    continue
+                rise = w + h[dst]
+                if rise < 0:
+                    rise = 0
+                if best is None or rise < best:
+                    best = rise
+            if best is None:
+                raise core.InternalError("rank-decreasing move must exist")
+            worst = max(worst, best)
+        h[v] = worst
+    return max(h.values(), default=0)
+
+
+def old_reduce_prefix_energy_to_energy(iarena, c0):
+    """prefix.reduce_prefix_energy_to_energy as it was: from the indexed
+    prefix arena to a second arena, a copy with the escape and sink edges."""
+    bound = old_forcing_rise_bound(iarena)
+    if bound is None:
+        raise ValueError("Adam cannot force a critical visit from every vertex")
+    wmax = max((abs(w) for _s, _a, w, _d in iarena.edges), default=0)
+    if bound > len(iarena.vertices) * wmax:
+        raise core.InternalError("forcing rise %d exceeds |V| * W" % bound)
+
+    vertices = tuple(iarena.vertices) + (prefix._ENERGY_SINK,)
+    edges = list(iarena.edges)
+    for v in iarena.critical:
+        for a in iarena.available(v):
+            edges.append((v, a, -bound, prefix._ENERGY_SINK))
+    for a in iarena.actions:
+        edges.append((prefix._ENERGY_SINK, a, 0, prefix._ENERGY_SINK))
+    obs = dict(iarena.obs)
+    obs[prefix._ENERGY_SINK] = prefix._ENERGY_SINK
+    reduced = OldImperfectArena(
+        vertices=vertices,
+        initial=iarena.initial,
+        actions=iarena.actions,
+        edges=edges,
+        obs=obs,
+        critical=frozenset(),
+    )
+    return reduced, c0 + bound
+
+
+def rise_table(game):
+    """The table _forcing_rise_bound reads, as the two-arena reduction
+    read it off the indexed prefix arena."""
+    iarena = OldImperfectArena(**game._asdict())
+    return {v: {a: iarena.moves(v, a) for a in iarena.available(v)} for v in iarena.vertices}
+
+
+def reductions_agree(game, c0):
+    """The one-arena reduction gives the two-arena one's arena, edge for
+    edge, and credit, or fails where it failed with the same ValueError;
+    True when it did not fail."""
+    try:
+        old, old_credit = old_reduce_prefix_energy_to_energy(
+            OldImperfectArena(**game._asdict()), c0)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as caught:
+            prefix.reduce_prefix_energy_to_energy(game, c0)
+        assert str(caught.value) == str(exc)
+        assert prefix._forcing_rise_bound(rise_table(game), game.critical) is None
+        return False
+    new, credit = prefix.reduce_prefix_energy_to_energy(game, c0)
+    assert type(new) is ImperfectArena
+    assert (new.vertices, new.initial, new.actions, new.edges, new.obs, credit) == (
+        old.vertices, old.initial, old.actions, old.edges, old.obs, old_credit)
+    assert prefix._forcing_rise_bound(rise_table(game), game.critical) == credit - c0
+    return True
+
+
+def test_energy_reduction_matches_the_two_arena_reduction_on_the_approx_pool(monkeypatch):
+    workloads = load_bench_workloads(monkeypatch)
+    reached = 0
+    for family in workloads.WORKLOADS["approx-knowledge"]:
+        for index in range(family.pool):
+            inst = workloads.pool_instance("approx-knowledge", family, index)
+            spec = core.parse_wfa(inst.files["spec.wfa"])
+            argv = inst.argv
+            cmp = {"le": "<=", "lt": "<"}[argv[argv.index("--cmp") + 1]]
+            r = Fraction(argv[argv.index("--r") + 1])
+            game, credit = synthesis.build_approx_game(spec, cmp, r)
+            reached += reductions_agree(game, credit)
+    assert reached >= 200, reached
+
+
+def test_energy_reduction_matches_the_two_arena_reduction_on_memory_specs():
+    gen = load_bench_gen()
+    rng = random.Random(2811)
+    seen = collections.Counter()
+    for _ in range(260):
+        measure = rng.choice(["sum", "avg"])
+        spec = core.parse_wfa(gen.emit_wfa(gen.memory_spec(
+            rng, rng.randint(2, 3), rng.randint(2, 4), "ab", "xy", measure, out_w=(-3, 3))))
+        for cmp in ("<", "<="):
+            for r in rng.sample(range(5), 2):
+                game, credit = synthesis.build_approx_game(spec, cmp, Fraction(r))
+                seen[measure, cmp, r, reductions_agree(game, credit)] += 1
+    assert sum(seen.values()) >= 1000
+    for measure, cmp, r in itertools.product(("sum", "avg"), ("<", "<="), range(5)):
+        assert seen[measure, cmp, r, True] >= 5, seen
+    assert sum(n for key, n in seen.items() if not key[3]) >= 50, seen
+
+
+def test_energy_reduction_lists_escapes_in_action_order():
+    # c lists its actions as y, then x; its escapes follow actions instead,
+    # and so do the sink's loops
+    game = prefix.PrefixEnergyGame(
+        vertices=("s", "c"),
+        initial="s",
+        actions=("x", "y", "z"),
+        edges=[("s", "x", 2, "c"), ("s", "z", -1, "c"), ("c", "y", 1, "s"),
+               ("c", "x", -2, "c"), ("c", "y", 0, "c")],
+        obs={"s": "o", "c": "o"},
+        critical=frozenset({"c"}),
+    )
+    assert reductions_agree(game, 1)
+    reduced, credit = prefix.reduce_prefix_energy_to_energy(game, 1)
+    assert credit == 3
+    assert reduced.edges[5:] == [
+        ("c", "x", -2, ("drain",)), ("c", "y", -2, ("drain",)),
+        (("drain",), "x", 0, ("drain",)), (("drain",), "y", 0, ("drain",)),
+        (("drain",), "z", 0, ("drain",))]
+    assert reduced.moves("c", "y") == [(1, "s"), (0, "c"), (-2, ("drain",))]
+    stuck = game._replace(edges=game.edges + [("s", "y", 0, "s")])
+    assert not reductions_agree(stuck, 1)
 
 
 def old_force_critical_everywhere(iarena):
@@ -448,8 +628,8 @@ def old_force_critical_everywhere(iarena):
     return rank
 
 
-def old_forcing_rise_bound(iarena, rank):
-    """prefix._forcing_rise_bound as it was, with ties in rank broken by repr."""
+def repr_tie_forcing_rise_bound(iarena, rank):
+    """prefix._forcing_rise_bound as it was before, with ties in rank broken by repr."""
     h = {}
     for v in sorted(iarena.vertices, key=lambda v: (rank[v], repr(v))):
         if v in iarena.critical:
@@ -470,7 +650,7 @@ def old_forcing_rise_bound(iarena, rank):
 def test_forcing_rise_bound_matches_the_repr_tie_break(paper_spec):
     """The one-pass rise bound must equal the bound computed from the old
     rank pass with ties in rank broken by repr, and fail the forcing
-    hypothesis exactly where that pass did, on the approx arenas synth
+    hypothesis exactly where that pass did, on the approx games synth
     approx builds."""
     gen = load_bench_gen()
     rng = random.Random(67)
@@ -483,14 +663,15 @@ def test_forcing_rise_bound_matches_the_repr_tie_break(paper_spec):
     bounds, tied, escaped = set(), 0, 0
     for spec in specs:
         for cmp, r in (("<=", rng.randint(1, 4)), ("<", rng.randint(1, 4))):
-            iarena, _credit = synthesis.build_approx_game(spec, cmp, r)
-            bound = prefix._forcing_rise_bound(iarena)
+            game, _credit = synthesis.build_approx_game(spec, cmp, r)
+            bound = prefix._forcing_rise_bound(rise_table(game), game.critical)
+            iarena = OldImperfectArena(**game._asdict())
             rank = old_force_critical_everywhere(iarena)
             if rank is None:
                 assert bound is None
                 escaped += 1
                 continue
-            assert bound == old_forcing_rise_bound(iarena, rank)
+            assert bound == repr_tie_forcing_rise_bound(iarena, rank)
             bounds.add(bound)
             tied += len(set(rank.values())) < len(rank)
     assert len(bounds) >= 10 and tied >= 150 and escaped >= 10, (bounds, tied, escaped)
@@ -498,15 +679,15 @@ def test_forcing_rise_bound_matches_the_repr_tie_break(paper_spec):
 
 def test_forcing_rise_bound_fails_on_a_vertex_with_no_action():
     # Adam cannot force a critical visit from a vertex where Eve has no move
-    iarena = ImperfectArena(vertices=("s", "c", "stuck"), initial="s", actions=("go",),
-                            edges=[("s", "go", 1, "c"), ("c", "go", 0, "s")],
-                            obs={"s": "o", "c": "o", "stuck": "o"}, critical=frozenset({"c"}))
-    assert prefix._forcing_rise_bound(iarena) is None
+    game = prefix.PrefixEnergyGame(
+        vertices=("s", "c", "stuck"), initial="s", actions=("go",),
+        edges=[("s", "go", 1, "c"), ("c", "go", 0, "s")],
+        obs={"s": "o", "c": "o", "stuck": "o"}, critical=frozenset({"c"}))
+    assert prefix._forcing_rise_bound(rise_table(game), game.critical) is None
     with pytest.raises(ValueError, match="cannot force"):
-        prefix.reduce_prefix_energy_to_energy(iarena, 0)
-    unstuck = ImperfectArena(vertices=("s", "c"), initial="s", actions=("go",),
-                             edges=iarena.edges, obs=iarena.obs, critical=iarena.critical)
-    assert prefix._forcing_rise_bound(unstuck) == 1
+        prefix.reduce_prefix_energy_to_energy(game, 0)
+    unstuck = game._replace(vertices=("s", "c"))
+    assert prefix._forcing_rise_bound(rise_table(unstuck), unstuck.critical) == 1
 
 
 def test_dsum_strict_adam_wins_every_strategy_refuted():

@@ -30,7 +30,7 @@ from wsynth.synthesis import (
     verify_realizer,
 )
 
-from conftest import (always_transducer, always_d_realizer, check_difference,
+from conftest import (FIXTURES, always_transducer, always_d_realizer, check_difference,
                       first_c_realizer, load_bench_gen, old_min_walk_below, old_value_witness,
                       old_verify_verdict_only, random_spec)
 from test_games import mk_arena, random_arena
@@ -704,6 +704,52 @@ def test_approx_game_and_machine_match_the_old_loops(monkeypatch):
             assert core.emit_mealy(n.transducer) == core.emit_mealy(o.transducer)
     assert sum(n.transducer is not None and len(n.transducer.states) > 1
                for n in new) >= 60
+
+
+def test_synth_approx_builds_one_imperfect_arena_per_game(paper_spec, monkeypatch):
+    # the prefix game is a plain record; only the reduced game is indexed
+    built, arenas = [], []
+    build = synthesis.build_approx_game
+    monkeypatch.setattr(synthesis, "build_approx_game",
+                        lambda *args: built.append(args) or build(*args))
+    post_init = games.ImperfectArena.__post_init__
+
+    def counted(arena):
+        arenas.append(arena)
+        post_init(arena)
+
+    monkeypatch.setattr(games.ImperfectArena, "__post_init__", counted)
+    cases = [(paper_spec, "<=", Fraction(4), 64), (paper_spec, "<", Fraction(9, 2), 64),
+             (paper_spec, "<", Fraction(0), 64)]
+    cases += [(spec, cmp, Fraction(r), 8) for spec in _memory_specs(2829, 60)
+              for cmp, r in (("<", 1), ("<=", 3))]
+    per_call = collections.Counter()
+    for spec, cmp, r, cap in cases:
+        before = len(built), len(arenas)
+        synth_approx(spec, cmp, r, cap)
+        per_call[len(built) - before[0], len(arenas) - before[1]] += 1
+    # a call either answers before the game (an empty domain, a strict
+    # bound of 0) or builds one prefix game and one arena
+    assert set(per_call) == {(0, 0), (1, 1)} and per_call[1, 1] >= 80, per_call
+
+
+def test_approx_read_off_raises_on_a_missing_strategy_step(monkeypatch, capsys):
+    # every move of a winning strategy's mid belief lands at one input
+    # observation; a strategy without that step is a fault, exit 70
+    solve = games.solve_imperfect_energy_capped
+
+    def without_an_input_step(*args):
+        status, strategy = solve(*args)
+        del strategy.step[next(key for key in strategy.step
+                               if key[1][0] == "i" and strategy.act[key[0]] != "choose")]
+        return status, strategy
+
+    monkeypatch.setattr(games, "solve_imperfect_energy_capped", without_an_input_step)
+    paper = str(FIXTURES / "paper-example.wfa")
+    code = cli.main(["synth", "approx", paper, "--cmp", "le", "--r", "4", "--cap", "64"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (70, "")
+    assert captured.err.startswith("internal error: KeyError(")
 
 
 def test_approx_strict_realizable_cases(paper_spec):
