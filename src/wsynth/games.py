@@ -3,9 +3,10 @@
 Perfect-information arenas partition vertices between Eve and Adam.
 Solvers are exact over integers/rationals: attractors and safety by
 fixpoint, mean-payoff (threshold 0, sup variant) by set-lifting of an
-energy progress measure, discounted sum by strategy iteration with closed-form
-lasso evaluation, and imperfect-information energy games by a capped
-knowledge construction (sound for WIN, inconclusive otherwise).
+energy progress measure, discounted sum by strategy iteration on exact
+integer pairs (closed-form lasso values, cross-multiplied comparisons),
+and imperfect-information energy games by a capped knowledge
+construction (sound for WIN, inconclusive otherwise).
 """
 
 from __future__ import annotations
@@ -412,10 +413,13 @@ def solve_mean_payoff(arena: Arena):
     return ADAM, PositionalStrategy(_tight_edges(trap_names, dual_eve, dual_out, dual_ids, g))
 
 
-def _evaluate_profile(arena: Arena, next_edge, lam):
-    """Discounted value of every vertex when each follows next_edge[v].
+def _evaluate_profile(arena: Arena, next_edge, p, q):
+    """Discounted value of every vertex when each follows next_edge[v], for
+    the discount p/q, as an unreduced pair (num, den) with den > 0.
 
-    Each play is a lasso; its cycle is summed in closed form.
+    Each play is a lasso.  One step back along an edge of weight w maps
+    (n, d) to (p (w d + n), q d), so the L steps round a cycle from (0, 1)
+    give (S, q^L), and the cycle's value is S / (q^L - p^L).
     """
     values = {}
     for start in arena.vertices:
@@ -428,19 +432,19 @@ def _evaluate_profile(arena: Arena, next_edge, lam):
             index[v] = len(path)
             path.append(v)
             v = arena.edges[next_edge[v]][3]
-        if v not in values:
+        at = index.get(v, len(path))
+        if at < len(path):
             # the walk closed a fresh cycle at v
-            acc = Fraction(0)
-            power = Fraction(1)
-            for u in path[index[v]:]:
-                power *= lam
-                acc += power * arena.edges[next_edge[u]][2]
-            values[v] = acc / (1 - power)
-        suffix = values[v]
-        for u in reversed(path):
-            w = arena.edges[next_edge[u]][2]
-            suffix = lam * (w + suffix)
-            values[u] = suffix
+            n, d = 0, 1
+            for u in reversed(path[at:]):
+                n, d = p * (arena.edges[next_edge[u]][2] * d + n), q * d
+            values[v] = n, d - p ** (len(path) - at)
+        # the rest of the cycle, then the stem, both lead back into v
+        for segment in (path[at + 1:], path[:at]):
+            n, d = values[v]
+            for u in reversed(segment):
+                n, d = p * (arena.edges[next_edge[u]][2] * d + n), q * d
+                values[u] = n, d
     return values
 
 
@@ -451,9 +455,10 @@ def solve_discounted_sum(arena: Arena, lam: Fraction, nu: Fraction, cmp: str):
     optimal value satisfies val(v) = opt over edges (v -> u) of
     lam [w + val(u)].  Solved by strategy iteration: Eve improves against
     Adam's exact best response, play values of fixed positional pairs are
-    solved in closed form on their lassos.  No strategy profile is
-    evaluated twice, so more evaluations than the product of the
-    out-degrees mean a bug (InternalError).
+    solved in closed form on their lassos, as integer pairs compared by
+    cross-multiplication; only the returned value is a Fraction.  No
+    strategy profile is evaluated twice, so more evaluations than the
+    product of the out-degrees mean a bug (InternalError).
     """
     if cmp not in (">", ">="):
         raise ValueError("cmp must be '>' or '>='")
@@ -461,21 +466,23 @@ def solve_discounted_sum(arena: Arena, lam: Fraction, nu: Fraction, cmp: str):
         raise ValueError("discount must lie strictly between 0 and 1")
     if arena.deadlocks():
         raise ValueError("discounted-sum needs a deadlock-free arena")
-    lam = Fraction(lam)
+    p, q = Fraction(lam).as_integer_ratio()
     nu = Fraction(nu)
 
     next_edge = {v: arena.out(v)[0] for v in arena.vertices}
 
-    def greedy_edge(v, values, maximize):
+    def greedy_edge(v, values, sign):
+        """First edge of v, in out order, to maximise sign (w + val(dst)) (lam > 0
+        drops out), and a gain of the sign of sign (lam (w + val(dst)) - val(v))."""
         best_i = None
-        best_val = None
         for i in arena.out(v):
             _s, _a, w, dst = arena.edges[i]
-            cand = lam * (w + values[dst])
-            if best_val is None or (cand > best_val if maximize else cand < best_val):
-                best_val = cand
-                best_i = i
-        return best_i, best_val
+            n, d = values[dst]
+            n += w * d
+            if best_i is None or sign * (n * best_d - best_n * d) > 0:
+                best_i, best_n, best_d = i, n, d
+        n, d = values[v]
+        return best_i, sign * (p * best_n * d - n * q * best_d)
 
     # every evaluation is of a new strategy profile, so there are at most
     # as many as there are profiles
@@ -487,13 +494,13 @@ def solve_discounted_sum(arena: Arena, lam: Fraction, nu: Fraction, cmp: str):
             evaluations += 1
             if evaluations > profiles:
                 raise InternalError("discounted-sum iteration did not converge")
-            values = _evaluate_profile(arena, next_edge, lam)
+            values = _evaluate_profile(arena, next_edge, p, q)
             switched = False
             for v in arena.vertices:
                 if arena.owner[v] != ADAM:
                     continue
-                i, val = greedy_edge(v, values, maximize=False)
-                if val < values[v]:
+                i, gain = greedy_edge(v, values, -1)
+                if gain > 0:
                     next_edge[v] = i
                     switched = True
             if not switched:
@@ -502,20 +509,19 @@ def solve_discounted_sum(arena: Arena, lam: Fraction, nu: Fraction, cmp: str):
         for v in arena.vertices:
             if arena.owner[v] != EVE:
                 continue
-            i, val = greedy_edge(v, values, maximize=True)
-            if val > values[v]:
+            i, gain = greedy_edge(v, values, 1)
+            if gain > 0:
                 next_edge[v] = i
                 improved = True
         if not improved:
             break
 
     for v in arena.vertices:
-        maximize = arena.owner[v] == EVE
-        _i, opt = greedy_edge(v, values, maximize)
-        if values[v] != opt:
+        _i, gain = greedy_edge(v, values, 1 if arena.owner[v] == EVE else -1)
+        if gain:
             raise InternalError("discounted-sum fixpoint identity violated")
 
-    value = values[arena.initial]
+    value = Fraction(*values[arena.initial])
     eve_wins = value > nu if cmp == ">" else value >= nu
     winner = EVE if eve_wins else ADAM
     choice = {

@@ -433,8 +433,9 @@ _ENERGY_SINK = ("drain",)
 def reduce_prefix_energy_to_energy(game: PrefixEnergyGame, c0: int):
     """Critical prefix energy game to a plain energy game, plus credit buffer.
 
-    Requires that Adam can force a critical visit from every vertex (checked
-    in the perfect-information game, which suffices against observation-based
+    Requires that every edge joins two of the game's vertices, and that Adam
+    can force a critical visit from every vertex (checked in the
+    perfect-information game, which suffices against observation-based
     strategies); raises ValueError otherwise.  Every critical vertex gets, for
     each action, a -B escape to a fresh sink: dropping below -B anywhere lets
     Adam convert the deficit into a failed check, so level >= 0 with credit
@@ -443,6 +444,8 @@ def reduce_prefix_energy_to_energy(game: PrefixEnergyGame, c0: int):
     """
     grouped = {v: {} for v in game.vertices}
     for src, a, w, dst in game.edges:
+        if src not in grouped or dst not in grouped:
+            raise ValueError("edge endpoints must be vertices")
         grouped[src].setdefault(a, []).append((w, dst))
     table = {v: {a: moves[a] for a in game.actions if a in moves}
              for v, moves in grouped.items()}

@@ -1,5 +1,6 @@
 import heapq
 import itertools
+import math
 import os
 import random
 import subprocess
@@ -10,11 +11,12 @@ from pathlib import Path
 
 import pytest
 
-from wsynth import core, games, prefix, synthesis
+from wsynth import cli, core, games, prefix, synthesis
 from wsynth.core import InternalError
 from wsynth.games import ADAM, EVE, Arena, ImperfectArena
 
-from conftest import load_bench_gen, old_attractor, old_solve_safety, random_spec
+from conftest import (load_bench_gen, load_bench_workloads, old_attractor, old_solve_safety,
+                      random_spec)
 
 
 def mk_arena(vertices, edges, initial=None, critical=()):
@@ -847,11 +849,11 @@ from wsynth import core, games
 if not sys.flags.optimize:
     sys.exit("expected python -O")
 calls = []
-def inflated(arena, next_edge, lam):
+def inflated(arena, next_edge, p, q):
     # every vertex looks worse for Adam than any edge he has, so he
     # switches after every evaluation
     calls.append(dict(next_edge))
-    return {v: Fraction(10**9) for v in arena.vertices}
+    return {v: (10**9, 1) for v in arena.vertices}
 games._evaluate_profile = inflated
 arena = games.parse_arena(sys.stdin.read())
 try:
@@ -882,8 +884,8 @@ def test_ds_evaluations_within_profile_count(monkeypatch):
     seen = []
     monkeypatch.setattr(
         games, "_evaluate_profile",
-        lambda arena, next_edge, lam: seen.append(tuple(next_edge.items()))
-        or real(arena, next_edge, lam),
+        lambda arena, next_edge, p, q: seen.append(tuple(next_edge.items()))
+        or real(arena, next_edge, p, q),
     )
     longest = 0
     for _ in range(100):
@@ -913,6 +915,175 @@ def test_ds_fixpoint_identity():
         arena = random_arena(rng, max_v=4)
         # the solver checks the fixpoint identity internally
         games.solve_discounted_sum(arena, lam, Fraction(0), ">")
+
+
+def test_ds_fixpoint_identity_check_fails_as_internal_error(monkeypatch, tmp_path, capsys):
+    # Adam's initial vertex valued 1 below the truth: his edges all look
+    # worse to him, and no edge enters it, so no improvement test fires and
+    # only the fixpoint identity check sees it
+    real = games._evaluate_profile
+
+    def lowered(arena, next_edge, p, q):
+        values = real(arena, next_edge, p, q)
+        n, d = values[arena.initial]
+        values[arena.initial] = n - d, d
+        return values
+
+    monkeypatch.setattr(games, "_evaluate_profile", lowered)
+    path = tmp_path / "game.arena"
+    path.write_text("arena\nvertex: s adam\nvertex: t adam critical\ninitial: s\n"
+                    "edge: s - 1 t\nedge: t - 0 t\n")
+    code = cli.main(["solve-prefix", str(path), "--measure", "dsum", "--cmp", "ge",
+                     "--nu", "0", "--lambda", "1/2"])
+    assert code == cli.EXIT_SOFTWARE == 70
+    assert capsys.readouterr().err == (
+        "internal error: discounted-sum fixpoint identity violated\n"
+    )
+
+
+def fraction_evaluate_profile(arena, next_edge, lam):
+    """The Fraction lasso evaluation the integer-pair one replaced, kept as
+    its oracle."""
+    values = {}
+    for start in arena.vertices:
+        if start in values:
+            continue
+        path = []
+        index = {}
+        v = start
+        while v not in values and v not in index:
+            index[v] = len(path)
+            path.append(v)
+            v = arena.edges[next_edge[v]][3]
+        if v not in values:
+            # the walk closed a fresh cycle at v
+            acc = Fraction(0)
+            power = Fraction(1)
+            for u in path[index[v]:]:
+                power *= lam
+                acc += power * arena.edges[next_edge[u]][2]
+            values[v] = acc / (1 - power)
+        suffix = values[v]
+        for u in reversed(path):
+            w = arena.edges[next_edge[u]][2]
+            suffix = lam * (w + suffix)
+            values[u] = suffix
+    return values
+
+
+def fraction_solve_discounted_sum(arena, lam, nu, cmp):
+    """The Fraction strategy iteration the integer-pair one replaced, kept
+    as its oracle: (winner, choice, value)."""
+    lam = Fraction(lam)
+    nu = Fraction(nu)
+    next_edge = {v: arena.out(v)[0] for v in arena.vertices}
+
+    def greedy_edge(v, values, maximize):
+        best_i = None
+        best_val = None
+        for i in arena.out(v):
+            _s, _a, w, dst = arena.edges[i]
+            cand = lam * (w + values[dst])
+            if best_val is None or (cand > best_val if maximize else cand < best_val):
+                best_val = cand
+                best_i = i
+        return best_i, best_val
+
+    profiles = math.prod(len(arena.out(v)) for v in arena.vertices)
+    evaluations = 0
+    while True:
+        while True:
+            evaluations += 1
+            if evaluations > profiles:
+                raise InternalError("discounted-sum iteration did not converge")
+            values = fraction_evaluate_profile(arena, next_edge, lam)
+            switched = False
+            for v in arena.vertices:
+                if arena.owner[v] != ADAM:
+                    continue
+                i, val = greedy_edge(v, values, maximize=False)
+                if val < values[v]:
+                    next_edge[v] = i
+                    switched = True
+            if not switched:
+                break
+        improved = False
+        for v in arena.vertices:
+            if arena.owner[v] != EVE:
+                continue
+            i, val = greedy_edge(v, values, maximize=True)
+            if val > values[v]:
+                next_edge[v] = i
+                improved = True
+        if not improved:
+            break
+
+    for v in arena.vertices:
+        _i, opt = greedy_edge(v, values, arena.owner[v] == EVE)
+        if values[v] != opt:
+            raise InternalError("discounted-sum fixpoint identity violated")
+
+    value = values[arena.initial]
+    eve_wins = value > nu if cmp == ">" else value >= nu
+    winner = EVE if eve_wins else ADAM
+    choice = {v: next_edge[v] for v in arena.vertices
+              if arena.owner[v] == (EVE if eve_wins else ADAM)}
+    return winner, choice, value
+
+
+_ORACLE_LAMBDAS = [Fraction(1, 2), Fraction(1, 3), Fraction(2, 3), Fraction(3, 4),
+                   Fraction(3, 5), Fraction(9, 10), Fraction(1, 7)]
+
+
+def test_ds_matches_the_fraction_oracle_on_random_arenas():
+    gen = load_bench_gen()
+    rng = random.Random(2911)
+    ties = 0
+    for k in range(1000):
+        arena = games.parse_arena(gen.emit_arena(gen.random_arena(
+            rng, rng.randint(1, 9), max_out=rng.randint(1, 4), weights=(-4, 4))))
+        lam = _ORACLE_LAMBDAS[k % len(_ORACLE_LAMBDAS)]
+        value = fraction_solve_discounted_sum(arena, lam, 0, ">=")[2]
+        for cmp in (">", ">="):
+            # at nu = value the two comparisons part
+            for nu in (value, Fraction(rng.randint(-8, 8), rng.randint(1, 3))):
+                winner, strategy, got = games.solve_discounted_sum(arena, lam, nu, cmp)
+                assert (winner, strategy.choice, got) == \
+                    fraction_solve_discounted_sum(arena, lam, nu, cmp)
+                assert type(got) is Fraction
+                ties += nu == value
+    assert ties >= 2000
+
+
+def test_ds_matches_the_fraction_oracle_on_the_dsum_pool(monkeypatch, tmp_path, capsys):
+    # every discounted-sum game that solve_prefix_threshold solves for the
+    # dsum-positional pool: synth threshold and solve-prefix, > and >=
+    workloads = load_bench_workloads(monkeypatch)
+    real = games.solve_discounted_sum
+    solved = []
+
+    def checked(arena, lam, nu, cmp):
+        winner, strategy, value = real(arena, lam, nu, cmp)
+        assert (winner, strategy.choice, value) == \
+            fraction_solve_discounted_sum(arena, lam, nu, cmp)
+        solved.append(len(arena.vertices))
+        return winner, strategy, value
+
+    monkeypatch.setattr(games, "solve_discounted_sum", checked)
+    instances = 0
+    for family in workloads.WORKLOADS["dsum-positional"]:
+        for index in range(family.pool):
+            inst = workloads.pool_instance("dsum-positional", family, index)
+            if inst.argv[0] == "dsum-path":
+                continue  # path checks play no game
+            for name, text in inst.files.items():
+                (tmp_path / name).write_text(text)
+            argv = [str(tmp_path / a) if a in inst.files else a for a in inst.argv]
+            assert cli.main(argv) in (0, 1)
+            capsys.readouterr()
+            instances += 1
+    assert instances == 140
+    assert len(solved) >= 30 and max(solved) >= 20, (len(solved), max(solved))
 
 
 # --- imperfect-information energy ------------------------------------------

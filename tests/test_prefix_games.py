@@ -318,6 +318,21 @@ def test_energy_reduction_hypothesis_failure():
         prefix.reduce_prefix_energy_to_energy(game, 0)
 
 
+@pytest.mark.parametrize("edge", [("z", "x", 0, "a"), ("a", "x", 0, "z")],
+                         ids=["unknown-source", "unknown-target"])
+def test_energy_reduction_rejects_an_edge_to_or_from_an_unknown_vertex(edge):
+    game = prefix.PrefixEnergyGame(
+        vertices=("a", "b"),
+        initial="a",
+        actions=("x",),
+        edges=[("a", "x", 0, "b"), ("b", "x", 0, "a"), edge],
+        obs={"a": "a", "b": "b"},
+        critical=frozenset(["b"]),
+    )
+    with pytest.raises(ValueError, match="edge endpoints must be vertices"):
+        prefix.reduce_prefix_energy_to_energy(game, 0)
+
+
 def test_prefix_library_argument_checks():
     dead_end = mk_arena([("v", EVE), ("w", ADAM)], [("v", 1, "w")], critical=("w",))
     with pytest.raises(ValueError, match="deadlock-free"):
