@@ -86,32 +86,40 @@ class ImperfectArena:
 
     Eve picks an action, Adam resolves it to any action-successor of the
     true vertex; Eve only sees the observation class of each vertex.
+    table maps each vertex to {action: [(weight, dst), ...]}; rows[v][i]
+    lists v's moves on actions[i], empty where that action is unavailable.
     """
 
     vertices: tuple
     initial: object
     actions: tuple
-    edges: list  # (src, action, weight, dst)
+    table: dict  # vertex -> {action: [(weight, dst), ...]}
     obs: dict  # vertex -> observation id
 
     def __post_init__(self):
-        known = set(self.vertices)
         for v in self.vertices:
             if v not in self.obs:
                 raise ValueError("vertex %r has no observation" % (v,))
-        actions = set(self.actions)
-        self._succ = {}
-        for src, a, w, dst in self.edges:
-            if src not in known or dst not in known:
-                raise ValueError("edge endpoints must be vertices")
-            if a not in actions:
-                raise ValueError("unknown action %r" % (a,))
-            self._succ.setdefault((src, a), []).append((w, dst))
-        if self.initial not in known:
+        if self.initial not in _check_table(self.vertices, self.actions, self.table):
             raise ValueError("unknown initial vertex %r" % (self.initial,))
+        self.rows = {v: [options.get(a, ()) for a in self.actions]
+                     for v, options in self.table.items()}
 
-    def moves(self, v, a):
-        return self._succ.get((v, a), [])
+
+def _check_table(vertices, actions, table):
+    """The vertices as a set; ValueError unless table maps each of them,
+    and nothing else, to moves on the actions into the vertices."""
+    known, actions = set(vertices), set(actions)
+    if not known.issuperset(table) or not known.issuperset(
+            [dst for options in table.values() for moves in options.values() for _w, dst in moves]):
+        raise ValueError("edge endpoints must be vertices")
+    unknown = [a for options in table.values() for a in options if a not in actions]
+    if unknown:
+        raise ValueError("unknown action %r" % (unknown[0],))
+    missing = [v for v in vertices if v not in table]
+    if missing:
+        raise ValueError("vertex %r has no table entry" % (missing[0],))
+    return known
 
 
 @dataclass
@@ -568,21 +576,21 @@ def solve_imperfect_energy_capped(iarena: ImperfectArena, c0: int, cap: int):
         raise ValueError("initial credit must be nonnegative")
     if cap < c0:
         raise ValueError("cap must be at least the initial credit")
-    obs = iarena.obs
+    obs, rows = iarena.obs, iarena.rows
 
-    def updates(belief, action):
-        """obs -> belief, for an action that is safe at the belief's floor."""
+    def updates(belief, i):
+        """obs -> belief, for the i-th action when it is safe at the belief's floor."""
         per_obs = {}
         for v, c in belief:
-            for w, dst in iarena.moves(v, action):
+            for w, dst in rows[v][i]:
                 per_obs.setdefault(obs[dst], set()).add((dst, min(cap, c + w)))
         return {o: frozenset(b) for o, b in per_obs.items()}
 
-    def floor_updates(floor, action):
-        """None when the action immediately loses, else the successor floors."""
+    def floor_updates(floor, i):
+        """None when the i-th action immediately loses, else the successor floors."""
         per_obs = {}
         for v, c in floor:
-            moves = iarena.moves(v, action)
+            moves = rows[v][i]
             if not moves:
                 return None  # action not available from this belief
             for w, dst in moves:
@@ -604,8 +612,7 @@ def solve_imperfect_energy_capped(iarena: ImperfectArena, c0: int, cap: int):
         return frozenset(low.items())
 
     initial = frozenset([(iarena.initial, min(c0, cap))])
-    actions = iarena.actions
-    lost = len(actions)
+    lost = len(iarena.actions)
     cur = {}  # explored floor -> index of its current action, or lost
     preds = {}  # floor -> (floor, action index) edges that led to it
     stack = [initial]
@@ -615,7 +622,7 @@ def solve_imperfect_energy_capped(iarena: ImperfectArena, c0: int, cap: int):
         once nor leads to a lost floor, and push its unexplored successors;
         False when there is none."""
         for i in range(start, lost):
-            result = floor_updates(floor, actions[i])
+            result = floor_updates(floor, i)
             if result is None or any(cur.get(nxt) == lost for nxt in result):
                 continue
             cur[floor] = i
@@ -645,8 +652,9 @@ def solve_imperfect_energy_capped(iarena: ImperfectArena, c0: int, cap: int):
     step = {}
 
     def successors(belief):
-        act[belief] = action = actions[cur[floor_of(belief)]]
-        for o, nxt in updates(belief, action).items():
+        i = cur[floor_of(belief)]
+        act[belief] = iarena.actions[i]
+        for o, nxt in updates(belief, i).items():
             step[(belief, o)] = nxt
             yield nxt, o
 

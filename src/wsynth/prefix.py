@@ -367,7 +367,8 @@ def solve_prefix_threshold(arena: Arena, obj: PrefixObjective):
 
 # A critical prefix energy game with imperfect information: an ImperfectArena's
 # fields, not yet indexed, and the critical vertices, where the level is checked.
-PrefixEnergyGame = namedtuple("PrefixEnergyGame", "vertices initial actions edges obs critical")
+# table maps each vertex, in vertex order, to {action: [(w, dst), ...]}.
+PrefixEnergyGame = namedtuple("PrefixEnergyGame", "vertices initial actions table obs critical")
 
 
 def _forcing_rise_bound(table, critical):
@@ -375,7 +376,7 @@ def _forcing_rise_bound(table, critical):
     or None when Adam cannot force one from every vertex.
 
     table maps each vertex, in vertex order, to {action: [(w, dst), ...]}
-    over its available actions in action order.  Ranks are Adam's
+    over its available actions.  Ranks are Adam's
     reachability attractor to the critical set under the action-model
     rules, swept in vertex order until nothing changes.  Then h(v) = max
     over Eve's actions of the min over Adam's rank-decreasing resolutions
@@ -433,40 +434,37 @@ _ENERGY_SINK = ("drain",)
 def reduce_prefix_energy_to_energy(game: PrefixEnergyGame, c0: int):
     """Critical prefix energy game to a plain energy game, plus credit buffer.
 
-    Requires that every edge joins two of the game's vertices, and that Adam
-    can force a critical visit from every vertex (checked in the
-    perfect-information game, which suffices against observation-based
-    strategies); raises ValueError otherwise.  Every critical vertex gets, for
-    each action, a -B escape to a fresh sink: dropping below -B anywhere lets
+    Requires a table entry for every vertex, with moves on the game's
+    actions between its vertices, and that Adam can force a critical visit
+    from every vertex (checked in the perfect-information game, which
+    suffices against observation-based strategies); raises ValueError
+    otherwise.  Every critical vertex gets, after each enabled action's
+    moves, a -B escape to a fresh sink: dropping below -B anywhere lets
     Adam convert the deficit into a failed check, so level >= 0 with credit
     c0 + B in the result is equivalent to the prefix objective with credit c0.
-    The result's edges are the game's, then the escapes, then the sink's loops.
     """
-    grouped = {v: {} for v in game.vertices}
-    for src, a, w, dst in game.edges:
-        if src not in grouped or dst not in grouped:
-            raise ValueError("edge endpoints must be vertices")
-        grouped[src].setdefault(a, []).append((w, dst))
-    table = {v: {a: moves[a] for a in game.actions if a in moves}
-             for v, moves in grouped.items()}
-    bound = _forcing_rise_bound(table, game.critical)
+    if not games._check_table(game.vertices, game.actions, game.table).issuperset(game.critical):
+        raise ValueError("critical vertices must be vertices")
+    bound = _forcing_rise_bound(game.table, game.critical)
     if bound is None:
         raise ValueError("Adam cannot force a critical visit from every vertex")
-    wmax = max((abs(w) for _s, _a, w, _d in game.edges), default=0)
-    if bound > len(game.vertices) * wmax:
+    n = len(game.table)
+    if bound and not any(n * abs(w) >= bound for options in game.table.values()
+                         for moves in options.values() for w, _d in moves):
         raise InternalError("forcing rise %d exceeds |V| * W" % bound)
 
-    edges = list(game.edges)
+    table = dict(game.table)
+    # only enabled actions: an escape on a disabled action would hand Eve
+    # a brand-new move to hide in the sink
+    escape = [(-bound, _ENERGY_SINK)]
     for v in game.critical:
-        # only enabled actions: an escape edge on a disabled action would
-        # hand Eve a brand-new move to hide in the sink
-        edges.extend((v, a, -bound, _ENERGY_SINK) for a in table[v])
-    edges.extend((_ENERGY_SINK, a, 0, _ENERGY_SINK) for a in game.actions)
+        table[v] = {a: moves + escape for a, moves in table[v].items() if moves}
+    table[_ENERGY_SINK] = {a: [(0, _ENERGY_SINK)] for a in game.actions}
     reduced = ImperfectArena(
         vertices=tuple(game.vertices) + (_ENERGY_SINK,),
         initial=game.initial,
         actions=game.actions,
-        edges=edges,
+        table=table,
         obs={**game.obs, _ENERGY_SINK: _ENERGY_SINK},
     )
     return reduced, c0 + bound

@@ -18,9 +18,9 @@ dsumpath; Sum/Avg join each input step with its output fan into one
 scaled integer edge for a min-walk search.  Every REALIZABLE result but
 synth_approx's empty-domain machine passes it before being returned.
 Its reach, co-reach and witness searches run on the breadth-first kernel
-core.bfs, as do the approximate game's construction and every machine
-read-off (extract_transducer, belief strategies); _value_product numbers
-its nodes into flat arrays as it explores.
+core.bfs, as does every machine read-off (extract_transducer, belief
+strategies); _value_product and the approximate game number their nodes
+as they explore them.
 """
 
 from __future__ import annotations
@@ -532,9 +532,6 @@ def _step(spec: WeightedSpec, q, sym, sink):
     return spec.transitions.get((q, sym)) or (sink, 0)
 
 
-_START_COPY = ("start",)
-
-
 def build_approx_game(spec: WeightedSpec, cmp: str, r):
     """Imperfect-information critical prefix energy game for approximate
     synthesis: Eve steers a run of the automaton while Adam secretly
@@ -544,81 +541,77 @@ def build_approx_game(spec: WeightedSpec, cmp: str, r):
 
     Avg adds the (scaled) slack to every step's weight; Sum instead
     grants it as initial credit.  The strict variant charges one unit
-    once, on the edges leaving a one-shot copy of the initial vertex.
-    Returns (prefix.PrefixEnergyGame, initial credit) for what synth_approx has
-    checked: a Sum or Avg spec, cmp "<" or "<=", an int or Fraction r >= 0.
+    once, on the moves leaving a one-shot copy of the initial vertex.
+    Vertices are numbered in breadth-first order: the initial pair is 0,
+    _BOT is 1, and the start copy comes last; each one's moves are grouped
+    by action as it is expanded.  Returns (prefix.PrefixEnergyGame,
+    initial credit) for what synth_approx has checked: a Sum or Avg spec,
+    cmp "<" or "<=", an int or Fraction r >= 0.
     """
     strict = cmp == "<"
     scale, slack = r.denominator, r.numerator
-
     trimmed = domain_mod._live_states(spec)
     per_step = slack if spec.measure == AVG else 0
     initial = (spec.initial, spec.initial)
-    edges = [(_BOT, "choose", -1, _BOT)]
-    obs = {_BOT: _BOT}
-    critical = {_BOT}
+    names = [initial, _BOT]  # vertex -> its name: (p, q), (p, q, a) or _BOT
+    number = {initial: 0, _BOT: 1}
+    table = {}
+    obs = {1: _BOT}
+    critical = {1}
 
-    def successors(v):
-        """Record v's observation, criticality and out-edges; yield its targets."""
-        if v == _BOT:
-            return
-        if len(v) == 2:
-            p, q = v
+    def vertex(name):
+        if name not in number:
+            number[name] = len(names)
+            names.append(name)
+        return number[name]
+
+    for v, name in enumerate(names):  # the loop reaches the vertices it appends
+        if v == 1:
+            table[v] = {"choose": [(-1, v)]}
+        elif len(name) == 2:
+            p, q = name
             obs[v] = ("i", p)
-            if q in spec.finals:
-                critical.add(v)
+            moves = []
             for a in spec.inputs:
                 q2, wq = _step(spec, q, a, _COMPLETE_OUT)
-                if q2 not in trimmed:
-                    continue
-                p2, wp = _step(spec, p, a, _COMPLETE_OUT)
-                nxt = (p2, q2, a)
-                w = scale * (wp - wq) + per_step
-                edges.append((v, "choose", w, nxt))
-                yield nxt, None
-            if p not in spec.finals and q in spec.finals:
-                edges.append((v, "choose", 0, _BOT))
-            edges.append((v, "choose", 0, v))
+                if q2 in trimmed:
+                    p2, wp = _step(spec, p, a, _COMPLETE_OUT)
+                    moves.append((scale * (wp - wq) + per_step, vertex((p2, q2, a))))
+            if q in spec.finals:
+                critical.add(v)
+                if p not in spec.finals:
+                    moves.append((0, 1))
+            moves.append((0, v))
+            table[v] = {"choose": moves}
         else:
-            p, q, a = v
+            p, q, a = name
             obs[v] = ("o", p, a)
-            for b in spec.outputs:
-                p2, wp = _step(spec, p, b, _COMPLETE_IN)
-                for b_adv in spec.outputs:
-                    q2, wq = _step(spec, q, b_adv, _COMPLETE_IN)
-                    if q2 not in trimmed:
-                        continue
-                    w = scale * (wp - wq) + per_step
-                    nxt = (p2, q2)
-                    edges.append((v, b, w, nxt))
-                    yield nxt, None
-
-    vertices = list(bfs(successors, [initial, _BOT])[0])
+            rival = [(q2, wq) for q2, wq in (_step(spec, q, b, _COMPLETE_IN) for b in spec.outputs)
+                     if q2 in trimmed]
+            options = table[v] = {}
+            if rival:
+                for b in spec.outputs:
+                    p2, wp = _step(spec, p, b, _COMPLETE_IN)
+                    options[b] = [(scale * (wp - wq) + per_step, vertex((p2, q2)))
+                                  for q2, wq in rival]
 
     credit = 0 if spec.measure == AVG else (slack if not strict else slack - 1)
+    start = 0
     if strict and spec.measure == AVG:
-        copy = _START_COPY
-        vertices.append(copy)
-        obs[copy] = obs[initial]
-        if initial in critical:
-            critical.add(copy)
-        for src, action, w, dst in list(edges):
-            if src == initial:
-                edges.append((copy, action, w - 1, dst))
-        start = copy
-    else:
-        start = initial
+        start = len(table)
+        table[start] = {"choose": [(w - 1, dst) for w, dst in table[0]["choose"]]}
+        obs[start] = obs[0]
+        if 0 in critical:
+            critical.add(start)
 
-    actions = ("choose",) + tuple(spec.outputs)
-    game = prefix.PrefixEnergyGame(
-        vertices=tuple(vertices),
+    return prefix.PrefixEnergyGame(
+        vertices=range(len(table)),
         initial=start,
-        actions=actions,
+        actions=("choose",) + tuple(spec.outputs),
+        table=table,
         obs=obs,
-        edges=edges,
         critical=frozenset(critical),
-    )
-    return game, credit
+    ), credit
 
 
 def _transducer_from_belief_strategy(spec, strategy):

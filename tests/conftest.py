@@ -10,7 +10,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from wsynth import core, domain, dsumpath, synthesis
-from wsynth.games import ADAM, EVE
+from wsynth.games import ADAM, EVE, ImperfectArena
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -243,6 +243,31 @@ def old_solve_safety(arena, safe):
                 choice[v] = i
                 break
     return region, choice
+
+
+# --- imperfect-information arenas from edge lists -----------------------------
+
+
+def table_from_edges(vertices, edges):
+    """The move table of an edge list (src, action, weight, dst): every
+    vertex's moves grouped by action, in edge order.  A source outside
+    vertices gets an entry of its own, so ImperfectArena can reject it."""
+    table = {v: {} for v in vertices}
+    for src, a, w, dst in edges:
+        table.setdefault(src, {}).setdefault(a, []).append((w, dst))
+    return table
+
+
+def edge_iarena(vertices, initial, actions, edges, obs):
+    """An ImperfectArena given by an edge list, as the constructor once took it."""
+    return ImperfectArena(vertices=tuple(vertices), initial=initial, actions=tuple(actions),
+                          table=table_from_edges(vertices, edges), obs=obs)
+
+
+def table_edges(table):
+    """The edge list (src, action, weight, dst) of a move table, in table order."""
+    return [(v, a, w, dst) for v, options in table.items()
+            for a, moves in options.items() for w, dst in moves]
 
 
 # --- the min-walk search on named nodes, before core.bfs ---------------------

@@ -921,8 +921,8 @@ def test_synth_approx_pinned_on_paper_fixture(seed, tmp_path):
 
 
 def test_synth_approx_independent_of_hash_seed(tmp_path):
-    # the reduction adds its escape edges in the order of the critical set,
-    # a frozenset of vertex tuples, whose order follows the string hash
+    # beliefs are frozensets and observation ids hold the spec's state
+    # names, so set and dict orders inside the solver follow the string hash
     gen = load_bench_gen()
     rng = random.Random(2830)
     calls = []
@@ -946,6 +946,27 @@ def test_synth_approx_independent_of_hash_seed(tmp_path):
     codes = [line.split()[0] for line in outputs[0].splitlines()[1:]]
     assert len(codes) == 20 and codes.count("0") >= 8 and codes.count("2") >= 2, codes
     assert outputs[1:] == outputs[:1] * 3
+
+
+def test_synth_approx_strict_avg_start_copy_is_pinned(tmp_path):
+    # a strict Avg game starts from a one-shot copy of its initial vertex,
+    # numbered last; exit code, stdout and machine bytes are the ones the
+    # tuple-named game gave, whatever the hash seed
+    spec = tmp_path / "paper-avg.wfa"
+    spec.write_text(Path(PAPER).read_text().replace("\nmeasure: sum\n", "\nmeasure: avg\n"))
+    game, _credit = synthesis.build_approx_game(
+        core.parse_wfa(spec.read_text()), "<", Fraction(1))
+    assert game.initial == len(game.vertices) - 1 and game.initial not in game.critical
+    argv = ["synth", "approx", str(spec), "--cmp", "lt", "--r", "1", "--cap", "64",
+            "-o", str(tmp_path / "m.mealy")]
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    for seed in range(4):
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=str(seed))
+        done = subprocess.run([sys.executable, "-c", _CLI_SCRIPT, json.dumps([argv])],
+                              env=env, capture_output=True, text=True, check=True)
+        assert done.stdout.splitlines()[1:] == [
+            "0 'realizable\\n' "
+            "95e1fcd3c75d95bcb05dd69febe1c04eaf6ad8e4a5b8bc1aa91a580bce5103be"], seed
 
 
 _CLI_SCRIPT = """

@@ -15,8 +15,8 @@ from wsynth import cli, core, games, prefix, synthesis
 from wsynth.core import InternalError
 from wsynth.games import ADAM, EVE, Arena, ImperfectArena
 
-from conftest import (load_bench_gen, load_bench_workloads, old_attractor, old_solve_safety,
-                      random_spec)
+from conftest import (edge_iarena, load_bench_gen, load_bench_workloads, old_attractor,
+                      old_solve_safety, random_spec, table_edges)
 
 
 def mk_arena(vertices, edges, initial=None, critical=()):
@@ -173,7 +173,7 @@ def test_discounted_sum_rejects_bad_arguments(lam, cmp, dead_end, message):
 ])
 def test_capped_energy_rejects_bad_credit_or_cap(c0, cap, message):
     ia = ImperfectArena(vertices=("v",), initial="v", actions=("go",),
-                        edges=[("v", "go", 0, "v")], obs={"v": "o"})
+                        table={"v": {"go": [(0, "v")]}}, obs={"v": "o"})
     with pytest.raises(ValueError, match=message):
         games.solve_imperfect_energy_capped(ia, c0, cap)
 
@@ -1094,7 +1094,7 @@ def single_vertex_iarena(weight):
         vertices=("v",),
         initial="v",
         actions=("go",),
-        edges=[("v", "go", weight, "v")],
+        table={"v": {"go": [(weight, "v")]}},
         obs={"v": "o"},
     )
 
@@ -1118,7 +1118,7 @@ def test_energy_capped_hidden_coin():
     # Adam secretly moves to p or m inside one observation class; each
     # guess is safe on one branch and ruinous on the other, so a blind
     # Eve cannot avoid the risk at low credit.
-    ia = ImperfectArena(
+    ia = edge_iarena(
         vertices=("s", "p", "m"),
         initial="s",
         actions=("go", "guess_p", "guess_m"),
@@ -1140,7 +1140,7 @@ def test_energy_capped_hidden_coin():
         vertices=ia.vertices,
         initial=ia.initial,
         actions=ia.actions,
-        edges=list(ia.edges),
+        table=ia.table,
         obs={"s": "start", "p": "saw_p", "m": "saw_m"},
     )
     status, _ = games.solve_imperfect_energy_capped(sighted, 1, 2)
@@ -1159,7 +1159,7 @@ def test_energy_capped_monotone_in_cap():
                 for _ in range(rng.randint(1, 2)):
                     edges.append((v, a, rng.randint(-2, 2), rng.choice(names)))
         obs = {v: rng.choice(("o1", "o2")) for v in names}
-        ia = ImperfectArena(
+        ia = edge_iarena(
             vertices=tuple(names),
             initial=names[0],
             actions=actions,
@@ -1187,7 +1187,7 @@ def old_solve_imperfect_energy_capped(iarena, c0, cap):
         """None when the action immediately loses, else obs -> belief."""
         per_obs = {}
         for v, c in belief:
-            moves = iarena.moves(v, action)
+            moves = iarena.table[v].get(action)
             if not moves:
                 return None  # action not available from this belief
             for w, dst in moves:
@@ -1274,14 +1274,14 @@ def full_floor_solve(iarena, c0, cap, limit=None):
     def updates(belief, action):
         per_obs = {}
         for v, c in belief:
-            for w, dst in iarena.moves(v, action):
+            for w, dst in iarena.table[v].get(action, ()):
                 per_obs.setdefault(obs[dst], set()).add((dst, min(cap, c + w)))
         return {o: frozenset(b) for o, b in per_obs.items()}
 
     def floor_updates(floor, action):
         per_obs = {}
         for v, c in floor:
-            moves = iarena.moves(v, action)
+            moves = iarena.table[v].get(action)
             if not moves:
                 return None
             for w, dst in moves:
@@ -1386,7 +1386,7 @@ def random_iarena(rng):
             for _ in range(rng.randint(1, 2)):
                 edges.append((v, a, rng.randint(-3, 3), rng.choice(names)))
     classes = rng.randint(1, 3)
-    return ImperfectArena(
+    return edge_iarena(
         vertices=tuple(names),
         initial=names[0],
         actions=actions,
@@ -1415,8 +1415,9 @@ def test_energy_capped_matches_old_solver_on_random_arenas():
         seen[status] += 1
         caps.add(cap)
         seen["shared_obs"] += len(set(ia.obs.values())) < len(ia.vertices)
-        seen["missing_action"] += any(not ia.moves(v, a) for v in ia.vertices for a in ia.actions)
-        seen["negative"] += any(w < 0 for _s, _a, w, _d in ia.edges)
+        seen["missing_action"] += any(not ia.table[v].get(a) for v in ia.vertices
+                                      for a in ia.actions)
+        seen["negative"] += any(w < 0 for _s, _a, w, _d in table_edges(ia.table))
     assert caps == set(range(13))
     assert min(seen.values()) >= 50, seen
 
@@ -1436,7 +1437,7 @@ def random_large_iarena(rng):
             for _ in range(rng.randint(1, 2)):
                 edges.append((v, a, rng.randint(-3, 3), rng.choice(names)))
     classes = rng.randint(1, 4)
-    return ImperfectArena(
+    return edge_iarena(
         vertices=tuple(names),
         initial=names[0],
         actions=actions,
@@ -1496,23 +1497,25 @@ def test_energy_capped_matches_full_floor_solve_on_approx_games():
 
 
 def counting_moves(ia):
-    """Wrap ia.moves; the returned list collects the (vertex, action) pair
-    of every call."""
+    """Wrap each of ia.rows; the returned list collects the (vertex, action)
+    pair of every move list the solver looks up."""
     calls = []
-    moves = ia.moves
 
-    def counted(v, a):
-        calls.append((v, a))
-        return moves(v, a)
+    class Row(list):
+        def __getitem__(self, i):
+            calls.append((self.vertex, ia.actions[i]))
+            return list.__getitem__(self, i)
 
-    ia.moves = counted
+    for v, row in ia.rows.items():
+        ia.rows[v] = Row(row)
+        ia.rows[v].vertex = v
     return calls
 
 
 def test_energy_capped_leaves_later_actions_untried_after_a_win():
     # staying put on a 0-weight loop wins at once, so the search never
     # needs to look at the second action
-    ia = ImperfectArena(
+    ia = edge_iarena(
         vertices=("v",),
         initial="v",
         actions=("stay", "jump"),
@@ -1531,7 +1534,7 @@ def test_energy_capped_stops_once_the_initial_floor_loses():
     # end d.  The search takes an action's successor floors from the last
     # observation class to the first, so it meets d first; s then has no
     # action left, and the w chain is never expanded.
-    ia = ImperfectArena(
+    ia = edge_iarena(
         vertices=("s", "w", "w2", "d"),
         initial="s",
         actions=("go",),
@@ -1552,7 +1555,7 @@ def test_energy_capped_skips_floors_no_live_edge_leads_to():
     # "risky" lets Adam move to a (class A) or to the dead end d (class D).
     # The search meets d first, so s moves on to "safe"; the floor at a,
     # still on the stack, is then reached by no live edge and is skipped.
-    ia = ImperfectArena(
+    ia = edge_iarena(
         vertices=("s", "a", "d"),
         initial="s",
         actions=("risky", "safe"),
@@ -1572,28 +1575,32 @@ def test_energy_capped_skips_floors_no_live_edge_leads_to():
 
 
 def test_imperfect_arena_validation_errors():
-    # observations are checked first, then the edges in order (endpoints
-    # before the action), then the initial vertex, so input that was
-    # malformed before the initial-vertex check reports the same error
+    # observations are checked first, then the table's vertices and move
+    # targets, then its actions, then that every vertex has an entry, then
+    # the initial vertex, so input that was malformed before the
+    # initial-vertex check reports the same error
     good = dict(vertices=("v", "w"), initial="v", actions=("go",),
-                edges=[("v", "go", 0, "w")], obs={"v": "o", "w": "o"})
+                table={"v": {"go": [(0, "w")]}, "w": {}}, obs={"v": "o", "w": "o"})
     cases = [
-        (dict(obs={"v": "o"}, edges=[("v", "go", 0, "z")], initial="z"),
+        (dict(obs={"v": "o"}, table={"v": {"go": [(0, "z")]}}, initial="z"),
          "vertex 'w' has no observation"),
-        (dict(edges=[("v", "jump", 0, "w"), ("z", "go", 0, "w")]),
-         "unknown action 'jump'"),
-        (dict(edges=[("v", "go", 0, "z"), ("v", "jump", 0, "w")]),
+        (dict(table={"v": {"jump": [(0, "w")]}, "z": {"go": [(0, "w")]}, "w": {}}),
          "edge endpoints must be vertices"),
-        (dict(edges=[("z", "jump", 0, "w")]), "edge endpoints must be vertices"),
-        (dict(edges=[("v", "jump", 0, "w")], initial="z"), "unknown action 'jump'"),
+        (dict(table={"v": {"jump": [(0, "w")], "go": [(0, "z")]}, "w": {}}),
+         "edge endpoints must be vertices"),
+        (dict(table={"v": {"go": [(0, "w")]}, "w": {"jump": [(0, "v")]}}),
+         "unknown action 'jump'"),
+        (dict(table={"v": {"jump": [(0, "w")]}}, initial="z"), "unknown action 'jump'"),
+        (dict(table={"v": {"go": [(0, "w")]}}, initial="z"), "vertex 'w' has no table entry"),
         (dict(initial="nowhere"), "unknown initial vertex 'nowhere'"),
     ]
     for change, message in cases:
         with pytest.raises(ValueError) as exc:
             ImperfectArena(**dict(good, **change))
         assert str(exc.value) == message
-    ia = ImperfectArena(**good)
-    assert ia.moves("v", "go") == [(0, "w")] and ia.moves("w", "go") == []
+    # each vertex's move lists, indexed by action position
+    ia = ImperfectArena(**dict(good, actions=("stay", "go")))
+    assert ia.rows == {"v": [(), [(0, "w")]], "w": [(), ()]}
 
 
 # --- arena text format ------------------------------------------------------

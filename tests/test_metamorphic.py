@@ -1,0 +1,87 @@
+"""Metamorphic relations: two runs that must agree, at any size, with no
+oracle for either (Chen et al., ACM Computing Surveys 2018).
+
+Renaming a spec's states consistently, with every line of the file kept
+in its place, must change no byte that synth approx writes: its machines
+name their states m0, m1, ... by discovery.  The one exception is the
+one-state machine it returns for an empty domain, named after the
+initial state.  synth threshold names its machine's states after the
+spec's, so its machines must differ exactly by the renaming.
+"""
+
+import collections
+import random
+
+from wsynth import cli
+
+from conftest import load_bench_gen
+
+
+def renamed(spec, rng):
+    """The spec with its states renamed by a random bijection onto fresh
+    names whose sorted order is shuffled, and the renaming."""
+    states = list(dict.fromkeys(
+        [spec["initial"]] + [q for src, _s, _w, tgt in spec["trans"] for q in (src, tgt)]))
+    fresh = ["s%d" % k for k in rng.sample(range(10 * len(states)), len(states))]
+    names = dict(zip(states, fresh))
+    other = dict(spec, initial=names[spec["initial"]], finals=[names[q] for q in spec["finals"]],
+                 trans=[(names[src], sym, w, names[tgt]) for src, sym, w, tgt in spec["trans"]])
+    return other, names
+
+
+def rename_machine(text, names):
+    """Machine text with each state renamed; the symbols stay."""
+    lines = []
+    for line in text.splitlines():
+        key, _, rest = line.partition(": ")
+        tokens = rest.split()
+        if key in ("initial", "finals"):
+            tokens = [names[q] for q in tokens]
+        elif key == "trans":
+            tokens = [names[tokens[0]], tokens[1], tokens[2], names[tokens[3]]]
+        lines.append(": ".join([key, " ".join(tokens)]) if rest or key == "finals" else line)
+    return "\n".join(lines) + "\n"
+
+
+def synth(tmp_path, capsys, text, argv):
+    """(exit code, stdout, -o file text or None) of one synth call on text."""
+    spec, out = tmp_path / "spec.wfa", tmp_path / "out.mealy"
+    spec.write_text(text)
+    out.unlink(missing_ok=True)
+    code = cli.main(argv[:2] + [str(spec)] + argv[2:] + ["-o", str(out)])
+    return code, capsys.readouterr().out, out.read_text() if out.exists() else None
+
+
+def test_renaming_spec_states_renames_only_the_threshold_machines(tmp_path, capsys):
+    gen = load_bench_gen()
+    rng = random.Random(1212)
+    seen = collections.Counter()
+    for _ in range(220):
+        measure = rng.choice(["sum", "avg"])
+        spec = gen.memory_spec(rng, rng.randint(2, 3), rng.randint(2, 4), "ab", "xy", measure,
+                               out_w=(-3, 3))
+        other, names = renamed(spec, rng)
+        text, other_text = gen.emit_wfa(spec), gen.emit_wfa(other)
+        assert other_text != text
+        seen["sorted order changed"] += sorted(names) != sorted(names, key=names.get)
+
+        approx = ["synth", "approx", "--cmp", rng.choice(["le", "lt"]),
+                  "--r", str(rng.randint(1, 4)), "--cap", "8"]
+        answer = synth(tmp_path, capsys, text, approx)
+        empty = answer[2] == "mealy\ninitial: %s\nfinals: \n" % spec["initial"]
+        if empty:
+            answer = answer[:2] + (rename_machine(answer[2], names),)
+        assert synth(tmp_path, capsys, other_text, approx) == answer, (text, approx)
+        seen["approx", answer[0], answer[2] is not None and answer[2].count("trans:") > 2] += 1
+        seen["empty domain"] += empty
+
+        nu = str(rng.randint(-3, 3)) if measure == "sum" else rng.choice(["-1/2", "0", "1/3", "1"])
+        threshold = ["synth", "threshold", "--cmp", rng.choice(["ge", "gt"]), "--nu=" + nu]
+        code, stdout, machine = synth(tmp_path, capsys, text, threshold)
+        expected = (code, stdout, machine and rename_machine(machine, names))
+        assert synth(tmp_path, capsys, other_text, threshold) == expected, (text, threshold)
+        seen["threshold", code, machine is not None and machine.count("trans:") > 2] += 1
+    # both pipelines give machines with more than one choice, and other answers
+    assert seen["approx", 0, True] >= 60 and seen["approx", 2, False] >= 20, seen
+    assert seen["empty domain"] >= 5 and seen["sorted order changed"] >= 150, seen
+    assert seen["threshold", 0, True] >= 40 and seen["threshold", 1, False] >= 40, seen

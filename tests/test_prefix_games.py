@@ -11,7 +11,7 @@ from wsynth.core import AVG, DSUM, SUM
 from wsynth.games import ADAM, EVE, Arena, ImperfectArena
 from wsynth.prefix import PrefixObjective
 
-from conftest import load_bench_gen, load_bench_workloads
+from conftest import load_bench_gen, load_bench_workloads, table_edges, table_from_edges
 from test_games import mk_arena, remark_arena, random_arena
 
 
@@ -295,7 +295,7 @@ def test_energy_reduction_all_critical_zero_weights():
         vertices=("a", "b"),
         initial="a",
         actions=("x",),
-        edges=[("a", "x", 0, "b"), ("b", "x", 0, "a")],
+        table=table_from_edges(("a", "b"), [("a", "x", 0, "b"), ("b", "x", 0, "a")]),
         obs={"a": "a", "b": "b"},
         critical=frozenset(["a", "b"]),
     )
@@ -310,7 +310,7 @@ def test_energy_reduction_hypothesis_failure():
         vertices=("a", "b"),
         initial="a",
         actions=("x",),
-        edges=[("a", "x", 0, "a"), ("b", "x", 0, "b")],
+        table=table_from_edges(("a", "b"), [("a", "x", 0, "a"), ("b", "x", 0, "b")]),
         obs={"a": "a", "b": "b"},
         critical=frozenset(["b"]),
     )
@@ -325,12 +325,31 @@ def test_energy_reduction_rejects_an_edge_to_or_from_an_unknown_vertex(edge):
         vertices=("a", "b"),
         initial="a",
         actions=("x",),
-        edges=[("a", "x", 0, "b"), ("b", "x", 0, "a"), edge],
+        table=table_from_edges(("a", "b"), [("a", "x", 0, "b"), ("b", "x", 0, "a"), edge]),
         obs={"a": "a", "b": "b"},
         critical=frozenset(["b"]),
     )
     with pytest.raises(ValueError, match="edge endpoints must be vertices"):
         prefix.reduce_prefix_energy_to_energy(game, 0)
+
+
+@pytest.mark.parametrize("change, message", [
+    (dict(table={"a": {"x": [(0, "b")]}, "b": {"y": [(0, "a")]}}), "unknown action 'y'"),
+    (dict(table={"a": {"x": [(0, "b")]}}), "vertex 'b' has no table entry"),
+    (dict(table={"a": {"x": [(0, "b")]}, "b": {"x": [(0, "a")]}, "z": {}}),
+     "edge endpoints must be vertices"),
+    (dict(critical=frozenset(["b", "z"])), "critical vertices must be vertices"),
+], ids=["unknown-action", "missing-entry", "unknown-entry", "unknown-critical"])
+def test_energy_reduction_checks_the_table_before_the_rise_bound(change, message, monkeypatch):
+    game = prefix.PrefixEnergyGame(
+        vertices=("a", "b"), initial="a", actions=("x",),
+        table={"a": {"x": [(0, "b")]}, "b": {"x": [(0, "a")]}},
+        obs={"a": "a", "b": "b"}, critical=frozenset(["b"]))
+    assert prefix.reduce_prefix_energy_to_energy(game, 0)[1] == 0
+    monkeypatch.setattr(prefix, "_forcing_rise_bound", lambda *args: pytest.fail("B computed"))
+    with pytest.raises(ValueError) as exc:
+        prefix.reduce_prefix_energy_to_energy(game._replace(**change), 0)
+    assert str(exc.value) == message
 
 
 def test_prefix_library_argument_checks():
@@ -350,33 +369,32 @@ def test_prefix_library_argument_checks():
 def solve_prefix_energy_capped_direct(game, c0, cap, floor):
     """Test-local oracle: knowledge construction with the check applied
     only at critical vertices; credits float in [-floor, cap]."""
-    iarena = OldImperfectArena(**game._asdict())
 
     def updates(belief, action):
         per_obs = {}
         for v, c in belief:
-            moves = iarena.moves(v, action)
+            moves = game.table[v].get(action)
             if not moves:
                 return None
             for w, dst in moves:
                 nc = min(cap, c + w)
-                if dst in iarena.critical and nc < 0:
+                if dst in game.critical and nc < 0:
                     return None
                 if nc < -floor:
                     return None
-                per_obs.setdefault(iarena.obs[dst], set()).add((dst, nc))
+                per_obs.setdefault(game.obs[dst], set()).add((dst, nc))
         return {o: frozenset(b) for o, b in per_obs.items()}
 
-    start_ok = not (iarena.initial in iarena.critical and c0 < 0)
+    start_ok = not (game.initial in game.critical and c0 < 0)
     if not start_ok:
         return games.NOT_WIN_AT_CAP
-    initial = frozenset([(iarena.initial, min(c0, cap))])
+    initial = frozenset([(game.initial, min(c0, cap))])
     succ = {}
     queue, seen = [initial], {initial}
     while queue:
         belief = queue.pop(0)
         options = {}
-        for action in iarena.actions:
+        for action in game.actions:
             result = updates(belief, action)
             if result is None:
                 continue
@@ -420,7 +438,7 @@ def test_energy_reduction_matches_direct_solver():
             vertices=tuple(names),
             initial=names[0],
             actions=actions,
-            edges=edges,
+            table=table_from_edges(names, edges),
             obs={v: rng.choice(("o1", "o2")) for v in names},
             critical=critical,
         )
@@ -440,14 +458,35 @@ def test_energy_reduction_matches_direct_solver():
 
 
 @dataclasses.dataclass
-class OldImperfectArena(ImperfectArena):
-    """ImperfectArena as the two-arena reduction read it: with the critical
-    set and the available actions of a vertex."""
+class OldImperfectArena:
+    """ImperfectArena as the two-arena reduction read it: built from an edge
+    list, with the critical set and the available actions of a vertex."""
 
+    vertices: tuple
+    initial: object
+    actions: tuple
+    edges: list  # (src, action, weight, dst)
+    obs: dict
     critical: frozenset = frozenset()
+
+    def __post_init__(self):
+        self._succ = {}
+        for src, a, w, dst in self.edges:
+            self._succ.setdefault((src, a), []).append((w, dst))
+
+    def moves(self, v, a):
+        return self._succ.get((v, a), [])
 
     def available(self, v):
         return [a for a in self.actions if (v, a) in self._succ]
+
+
+def old_arena(game):
+    """The indexed prefix arena the two-arena reduction read: the game's
+    moves as one edge list."""
+    return OldImperfectArena(vertices=tuple(game.vertices), initial=game.initial,
+                             actions=game.actions, edges=table_edges(game.table),
+                             obs=game.obs, critical=game.critical)
 
 
 def old_forcing_rise_bound(iarena):
@@ -528,31 +567,29 @@ def old_reduce_prefix_energy_to_energy(iarena, c0):
     return reduced, c0 + bound
 
 
-def rise_table(game):
-    """The table _forcing_rise_bound reads, as the two-arena reduction
-    read it off the indexed prefix arena."""
-    iarena = OldImperfectArena(**game._asdict())
-    return {v: {a: iarena.moves(v, a) for a in iarena.available(v)} for v in iarena.vertices}
+def old_rows(old):
+    """An old arena's move lists as ImperfectArena.rows indexes them."""
+    return {v: [old.moves(v, a) for a in old.actions] for v in old.vertices}
 
 
 def reductions_agree(game, c0):
-    """The one-arena reduction gives the two-arena one's arena, edge for
-    edge, and credit, or fails where it failed with the same ValueError;
-    True when it did not fail."""
+    """The one-table reduction gives the two-arena one's arena, move list
+    for move list, and credit, or fails where it failed with the same
+    ValueError; True when it did not fail."""
     try:
-        old, old_credit = old_reduce_prefix_energy_to_energy(
-            OldImperfectArena(**game._asdict()), c0)
+        old, old_credit = old_reduce_prefix_energy_to_energy(old_arena(game), c0)
     except ValueError as exc:
         with pytest.raises(ValueError) as caught:
             prefix.reduce_prefix_energy_to_energy(game, c0)
         assert str(caught.value) == str(exc)
-        assert prefix._forcing_rise_bound(rise_table(game), game.critical) is None
+        assert prefix._forcing_rise_bound(game.table, game.critical) is None
         return False
     new, credit = prefix.reduce_prefix_energy_to_energy(game, c0)
     assert type(new) is ImperfectArena
-    assert (new.vertices, new.initial, new.actions, new.edges, new.obs, credit) == (
-        old.vertices, old.initial, old.actions, old.edges, old.obs, old_credit)
-    assert prefix._forcing_rise_bound(rise_table(game), game.critical) == credit - c0
+    assert (new.vertices, new.initial, new.actions, new.obs, credit) == (
+        old.vertices, old.initial, old.actions, old.obs, old_credit)
+    assert {v: [list(moves) for moves in row] for v, row in new.rows.items()} == old_rows(old)
+    assert prefix._forcing_rise_bound(game.table, game.critical) == credit - c0
     return True
 
 
@@ -590,26 +627,32 @@ def test_energy_reduction_matches_the_two_arena_reduction_on_memory_specs():
 
 
 def test_energy_reduction_lists_escapes_in_action_order():
-    # c lists its actions as y, then x; its escapes follow actions instead,
-    # and so do the sink's loops
+    # c lists its actions as y, then x; each escape follows its own
+    # action's moves, the rows follow actions, and so do the sink's loops
+    edges = [("s", "x", 2, "c"), ("s", "z", -1, "c"), ("c", "y", 1, "s"),
+             ("c", "x", -2, "c"), ("c", "y", 0, "c")]
     game = prefix.PrefixEnergyGame(
         vertices=("s", "c"),
         initial="s",
         actions=("x", "y", "z"),
-        edges=[("s", "x", 2, "c"), ("s", "z", -1, "c"), ("c", "y", 1, "s"),
-               ("c", "x", -2, "c"), ("c", "y", 0, "c")],
+        table=table_from_edges(("s", "c"), edges),
         obs={"s": "o", "c": "o"},
         critical=frozenset({"c"}),
     )
     assert reductions_agree(game, 1)
     reduced, credit = prefix.reduce_prefix_energy_to_energy(game, 1)
     assert credit == 3
-    assert reduced.edges[5:] == [
-        ("c", "x", -2, ("drain",)), ("c", "y", -2, ("drain",)),
-        (("drain",), "x", 0, ("drain",)), (("drain",), "y", 0, ("drain",)),
-        (("drain",), "z", 0, ("drain",))]
-    assert reduced.moves("c", "y") == [(1, "s"), (0, "c"), (-2, ("drain",))]
-    stuck = game._replace(edges=game.edges + [("s", "y", 0, "s")])
+    drain = ("drain",)
+    assert reduced.table["c"] == {"y": [(1, "s"), (0, "c"), (-2, drain)],
+                                  "x": [(-2, "c"), (-2, drain)]}
+    assert reduced.rows["c"] == [[(-2, "c"), (-2, drain)], [(1, "s"), (0, "c"), (-2, drain)], ()]
+    assert reduced.rows[drain] == [[(0, drain)]] * 3
+    # the game's own lists are left as they were
+    assert game.table == table_from_edges(("s", "c"), edges)
+    # an action listed with no moves is no more enabled than a missing one
+    listed = game._replace(table={**game.table, "c": {**game.table["c"], "z": []}})
+    assert prefix.reduce_prefix_energy_to_energy(listed, 1)[0].rows == reduced.rows
+    stuck = game._replace(table=table_from_edges(("s", "c"), edges + [("s", "y", 0, "s")]))
     assert not reductions_agree(stuck, 1)
 
 
@@ -679,8 +722,8 @@ def test_forcing_rise_bound_matches_the_repr_tie_break(paper_spec):
     for spec in specs:
         for cmp, r in (("<=", rng.randint(1, 4)), ("<", rng.randint(1, 4))):
             game, _credit = synthesis.build_approx_game(spec, cmp, r)
-            bound = prefix._forcing_rise_bound(rise_table(game), game.critical)
-            iarena = OldImperfectArena(**game._asdict())
+            bound = prefix._forcing_rise_bound(game.table, game.critical)
+            iarena = old_arena(game)
             rank = old_force_critical_everywhere(iarena)
             if rank is None:
                 assert bound is None
@@ -696,13 +739,13 @@ def test_forcing_rise_bound_fails_on_a_vertex_with_no_action():
     # Adam cannot force a critical visit from a vertex where Eve has no move
     game = prefix.PrefixEnergyGame(
         vertices=("s", "c", "stuck"), initial="s", actions=("go",),
-        edges=[("s", "go", 1, "c"), ("c", "go", 0, "s")],
+        table=table_from_edges(("s", "c", "stuck"), [("s", "go", 1, "c"), ("c", "go", 0, "s")]),
         obs={"s": "o", "c": "o", "stuck": "o"}, critical=frozenset({"c"}))
-    assert prefix._forcing_rise_bound(rise_table(game), game.critical) is None
+    assert prefix._forcing_rise_bound(game.table, game.critical) is None
     with pytest.raises(ValueError, match="cannot force"):
         prefix.reduce_prefix_energy_to_energy(game, 0)
-    unstuck = game._replace(vertices=("s", "c"))
-    assert prefix._forcing_rise_bound(rise_table(unstuck), unstuck.critical) == 1
+    unstuck = game._replace(vertices=("s", "c"), table={v: game.table[v] for v in "sc"})
+    assert prefix._forcing_rise_bound(unstuck.table, unstuck.critical) == 1
 
 
 def test_dsum_strict_adam_wins_every_strategy_refuted():

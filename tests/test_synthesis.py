@@ -31,9 +31,11 @@ from wsynth.synthesis import (
 )
 
 from conftest import (FIXTURES, always_transducer, always_d_realizer, check_difference,
-                      first_c_realizer, load_bench_gen, old_min_walk_below, old_value_witness,
-                      old_verify_verdict_only, random_spec)
-from test_games import mk_arena, random_arena
+                      edge_iarena, first_c_realizer, load_bench_gen, load_bench_workloads,
+                      old_min_walk_below, old_value_witness, old_verify_verdict_only,
+                      random_spec, table_from_edges)
+from test_games import full_floor_solve, mk_arena, random_arena
+from test_prefix_games import OldImperfectArena, old_reduce_prefix_energy_to_energy
 
 
 # --- arena conversion ---------------------------------------------------------
@@ -483,13 +485,17 @@ def test_gen_spec_cross_validation():
 def test_build_approx_game_structure(paper_spec):
     # all eight fixture states are both reachable and co-reachable
     assert domain._live_states(paper_spec) == set(paper_spec.states)
-    arena, credit = synthesis.build_approx_game(paper_spec, "<=", Fraction(0))
+    game, credit = synthesis.build_approx_game(paper_spec, "<=", Fraction(0))
     assert credit == 0  # slack 0 non-strict is the best-value game
-    assert (("bot",), "choose", -1, ("bot",)) in arena.edges
+    # vertices are numbered in discovery order: the initial pair, then bot
+    assert list(game.vertices) == list(range(len(game.table))) and game.initial == 0
+    assert game.table[1] == {"choose": [(-1, 1)]} and game.obs[1] == ("bot",)
     # critical vertices are exactly the pairs whose rival run accepts, plus bot
-    for v in arena.critical:
-        if v != ("bot",):
-            assert v[1] in paper_spec.finals
+    names = tuple_build_approx_game(paper_spec, "<=", Fraction(0))[0].vertices
+    assert names[:2] == [("q0", "q0"), ("bot",)]
+    for v in game.critical:
+        if v != 1:
+            assert names[v][1] in paper_spec.finals
 
 
 def test_synth_approx_checks_its_arguments_first(paper_spec):
@@ -536,6 +542,9 @@ def complete_spec(spec):
             transitions.setdefault((q, sym), (sink, 0))
     return dataclasses.replace(spec, states=states, transitions=transitions,
                                polarity=polarity)
+
+
+START_COPY = ("start",)
 
 
 def old_build_approx_game(spec, measure, cmp, r):
@@ -609,7 +618,7 @@ def old_build_approx_game(spec, measure, cmp, r):
                     note(nxt)
                     edges.append((v, b, w, nxt))
     if strict and measure == AVG:
-        copy = synthesis._START_COPY
+        copy = START_COPY
         vertices.append(copy)
         obs[copy] = obs[initial]
         if initial in critical:
@@ -625,7 +634,7 @@ def old_transducer_from_belief_strategy(spec, full, strategy):
 
     def input_state_of(belief):
         for vertex, _credit in sorted(belief, key=repr):
-            if vertex == synthesis._START_COPY:
+            if vertex == START_COPY:
                 return spec.initial
             if isinstance(vertex, tuple) and len(vertex) == 2:
                 return vertex[0]
@@ -683,20 +692,175 @@ def _memory_specs(seed, count):
         yield core.parse_wfa(gen.emit_wfa(data))
 
 
+EdgeListGame = collections.namedtuple("EdgeListGame",
+                                      "vertices initial actions edges obs critical")
+
+
+def tuple_build_approx_game(spec, cmp, r):
+    """build_approx_game as it was before integer vertices: vertices named
+    (p, q), (p, q, a), _BOT and a start copy, in discovery order, and one
+    edge list, bot's loop first; (EdgeListGame, credit)."""
+    strict = cmp == "<"
+    scale, slack = r.denominator, r.numerator
+    step = synthesis._step
+    trimmed = domain._live_states(spec)
+    per_step = slack if spec.measure == AVG else 0
+    initial = (spec.initial, spec.initial)
+    bot = synthesis._BOT
+    edges = [(bot, "choose", -1, bot)]
+    obs = {bot: bot}
+    critical = {bot}
+
+    def successors(v):
+        if v == bot:
+            return
+        if len(v) == 2:
+            p, q = v
+            obs[v] = ("i", p)
+            if q in spec.finals:
+                critical.add(v)
+            for a in spec.inputs:
+                q2, wq = step(spec, q, a, synthesis._COMPLETE_OUT)
+                if q2 not in trimmed:
+                    continue
+                p2, wp = step(spec, p, a, synthesis._COMPLETE_OUT)
+                nxt = (p2, q2, a)
+                edges.append((v, "choose", scale * (wp - wq) + per_step, nxt))
+                yield nxt, None
+            if p not in spec.finals and q in spec.finals:
+                edges.append((v, "choose", 0, bot))
+            edges.append((v, "choose", 0, v))
+        else:
+            p, q, a = v
+            obs[v] = ("o", p, a)
+            for b in spec.outputs:
+                p2, wp = step(spec, p, b, synthesis._COMPLETE_IN)
+                for b_adv in spec.outputs:
+                    q2, wq = step(spec, q, b_adv, synthesis._COMPLETE_IN)
+                    if q2 not in trimmed:
+                        continue
+                    nxt = (p2, q2)
+                    edges.append((v, b, scale * (wp - wq) + per_step, nxt))
+                    yield nxt, None
+
+    vertices = list(core.bfs(successors, [initial, bot])[0])
+    credit = 0 if spec.measure == AVG else (slack if not strict else slack - 1)
+    start = initial
+    if strict and spec.measure == AVG:
+        start = START_COPY
+        vertices.append(start)
+        obs[start] = obs[initial]
+        if initial in critical:
+            critical.add(start)
+        edges += [(start, a, w - 1, dst) for src, a, w, dst in list(edges) if src == initial]
+    game = EdgeListGame(vertices=vertices, initial=start, actions=("choose",) + spec.outputs,
+                        edges=edges, obs=obs, critical=frozenset(critical))
+    return game, credit
+
+
+def named_table(table, names):
+    """A move table with each vertex number k replaced by names[k]."""
+    return {names[v]: {a: [(w, names[dst]) for w, dst in moves] for a, moves in options.items()}
+            for v, options in table.items()}
+
+
+def named_strategy(strategy, names):
+    """A belief strategy with each vertex number k replaced by names[k]; the
+    energy reduction's sink keeps its name."""
+    names = {**dict(enumerate(names)), prefix._ENERGY_SINK: prefix._ENERGY_SINK}
+
+    def rename(belief):
+        return frozenset((names[v], c) for v, c in belief)
+
+    return games.MemoryStrategy(
+        initial=rename(strategy.initial),
+        act={rename(b): a for b, a in strategy.act.items()},
+        step={(rename(b), o): rename(nxt) for (b, o), nxt in strategy.step.items()})
+
+
+def paths_agree(spec, cmp, r, cap):
+    """Approximate synthesis on the numbered game against the tuple-named
+    one: the edge-list build, the edge-list (two-arena) reduction and the
+    floor solver that explores every floor.  The credit, the status, the
+    strategy up to the numbering and the machine must agree.  Returns the
+    status, None where both reductions fail the forcing hypothesis, and
+    the machine text of a win."""
+    game, credit = synthesis.build_approx_game(spec, cmp, r)
+    old_game, old_credit = tuple_build_approx_game(spec, cmp, r)
+    assert credit == old_credit
+    try:
+        old, old_buffered = old_reduce_prefix_energy_to_energy(
+            OldImperfectArena(**old_game._asdict()), old_credit)
+    except ValueError:
+        with pytest.raises(ValueError, match="cannot force"):
+            prefix.reduce_prefix_energy_to_energy(game, credit)
+        return None, None
+    reduced, buffered = prefix.reduce_prefix_energy_to_energy(game, credit)
+    assert buffered == old_buffered
+    cap = max(cap, buffered)
+    status, strategy = games.solve_imperfect_energy_capped(reduced, buffered, cap)
+    old_arena = edge_iarena(old.vertices, old.initial, old.actions, old.edges, old.obs)
+    old_status, old_strategy = full_floor_solve(old_arena, buffered, cap)
+    assert status == old_status
+    if status != games.WIN:
+        return status, None
+    assert named_strategy(strategy, old_game.vertices) == old_strategy
+    machine = core.emit_mealy(synthesis._transducer_from_belief_strategy(spec, strategy))
+    assert machine == core.emit_mealy(
+        synthesis._transducer_from_belief_strategy(spec, old_strategy))
+    return status, machine
+
+
+def test_numbered_approx_path_matches_the_tuple_named_one_on_the_approx_pool(monkeypatch):
+    workloads = load_bench_workloads(monkeypatch)
+    seen = collections.Counter()
+    for family in workloads.WORKLOADS["approx-knowledge"]:
+        for index in range(family.pool):
+            inst = workloads.pool_instance("approx-knowledge", family, index)
+            spec = core.parse_wfa(inst.files["spec.wfa"])
+            option = dict(zip(inst.argv[3::2], inst.argv[4::2]))
+            cmp, r = {"le": "<=", "lt": "<"}[option["--cmp"]], Fraction(option["--r"])
+            status, machine = paths_agree(spec, cmp, r, int(option["--cap"]))
+            if machine is not None:
+                result = synth_approx(spec, cmp, r, int(option["--cap"]))
+                assert core.emit_mealy(result.transducer) == machine
+            seen[status] += 1
+    assert sum(seen.values()) == 304
+    assert min(seen[games.WIN], seen[games.NOT_WIN_AT_CAP], seen[None]) >= 30, seen
+
+
+def test_numbered_approx_path_matches_the_tuple_named_one_on_seeded_games():
+    rng = random.Random(3030)
+    seen = collections.Counter()
+    for spec in _memory_specs(3031, 260):
+        for cmp in ("<", "<="):
+            for r in rng.sample([1, 2, 3, 4, Fraction(5, 2), Fraction(1, 3)], 2):
+                status, _machine = paths_agree(spec, cmp, Fraction(r), rng.choice([0, 4, 8]))
+                seen[spec.measure, cmp, status] += 1
+    assert sum(seen.values()) >= 1000
+    for measure, cmp, status in itertools.product(
+            (SUM, AVG), ("<", "<="), (games.WIN, games.NOT_WIN_AT_CAP, None)):
+        assert seen[measure, cmp, status] >= 10, seen
+
+
 def test_approx_game_and_machine_match_the_old_loops(monkeypatch):
     cases = [(spec, cmp, Fraction(r)) for spec in _memory_specs(1707, 40)
              for cmp in ("<", "<=") for r in (1, 3, "5/2")]
     for spec, cmp, r in cases:
-        arena, _credit = synthesis.build_approx_game(spec, cmp, r)
+        game, _credit = synthesis.build_approx_game(spec, cmp, r)
         vertices, edges, obs, critical = old_build_approx_game(spec, spec.measure, cmp, r)
-        assert list(arena.vertices) == vertices
-        assert arena.edges == edges
-        assert arena.obs == obs and arena.critical == critical
+        assert list(game.vertices) == list(range(len(vertices)))
+        assert named_table(game.table, vertices) == table_from_edges(vertices, edges)
+        assert {vertices[v]: o for v, o in game.obs.items()} == obs
+        assert {vertices[v] for v in game.critical} == critical
     new = [synth_approx(spec, cmp, r, cap=8) for spec, cmp, r in cases]
+    # the old read-off finds input states in tuple-named beliefs; a strict
+    # Avg game's start copy is its last vertex, the others do not reach it
     monkeypatch.setattr(
         synthesis, "_transducer_from_belief_strategy",
         lambda spec, strategy: old_transducer_from_belief_strategy(
-            spec, complete_spec(spec), strategy))
+            spec, complete_spec(spec), named_strategy(
+                strategy, old_build_approx_game(spec, AVG, "<", Fraction(1))[0])))
     old = [synth_approx(spec, cmp, r, cap=8) for spec, cmp, r in cases]
     assert [n.status for n in new] == [o.status for o in old]
     for n, o in zip(new, old):
@@ -1382,6 +1546,22 @@ def test_avg_empty_word_eval_matches_verify():
         spec, t, Objective(kind="threshold", cmp=">=", bound=Fraction(1))
     )
     assert verdict == FAIL
+
+
+@pytest.mark.xfail(strict=True, reason="known defect: on an Avg spec whose domain is "
+                   "the empty word alone, approx verify and synth take a difference of 0 "
+                   "as not below r")
+def test_avg_empty_word_alone_is_within_a_strict_slack():
+    # one final state and no transitions: the only run is the empty word,
+    # which the machine and every rival run share, so they differ by 0 < 1
+    spec = core.WeightedSpec(inputs=("a",), outputs=("x",), states=("q",), initial="q",
+                             finals=("q",), transitions={}, measure=AVG)
+    t = core.MealyTransducer(inputs=("a",), outputs=("x",), states=("m",), initial="m",
+                             finals=("m",), transitions={})
+    strict = Objective(kind="approx", cmp="<", bound=Fraction(1))
+    assert verify_realizer(spec, t, strict)[0] == PASS
+    assert [synth_approx(spec, "<", Fraction(1), cap).status for cap in (0, 8, 64)] == [
+        REALIZABLE] * 3
 
 
 _VERIFY_DRIVER = """
