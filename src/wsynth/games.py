@@ -14,6 +14,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from operator import itemgetter
 
@@ -29,9 +30,12 @@ class Arena:
 
     edges is an ordered list of (src, action, weight, dst); the action is
     kept for files and for the spec symbol an edge stands for,
-    perfect-information solvers ignore it.  Edge indices into this list are the currency of strategies.
-    vertex_set holds the vertices, owned(player) a player's; out(v) indexes
-    the edges by source and incoming() lists each vertex's predecessors.
+    perfect-information solvers ignore it.  Edge indices into this list
+    are the currency of strategies.  The vertices are numbered once, in
+    vertices order: number[v] is v's number k, eve[k] whether Eve owns it
+    and succ[k] its edge indices in edge order; src[i], dst[i] and
+    weight[i] describe edge i by numbers, and preds[k], built on first
+    use, lists the sources of the edges into k, one per edge.
     """
 
     vertices: tuple
@@ -41,43 +45,40 @@ class Arena:
     critical: frozenset = frozenset()
 
     def __post_init__(self):
-        known = set(self.vertices)
-        if self.initial not in known:
+        number = {v: k for k, v in enumerate(self.vertices)}
+        if len(number) < len(self.vertices):
+            v = next(v for k, v in enumerate(self.vertices) if number[v] != k)
+            raise ValueError("duplicate vertex %r" % (v,))
+        if self.initial not in number:
             raise ValueError("unknown initial vertex %r" % (self.initial,))
-        if not {EVE, ADAM}.issuperset(map(self.owner.get, self.vertices)):
-            v = next(v for v in self.vertices if self.owner.get(v) not in (EVE, ADAM))
+        owners = list(map(self.owner.get, self.vertices))
+        if not {EVE, ADAM}.issuperset(owners):
+            v = next(v for v, who in zip(self.vertices, owners) if who not in (EVE, ADAM))
             raise ValueError("vertex %r has no owner" % (v,))
-        srcs = list(map(itemgetter(0), self.edges))
-        dsts = list(map(itemgetter(3), self.edges))
-        if not (known.issuperset(srcs) and known.issuperset(dsts)):
-            raise ValueError("edge endpoints must be vertices")
-        self.vertex_set = known
-        self._src = srcs
-        self._dst = dsts
-        self._out = {v: [] for v in self.vertices}
-        for i, src in enumerate(srcs):
-            self._out[src].append(i)
-        self._in, self._owned = None, {}
+        try:
+            self.src = list(map(number.__getitem__, map(itemgetter(0), self.edges)))
+            self.dst = list(map(number.__getitem__, map(itemgetter(3), self.edges)))
+        except KeyError:
+            raise ValueError("edge endpoints must be vertices") from None
+        self.number = number
+        self.eve = [who == EVE for who in owners]
+        self.weight = list(map(itemgetter(2), self.edges))
+        self.succ = [[] for _ in owners]
+        for i, k in enumerate(self.src):
+            self.succ[k].append(i)
+
+    @cached_property
+    def preds(self):
+        preds = [[] for _ in self.succ]
+        for k, u in zip(self.src, self.dst):
+            preds[u].append(k)
+        return preds
 
     def out(self, v):
-        return self._out[v]
-
-    def incoming(self):
-        """vertex -> its predecessors, one per edge in edge order, built on first use."""
-        if self._in is None:
-            self._in = {v: [] for v in self.vertices}
-            for src, dst in zip(self._src, self._dst):
-                self._in[dst].append(src)
-        return self._in
-
-    def owned(self, player):
-        """The player's vertices as a set, built on first use."""
-        if player not in self._owned:
-            self._owned[player] = {v for v in self.vertices if self.owner[v] == player}
-        return self._owned[player]
+        return self.succ[self.number[v]]
 
     def deadlocks(self):
-        return [v for v in self.vertices if not self._out[v]]
+        return [v for v, edges in zip(self.vertices, self.succ) if not edges]
 
 
 @dataclass
@@ -150,11 +151,12 @@ def attract(preds, theirs, degree, targets):
     theirs holds the opponent's vertices; such a vertex u joins once all
     its degree(u) edges lead into the region.  degree is read when u is
     first met; a count read back from pending is never 0, as u joins at 0.
+    The targets are taken in the order given, so the choices follow it.
     """
-    region = set(targets)
+    queue = list(dict.fromkeys(targets))
+    region = set(queue)
     pending = {}
     via = {}
-    queue = list(region)
     while queue:
         v = queue.pop()
         for src in preds[v]:
@@ -174,14 +176,15 @@ def attract(preds, theirs, degree, targets):
 
 
 def attractor(arena: Arena, targets, player):
-    """attract on the arena's lists, ignoring targets that are not vertices; a
-    vertex of the player's plays its first edge into the vertex it joined through."""
-    known = arena.vertex_set
-    out, dsts = arena._out, arena._dst
-    region, via = attract(arena.incoming(), arena.owned(EVE if player == ADAM else ADAM),
-                          lambda v: len(out[v]), [t for t in targets if t in known])
-    strategy = {u: next(e for e in out[u] if dsts[e] == v) for u, v in via.items()}
-    return region, PositionalStrategy(strategy)
+    """attract on the arena's numbers, ignoring targets that are not vertices
+    and taking the rest in vertex order; a vertex of the player's plays its
+    first edge into the vertex it joined through."""
+    number, succ, dst, names = arena.number, arena.succ, arena.dst, arena.vertices
+    theirs = {k for k, eve in enumerate(arena.eve) if eve != (player == EVE)}
+    targets = sorted({number[t] for t in targets if t in number})
+    region, via = attract(arena.preds, theirs, lambda k: len(succ[k]), targets)
+    strategy = {names[u]: next(e for e in succ[u] if dst[e] == v) for u, v in via.items()}
+    return {names[k] for k in region}, PositionalStrategy(strategy)
 
 
 def solve_safety(arena: Arena, safe):
@@ -191,18 +194,17 @@ def solve_safety(arena: Arena, safe):
     the strategy picks the first edge that stays inside the region, its
     choices keyed in vertex order.
     """
-    attr, _ = attractor(arena, arena.vertex_set.difference(safe), ADAM)
-    region = arena.vertex_set - attr
-    dsts = arena._dst
+    attr, _ = attractor(arena, arena.number.keys() - safe, ADAM)
+    inside = [v not in attr for v in arena.vertices]
+    dst = arena.dst
     choice = {}
-    for v in arena.vertices:
-        if arena.owner[v] != EVE or v not in region:
-            continue
-        for i in arena.out(v):
-            if dsts[i] in region:
-                choice[v] = i
-                break
-    return region, PositionalStrategy(choice)
+    for k, v in enumerate(arena.vertices):
+        if arena.eve[k] and inside[k]:
+            for i in arena.succ[k]:
+                if inside[dst[i]]:
+                    choice[v] = i
+                    break
+    return {v for v, ok in zip(arena.vertices, inside) if ok}, PositionalStrategy(choice)
 
 
 def _lift(names, eve, out, cap):
@@ -390,68 +392,67 @@ def solve_mean_payoff(arena: Arena):
     first edge that keeps it.  When Adam wins, his strategy comes the
     same way from the dual game (owners swapped, weights -(N*w+1)) on his
     winning region T alone: T is an Eve trap, and every edge Adam has out
-    of T leads to a vertex the dual lift marks top.  The vertices are
-    numbered once, in arena order, so ties follow arena order.
+    of T leads to a vertex the dual lift marks top.  It runs on the
+    arena's numbers, so ties follow arena order.
     """
     if arena.deadlocks():
         raise ValueError("mean-payoff needs a deadlock-free arena")
-    names = arena.vertices
-    number = {v: k for k, v in enumerate(names)}
-    pairs = [(w, number[dst]) for _src, _a, w, dst in arena.edges]
-    ids = [arena._out[v] for v in names]
-    out = [[pairs[i] for i in es] for es in ids]
-    eve = [arena.owner[v] == EVE for v in names]
+    names, eve, ids, dst, weight = arena.vertices, arena.eve, arena.succ, arena.dst, arena.weight
+    start = arena.number[arena.initial]
+    out = [[(weight[i], dst[i]) for i in es] for es in ids]
     f = _lift(names, eve, out, _credit_bound(out))
-    if f[number[arena.initial]] is not None:
+    if f[start] is not None:
         return EVE, PositionalStrategy(_tight_edges(names, eve, out, ids, f))
 
     trap = [k for k, fk in enumerate(f) if fk is None]
     at = {k: j for j, k in enumerate(trap)}  # vertex -> its number in the trap
-    dual_ids = [[i for i in ids[k] if pairs[i][1] in at] for k in trap]
+    dual_ids = [[i for i in ids[k] if dst[i] in at] for k in trap]
     for k, es in zip(trap, dual_ids):
         if eve[k] and len(es) < len(ids[k]):
             raise InternalError("Eve can leave Adam's mean-payoff region at %r" % (names[k],))
     n = len(names)
-    dual_out = [[(-(n * pairs[i][0] + 1), at[pairs[i][1]]) for i in es] for es in dual_ids]
+    dual_out = [[(-(n * weight[i] + 1), at[dst[i]]) for i in es] for es in dual_ids]
     trap_names = [names[k] for k in trap]
     dual_eve = [not eve[k] for k in trap]
     g = _lift(trap_names, dual_eve, dual_out, _credit_bound(dual_out))
-    if g[at[number[arena.initial]]] is None:
+    if g[at[start]] is None:
         raise InternalError("mean-payoff determinacy violated")
     return ADAM, PositionalStrategy(_tight_edges(trap_names, dual_eve, dual_out, dual_ids, g))
 
 
 def _evaluate_profile(arena: Arena, next_edge, p, q):
-    """Discounted value of every vertex when each follows next_edge[v], for
-    the discount p/q, as an unreduced pair (num, den) with den > 0.
+    """Discounted value of every vertex number k when each follows edge
+    next_edge[k], for the discount p/q, as an unreduced pair (num, den)
+    with den > 0, in a list indexed by number.
 
     Each play is a lasso.  One step back along an edge of weight w maps
     (n, d) to (p (w d + n), q d), so the L steps round a cycle from (0, 1)
     give (S, q^L), and the cycle's value is S / (q^L - p^L).
     """
-    values = {}
-    for start in arena.vertices:
-        if start in values:
+    dst, weight = arena.dst, arena.weight
+    values = [None] * len(next_edge)
+    for start in range(len(next_edge)):
+        if values[start] is not None:
             continue
         path = []
         index = {}
         v = start
-        while v not in values and v not in index:
+        while values[v] is None and v not in index:
             index[v] = len(path)
             path.append(v)
-            v = arena.edges[next_edge[v]][3]
+            v = dst[next_edge[v]]
         at = index.get(v, len(path))
         if at < len(path):
             # the walk closed a fresh cycle at v
             n, d = 0, 1
             for u in reversed(path[at:]):
-                n, d = p * (arena.edges[next_edge[u]][2] * d + n), q * d
+                n, d = p * (weight[next_edge[u]] * d + n), q * d
             values[v] = n, d - p ** (len(path) - at)
         # the rest of the cycle, then the stem, both lead back into v
         for segment in (path[at + 1:], path[:at]):
             n, d = values[v]
             for u in reversed(segment):
-                n, d = p * (arena.edges[next_edge[u]][2] * d + n), q * d
+                n, d = p * (weight[next_edge[u]] * d + n), q * d
                 values[u] = n, d
     return values
 
@@ -461,12 +462,13 @@ def solve_discounted_sum(arena: Arena, lam: Fraction, nu: Fraction, cmp: str):
 
     Dsum of a play weights the i-th edge by lam^i (i starting at 1); the
     optimal value satisfies val(v) = opt over edges (v -> u) of
-    lam [w + val(u)].  Solved by strategy iteration: Eve improves against
-    Adam's exact best response, play values of fixed positional pairs are
-    solved in closed form on their lassos, as integer pairs compared by
-    cross-multiplication; only the returned value is a Fraction.  No
-    strategy profile is evaluated twice, so more evaluations than the
-    product of the out-degrees mean a bug (InternalError).
+    lam [w + val(u)].  Solved by strategy iteration on the arena's
+    numbers: Eve improves against Adam's exact best response, play values
+    of fixed positional pairs are solved in closed form on their lassos,
+    as integer pairs compared by cross-multiplication; only the returned
+    value is a Fraction.  No strategy profile is evaluated twice, so more
+    evaluations than the product of the out-degrees mean a bug
+    (InternalError).
     """
     if cmp not in (">", ">="):
         raise ValueError("cmp must be '>' or '>='")
@@ -476,25 +478,37 @@ def solve_discounted_sum(arena: Arena, lam: Fraction, nu: Fraction, cmp: str):
         raise ValueError("discounted-sum needs a deadlock-free arena")
     p, q = Fraction(lam).as_integer_ratio()
     nu = Fraction(nu)
+    succ, dst, weight = arena.succ, arena.dst, arena.weight
+    eves = [k for k, e in enumerate(arena.eve) if e]
+    adams = [k for k, e in enumerate(arena.eve) if not e]
+    next_edge = [edges[0] for edges in succ]
 
-    next_edge = {v: arena.out(v)[0] for v in arena.vertices}
-
-    def greedy_edge(v, values, sign):
-        """First edge of v, in out order, to maximise sign (w + val(dst)) (lam > 0
-        drops out), and a gain of the sign of sign (lam (w + val(dst)) - val(v))."""
+    def greedy_edge(k, sign):
+        """First edge of k, in out order, to maximise sign (w + val(dst)) (lam > 0
+        drops out), and a gain of the sign of sign (lam (w + val(dst)) - val(k))."""
         best_i = None
-        for i in arena.out(v):
-            _s, _a, w, dst = arena.edges[i]
-            n, d = values[dst]
-            n += w * d
+        for i in succ[k]:
+            n, d = values[dst[i]]
+            n += weight[i] * d
             if best_i is None or sign * (n * best_d - best_n * d) > 0:
                 best_i, best_n, best_d = i, n, d
-        n, d = values[v]
+        n, d = values[k]
         return best_i, sign * (p * best_n * d - n * q * best_d)
+
+    def improve(side, sign):
+        """Switch each vertex of side to its greedy edge where that gains;
+        whether any switched."""
+        switched = False
+        for k in side:
+            i, gain = greedy_edge(k, sign)
+            if gain > 0:
+                next_edge[k] = i
+                switched = True
+        return switched
 
     # every evaluation is of a new strategy profile, so there are at most
     # as many as there are profiles
-    profiles = math.prod(len(arena.out(v)) for v in arena.vertices)
+    profiles = math.prod(map(len, succ))
     evaluations = 0
     while True:
         # Adam best response to the current Eve choices
@@ -503,40 +517,19 @@ def solve_discounted_sum(arena: Arena, lam: Fraction, nu: Fraction, cmp: str):
             if evaluations > profiles:
                 raise InternalError("discounted-sum iteration did not converge")
             values = _evaluate_profile(arena, next_edge, p, q)
-            switched = False
-            for v in arena.vertices:
-                if arena.owner[v] != ADAM:
-                    continue
-                i, gain = greedy_edge(v, values, -1)
-                if gain > 0:
-                    next_edge[v] = i
-                    switched = True
-            if not switched:
+            if not improve(adams, -1):
                 break
-        improved = False
-        for v in arena.vertices:
-            if arena.owner[v] != EVE:
-                continue
-            i, gain = greedy_edge(v, values, 1)
-            if gain > 0:
-                next_edge[v] = i
-                improved = True
-        if not improved:
+        if not improve(eves, 1):
             break
 
-    for v in arena.vertices:
-        _i, gain = greedy_edge(v, values, 1 if arena.owner[v] == EVE else -1)
-        if gain:
+    for k, e in enumerate(arena.eve):
+        if greedy_edge(k, 1 if e else -1)[1]:
             raise InternalError("discounted-sum fixpoint identity violated")
 
-    value = Fraction(*values[arena.initial])
+    value = Fraction(*values[arena.number[arena.initial]])
     eve_wins = value > nu if cmp == ">" else value >= nu
     winner = EVE if eve_wins else ADAM
-    choice = {
-        v: next_edge[v]
-        for v in arena.vertices
-        if arena.owner[v] == (EVE if eve_wins else ADAM)
-    }
+    choice = {arena.vertices[k]: next_edge[k] for k in (eves if eve_wins else adams)}
     return winner, PositionalStrategy(choice), value
 
 

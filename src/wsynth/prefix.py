@@ -14,7 +14,7 @@ strategies suffice.
 from __future__ import annotations
 
 import itertools
-from collections import deque, namedtuple
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -202,7 +202,7 @@ def reduce_dsum_prefix_to_ds(arena: Arena, forcing):
         if v not in forcing:
             continue
         for i in arena.out(v):
-            _s, _a, w, dst = arena.edges[i]
+            w, dst = arena.weight[i], arena.vertices[arena.dst[i]]
             land(v, w, dst)
             if eve_critical(v):
                 pick = ("pick", v, i)
@@ -224,24 +224,27 @@ def reduce_dsum_prefix_to_ds(arena: Arena, forcing):
 
 def restrict_to_strategy(arena: Arena, strategy: PositionalStrategy):
     """Weighted graph of the plays allowed by Eve's positional strategy."""
-    reachable = {arena.initial}
-    queue = deque([arena.initial])
+    names, succ, dst, weight = arena.vertices, arena.succ, arena.dst, arena.weight
+    start = arena.number[arena.initial]
+    seen = [False] * len(names)
+    seen[start] = True
+    queue = [start]  # breadth first: the loop reaches the vertices it appends
     edges = []
-    while queue:
-        v = queue.popleft()
-        if arena.owner[v] == EVE:
+    for k in queue:
+        v = names[k]
+        if arena.eve[k]:
             if v not in strategy.choice:
                 raise ValueError("strategy undefined at reachable vertex %r" % (v,))
             indices = [strategy.choice[v]]
         else:
-            indices = arena.out(v)
+            indices = succ[k]
         for i in indices:
-            _s, _a, w, dst = arena.edges[i]
-            edges.append((v, w, dst))
-            if dst not in reachable:
-                reachable.add(dst)
-                queue.append(dst)
-    return reachable, edges
+            u = dst[i]
+            edges.append((v, weight[i], names[u]))
+            if not seen[u]:
+                seen[u] = True
+                queue.append(u)
+    return {names[k] for k in queue}, edges
 
 
 def check_positional_dsum(arena: Arena, strategy: PositionalStrategy, obj: PrefixObjective):
@@ -277,8 +280,8 @@ def enumerate_positional(arena: Arena):
     one's edges in arena order, the last vertex varying fastest.  It yields
     nothing when an Eve vertex has no edge, one empty strategy when she
     owns none."""
-    eve_vertices = [v for v in arena.vertices if arena.owner[v] == EVE]
-    pools = [arena.out(v) for v in eve_vertices]
+    eve_vertices = [v for v, eve in zip(arena.vertices, arena.eve) if eve]
+    pools = [edges for edges, eve in zip(arena.succ, arena.eve) if eve]
     for combo in itertools.product(*pools):
         yield PositionalStrategy(dict(zip(eve_vertices, combo)))
 
@@ -310,10 +313,10 @@ def reduce_prefix_game(arena: Arena, obj: PrefixObjective) -> PrefixGame:
         return PrefixGame("initial check on the empty prefix fails", ADAM)
     if obj.measure == DSUM and obj.cmp == ">":
         return PrefixGame("none (positional enumeration + path check)")
-    safe, avoid = games.solve_safety(arena, arena.vertex_set - arena.critical)
+    safe, avoid = games.solve_safety(arena, arena.number.keys() - arena.critical)
     if arena.initial in safe:
         return PrefixGame("eve avoids every critical vertex", EVE, avoid)
-    forcing = arena.vertex_set - safe
+    forcing = arena.number.keys() - safe
     if obj.measure == DSUM:
         reduction = reduce_dsum_prefix_to_ds(arena, forcing)
         return PrefixGame("discounted-sum game", avoid=avoid, reduction=reduction)

@@ -1,5 +1,6 @@
 import importlib.util
 import itertools
+import math
 import sys
 from collections import deque
 from fractions import Fraction
@@ -9,7 +10,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from wsynth import core, domain, dsumpath, synthesis
+from wsynth import core, domain, dsumpath, games, synthesis
 from wsynth.games import ADAM, EVE, ImperfectArena
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -202,7 +203,9 @@ def domains_equal(left, right):
 
 
 def old_attractor(arena, targets, player):
-    """The attractor as first written: fresh incoming lists and counters."""
+    """The attractor as first written: fresh incoming lists and counters.
+    The targets are queued in vertex order, so the strategy does not
+    depend on string hashing."""
     known = set(arena.vertices)
     region = set(t for t in targets if t in known)
     pending = {v: len(arena.out(v)) for v in arena.vertices}
@@ -210,7 +213,7 @@ def old_attractor(arena, targets, player):
     incoming = {v: [] for v in arena.vertices}
     for i, (src, _a, _w, dst) in enumerate(arena.edges):
         incoming[dst].append((src, i))
-    queue = list(region)
+    queue = [v for v in arena.vertices if v in region]
     while queue:
         v = queue.pop()
         for src, edge_idx in incoming[v]:
@@ -243,6 +246,152 @@ def old_solve_safety(arena, safe):
                 choice[v] = i
                 break
     return region, choice
+
+
+# --- the perfect-information solvers keyed by vertex name ---------------------
+#
+# games.Arena numbers its vertices once, and the solvers read its integer
+# arrays.  These are the solvers as they were before: each renumbers the
+# arena or walks name-keyed dicts for itself.  They are the oracles for the
+# numbered ones.
+
+
+def named_solve_mean_payoff(arena):
+    """games.solve_mean_payoff with its own vertex numbering; (winner, choice)."""
+    if arena.deadlocks():
+        raise ValueError("mean-payoff needs a deadlock-free arena")
+    names = arena.vertices
+    number = {v: k for k, v in enumerate(names)}
+    pairs = [(w, number[dst]) for _src, _a, w, dst in arena.edges]
+    ids = [arena.out(v) for v in names]
+    out = [[pairs[i] for i in es] for es in ids]
+    eve = [arena.owner[v] == EVE for v in names]
+    f = games._lift(names, eve, out, games._credit_bound(out))
+    if f[number[arena.initial]] is not None:
+        return EVE, games._tight_edges(names, eve, out, ids, f)
+
+    trap = [k for k, fk in enumerate(f) if fk is None]
+    at = {k: j for j, k in enumerate(trap)}
+    dual_ids = [[i for i in ids[k] if pairs[i][1] in at] for k in trap]
+    for k, es in zip(trap, dual_ids):
+        if eve[k] and len(es) < len(ids[k]):
+            raise core.InternalError("Eve can leave Adam's mean-payoff region at %r" % (names[k],))
+    n = len(names)
+    dual_out = [[(-(n * pairs[i][0] + 1), at[pairs[i][1]]) for i in es] for es in dual_ids]
+    trap_names = [names[k] for k in trap]
+    dual_eve = [not eve[k] for k in trap]
+    g = games._lift(trap_names, dual_eve, dual_out, games._credit_bound(dual_out))
+    if g[at[number[arena.initial]]] is None:
+        raise core.InternalError("mean-payoff determinacy violated")
+    return ADAM, games._tight_edges(trap_names, dual_eve, dual_out, dual_ids, g)
+
+
+def named_evaluate_profile(arena, next_edge, p, q):
+    """games._evaluate_profile on name-keyed dicts: vertex -> (num, den)."""
+    values = {}
+    for start in arena.vertices:
+        if start in values:
+            continue
+        path = []
+        index = {}
+        v = start
+        while v not in values and v not in index:
+            index[v] = len(path)
+            path.append(v)
+            v = arena.edges[next_edge[v]][3]
+        at = index.get(v, len(path))
+        if at < len(path):
+            n, d = 0, 1
+            for u in reversed(path[at:]):
+                n, d = p * (arena.edges[next_edge[u]][2] * d + n), q * d
+            values[v] = n, d - p ** (len(path) - at)
+        for segment in (path[at + 1:], path[:at]):
+            n, d = values[v]
+            for u in reversed(segment):
+                n, d = p * (arena.edges[next_edge[u]][2] * d + n), q * d
+                values[u] = n, d
+    return values
+
+
+def named_solve_discounted_sum(arena, lam, nu, cmp):
+    """games.solve_discounted_sum on name-keyed dicts, with its two
+    switching loops; (winner, choice, value)."""
+    p, q = Fraction(lam).as_integer_ratio()
+    nu = Fraction(nu)
+    next_edge = {v: arena.out(v)[0] for v in arena.vertices}
+
+    def greedy_edge(v, values, sign):
+        best_i = None
+        for i in arena.out(v):
+            _s, _a, w, dst = arena.edges[i]
+            n, d = values[dst]
+            n += w * d
+            if best_i is None or sign * (n * best_d - best_n * d) > 0:
+                best_i, best_n, best_d = i, n, d
+        n, d = values[v]
+        return best_i, sign * (p * best_n * d - n * q * best_d)
+
+    profiles = math.prod(len(arena.out(v)) for v in arena.vertices)
+    evaluations = 0
+    while True:
+        while True:
+            evaluations += 1
+            if evaluations > profiles:
+                raise core.InternalError("discounted-sum iteration did not converge")
+            values = named_evaluate_profile(arena, next_edge, p, q)
+            switched = False
+            for v in arena.vertices:
+                if arena.owner[v] != ADAM:
+                    continue
+                i, gain = greedy_edge(v, values, -1)
+                if gain > 0:
+                    next_edge[v] = i
+                    switched = True
+            if not switched:
+                break
+        improved = False
+        for v in arena.vertices:
+            if arena.owner[v] != EVE:
+                continue
+            i, gain = greedy_edge(v, values, 1)
+            if gain > 0:
+                next_edge[v] = i
+                improved = True
+        if not improved:
+            break
+
+    for v in arena.vertices:
+        _i, gain = greedy_edge(v, values, 1 if arena.owner[v] == EVE else -1)
+        if gain:
+            raise core.InternalError("discounted-sum fixpoint identity violated")
+
+    value = Fraction(*values[arena.initial])
+    eve_wins = value > nu if cmp == ">" else value >= nu
+    choice = {v: next_edge[v] for v in arena.vertices
+              if arena.owner[v] == (EVE if eve_wins else ADAM)}
+    return EVE if eve_wins else ADAM, choice, value
+
+
+def named_restrict_to_strategy(arena, strategy):
+    """prefix.restrict_to_strategy on names, with a deque; (reachable, edges)."""
+    reachable = {arena.initial}
+    queue = deque([arena.initial])
+    edges = []
+    while queue:
+        v = queue.popleft()
+        if arena.owner[v] == EVE:
+            if v not in strategy.choice:
+                raise ValueError("strategy undefined at reachable vertex %r" % (v,))
+            indices = [strategy.choice[v]]
+        else:
+            indices = arena.out(v)
+        for i in indices:
+            _s, _a, w, dst = arena.edges[i]
+            edges.append((v, w, dst))
+            if dst not in reachable:
+                reachable.add(dst)
+                queue.append(dst)
+    return reachable, edges
 
 
 # --- imperfect-information arenas from edge lists -----------------------------

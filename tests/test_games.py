@@ -1,3 +1,4 @@
+import collections
 import heapq
 import itertools
 import math
@@ -15,7 +16,8 @@ from wsynth import cli, core, games, prefix, synthesis
 from wsynth.core import InternalError
 from wsynth.games import ADAM, EVE, Arena, ImperfectArena
 
-from conftest import (edge_iarena, load_bench_gen, load_bench_workloads, old_attractor,
+from conftest import (edge_iarena, load_bench_gen, load_bench_workloads,
+                      named_solve_discounted_sum, named_solve_mean_payoff, old_attractor,
                       old_solve_safety, random_spec, table_edges)
 
 
@@ -101,6 +103,9 @@ def test_arena_validation_errors():
          "edge endpoints must be vertices"),
         (dict(vertices=("a", "b"), owner=owner, initial="a", edges=[("z", "-", 0, "a")]),
          "edge endpoints must be vertices"),
+        # emit_arena would write it and parse_arena reject the text
+        (dict(vertices=("a", "b", "a"), owner=owner, initial="a", edges=[("a", "-", 0, "b")]),
+         "duplicate vertex 'a'"),
     ]
     for kwargs, message in cases:
         with pytest.raises(ValueError) as exc:
@@ -123,7 +128,7 @@ def test_attractor_and_safety_match_old_kernel_on_random_arenas():
             region, strat = games.attractor(arena, targets, player)
             assert (region, strat.choice) == old_attractor(arena, targets, player)
             grown += len(region) > len(set(targets) & set(arena.vertices))
-            # a second call reuses the arena's incoming lists
+            # a second call reuses the arena's predecessor lists
             assert games.attractor(arena, targets, player)[0] == region
         safe = [v for v in arena.vertices if rng.random() < 0.7]
         region, strat = games.solve_safety(arena, safe)
@@ -131,6 +136,39 @@ def test_attractor_and_safety_match_old_kernel_on_random_arenas():
         # the choices are keyed in vertex order, whatever the string hashing
         assert list(strat.choice) == [v for v in arena.vertices if v in strat.choice]
     assert grown >= 100
+
+
+_ATTRACTOR_DIGEST = """
+import hashlib, random
+from wsynth import games
+rng = random.Random(31)
+digest = hashlib.sha256()
+for _ in range(200):
+    n = rng.randint(2, 8)
+    names = ["v%d" % k for k in range(n)]
+    owner = {v: rng.choice([games.EVE, games.ADAM]) for v in names}
+    edges = [(v, "-", 0, rng.choice(names)) for v in names for _ in range(rng.randint(1, 3))]
+    arena = games.Arena(vertices=tuple(names), owner=owner, initial=names[0], edges=edges)
+    targets = frozenset(v for v in names if rng.random() < 0.4)
+    for player in (games.EVE, games.ADAM):
+        region, strategy = games.attractor(arena, targets, player)
+        digest.update(repr((sorted(region), list(strategy.choice.items()))).encode())
+print(digest.hexdigest())
+"""
+
+
+def test_attractor_strategy_does_not_depend_on_string_hashing():
+    # the targets come as a frozenset of strings, whose order follows the
+    # hash seed; the attractor takes them in vertex order
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    digests = set()
+    for seed in "0123":
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)
+        done = subprocess.run([sys.executable, "-c", _ATTRACTOR_DIGEST],
+                              env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        digests.add(done.stdout)
+    assert len(digests) == 1, digests
 
 
 # --- mean-payoff -----------------------------------------------------------
@@ -852,8 +890,8 @@ calls = []
 def inflated(arena, next_edge, p, q):
     # every vertex looks worse for Adam than any edge he has, so he
     # switches after every evaluation
-    calls.append(dict(next_edge))
-    return {v: (10**9, 1) for v in arena.vertices}
+    calls.append(list(next_edge))
+    return [(10**9, 1)] * len(next_edge)
 games._evaluate_profile = inflated
 arena = games.parse_arena(sys.stdin.read())
 try:
@@ -884,7 +922,7 @@ def test_ds_evaluations_within_profile_count(monkeypatch):
     seen = []
     monkeypatch.setattr(
         games, "_evaluate_profile",
-        lambda arena, next_edge, p, q: seen.append(tuple(next_edge.items()))
+        lambda arena, next_edge, p, q: seen.append(tuple(next_edge))
         or real(arena, next_edge, p, q),
     )
     longest = 0
@@ -925,8 +963,9 @@ def test_ds_fixpoint_identity_check_fails_as_internal_error(monkeypatch, tmp_pat
 
     def lowered(arena, next_edge, p, q):
         values = real(arena, next_edge, p, q)
-        n, d = values[arena.initial]
-        values[arena.initial] = n - d, d
+        k = arena.number[arena.initial]
+        n, d = values[k]
+        values[k] = n - d, d
         return values
 
     monkeypatch.setattr(games, "_evaluate_profile", lowered)
@@ -1053,6 +1092,36 @@ def test_ds_matches_the_fraction_oracle_on_random_arenas():
                 assert type(got) is Fraction
                 ties += nu == value
     assert ties >= 2000
+
+
+def test_numbered_solvers_match_the_named_ones_on_mixed_names():
+    # the solvers read the numbers Arena gives its vertices once; on names
+    # mixing strings and tuples in shuffled order, winners, values, regions,
+    # choices and the order of the choice items are the name-keyed solvers'
+    rng = random.Random(3131)
+    seen = collections.Counter()
+    for trial in range(600):
+        arena = mixed_name_arena(rng, 12, WEIGHT_RANGES[trial % len(WEIGHT_RANGES)])
+        winner, strat = games.solve_mean_payoff(arena)
+        named_winner, named_choice = named_solve_mean_payoff(arena)
+        assert (winner, list(strat.choice.items())) == (named_winner, list(named_choice.items()))
+        lam = _ORACLE_LAMBDAS[trial % len(_ORACLE_LAMBDAS)]
+        nu = Fraction(rng.randint(-6, 6), rng.randint(1, 3))
+        cmp = rng.choice([">", ">="])
+        ds_winner, ds_strat, value = games.solve_discounted_sum(arena, lam, nu, cmp)
+        named_winner, named_choice, named_value = named_solve_discounted_sum(arena, lam, nu, cmp)
+        assert (ds_winner, list(ds_strat.choice.items()), value) == \
+            (named_winner, list(named_choice.items()), named_value)
+        targets = [v for v in arena.vertices if rng.random() < 0.3]
+        player = rng.choice([EVE, ADAM])
+        region, attr_strat = games.attractor(arena, targets, player)
+        assert (region, attr_strat.choice) == old_attractor(arena, targets, player)
+        safe = [v for v in arena.vertices if rng.random() < 0.7]
+        region, safe_strat = games.solve_safety(arena, safe)
+        assert (region, safe_strat.choice) == old_solve_safety(arena, safe)
+        seen["mp", winner] += 1
+        seen["ds", ds_winner] += 1
+    assert len(seen) == 4 and min(seen.values()) >= 100, seen
 
 
 def test_ds_matches_the_fraction_oracle_on_the_dsum_pool(monkeypatch, tmp_path, capsys):

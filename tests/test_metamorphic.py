@@ -7,12 +7,17 @@ name their states m0, m1, ... by discovery.  The one exception is the
 one-state machine it returns for an empty domain, named after the
 initial state.  synth threshold names its machine's states after the
 spec's, so its machines must differ exactly by the renaming.
+
+Scaling every weight and the threshold by the same k > 0, with the
+discount kept, scales every Sum, Avg and Dsum value by k, so it must
+change no winner of a critical prefix game and no synth threshold status.
 """
 
 import collections
 import random
+from fractions import Fraction
 
-from wsynth import cli
+from wsynth import cli, core, games, prefix, synthesis
 
 from conftest import load_bench_gen
 
@@ -85,3 +90,50 @@ def test_renaming_spec_states_renames_only_the_threshold_machines(tmp_path, caps
     assert seen["approx", 0, True] >= 60 and seen["approx", 2, False] >= 20, seen
     assert seen["empty domain"] >= 5 and seen["sorted order changed"] >= 150, seen
     assert seen["threshold", 0, True] >= 40 and seen["threshold", 1, False] >= 40, seen
+
+
+_LAMBDAS = [Fraction(1, 2), Fraction(2, 3), Fraction(3, 4)]
+
+
+def test_scaling_weights_and_threshold_keeps_every_prefix_winner():
+    gen = load_bench_gen()
+    rng = random.Random(3303)
+    seen = collections.Counter()
+    for trial in range(120):
+        measure = (core.SUM, core.AVG, core.DSUM)[trial % 3]
+        layout = gen.random_arena(rng, rng.randint(3, 12), eve_choice_cap=4)
+        arenas = [games.parse_arena(gen.emit_arena(dict(layout, edges=[
+            (src, k * w, dst) for src, w, dst in layout["edges"]]))) for k in (1, 2, 3)]
+        discount = rng.choice(_LAMBDAS) if measure == core.DSUM else None
+        # the small integers, where a strict check meets its value, and a fraction
+        for nu in list(range(-2, 3)) + [Fraction(rng.randint(-6, 6), rng.choice([2, 3]))]:
+            cmp = rng.choice([">", ">="])
+            winners = [prefix.solve_prefix_threshold(
+                arena, prefix.PrefixObjective(measure, cmp, k * nu, discount))[0]
+                for k, arena in zip((1, 2, 3), arenas)]
+            assert winners == winners[:1] * 3, (gen.emit_arena(layout), measure, cmp, nu)
+            seen[measure, cmp, winners[0]] += 1
+    assert len(seen) == 12 and min(seen.values()) >= 20, seen
+
+
+def test_scaling_weights_and_threshold_keeps_every_synth_threshold_status():
+    gen = load_bench_gen()
+    rng = random.Random(3304)
+    seen = collections.Counter()
+    for trial in range(150):
+        measure = (core.SUM, core.AVG, core.DSUM)[trial % 3]
+        discount = str(rng.choice(_LAMBDAS)) if measure == core.DSUM else None
+        layout = gen.memory_spec(rng, rng.randint(2, 4), rng.randint(2, 3), "ab", "xy", measure,
+                                 discount=discount, choice_cap=4)
+        cmp = rng.choice([">", ">="])
+        nu = Fraction(rng.randint(-4, 4), rng.choice([1, 1, 2, 3]))
+        status = synthesis.synth_threshold(core.parse_wfa(gen.emit_wfa(layout)), cmp, nu).status
+        for k in (2, 3):
+            scaled = dict(layout, trans=[(src, sym, k * w, tgt)
+                                         for src, sym, w, tgt in layout["trans"]])
+            spec = core.parse_wfa(gen.emit_wfa(scaled))
+            assert synthesis.synth_threshold(spec, cmp, k * nu).status == status, \
+                (gen.emit_wfa(layout), cmp, nu, k)
+        seen[measure, status] += 1
+    assert min(seen[m, s] for m in (core.SUM, core.AVG, core.DSUM)
+               for s in (synthesis.REALIZABLE, synthesis.UNREALIZABLE)) >= 10, seen

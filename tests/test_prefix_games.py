@@ -2,6 +2,7 @@ import collections
 import dataclasses
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -11,8 +12,9 @@ from wsynth.core import AVG, DSUM, SUM
 from wsynth.games import ADAM, EVE, Arena, ImperfectArena
 from wsynth.prefix import PrefixObjective
 
-from conftest import load_bench_gen, load_bench_workloads, table_edges, table_from_edges
-from test_games import mk_arena, remark_arena, random_arena
+from conftest import (load_bench_gen, load_bench_workloads, named_restrict_to_strategy,
+                      table_edges, table_from_edges)
+from test_games import mixed_name_arena, mk_arena, remark_arena, random_arena
 
 
 def random_critical_arena(rng, max_v=5, max_w=2):
@@ -256,6 +258,34 @@ def test_check_positional_dsum_examples():
     assert [s.choice for s in prefix.enumerate_positional(no_critical)] == [{}]
     stuck = mk_arena([("v", EVE), ("w", EVE)], [("v", 0, "w"), ("v", 1, "v")])
     assert list(prefix.enumerate_positional(stuck)) == []
+
+
+def test_restrict_to_strategy_matches_the_named_walk():
+    # the walk reads the arena's numbers; the graph, and the order in which
+    # the reachable set was filled (the path check's vertex order), are
+    # those of the name-keyed walk, also on names mixing strings and tuples
+    rng = random.Random(6161)
+    undefined = 0
+    for trial in range(400):
+        arena = mixed_name_arena(rng, 12, (-3, 3))
+        choice = {v: rng.choice(arena.out(v)) for v in arena.vertices
+                  if arena.owner[v] == EVE and rng.random() < 0.9}
+        strategy = games.PositionalStrategy(choice)
+        try:
+            reachable, edges = named_restrict_to_strategy(arena, strategy)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=re.escape(str(exc))):
+                prefix.restrict_to_strategy(arena, strategy)
+            undefined += 1
+            continue
+        got, got_edges = prefix.restrict_to_strategy(arena, strategy)
+        assert (list(got), got_edges) == (list(reachable), edges)
+    assert undefined >= 40, undefined
+    # enumerate_positional: Eve's vertices and their edges in arena order
+    for arena in (mixed_name_arena(rng, 5, (-1, 1)) for _ in range(40)):
+        eve = [v for v in arena.vertices if arena.owner[v] == EVE]
+        assert [list(s.choice.items()) for s in prefix.enumerate_positional(arena)] == \
+            [list(zip(eve, combo)) for combo in itertools.product(*map(arena.out, eve))]
 
 
 def dsum_prefix_oracle(arena, obj):
