@@ -359,10 +359,13 @@ def _cmd_solve_prefix(args):
     payload = {"command": "solve-prefix"}
     if args.dot:
         _write_out(games.arena_to_dot(arena), args, payload)
+    game = prefix.reduce_prefix_game(arena, obj)
     if args.trace:
         sys.stderr.write("objective: %s %s %s\n" % (obj.measure, obj.cmp, format_rational(obj.nu)))
-        _trace_reduction(arena, obj)
-    winner, strategy = prefix.solve_prefix_threshold(arena, obj)
+        sys.stderr.write("reduction: %s\n" % game.name)
+        if game.reduction is not None:
+            sys.stderr.write(games.emit_arena(game.reduction.arena))
+    winner, strategy = prefix.play_prefix_game(arena, obj, game)
     lines = ["winner: %s" % winner]
     payload["answer"] = winner
     if winner == EVE and strategy is not None:
@@ -371,14 +374,6 @@ def _cmd_solve_prefix(args):
         payload["strategy_size"] = len(strategy.choice)
     _emit(args, payload, lines)
     return EXIT_YES if winner == EVE else EXIT_NO
-
-
-def _trace_reduction(arena, obj):
-    """Name the game that decides obj, dumping its arena, to stderr."""
-    game = prefix.reduce_prefix_game(arena, obj)
-    sys.stderr.write("reduction: %s\n" % game.name)
-    if game.reduction is not None:
-        sys.stderr.write(games.emit_arena(game.reduction.arena))
 
 
 def _cmd_dsum_path(args):

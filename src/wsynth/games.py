@@ -60,6 +60,8 @@ class Arena:
             self.dst = list(map(number.__getitem__, map(itemgetter(3), self.edges)))
         except KeyError:
             raise ValueError("edge endpoints must be vertices") from None
+        if any(v not in number for v in self.critical):
+            raise ValueError("critical vertices must be vertices")
         self.number = number
         self.eve = [who == EVE for who in owners]
         self.weight = list(map(itemgetter(2), self.edges))
@@ -87,8 +89,9 @@ class ImperfectArena:
 
     Eve picks an action, Adam resolves it to any action-successor of the
     true vertex; Eve only sees the observation class of each vertex.
-    table maps each vertex to {action: [(weight, dst), ...]}; rows[v][i]
-    lists v's moves on actions[i], empty where that action is unavailable.
+    table maps each vertex to {action: [(weight, dst), ...]}; rows[v][i],
+    built on first use, lists v's moves on actions[i], () where that
+    action is unavailable: absent from table[v] or listed with no moves.
     """
 
     vertices: tuple
@@ -101,26 +104,23 @@ class ImperfectArena:
         for v in self.vertices:
             if v not in self.obs:
                 raise ValueError("vertex %r has no observation" % (v,))
-        if self.initial not in _check_table(self.vertices, self.actions, self.table):
+        known, actions, table = set(self.vertices), set(self.actions), self.table
+        if not known.issuperset(table) or not known.issuperset(
+                [dst for options in table.values() for moves in options.values() for _w, dst in moves]):
+            raise ValueError("edge endpoints must be vertices")
+        unknown = [a for options in table.values() for a in options if a not in actions]
+        if unknown:
+            raise ValueError("unknown action %r" % (unknown[0],))
+        missing = [v for v in self.vertices if v not in table]
+        if missing:
+            raise ValueError("vertex %r has no table entry" % (missing[0],))
+        if self.initial not in known:
             raise ValueError("unknown initial vertex %r" % (self.initial,))
-        self.rows = {v: [options.get(a, ()) for a in self.actions]
-                     for v, options in self.table.items()}
 
-
-def _check_table(vertices, actions, table):
-    """The vertices as a set; ValueError unless table maps each of them,
-    and nothing else, to moves on the actions into the vertices."""
-    known, actions = set(vertices), set(actions)
-    if not known.issuperset(table) or not known.issuperset(
-            [dst for options in table.values() for moves in options.values() for _w, dst in moves]):
-        raise ValueError("edge endpoints must be vertices")
-    unknown = [a for options in table.values() for a in options if a not in actions]
-    if unknown:
-        raise ValueError("unknown action %r" % (unknown[0],))
-    missing = [v for v in vertices if v not in table]
-    if missing:
-        raise ValueError("vertex %r has no table entry" % (missing[0],))
-    return known
+    @cached_property
+    def rows(self):
+        return {v: [options.get(a) or () for a in self.actions]
+                for v, options in self.table.items()}
 
 
 @dataclass
@@ -392,8 +392,10 @@ def solve_mean_payoff(arena: Arena):
     first edge that keeps it.  When Adam wins, his strategy comes the
     same way from the dual game (owners swapped, weights -(N*w+1)) on his
     winning region T alone: T is an Eve trap, and every edge Adam has out
-    of T leads to a vertex the dual lift marks top.  It runs on the
-    arena's numbers, so ties follow arena order.
+    of T leads to a vertex the dual lift marks top.  The dual game keeps
+    the arena's numbers: a vertex outside T keeps no edge and goes to
+    Adam, so the first lift round marks it top, and ties follow arena
+    order.
     """
     if arena.deadlocks():
         raise ValueError("mean-payoff needs a deadlock-free arena")
@@ -404,20 +406,18 @@ def solve_mean_payoff(arena: Arena):
     if f[start] is not None:
         return EVE, PositionalStrategy(_tight_edges(names, eve, out, ids, f))
 
-    trap = [k for k, fk in enumerate(f) if fk is None]
-    at = {k: j for j, k in enumerate(trap)}  # vertex -> its number in the trap
-    dual_ids = [[i for i in ids[k] if dst[i] in at] for k in trap]
-    for k, es in zip(trap, dual_ids):
-        if eve[k] and len(es) < len(ids[k]):
+    trap = [fk is None for fk in f]
+    dual_ids = [[i for i in es if trap[dst[i]]] if t else [] for es, t in zip(ids, trap)]
+    for k, es in enumerate(dual_ids):
+        if trap[k] and eve[k] and len(es) < len(ids[k]):
             raise InternalError("Eve can leave Adam's mean-payoff region at %r" % (names[k],))
     n = len(names)
-    dual_out = [[(-(n * weight[i] + 1), at[dst[i]]) for i in es] for es in dual_ids]
-    trap_names = [names[k] for k in trap]
-    dual_eve = [not eve[k] for k in trap]
-    g = _lift(trap_names, dual_eve, dual_out, _credit_bound(dual_out))
-    if g[at[start]] is None:
+    dual_out = [[(-(n * weight[i] + 1), dst[i]) for i in es] for es in dual_ids]
+    dual_eve = [t and not e for t, e in zip(trap, eve)]
+    g = _lift(names, dual_eve, dual_out, _credit_bound(dual_out))
+    if g[start] is None:
         raise InternalError("mean-payoff determinacy violated")
-    return ADAM, PositionalStrategy(_tight_edges(trap_names, dual_eve, dual_out, dual_ids, g))
+    return ADAM, PositionalStrategy(_tight_edges(names, dual_eve, dual_out, dual_ids, g))
 
 
 def _evaluate_profile(arena: Arena, next_edge, p, q):

@@ -333,7 +333,12 @@ def solve_prefix_threshold(arena: Arena, obj: PrefixObjective):
     strategy (on the given arena) whenever she wins."""
     if arena.deadlocks():
         raise ValueError("prefix games need a deadlock-free arena")
-    game = reduce_prefix_game(arena, obj)
+    return play_prefix_game(arena, obj, reduce_prefix_game(arena, obj))
+
+
+def play_prefix_game(arena: Arena, obj: PrefixObjective, game: PrefixGame):
+    """solve_prefix_threshold on a deadlock-free arena, given the game
+    that reduce_prefix_game(arena, obj) returns."""
     reduction = game.reduction
     if game.winner is not None:
         return game.winner, game.avoid
@@ -378,8 +383,8 @@ def _forcing_rise_bound(table, critical):
     """Max energy rise Eve can extract while Adam forces a critical visit,
     or None when Adam cannot force one from every vertex.
 
-    table maps each vertex, in vertex order, to {action: [(w, dst), ...]}
-    over its available actions.  Ranks are Adam's
+    table maps each vertex, in vertex order, to {action: [(w, dst), ...]};
+    an action with no moves is unavailable.  Ranks are Adam's
     reachability attractor to the critical set under the action-model
     rules, swept in vertex order until nothing changes.  Then h(v) = max
     over Eve's actions of the min over Adam's rank-decreasing resolutions
@@ -392,17 +397,16 @@ def _forcing_rise_bound(table, critical):
     while changed:
         changed = False
         for v, options in table.items():
-            if v in rank or not options:
+            if v in rank:
                 continue
-            worst = 0
-            ok = True
-            for moves in options.values():
+            worst = 0  # 0 leaves v unranked: no move, or an action not yet forced
+            for moves in filter(None, options.values()):
                 levels = [rank[dst] for _w, dst in moves if dst in rank]
                 if not levels:
-                    ok = False
+                    worst = 0
                     break
                 worst = max(worst, min(levels) + 1)
-            if ok:
+            if worst:
                 rank[v] = worst
                 changed = True
     if len(rank) < len(table):
@@ -414,7 +418,7 @@ def _forcing_rise_bound(table, critical):
             h[v] = 0
             continue
         worst = 0
-        for moves in table[v].values():
+        for moves in filter(None, table[v].values()):
             best = None
             for w, dst in moves:
                 if rank[dst] >= rank[v]:
@@ -446,7 +450,16 @@ def reduce_prefix_energy_to_energy(game: PrefixEnergyGame, c0: int):
     Adam convert the deficit into a failed check, so level >= 0 with credit
     c0 + B in the result is equivalent to the prefix objective with credit c0.
     """
-    if not games._check_table(game.vertices, game.actions, game.table).issuperset(game.critical):
+    table = dict(game.table)
+    table[_ENERGY_SINK] = {a: [(0, _ENERGY_SINK)] for a in game.actions}
+    reduced = ImperfectArena(
+        vertices=tuple(game.vertices) + (_ENERGY_SINK,),
+        initial=game.initial,
+        actions=game.actions,
+        table=table,
+        obs={**game.obs, _ENERGY_SINK: _ENERGY_SINK},
+    )
+    if any(v not in game.table for v in game.critical):
         raise ValueError("critical vertices must be vertices")
     bound = _forcing_rise_bound(game.table, game.critical)
     if bound is None:
@@ -456,18 +469,9 @@ def reduce_prefix_energy_to_energy(game: PrefixEnergyGame, c0: int):
                          for moves in options.values() for w, _d in moves):
         raise InternalError("forcing rise %d exceeds |V| * W" % bound)
 
-    table = dict(game.table)
     # only enabled actions: an escape on a disabled action would hand Eve
     # a brand-new move to hide in the sink
     escape = [(-bound, _ENERGY_SINK)]
     for v in game.critical:
         table[v] = {a: moves + escape for a, moves in table[v].items() if moves}
-    table[_ENERGY_SINK] = {a: [(0, _ENERGY_SINK)] for a in game.actions}
-    reduced = ImperfectArena(
-        vertices=tuple(game.vertices) + (_ENERGY_SINK,),
-        initial=game.initial,
-        actions=game.actions,
-        table=table,
-        obs={**game.obs, _ENERGY_SINK: _ENERGY_SINK},
-    )
     return reduced, c0 + bound

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from wsynth import cli, core, domain, synthesis
+from wsynth import cli, core, domain, prefix, synthesis
 from wsynth.core import AVG, DSUM
 
 from conftest import FIXTURES, always_d_realizer, first_c_realizer, load_bench_gen
@@ -688,6 +688,24 @@ def test_solve_prefix_trace_dumps_reduction(capsys, tmp_path):
         assert lines[1] == "reduction: " + line
         # the arena of a game left to solve follows; a decided game ends the trace
         assert (lines[2:3] == ["arena"]) == line.endswith(" game")
+
+
+@pytest.mark.parametrize("objective", [
+    ["--measure", "sum", "--cmp", "ge", "--nu", "0"],
+    ["--measure", "dsum", "--lambda", "1/2", "--cmp", "gt", "--nu", "1"],
+    ["--measure", "dsum", "--lambda", "1/2", "--cmp", "ge", "--nu", "1"],
+], ids=["sum", "strict-dsum", "dsum"])
+def test_traced_solve_prefix_reduces_its_game_once(capsys, monkeypatch, objective):
+    # the game --trace prints is the game that is played
+    games = []
+    reduce = prefix.reduce_prefix_game
+    monkeypatch.setattr(prefix, "reduce_prefix_game",
+                        lambda *args: games.append(reduce(*args)) or games[-1])
+    for trace in ([], ["--trace"]):
+        games.clear()
+        code, _out, err = run(capsys, "solve-prefix", REMARK, *objective, *trace)
+        assert (code, len(games)) == (0, 1)
+    assert err.splitlines()[1] == "reduction: " + games[0].name
 
 
 def test_unexpected_exception_exits_70_with_one_line(capsys, monkeypatch):

@@ -106,6 +106,10 @@ def test_arena_validation_errors():
         # emit_arena would write it and parse_arena reject the text
         (dict(vertices=("a", "b", "a"), owner=owner, initial="a", edges=[("a", "-", 0, "b")]),
          "duplicate vertex 'a'"),
+        # emit_arena would drop the mark, so the text would parse to another arena
+        (dict(vertices=("a", "b"), owner=owner, initial="a", edges=[("a", "-", 0, "a")],
+              critical=frozenset({"zz"})),
+         "critical vertices must be vertices"),
     ]
     for kwargs, message in cases:
         with pytest.raises(ValueError) as exc:

@@ -11,6 +11,10 @@ spec's, so its machines must differ exactly by the renaming.
 Scaling every weight and the threshold by the same k > 0, with the
 discount kept, scales every Sum, Avg and Dsum value by k, so it must
 change no winner of a critical prefix game and no synth threshold status.
+For synth approx with cmp <=, scaling the slack r and the cap by k too,
+where k*r keeps r's denominator, scales every weight of its game, the
+credit, the rise bound B and the cap by k, so it must change no byte of
+its answer.  Strict < charges one unit that does not scale.
 """
 
 import collections
@@ -137,3 +141,29 @@ def test_scaling_weights_and_threshold_keeps_every_synth_threshold_status():
         seen[measure, status] += 1
     assert min(seen[m, s] for m in (core.SUM, core.AVG, core.DSUM)
                for s in (synthesis.REALIZABLE, synthesis.UNREALIZABLE)) >= 10, seen
+
+
+def test_scaling_weights_slack_and_cap_keeps_every_synth_approx_answer():
+    gen = load_bench_gen()
+    rng = random.Random(5)
+    seen = collections.Counter()
+    for trial in range(150):
+        measure = (core.SUM, core.AVG)[trial % 2]
+        layout = gen.memory_spec(rng, rng.randint(2, 3), rng.randint(2, 4), "ab", "xy", measure,
+                                 out_w=(-3, 3))
+        r = Fraction(rng.randint(0, 4), rng.choice([1, 2]))
+        cap = rng.choice([4, 8])
+        answer = synthesis.synth_approx(core.parse_wfa(gen.emit_wfa(layout)), "<=", r, cap)
+        machine = answer.transducer and core.emit_mealy(answer.transducer)
+        for k in (2, 3):
+            if (k * r).denominator != r.denominator:
+                continue
+            scaled = dict(layout, trans=[(src, sym, k * w, tgt)
+                                         for src, sym, w, tgt in layout["trans"]])
+            got = synthesis.synth_approx(core.parse_wfa(gen.emit_wfa(scaled)), "<=", k * r, k * cap)
+            assert (got.status, got.transducer and core.emit_mealy(got.transducer)) == \
+                (answer.status, machine), (gen.emit_wfa(layout), r, cap, k)
+            seen[measure, answer.status, machine is not None and machine.count("trans:") > 2] += 1
+    for measure in (core.SUM, core.AVG):
+        assert seen[measure, synthesis.REALIZABLE, True] >= 20, seen
+        assert seen[measure, synthesis.UNKNOWN_AT_CAP, False] >= 20, seen

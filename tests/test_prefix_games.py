@@ -686,6 +686,25 @@ def test_energy_reduction_lists_escapes_in_action_order():
     assert not reductions_agree(stuck, 1)
 
 
+def test_rise_bound_reads_an_action_listed_with_no_moves_as_unavailable():
+    # at a vertex that is not critical: the rise bound reads the empty list
+    # as the rows, the knowledge solver and the escapes do
+    absent = prefix.PrefixEnergyGame(
+        vertices=("s", "c"), initial="s", actions=("x", "y"),
+        table={"s": {"x": [(2, "c")]}, "c": {"x": [(-1, "s")]}},
+        obs={"s": "o", "c": "o"}, critical=frozenset({"c"}))
+    listed = absent._replace(table={**absent.table, "s": {"x": [(2, "c")], "y": []}})
+    reduced, credit = prefix.reduce_prefix_energy_to_energy(absent, 1)
+    assert credit == 3
+    assert reductions_agree(absent, 1)
+    listed_reduced, listed_credit = prefix.reduce_prefix_energy_to_energy(listed, 1)
+    assert (listed_reduced.rows, listed_credit) == (reduced.rows, credit)
+    # a vertex whose every list is empty has no move, as one with no entry
+    stuck = absent._replace(table={**absent.table, "s": {"y": []}})
+    with pytest.raises(ValueError, match="cannot force a critical visit"):
+        prefix.reduce_prefix_energy_to_energy(stuck, 1)
+
+
 def old_force_critical_everywhere(iarena):
     """The rank pass the rise bound once took as an argument: Adam's
     attractor to the critical set, swept in vertex order; None when some
