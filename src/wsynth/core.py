@@ -16,7 +16,7 @@ fractions.Fraction.
 from __future__ import annotations
 
 import re
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field, replace
 from decimal import Decimal
 from fractions import Fraction
@@ -128,9 +128,9 @@ class WeightedSpec:
 
     transitions maps (state, symbol) -> (target, weight); determinism is
     the key shape of that dict.  polarity maps every state to INPUT or
-    OUTPUT and is inferred, never declared, in files.  _dom_steps is the
-    step table of the lazily determinized domain automaton, filled by
-    domain._dom_step; a spec derived by dataclasses.replace starts empty.
+    OUTPUT and is inferred, never declared, in files.  _dom_steps and
+    _closures memoize domain.py's steps and single-state closures of the
+    domain automaton; a spec derived by dataclasses.replace starts empty.
     """
 
     inputs: tuple
@@ -143,6 +143,7 @@ class WeightedSpec:
     discount: Optional[Fraction] = None
     polarity: dict = field(default_factory=dict)
     _dom_steps: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _closures: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.polarity:
@@ -177,6 +178,7 @@ class MealyTransducer:
     transitions: dict
 
     def __post_init__(self):
+        _no_repeats("final state", self.finals)
         known = set(self.states)
         if self.initial not in known:
             raise SpecError("unknown initial state %r" % self.initial)
@@ -193,41 +195,46 @@ def _infer_polarity(spec: WeightedSpec) -> dict:
 
     Alternation makes polarity a 2-colouring of the transition graph.  The
     initial state is anchored as input, and the source of a transition
-    whose symbol lies in exactly one alphabet as that alphabet's side; one
-    bfs over the transitions, both ways, then gives every state it reaches
-    the opposite polarity of its neighbour.  States no anchor reaches
-    (unreachable, ambiguous symbols only) default to input polarity.
+    whose symbol lies in exactly one alphabet as that alphabet's side; a
+    FIFO worklist over the transitions, both ways, then gives each state it
+    reaches the opposite polarity of its neighbour.  States no anchor
+    reaches (unreachable, ambiguous symbols only) default to input.
     """
-    inputs, outputs = set(spec.inputs), set(spec.outputs)
-    polarity = {}
+    side = dict.fromkeys(spec.outputs, OUTPUT)
+    side.update({a: None if a in side else INPUT for a in spec.inputs})
+    polarity = {spec.initial: INPUT}
     neighbours = {}
-
-    def assign(state, pol):
-        if polarity.setdefault(state, pol) != pol:
-            raise SpecError("polarity conflict at state %r" % (state,))
-
-    assign(spec.initial, INPUT)
     for (src, sym), (tgt, _w) in spec.transitions.items():
-        if sym in inputs and sym not in outputs:
-            assign(src, INPUT)
-        elif sym in outputs and sym not in inputs:
-            assign(src, OUTPUT)
+        pol = side.get(sym)
+        if pol is not None and polarity.setdefault(src, pol) != pol:
+            raise SpecError("polarity conflict at state %r" % (src,))
         neighbours.setdefault(src, []).append(tgt)
         neighbours.setdefault(tgt, []).append(src)
-
-    def successors(state):
+    queue = list(polarity)  # grows as it is read: a FIFO in discovery order
+    for state in queue:
         flip = OUTPUT if polarity[state] == INPUT else INPUT
         for other in neighbours.get(state, ()):
-            assign(other, flip)
-            yield other, None
-
-    bfs(successors, list(polarity))
+            pol = polarity.get(other)
+            if pol is None:
+                polarity[other] = flip
+                queue.append(other)
+            elif pol != flip:
+                raise SpecError("polarity conflict at state %r" % (other,))
     for q in spec.states:
         polarity.setdefault(q, INPUT)
     return polarity
 
 
+def _no_repeats(kind, names):
+    """SpecError naming the most repeated of names (the first, on a tie), if any."""
+    if len(set(names)) < len(names):
+        raise SpecError("repeated %s %r" % (kind, Counter(names).most_common(1)[0][0]))
+
+
 def validate_spec(spec: WeightedSpec):
+    for kind, names in (("input symbol", spec.inputs), ("output symbol", spec.outputs),
+                        ("state", spec.states), ("final state", spec.finals)):
+        _no_repeats(kind, names)
     known = set(spec.states)
     if spec.initial not in known:
         raise SpecError("unknown initial state %r" % spec.initial)
@@ -438,7 +445,7 @@ def _directives(text: str, header: str, arity: dict, weighted=None):
     yielded as an int.
     """
     for number, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = (raw.split("#", 1)[0] if "#" in raw else raw).strip()
         if not line:
             continue
         key, _colon, rest = line.partition(":")

@@ -49,19 +49,25 @@ def _closure(spec: WeightedSpec, states):
     return frozenset(out)
 
 
+def _state_closure(spec: WeightedSpec, state):
+    """_closure of one state, memoized in the spec's closure table."""
+    if state not in spec._closures:
+        spec._closures[state] = _closure(spec, (state,))
+    return spec._closures[state]
+
+
 def _dom_step(spec: WeightedSpec, subset, symbol):
-    """The subset that symbol leads to, memoized in the spec's step table."""
+    """The union of the closures of symbol's targets, memoized per spec."""
     key = (subset, symbol)
     nxt = spec._dom_steps.get(key)
     if nxt is None:
-        targets = set()
+        nxt = set()
         for q in subset:
-            if spec.polarity[q] != INPUT:
-                continue
-            entry = spec.transitions.get((q, symbol))
-            if entry is not None:
-                targets.add(entry[0])
-        nxt = spec._dom_steps[key] = _closure(spec, targets)
+            if spec.polarity[q] == INPUT:
+                entry = spec.transitions.get((q, symbol))
+                if entry is not None:
+                    nxt |= _state_closure(spec, entry[0])
+        nxt = spec._dom_steps[key] = frozenset(nxt)
     return nxt
 
 
@@ -71,7 +77,7 @@ def _accepts(spec: WeightedSpec, subset):
 
 def domain_membership(spec: WeightedSpec, u) -> bool:
     """Whether some output word completes u into the specification."""
-    subset = _closure(spec, [spec.initial])
+    subset = _state_closure(spec, spec.initial)
     for a in word(u):
         subset = _dom_step(spec, subset, a)
         if not subset:
@@ -82,7 +88,7 @@ def domain_membership(spec: WeightedSpec, u) -> bool:
 def _domain(spec: WeightedSpec, state):
     """The determinized domain automaton of spec from state, as
     (start, step, accepts) for first_difference."""
-    return _closure(spec, [state]), partial(_dom_step, spec), partial(_accepts, spec)
+    return _state_closure(spec, state), partial(_dom_step, spec), partial(_accepts, spec)
 
 
 def first_difference(left, right, symbols):
@@ -117,13 +123,20 @@ def reachable_states(spec: WeightedSpec):
 
 def _live_states(spec: WeightedSpec, transitions=None):
     """States reachable from the initial state that also reach a final one,
-    along transitions (the spec's own by default)."""
-    succ, pred = {}, {}
-    for (src, sym), (tgt, _w) in (spec.transitions if transitions is None else transitions).items():
-        succ.setdefault(src, []).append((tgt, sym))
-        pred.setdefault(tgt, []).append((src, sym))
-    reach = bfs(lambda q: succ.get(q, ()), [spec.initial])[0]
-    return reach.keys() & bfs(lambda q: pred.get(q, ()), spec.finals)[0].keys()
+    along transitions (the spec's own by default), by two worklist sweeps."""
+    succ, pred = {q: [] for q in spec.states}, {q: [] for q in spec.states}
+    for (src, _sym), (tgt, _w) in (spec.transitions if transitions is None else transitions).items():
+        succ[src].append(tgt)
+        pred[tgt].append(src)
+    reach, co_reach = {spec.initial}, set(spec.finals)
+    for seen, adjacency in ((reach, succ), (co_reach, pred)):
+        queue = list(seen)
+        for q in queue:
+            for nxt in adjacency[q]:
+                if nxt not in seen:
+                    seen.add(nxt)
+                    queue.append(nxt)
+    return reach & co_reach
 
 
 def unsafe_transitions(spec: WeightedSpec):

@@ -773,3 +773,65 @@ def _old_difference_witness_dsum(spec, t, cmp, bound):
         if lbl is not None:
             symbols.append(lbl)
     return tuple(symbols)
+
+
+# --- the per-spec set-up on core.bfs, before its flat worklists ---------------
+
+
+def bfs_infer_polarity(spec):
+    """core._infer_polarity with an assign closure per transition and one
+    core.bfs, with a generator callback, for the propagation."""
+    inputs, outputs = set(spec.inputs), set(spec.outputs)
+    polarity = {}
+    neighbours = {}
+
+    def assign(state, pol):
+        if polarity.setdefault(state, pol) != pol:
+            raise core.SpecError("polarity conflict at state %r" % (state,))
+
+    assign(spec.initial, core.INPUT)
+    for (src, sym), (tgt, _w) in spec.transitions.items():
+        if sym in inputs and sym not in outputs:
+            assign(src, core.INPUT)
+        elif sym in outputs and sym not in inputs:
+            assign(src, core.OUTPUT)
+        neighbours.setdefault(src, []).append(tgt)
+        neighbours.setdefault(tgt, []).append(src)
+
+    def successors(state):
+        flip = core.OUTPUT if polarity[state] == core.INPUT else core.INPUT
+        for other in neighbours.get(state, ()):
+            assign(other, flip)
+            yield other, None
+
+    core.bfs(successors, list(polarity))
+    for q in spec.states:
+        polarity.setdefault(q, core.INPUT)
+    return polarity
+
+
+def bfs_live_states(spec, transitions=None):
+    """domain._live_states as two core.bfs calls with a lambda callback."""
+    succ, pred = {}, {}
+    for (src, sym), (tgt, _w) in (spec.transitions if transitions is None else transitions).items():
+        succ.setdefault(src, []).append((tgt, sym))
+        pred.setdefault(tgt, []).append((src, sym))
+    reach = core.bfs(lambda q: succ.get(q, ()), [spec.initial])[0]
+    return reach.keys() & core.bfs(lambda q: pred.get(q, ()), spec.finals)[0].keys()
+
+
+def closure_dom_step(spec, table, subset, symbol):
+    """domain._dom_step as one domain._closure of the step's targets, per
+    step, memoized in table instead of the spec's own step table."""
+    key = (subset, symbol)
+    nxt = table.get(key)
+    if nxt is None:
+        targets = set()
+        for q in subset:
+            if spec.polarity[q] != core.INPUT:
+                continue
+            entry = spec.transitions.get((q, symbol))
+            if entry is not None:
+                targets.add(entry[0])
+        nxt = table[key] = domain._closure(spec, targets)
+    return nxt

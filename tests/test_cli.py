@@ -374,6 +374,28 @@ def test_format_errors_exit_65(capsys, tmp_path):
     assert err == "format error: mean-payoff generator needs a deadlock-free arena\n"
 
 
+# A repeated name would double an input state's edges on one letter, or
+# Eve's choices, or be echoed into the machine's finals line.
+@pytest.mark.parametrize("line, repeated, message", [
+    ("inputs: a b", "inputs: a b a", "repeated input symbol 'a'"),
+    ("outputs: c d", "outputs: c d d", "repeated output symbol 'd'"),
+    ("finals: q2 q7", "finals: q2 q7 q2", "repeated final state 'q2'"),
+])
+def test_repeated_names_in_a_spec_exit_65(capsys, tmp_path, line, repeated, message):
+    bad = tmp_path / "bad.wfa"
+    bad.write_text((FIXTURES / "paper-example.wfa").read_text().replace(line, repeated))
+    code, out, err = run(capsys, "synth", "threshold", str(bad), "--cmp", "ge", "--nu", "6")
+    assert (code, out, err) == (65, "", "format error: %s\n" % message)
+
+
+def test_repeated_final_in_a_machine_exits_65(capsys, tmp_path):
+    bad = tmp_path / "bad.mealy"
+    bad.write_text((FIXTURES / "always-d.mealy").read_text().replace(
+        "finals: done", "finals: done done"))
+    code, out, err = run(capsys, "verify", PAPER, str(bad), "--objective", "boolean")
+    assert (code, out, err) == (65, "", "format error: repeated final state 'done'\n")
+
+
 @pytest.mark.parametrize("argv, name", [
     (["synth", "threshold", "{}", "--cmp", "ge", "--nu", "6"], "bad.wfa"),
     (["verify", PAPER, "{}", "--objective", "boolean"], "bad.mealy"),

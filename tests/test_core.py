@@ -1,4 +1,5 @@
 import ast
+import collections
 import itertools
 import os
 import random
@@ -14,7 +15,14 @@ from hypothesis import given, strategies as st
 from wsynth import core
 from wsynth.core import NEG_INF
 
-from conftest import brute_best_value, always_transducer, first_c_transducer
+from conftest import (
+    FIXTURES,
+    always_transducer,
+    bfs_infer_polarity,
+    brute_best_value,
+    first_c_transducer,
+    load_bench_gen,
+)
 
 
 def test_parse_paper_fixture(paper_spec):
@@ -77,6 +85,10 @@ _SPEC_PARTS = dict(inputs=("a",), outputs=("c",), states=("q0", "q1"), initial="
     ({"polarity": {"q0": core.OUTPUT, "q1": core.INPUT}}, "initial state must be an input"),
     ({"polarity": {"q0": core.INPUT, "q1": core.INPUT}}, "alternation violated"),
     ({"measure": "max"}, "unknown measure 'max'"),
+    ({"inputs": ("a", "a")}, "repeated input symbol 'a'"),
+    ({"outputs": ("c", "c")}, "repeated output symbol 'c'"),
+    ({"states": ("q0", "q1", "q0")}, "repeated state 'q0'"),
+    ({"finals": ("q0", "q0")}, "repeated final state 'q0'"),
 ])
 def test_spec_built_directly_is_validated(change, message):
     assert core.WeightedSpec(**_SPEC_PARTS).polarity == {"q0": core.INPUT, "q1": core.OUTPUT}
@@ -88,6 +100,7 @@ def test_spec_built_directly_is_validated(change, message):
     ({"initial": "zz"}, "unknown initial state 'zz'"),
     ({"finals": ("zz",)}, "unknown final state 'zz'"),
     ({"transitions": {("s", "a"): ("c", "zz")}}, "dangling state"),
+    ({"finals": ("s", "s")}, "repeated final state 's'"),
 ])
 def test_mealy_built_directly_is_validated(change, message):
     parts = dict(inputs=("a",), outputs=("c",), states=("s",), initial="s", finals=("s",),
@@ -326,6 +339,68 @@ def test_infer_polarity_matches_the_sweep_on_random_transitions():
         kinds["foreign"] += any(
             sym not in inputs and sym not in outputs for _q, sym in transitions)
     assert min(kinds.values()) >= 1000, kinds
+
+
+def _malformed(rng, text):
+    """text with one line dropped, duplicated or truncated, a stray '#' or
+    ':' in one line, or one transition's symbol swapped to the other side."""
+    lines = text.splitlines()
+    i = rng.randrange(len(lines))
+    kind = rng.randrange(6)
+    if kind == 0:
+        del lines[i]
+    elif kind == 1:
+        lines.insert(rng.randrange(len(lines) + 1), lines[i])
+    elif kind == 2:
+        lines[i] = lines[i][:rng.randrange(len(lines[i]) + 1)]
+    elif kind in (3, 4):
+        cut = rng.randrange(len(lines[i]) + 1)
+        lines[i] = lines[i][:cut] + "#:"[kind - 3] + lines[i][cut:]
+    else:
+        sides = [line.split()[1:] for line in lines if line.startswith(("inputs:", "outputs:"))]
+        trans = [k for k, line in enumerate(lines)
+                 if line.startswith("trans:") and len(line.split()) > 2]
+        if trans and len(sides) == 2:
+            k = rng.choice(trans)
+            tokens = lines[k].split()
+            tokens[2] = rng.choice(sides[tokens[2] in sides[0]] or ["z"])
+            lines[k] = " ".join(tokens)
+    return "\n".join(lines) + "\n"
+
+
+def _parse_outcome(text):
+    try:
+        spec = core.parse_wfa(text)
+    except Exception as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+    return core.emit_wfa(spec), list(spec.polarity.items())
+
+
+def test_wfa_reader_matches_its_oracles_on_malformed_texts(monkeypatch):
+    # the reader against the polarity of core.bfs, with the comments cut
+    # from every line first, as it did before
+    gen = load_bench_gen()
+    rng = random.Random(2323)
+    texts = [(FIXTURES / "paper-example.wfa").read_text()]
+    for _ in range(40):
+        texts.append(gen.emit_wfa(gen.memory_spec(
+            rng, rng.randint(2, 3), rng.randint(2, 3), "ab", "xy", rng.choice(["sum", "avg"]))))
+    corpus = []
+    for trial in range(3000):
+        text = texts[trial % len(texts)]
+        for _ in range(rng.randint(1, 3)):
+            text = _malformed(rng, text)
+        corpus.append(text)
+    new = [_parse_outcome(text) for text in corpus]
+    monkeypatch.setattr(core, "_infer_polarity", bfs_infer_polarity)
+    old = [_parse_outcome("\n".join(line.split("#", 1)[0] for line in text.splitlines()))
+           for text in corpus]
+    kinds = collections.Counter()
+    for text, got, want in zip(corpus, new, old):
+        assert got == want, text
+        kinds["read" if len(got) == 2 else "conflict" if "polarity conflict" in got[1]
+              else "line" if got[2] is not None else "other"] += 1
+    assert all(kinds[kind] >= 100 for kind in ("read", "conflict", "line", "other")), kinds
 
 
 def test_mealy_single_transition_four_lines():

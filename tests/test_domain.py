@@ -10,7 +10,10 @@ from wsynth import core, domain, games
 from wsynth.games import ADAM, EVE, Arena
 
 from conftest import (
+    bfs_infer_polarity,
+    bfs_live_states,
     brute_domain,
+    closure_dom_step,
     domains_equal,
     load_bench_gen,
     old_solve_safety,
@@ -393,6 +396,40 @@ def test_live_states_matches_coreach_fixpoint():
         assert live == old_live_states(spec)
         sizes.append(len(live))
     assert min(sizes) == 0 and max(sizes) >= 8
+
+
+def test_set_up_matches_its_bfs_oracles_on_memory_specs():
+    # polarity, the live states (of the spec and of a random restriction)
+    # and every domain step from every state's closure, against core.bfs
+    # and per-step closures
+    gen = load_bench_gen()
+    rng = random.Random(41)
+    counts = {"steps": 0, "dead states": 0, "restricted live": 0}
+    for _ in range(300):
+        raw = gen.memory_spec(rng, rng.randint(2, 5), rng.randint(2, 5), rng.choice(["ab", "abc"]),
+                              rng.choice(["xy", "xyz"]), rng.choice(["sum", "avg"]))
+        spec = core.parse_wfa(gen.emit_wfa(raw))
+        assert list(spec.polarity.items()) == list(bfs_infer_polarity(spec).items())
+        fewer = {key: val for key, val in spec.transitions.items() if rng.random() < 0.8}
+        for transitions in (None, fewer):
+            live = domain._live_states(spec, transitions)
+            assert live == bfs_live_states(spec, transitions)
+            counts["dead states"] += transitions is None and len(live) < len(spec.states)
+            counts["restricted live"] += transitions is fewer and 0 < len(live)
+        table = {}
+        starts = [domain._closure(spec, [q]) for q in spec.states]
+        assert starts == [domain._state_closure(spec, q) for q in spec.states]
+        seen = set(starts)
+        queue = list(seen)
+        for subset in queue:
+            for a in spec.inputs:
+                nxt = closure_dom_step(spec, table, subset, a)
+                assert domain._dom_step(spec, subset, a) == nxt
+                counts["steps"] += 1
+                if nxt not in seen:
+                    seen.add(nxt)
+                    queue.append(nxt)
+    assert counts["steps"] >= 20000 and min(counts.values()) >= 50, counts
 
 
 def old_build_two_run_game(spec):

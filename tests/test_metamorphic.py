@@ -15,15 +15,20 @@ For synth approx with cmp <=, scaling the slack r and the cap by k too,
 where k*r keeps r's denominator, scales every weight of its game, the
 credit, the rise bound B and the cap by k, so it must change no byte of
 its answer.  Strict < charges one unit that does not scale.
+
+Trimming a spec to its live states first must change no domain-safe
+spec that make_domain_safe returns: a run that enters a dead state can
+no longer end in a final state, just like a run that dies, so no winner
+of the two-run game changes.
 """
 
 import collections
 import random
 from fractions import Fraction
 
-from wsynth import cli, core, games, prefix, synthesis
+from wsynth import cli, core, domain, games, prefix, synthesis
 
-from conftest import load_bench_gen
+from conftest import load_bench_gen, random_spec
 
 
 def renamed(spec, rng):
@@ -167,3 +172,27 @@ def test_scaling_weights_slack_and_cap_keeps_every_synth_approx_answer():
     for measure in (core.SUM, core.AVG):
         assert seen[measure, synthesis.REALIZABLE, True] >= 20, seen
         assert seen[measure, synthesis.UNKNOWN_AT_CAP, False] >= 20, seen
+
+
+def test_trimming_first_changes_no_domain_safe_spec():
+    # memory specs lose only their trap; the small random specs also have
+    # live unsafe transitions and specs with no Boolean realizer
+    gen = load_bench_gen()
+    rng = random.Random(7)
+    specs = []
+    for _ in range(600):
+        layout = gen.memory_spec(rng, rng.randint(2, 5), rng.randint(2, 5), rng.choice(["ab", "abc"]),
+                                 rng.choice(["xy", "xyz"]), rng.choice([core.SUM, core.AVG]))
+        specs.append(core.parse_wfa(gen.emit_wfa(layout)))
+    specs += [random_spec(rng, max_states=rng.randint(2, 10), measure=rng.choice([core.SUM, core.AVG]))
+              for _ in range(600)]
+    seen = collections.Counter()
+    for spec in specs:
+        trimmed = domain.trim(spec, spec.transitions)
+        safe = domain.make_domain_safe(spec)
+        assert domain.make_domain_safe(trimmed) == safe, core.emit_wfa(spec)
+        seen["dead states"] += len(trimmed.states) < len(spec.states)
+        seen["no realizer"] += safe is None
+        seen["unsafe transitions"] += safe is not None and len(safe.transitions) < len(
+            trimmed.transitions)
+    assert min(seen.values()) >= 30, seen
