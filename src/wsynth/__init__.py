@@ -2,7 +2,7 @@
 
 from .core import (AVG, DSUM, NEG_INF, SUM, FormatError, InternalError, MealyTransducer,
                    SpecError, WeightedSpec, best_value, evaluate, emit_mealy, emit_wfa,
-                   parse_mealy, parse_wfa, run_transducer)
+                   minimize_transducer, parse_mealy, parse_wfa, run_transducer)
 from .domain import domain_membership, is_domain_safe, make_domain_safe, unsafe_transitions
 from .dsumpath import (NondetDsumAutomaton, WeightedGraph, dsum_nonempty_geq, exists_path_leq,
                        exists_path_lt, relative_gap)
@@ -18,7 +18,7 @@ from .synthesis import (FAIL, NO_BOOLEAN_REALIZER, PASS, REALIZABLE, UNKNOWN_AT_
 __all__ = [
     "AVG", "DSUM", "NEG_INF", "SUM", "FormatError", "InternalError", "MealyTransducer",
     "SpecError", "WeightedSpec", "best_value", "evaluate", "emit_mealy", "emit_wfa",
-    "parse_mealy", "parse_wfa", "run_transducer",
+    "minimize_transducer", "parse_mealy", "parse_wfa", "run_transducer",
     "domain_membership", "is_domain_safe", "make_domain_safe", "unsafe_transitions",
     "NondetDsumAutomaton", "WeightedGraph", "dsum_nonempty_geq", "exists_path_leq",
     "exists_path_lt", "relative_gap",

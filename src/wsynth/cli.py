@@ -256,8 +256,9 @@ def _cmd_synth(args):
                 "unsupported: approximate dsum synthesis requires external "
                 "determinization of discounted-sum automata"
             )
-        cap = args.cap if args.cap is not None else _default_cap(spec)
-        result = synthesis.synth_approx(spec, obj.cmp, obj.bound, cap)
+        doubling = args.cap is None  # the smallest winning cap up to the default
+        cap = _default_cap(spec) if doubling else args.cap
+        result = synthesis.synth_approx(spec, obj.cmp, obj.bound, cap, doubling=doubling)
 
     payload = {"command": "synth", "objective": args.objective, "answer": result.status}
     lines = [result.status]

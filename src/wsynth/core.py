@@ -392,6 +392,74 @@ def run_transducer(t: MealyTransducer, u):
     return tuple(out) if state in t.finals else None
 
 
+def minimize_transducer(t: MealyTransducer) -> MealyTransducer:
+    """The least machine whose states are t's reachable states up to
+    equivalence (Moore 1956).
+
+    Partition refinement starts from final and non-final states, then
+    splits each class by every input's output and target class until no
+    class splits; an undefined transition stays apart from every defined
+    one, so no don't-care states are merged.  Only transitions on
+    t.inputs are read.  The classes are named m0, m1, ... in
+    breadth-first order of the quotient from the initial class, inputs
+    in alphabet order, so the result depends on no set or hash order.
+    """
+    # the states reachable from the initial one, numbered breadth first by
+    # hand: this loop reads every transition, and numbering them with
+    # core.bfs made minimizing the approx-knowledge pool's 211 machines
+    # about a third slower
+    index = {t.initial: 0}
+    order = [t.initial]
+    rows = []  # per reachable state, per input: None or (output, state number)
+    for q in order:
+        row = []
+        for a in t.inputs:
+            entry = t.transitions.get((q, a))
+            if entry is not None:
+                b, tgt = entry
+                if tgt not in index:
+                    index[tgt] = len(order)
+                    order.append(tgt)
+                entry = (b, index[tgt])
+            row.append(entry)
+        rows.append(row)
+    finals = set(t.finals)
+    block = [q in finals for q in order]
+    count = 0
+    while True:
+        classes = {}
+        block = [
+            classes.setdefault(
+                (block[k],) + tuple(e and (e[0], block[e[1]]) for e in row), len(classes)
+            )
+            for k, row in enumerate(rows)
+        ]
+        if len(classes) == count:
+            break
+        count = len(classes)
+    first = {}  # class -> its first state number, whose row stands for the class
+    for k, c in enumerate(block):
+        first.setdefault(c, k)
+
+    def moves(c):
+        return ((block[e[1]], a) for a, e in zip(t.inputs, rows[first[c]]) if e)
+
+    name = {c: "m%d" % k for k, c in enumerate(bfs(moves, [block[0]])[0])}
+    return MealyTransducer(
+        inputs=t.inputs,
+        outputs=t.outputs,
+        states=tuple(name.values()),
+        initial="m0",
+        finals=tuple(name[c] for c in name if order[first[c]] in finals),
+        transitions={
+            (name[c], a): (e[0], name[block[e[1]]])
+            for c in name
+            for a, e in zip(t.inputs, rows[first[c]])
+            if e
+        },
+    )
+
+
 def bfs(successors, starts, goal=None):
     """Breadth-first search: (links, found).
 

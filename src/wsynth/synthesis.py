@@ -16,7 +16,8 @@ spec run it produces and (for best-value and approx) a rival spec run.
 Dsum checks that product letter by letter with the exact path checks of
 dsumpath; Sum/Avg join each input step with its output fan into one
 scaled integer edge for a min-walk search.  Every REALIZABLE result but
-synth_approx's empty-domain machine passes it before being returned.
+synth_approx's empty-domain machine passes it before being returned;
+synth_approx minimizes its machine first, so it verifies what it returns.
 Its reach, co-reach and witness searches run on the breadth-first kernel
 core.bfs, as does every machine read-off (extract_transducer, belief
 strategies); _value_product and the approximate game number their nodes
@@ -41,6 +42,7 @@ from .core import (
     MealyTransducer,
     WeightedSpec,
     bfs,
+    minimize_transducer,
     walk_back,
 )
 from .domain import make_domain_safe
@@ -657,11 +659,15 @@ def _transducer_from_belief_strategy(spec, strategy):
     )
 
 
-def synth_approx(spec: WeightedSpec, cmp: str, r, cap: int) -> SynthResult:
+def synth_approx(spec: WeightedSpec, cmp: str, r, cap: int, *, doubling=False) -> SynthResult:
     """Approximate synthesis via the capped knowledge solver.
 
-    WIN yields a verified transducer; NOT_WIN_AT_CAP is reported as
-    UNKNOWN_AT_CAP since the cap never certifies unrealizability.
+    WIN yields a verified transducer, minimized; NOT_WIN_AT_CAP is
+    reported as UNKNOWN_AT_CAP since the cap never certifies
+    unrealizability.  With doubling, the solver tries caps 1, 2, 4, ...
+    below cap and then cap, on the one game, and the first win is the
+    answer.  A win at a cap is a win at every larger cap, so the status
+    is the one cap alone gives; the machine and the work may be smaller.
     """
     if spec.measure not in (SUM, AVG):
         raise ValueError(
@@ -684,19 +690,23 @@ def synth_approx(spec: WeightedSpec, cmp: str, r, cap: int) -> SynthResult:
             finals=(),
             transitions={},
         )
-        return SynthResult(status=REALIZABLE, transducer=t)
+        return SynthResult(status=REALIZABLE, transducer=minimize_transducer(t))
     if cmp == "<" and r == 0:
         return SynthResult(status=UNREALIZABLE)
 
     game, credit = build_approx_game(spec, cmp, r)
     reduced, buffered = prefix.reduce_prefix_energy_to_energy(game, credit)
-    effective_cap = max(cap, buffered)
-    status, strategy = games.solve_imperfect_energy_capped(
-        reduced, buffered, effective_cap
-    )
+    caps = [cap]
+    if doubling:
+        caps = [2**k for k in range(cap.bit_length()) if 2**k < cap] + caps
+    # the solver starts from the buffered credit, so a cap below it plays at it
+    for c in dict.fromkeys(max(c, buffered) for c in caps):
+        status, strategy = games.solve_imperfect_energy_capped(reduced, buffered, c)
+        if status == games.WIN:
+            break
     if status != games.WIN:
         return SynthResult(status=UNKNOWN_AT_CAP, cap=cap)
-    t = _transducer_from_belief_strategy(spec, strategy)
+    t = minimize_transducer(_transducer_from_belief_strategy(spec, strategy))
     verdict, witness = verify_realizer(
         spec, t, Objective(kind="approx", cmp=cmp, bound=r)
     )

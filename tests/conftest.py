@@ -16,13 +16,24 @@ from wsynth.games import ADAM, EVE, ImperfectArena
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
-def load_bench_gen():
-    """bench/gen.py, the benchmark's spec generator, as a module."""
-    path = Path(__file__).resolve().parent.parent / "bench" / "gen.py"
-    module_spec = importlib.util.spec_from_file_location("bench_gen", path)
+def _load_bench(name):
+    path = Path(__file__).resolve().parent.parent / "bench" / (name + ".py")
+    module_spec = importlib.util.spec_from_file_location("bench_" + name, path)
     module = importlib.util.module_from_spec(module_spec)
     module_spec.loader.exec_module(module)
     return module
+
+
+def load_bench_gen():
+    """bench/gen.py, the benchmark's spec generator, as a module."""
+    return _load_bench("gen")
+
+
+def load_bench_check():
+    """bench/check.py, the benchmark's answer checks (its brute force
+    evaluates specs from their generated data, not through wsynth), as a
+    module."""
+    return _load_bench("check")
 
 
 def load_bench_workloads(monkeypatch):

@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import json
 import os
@@ -15,7 +16,7 @@ import pytest
 from wsynth import cli, core, domain, prefix, synthesis
 from wsynth.core import AVG, DSUM
 
-from conftest import FIXTURES, always_d_realizer, first_c_realizer, load_bench_gen
+from conftest import FIXTURES, always_d_realizer, first_c_realizer, load_bench_gen, random_spec
 
 PAPER = str(FIXTURES / "paper-example.wfa")
 BEST_VALUE_REALIZABLE = str(FIXTURES / "best-value-realizable.wfa")
@@ -115,6 +116,56 @@ def test_synth_approx_strict_unknown(capsys):
     )
     assert code == 2
     assert "unknown at cap" in out
+
+
+def test_synth_approx_without_cap_answers_as_the_default_cap_does(capsys, tmp_path):
+    # caps 1, 2, 4, ... up to the default cap: a win at a cap is a win at
+    # every larger cap, so only the machine may differ from the default cap's
+    rng = random.Random(3416)
+    spec = tmp_path / "spec.wfa"
+    seen = {}
+    while len(seen) < 150:
+        text = core.emit_wfa(random_spec(rng, max_states=rng.randint(3, 6),
+                                         max_w=rng.randint(1, 2), measure=rng.choice([core.SUM, AVG])))
+        cap = cli._default_cap(core.parse_wfa(text))
+        if cap > 48:  # larger default caps take seconds each
+            continue
+        spec.write_text(text)
+        argv = ["synth", "approx", str(spec), "--cmp", rng.choice(["le", "lt"]),
+                "--r", rng.choice(["0", "1/2", "1", "2", "3"])]
+        searched = run(capsys, *argv)
+        at_default = run(capsys, *argv, "--cap", str(cap))
+        assert searched[0] == at_default[0], (text, argv)
+        if searched[0] != 0:
+            assert searched == at_default
+        seen[text, tuple(argv[3:])] = searched[0], searched[1].count("trans:") > 1
+    outcomes = collections.Counter(seen.values())
+    assert outcomes[0, True] >= 10 and outcomes[2, False] >= 20 and outcomes[1, False] >= 5, outcomes
+
+
+_LIMITED_SYNTH = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (10**9, 10**9))
+from wsynth import cli
+sys.exit(cli.main(["synth", "approx", sys.argv[1], "--cmp", "le", "--r", "1"]))
+"""
+
+
+def test_synth_approx_without_cap_wins_where_the_default_cap_outgrows_memory(tmp_path):
+    # at cap 16 this spec's construction passes 1 GB, and its default cap is
+    # 96; the search wins at cap 4, so a 1 GB address-space limit never bites
+    spec = str(FIXTURES / "avg-wins-at-small-cap.wfa")
+    assert cli._default_cap(core.parse_wfa(Path(spec).read_text())) == 96
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    done = subprocess.run(
+        [sys.executable, "-c", _LIMITED_SYNTH, spec], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.startswith("mealy\ninitial: m0\n")
+    machine = tmp_path / "m.mealy"
+    machine.write_text(done.stdout)
+    assert cli.main(["verify", spec, str(machine), "--objective", "approx",
+                     "--cmp", "le", "--r", "1"]) == 0
 
 
 def test_verify_fail_prints_witness_and_values(capsys, tmp_path):
@@ -924,8 +975,9 @@ _APPROX_SCRIPT = """
 import contextlib, hashlib, io, sys
 from wsynth import cli
 spec, out = sys.argv[1], sys.argv[2]
-for cmp, r in (("le", "4"), ("lt", "9/2"), ("lt", "4")):
-    for cap in ("64", "256"):
+for cmp, r, caps in (("le", "4", ("16", "64", "256", "1024")), ("lt", "9/2", ("64", "256")),
+                     ("lt", "4", ("64", "256"))):
+    for cap in caps:
         open(out, "w").close()
         stdout = io.StringIO()
         with contextlib.redirect_stdout(stdout):
@@ -936,14 +988,16 @@ for cmp, r in (("le", "4"), ("lt", "9/2"), ("lt", "4")):
         print(cmp, r, cap, code, repr(stdout.getvalue()), hashlib.sha256(machine).hexdigest())
 """
 
-# `synth approx` on the paper fixture as the set-belief knowledge solver
-# printed it: exit code, stdout, and the SHA-256 of the -o machine file
-# (of the empty file when there is no machine).
+# `synth approx` on the paper fixture: exit code, stdout, and the SHA-256
+# of the -o machine file (of the empty file when there is no machine).
+# Every win is the one 3-state minimal machine, whatever the cap.
 _APPROX_PINNED = """\
-le 4 64 0 'realizable\\n' f7e6eaf2c31da19815ec88fc8b6379a00b63722f4f41ed3a3ebb33bfecb30037
-le 4 256 0 'realizable\\n' 8ab83be728cb89071816002c28172987abec9729b0f74ad7031c4fff9989bc6b
-lt 9/2 64 0 'realizable\\n' d3796592194f7fd07156d5ad345311287ea0c9ff51f296379e412be1f4c8718a
-lt 9/2 256 0 'realizable\\n' 5b92bbabe1d77c0780cd2286019e6960a5b06cfd6e598817d7c169cf746d6f97
+le 4 16 0 'realizable\\n' 0a7c9423c7fb7d26463e8c908bfbb3ccbb335891fc39479771acdbf3f71e746a
+le 4 64 0 'realizable\\n' 0a7c9423c7fb7d26463e8c908bfbb3ccbb335891fc39479771acdbf3f71e746a
+le 4 256 0 'realizable\\n' 0a7c9423c7fb7d26463e8c908bfbb3ccbb335891fc39479771acdbf3f71e746a
+le 4 1024 0 'realizable\\n' 0a7c9423c7fb7d26463e8c908bfbb3ccbb335891fc39479771acdbf3f71e746a
+lt 9/2 64 0 'realizable\\n' 0a7c9423c7fb7d26463e8c908bfbb3ccbb335891fc39479771acdbf3f71e746a
+lt 9/2 256 0 'realizable\\n' 0a7c9423c7fb7d26463e8c908bfbb3ccbb335891fc39479771acdbf3f71e746a
 lt 4 64 2 'unknown at cap 64\\n' e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855
 lt 4 256 2 'unknown at cap 256\\n' e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855
 """
@@ -990,8 +1044,8 @@ def test_synth_approx_independent_of_hash_seed(tmp_path):
 
 def test_synth_approx_strict_avg_start_copy_is_pinned(tmp_path):
     # a strict Avg game starts from a one-shot copy of its initial vertex,
-    # numbered last; exit code, stdout and machine bytes are the ones the
-    # tuple-named game gave, whatever the hash seed
+    # numbered last; exit code, stdout and machine bytes are pinned, whatever
+    # the hash seed
     spec = tmp_path / "paper-avg.wfa"
     spec.write_text(Path(PAPER).read_text().replace("\nmeasure: sum\n", "\nmeasure: avg\n"))
     game, _credit = synthesis.build_approx_game(
@@ -1006,7 +1060,7 @@ def test_synth_approx_strict_avg_start_copy_is_pinned(tmp_path):
                               env=env, capture_output=True, text=True, check=True)
         assert done.stdout.splitlines()[1:] == [
             "0 'realizable\\n' "
-            "95e1fcd3c75d95bcb05dd69febe1c04eaf6ad8e4a5b8bc1aa91a580bce5103be"], seed
+            "0a7c9423c7fb7d26463e8c908bfbb3ccbb335891fc39479771acdbf3f71e746a"], seed
 
 
 _CLI_SCRIPT = """

@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 import types
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -413,6 +414,142 @@ def test_mealy_single_transition_four_lines():
         transitions={("s", "a"): ("d", "s")},
     )
     assert len(core.emit_mealy(t).strip().splitlines()) == 4
+
+
+# --- minimal machines -------------------------------------------------------
+
+
+def first_difference(left, right, start=None):
+    """The shortest input word on which the partial functions of two
+    machines differ, or None.  A breadth-first product search over (left
+    state, right state, whether the outputs differed yet) from start, the
+    pair of initial states by default; None stands for a run that died.
+    A node differs when one side accepts and the other does not, or when
+    both accept after different outputs."""
+    inputs = tuple(dict.fromkeys(left.inputs + right.inputs))
+
+    def accepts(t, q):
+        return q is not None and q in t.finals
+
+    def successors(node):
+        p, q, differed = node
+        for a in inputs:
+            e = None if p is None else left.transitions.get((p, a))
+            f = None if q is None else right.transitions.get((q, a))
+            if e is not None or f is not None:
+                yield (e and e[1], f and f[1], differed or e is None or f is None
+                       or e[0] != f[0]), a
+
+    def differs(node):
+        p, q, differed = node
+        return accepts(left, p) != accepts(right, q) or (differed and accepts(left, p))
+
+    start = start or (left.initial, right.initial)
+    links, found = core.bfs(successors, [start + (False,)], differs)
+    return None if found is None else tuple(core.walk_back(links, found))
+
+
+def moore_equivalent(t, p, q):
+    """Whether states p and q of t agree on finality and, along every
+    input word, on which inputs are defined and what they output."""
+    def signature(state):
+        return state in t.finals, tuple(t.transitions.get((state, a), (None,))[0]
+                                        for a in t.inputs)
+
+    def successors(pair):
+        for a in t.inputs:
+            e, f = t.transitions.get((pair[0], a)), t.transitions.get((pair[1], a))
+            if e is not None and f is not None:
+                yield (e[1], f[1]), a
+
+    return core.bfs(successors, [(p, q)], lambda pair: signature(pair[0]) != signature(pair[1]))[1] is None
+
+
+def random_partial_machine(rng, inputs="ab", outputs="xy"):
+    """A seeded partial machine: a few distinct behaviours, each copied up to
+    three times, every transition to a random copy of its target, with
+    shuffled state names and transition order, and unreachable states."""
+    n = rng.randint(1, 5)
+    base = {(q, a): (rng.choice(outputs), rng.randrange(n))
+            for q in range(n) for a in inputs if rng.random() < 0.75}
+    base_finals = [q for q in range(n) if rng.random() < 0.5]
+    copies = [rng.randint(1, 3) for _ in range(n)]
+    states = [(q, k) for q in range(n) for k in range(copies[q])]
+    states += [("extra", k) for k in range(rng.randint(0, 2))]
+    names = dict(zip(states, ("s%d" % k for k in rng.sample(range(100), len(states)))))
+    transitions = [((names[q, k], a), (b, names[tgt, rng.randrange(copies[tgt])]))
+                   for (q, a), (b, tgt) in base.items() for k in range(copies[q])]
+    transitions += [((names["extra", k], a), (rng.choice(outputs), names[0, 0]))
+                    for k in range(len(states) - sum(copies)) for a in inputs]
+    rng.shuffle(transitions)
+    return core.MealyTransducer(
+        inputs=tuple(inputs), outputs=tuple(outputs), states=tuple(names.values()),
+        initial=names[0, 0], finals=tuple(names[q, k] for q, k in states if q in base_finals),
+        transitions=dict(transitions))
+
+
+def test_minimized_machine_has_no_first_difference_on_random_partial_machines():
+    rng = random.Random(3401)
+    seen = collections.Counter()
+    for _ in range(400):
+        t = random_partial_machine(rng, rng.choice(["ab", "abc"]))
+        m = core.minimize_transducer(t)
+        assert first_difference(t, m) is None, core.emit_mealy(t)
+        # the words up to length 5 agree too, by running both machines
+        for n in range(6):
+            for u in itertools.product(t.inputs, repeat=n):
+                assert core.run_transducer(t, u) == core.run_transducer(m, u)
+        # minimal: no two of its states are equivalent
+        assert not any(moore_equivalent(m, p, q) for p, q in itertools.combinations(m.states, 2))
+        assert core.minimize_transducer(m) == m  # idempotent
+        assert m.states == tuple("m%d" % k for k in range(len(m.states))) and m.initial == "m0"
+        seen["merged" if len(m.states) < len(t.states) else "kept"] += 1
+        seen["partial"] += len(m.transitions) < len(m.states) * len(m.inputs)
+    assert seen["merged"] >= 200 and seen["kept"] >= 10 and seen["partial"] >= 100, seen
+
+
+def test_first_difference_finds_a_mutated_output_or_finality():
+    rng = random.Random(3402)
+    found = 0
+    for _ in range(200):
+        m = core.minimize_transducer(random_partial_machine(rng))
+        if not m.transitions:
+            continue
+        key = rng.choice(list(m.transitions))
+        b, tgt = m.transitions[key]
+        other = dict(m.transitions)
+        other[key] = ("y" if b == "x" else "x", tgt)
+        for mutant in (replace(m, transitions=other),
+                       replace(m, finals=tuple(q for q in m.states if (q in m.finals) != (q == tgt)))):
+            word = first_difference(m, mutant)
+            if word is not None:
+                found += 1
+                assert core.run_transducer(m, word) != core.run_transducer(mutant, word)
+    assert found >= 150
+
+
+def test_minimize_names_classes_breadth_first_whatever_the_state_names():
+    # s and t behave alike and merge; an undefined input stays apart from a
+    # defined one into a dead state, so u and v do not merge
+    t = core.MealyTransducer(
+        inputs=("a", "b"), outputs=("x",), states=("z", "s", "t", "u", "v", "dead", "lost"),
+        initial="z", finals=("s", "t"),
+        transitions={("z", "b"): ("x", "u"), ("z", "a"): ("x", "s"), ("s", "a"): ("x", "t"),
+                     ("t", "a"): ("x", "s"), ("u", "a"): ("x", "s"), ("v", "a"): ("x", "s"),
+                     ("v", "b"): ("x", "dead"), ("lost", "a"): ("x", "z")})
+    expected = ("mealy\ninitial: m0\nfinals: m1\ntrans: m0 a x m1\ntrans: m0 b x m2\n"
+                "trans: m1 a x m1\ntrans: m2 a x m1\n")
+    assert core.emit_mealy(core.minimize_transducer(t)) == expected
+    v = replace(t, transitions={**t.transitions, ("u", "b"): ("x", "dead")})
+    assert len(core.minimize_transducer(v).states) == 4
+    # renamed states and reversed transition order give the same bytes
+    names = {q: "q%d" % (9 - k) for k, q in enumerate(t.states)}
+    renamed = core.MealyTransducer(
+        inputs=t.inputs, outputs=t.outputs, states=tuple(names.values()),
+        initial=names["z"], finals=tuple(names[q] for q in t.finals),
+        transitions={(names[q], a): (b, names[r])
+                     for (q, a), (b, r) in reversed(list(t.transitions.items()))})
+    assert core.emit_mealy(core.minimize_transducer(renamed)) == expected
 
 
 # --- the breadth-first kernel -----------------------------------------------

@@ -2,11 +2,10 @@
 oracle for either (Chen et al., ACM Computing Surveys 2018).
 
 Renaming a spec's states consistently, with every line of the file kept
-in its place, must change no byte that synth approx writes: its machines
-name their states m0, m1, ... by discovery.  The one exception is the
-one-state machine it returns for an empty domain, named after the
-initial state.  synth threshold names its machine's states after the
-spec's, so its machines must differ exactly by the renaming.
+in its place, must change no byte that synth approx writes: its machines,
+the one-state machine of an empty domain too, name their states m0, m1,
+... in breadth-first order.  synth threshold names its machine's states
+after the spec's, so its machines must differ exactly by the renaming.
 
 Scaling every weight and the threshold by the same k > 0, with the
 discount kept, scales every Sum, Avg and Dsum value by k, so it must
@@ -15,6 +14,13 @@ For synth approx with cmp <=, scaling the slack r and the cap by k too,
 where k*r keeps r's denominator, scales every weight of its game, the
 credit, the rise bound B and the cap by k, so it must change no byte of
 its answer.  Strict < charges one unit that does not scale.
+
+A Sum or Avg spec realizable at threshold nu is realizable at every
+lower threshold with the same comparison, since a machine that keeps
+every value above nu keeps it above any lower one.  (The matching
+relation for synth approx, slack r against a larger r at a fixed cap,
+does not hold: a larger r can raise the game's buffered credit so close
+to the cap that the capped game no longer wins.)
 
 Trimming a spec to its live states first must change no domain-safe
 spec that make_domain_safe returns: a run that enters a dead state can
@@ -82,12 +88,9 @@ def test_renaming_spec_states_renames_only_the_threshold_machines(tmp_path, caps
         approx = ["synth", "approx", "--cmp", rng.choice(["le", "lt"]),
                   "--r", str(rng.randint(1, 4)), "--cap", "8"]
         answer = synth(tmp_path, capsys, text, approx)
-        empty = answer[2] == "mealy\ninitial: %s\nfinals: \n" % spec["initial"]
-        if empty:
-            answer = answer[:2] + (rename_machine(answer[2], names),)
         assert synth(tmp_path, capsys, other_text, approx) == answer, (text, approx)
         seen["approx", answer[0], answer[2] is not None and answer[2].count("trans:") > 2] += 1
-        seen["empty domain"] += empty
+        seen["empty domain"] += answer[2] == "mealy\ninitial: m0\nfinals: \n"
 
         nu = str(rng.randint(-3, 3)) if measure == "sum" else rng.choice(["-1/2", "0", "1/3", "1"])
         threshold = ["synth", "threshold", "--cmp", rng.choice(["ge", "gt"]), "--nu=" + nu]
@@ -172,6 +175,25 @@ def test_scaling_weights_slack_and_cap_keeps_every_synth_approx_answer():
     for measure in (core.SUM, core.AVG):
         assert seen[measure, synthesis.REALIZABLE, True] >= 20, seen
         assert seen[measure, synthesis.UNKNOWN_AT_CAP, False] >= 20, seen
+
+
+def test_lowering_the_threshold_keeps_every_synth_threshold_win():
+    gen = load_bench_gen()
+    rng = random.Random(3412)
+    nus = [Fraction(k, 2) for k in range(-8, 9)]
+    seen = collections.Counter()
+    for trial in range(150):
+        measure = (core.SUM, core.AVG)[trial % 2]
+        layout = gen.memory_spec(rng, rng.randint(2, 3), rng.randint(2, 4), "ab", "xy", measure,
+                                 out_w=(-3, 3))
+        spec = core.parse_wfa(gen.emit_wfa(layout))
+        cmp = rng.choice([">", ">="])
+        wins = [synthesis.synth_threshold(spec, cmp, nu).status == synthesis.REALIZABLE
+                for nu in nus]
+        # a win at each nu up to some point, and none above it
+        assert wins == sorted(wins, reverse=True), (gen.emit_wfa(layout), cmp, wins)
+        seen[measure, "switches" if 0 < sum(wins) < len(nus) else "constant"] += 1
+    assert min(seen[measure, "switches"] for measure in (core.SUM, core.AVG)) >= 30, seen
 
 
 def test_trimming_first_changes_no_domain_safe_spec():

@@ -31,9 +31,9 @@ from wsynth.synthesis import (
 )
 
 from conftest import (FIXTURES, always_transducer, always_d_realizer, check_difference,
-                      edge_iarena, first_c_realizer, load_bench_gen, load_bench_workloads,
-                      old_min_walk_below, old_value_witness, old_verify_verdict_only,
-                      random_spec, table_from_edges)
+                      edge_iarena, first_c_realizer, load_bench_check, load_bench_gen,
+                      load_bench_workloads, old_min_walk_below, old_value_witness,
+                      old_verify_verdict_only, random_spec, table_from_edges)
 from test_games import full_floor_solve, mk_arena, random_arena
 from test_prefix_games import OldImperfectArena, old_reduce_prefix_energy_to_energy
 
@@ -516,6 +516,65 @@ def test_synth_approx_checks_its_arguments_first(paper_spec):
         synth_approx(paper_spec, "<=", Fraction(4), cap=-1)
 
 
+_PAPER_APPROX_MACHINE = """\
+mealy
+initial: m0
+finals: m2
+trans: m0 a c m1
+trans: m0 b d m2
+trans: m1 a d m1
+trans: m1 b d m2
+"""
+
+
+def test_approx_paper_machine_is_one_minimal_machine_at_every_cap(paper_spec, monkeypatch):
+    # the read-off has one state per belief, so its size grows with the cap;
+    # minimized, every cap gives the same 3-state machine
+    def machines(caps):
+        return [synth_approx(paper_spec, "<=", Fraction(4), cap).transducer for cap in caps]
+
+    assert [core.emit_mealy(t) for t in machines((16, 64, 256))] == [_PAPER_APPROX_MACHINE] * 3
+    monkeypatch.setattr(synthesis, "minimize_transducer", lambda t: t)
+    assert [len(t.states) for t in machines((16, 64, 256))] == [8, 32, 128]
+
+
+def test_approx_empty_domain_machine_is_named_m0(paper_spec):
+    for spec in (dataclasses.replace(paper_spec, finals=()),
+                 dataclasses.replace(paper_spec.with_measure(AVG), finals=())):
+        t = synth_approx(spec, "<", Fraction(1), cap=8).transducer
+        assert core.emit_mealy(t) == "mealy\ninitial: m0\nfinals: \n"
+
+
+def test_every_approx_pool_machine_passes_the_verifier_and_the_brute_force(monkeypatch):
+    # at the pool's caps, and with caps doubled up to them: a win at a cap
+    # is a win at every larger cap, so both give the same status
+    check = load_bench_check()
+    workloads = load_bench_workloads(monkeypatch)
+    seen = collections.Counter()
+    for family in workloads.WORKLOADS["approx-knowledge"]:
+        for index in range(family.pool):
+            inst = workloads.pool_instance("approx-knowledge", family, index)
+            spec = core.parse_wfa(inst.files["spec.wfa"])
+            option = dict(zip(inst.argv[3::2], inst.argv[4::2]))
+            cmp, r = {"le": "<=", "lt": "<"}[option["--cmp"]], Fraction(option["--r"])
+            results = [synth_approx(spec, cmp, r, int(option["--cap"]), doubling=doubling)
+                       for doubling in (False, True)]
+            assert results[0].status == results[1].status, inst.iid
+            for result in results:
+                if result.transducer is None:
+                    continue
+                t = result.transducer
+                assert verify_realizer(spec, t, Objective("approx", cmp, r))[0] == PASS
+                machine = check.parse_mealy(core.emit_mealy(t))
+                assert check.brute_force(check.Spec(inst.spec), machine, inst.objective) is None
+                seen["verified"] += 1
+                seen["smaller when doubled"] += result is results[1] and len(t.states) < len(
+                    results[0].transducer.states)
+            seen[results[0].status] += 1
+    assert seen[REALIZABLE] >= 180 and seen[UNKNOWN_AT_CAP] >= 80, seen
+    assert seen["smaller when doubled"] >= 1, seen
+
+
 # --- the approx game and its machine read-off against their old loops -------
 
 
@@ -784,7 +843,7 @@ def paths_agree(spec, cmp, r, cap):
     floor solver that explores every floor.  The credit, the status, the
     strategy up to the numbering and the machine must agree.  Returns the
     status, None where both reductions fail the forcing hypothesis, and
-    the machine text of a win."""
+    the text of a win's machine, minimized as synth_approx returns it."""
     game, credit = synthesis.build_approx_game(spec, cmp, r)
     old_game, old_credit = tuple_build_approx_game(spec, cmp, r)
     assert credit == old_credit
@@ -805,10 +864,10 @@ def paths_agree(spec, cmp, r, cap):
     if status != games.WIN:
         return status, None
     assert named_strategy(strategy, old_game.vertices) == old_strategy
-    machine = core.emit_mealy(synthesis._transducer_from_belief_strategy(spec, strategy))
-    assert machine == core.emit_mealy(
+    machine = synthesis._transducer_from_belief_strategy(spec, strategy)
+    assert core.emit_mealy(machine) == core.emit_mealy(
         synthesis._transducer_from_belief_strategy(spec, old_strategy))
-    return status, machine
+    return status, core.emit_mealy(core.minimize_transducer(machine))
 
 
 def test_numbered_approx_path_matches_the_tuple_named_one_on_the_approx_pool(monkeypatch):
@@ -1760,4 +1819,4 @@ def test_synthesized_machines_are_pinned():
             digest.update(result.status.encode())
             if result.transducer is not None:
                 digest.update(core.emit_mealy(result.transducer).encode())
-    assert digest.hexdigest() == "b0fc27a05e00205238d04f3bc59859026d2cc885a8963038dc68eec6ad88e017"
+    assert digest.hexdigest() == "3e9079b9f64f2948a6edee59d6f1484c11209f80a5602d0f025a565151f1de7a"
