@@ -185,9 +185,14 @@ class MealyTransducer:
         for f in self.finals:
             if f not in known:
                 raise SpecError("unknown final state %r" % f)
+        inputs, outputs = set(self.inputs), set(self.outputs)
         for (src, sym), (out, tgt) in self.transitions.items():
             if src not in known or tgt not in known:
                 raise SpecError("dangling state in transition %r" % ((src, sym),))
+            if sym not in inputs:
+                raise SpecError("unknown input %r in transition %r" % (sym, (src, sym)))
+            if out not in outputs:
+                raise SpecError("unknown output %r in transition %r" % (out, (src, sym)))
 
 
 def _infer_polarity(spec: WeightedSpec) -> dict:

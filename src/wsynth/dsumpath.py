@@ -25,7 +25,9 @@ round.  With no hit in n rounds, no path with Dsum <= nu exists iff
 round n is already a fixpoint (R_n = p * R_{n-1}); a non-fixpoint vertex
 yields a pumpable loop whose relative gap grows without bound.  Every
 YES answer ships a concrete path, re-validated by exact evaluation
-before being returned; a failed re-validation raises InternalError.
+before being returned; a failed re-validation raises InternalError.  A
+verdict-only YES ships no path: it stops at the first hit and checks
+that hit's walk again on integers instead.
 """
 
 from __future__ import annotations
@@ -144,7 +146,7 @@ class MrgTable:
         return view
 
 
-def compute_mrg(graph: WeightedGraph, nu: Fraction, strict=None):
+def compute_mrg(graph: WeightedGraph, nu: Fraction, strict=None, *, verdict_only=False):
     """(table, vertices, edges) over the graph pruned to the n vertices
     that reach a target; table is None when the source is not one.
 
@@ -165,6 +167,10 @@ def compute_mrg(graph: WeightedGraph, nu: Fraction, strict=None):
     distinct vertices.  Any other hit, a fixpoint, round |V| or 2|E| edge
     visits without a hit prune the graph once, restricting the rows so
     far to it and cutting them to n rounds.
+
+    With verdict_only, every hit is final: its walk meets the threshold
+    whether or not it is the shortest, so the table ends at the first
+    round with a hit, unpruned unless the edge budget pruned it earlier.
     """
     p, q = graph.discount.numerator, graph.discount.denominator
     b = nu.denominator
@@ -182,7 +188,8 @@ def compute_mrg(graph: WeightedGraph, nu: Fraction, strict=None):
         if hits:
             on_path, hit = _backtrack(graph, raised, k, min(hits, key=repr))
         if vertices is None and (
-            k > len(set(on_path)) if hits else budget <= 0 or k == rounds or not raised[k]
+            (not verdict_only and k > len(set(on_path))) if hits
+            else budget <= 0 or k == rounds or not raised[k]
         ):
             vertices, edges = _prune_to_targets(graph)
             live = set(vertices)
@@ -227,6 +234,27 @@ def _hits(graph, raised, strict):
     """The targets one round of the table raised to R >= 0 (R > 0 if strict)."""
     floor = 1 if strict else 0  # R is an integer
     return [v for v in graph.targets if v in raised and raised[v][0] >= floor]
+
+
+def _check_walk(graph, nu, strict, edge_indices):
+    """Raise InternalError unless the walk over edge_indices from the
+    source ends in a target with Dsum <= nu (< nu if strict).
+
+    Checked on integers as the table scales it: with lambda = p/q and
+    nu = a/b, the gap after i edges is b * p^i * rg, which starts at a and
+    becomes q * gap - w * b * p^i over the i-th edge, of weight w.
+    """
+    p, q = graph.discount.numerator, graph.discount.denominator
+    b = nu.denominator
+    gap, power, end = nu.numerator, 1, graph.source
+    for i in edge_indices:
+        _src, w, end = graph.edges[i]
+        power *= p
+        gap = q * gap - w * b * power
+    if end not in graph.targets:
+        raise InternalError("verdict walk does not end in a target")
+    if gap < (1 if strict else 0):
+        raise InternalError("verdict walk failed re-validation")
 
 
 def _backtrack(graph: WeightedGraph, raised, round_i, vertex):
@@ -314,33 +342,44 @@ def _pumped_witness(graph: WeightedGraph, table: MrgTable, nu, strict, edges):
     return _witness(graph, stem + loop * pumps + tail_edges)
 
 
-def exists_path_leq(graph: WeightedGraph, nu) -> tuple:
+def exists_path_leq(graph: WeightedGraph, nu, *, verdict_only=False) -> tuple:
     """Is there a path from the source to a target with Dsum <= nu?
 
     Returns (NO, None) or (YES, PathWitness); witnesses are validated
     against the claimed comparison before being returned.  A witness
     that no pumping built has the fewest edges of any path with
     Dsum <= nu.
+
+    verdict_only is for callers that read the answer alone: a YES then
+    comes as (YES, None), as soon as a round of the table raises a target
+    to a gap >= 0.  That value is the gap of a real walk, which is read
+    back and checked again on integers (InternalError if it fails), but
+    is neither pruned, pumped nor evaluated as a Fraction.  With no such
+    round the check runs as without the flag.  The answer is the same.
     """
-    return _exists_path(graph, nu, False)
+    return _exists_path(graph, nu, False, verdict_only)
 
 
-def exists_path_lt(graph: WeightedGraph, nu) -> tuple:
+def exists_path_lt(graph: WeightedGraph, nu, *, verdict_only=False) -> tuple:
     """Strict variant: a path with Dsum < nu.
 
     At a fixpoint the table holds the attained maximum relative gap, so a
     strict witness exists iff some target gap is strictly positive; away
-    from the fixpoint pumping yields strict witnesses.
+    from the fixpoint pumping yields strict witnesses.  verdict_only is
+    as for exists_path_leq, with a gap > 0.
     """
-    return _exists_path(graph, nu, True)
+    return _exists_path(graph, nu, True, verdict_only)
 
 
-def _exists_path(graph: WeightedGraph, nu, strict):
+def _exists_path(graph: WeightedGraph, nu, strict, verdict_only):
     nu = Fraction(nu)
-    table, _vertices, edges = compute_mrg(graph, nu, strict)
+    table, _vertices, edges = compute_mrg(graph, nu, strict, verdict_only=verdict_only)
     if table is None:
         return NO, None
     if table.hit is not None:
+        if verdict_only:
+            _check_walk(graph, nu, strict, table.hit)
+            return YES, None
         witness = _witness(graph, table.hit)
     else:
         witness = _pumped_witness(graph, table, nu, strict, edges)
@@ -353,7 +392,7 @@ def _exists_path(graph: WeightedGraph, nu, strict):
         raise InternalError("witness failed strict re-validation")
     if not strict and not witness.value <= nu:
         raise InternalError("witness failed re-validation")
-    return YES, witness
+    return YES, None if verdict_only else witness
 
 
 @dataclass

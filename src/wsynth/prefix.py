@@ -247,13 +247,16 @@ def restrict_to_strategy(arena: Arena, strategy: PositionalStrategy):
     return {names[k] for k in queue}, edges
 
 
-def check_positional_dsum(arena: Arena, strategy: PositionalStrategy, obj: PrefixObjective):
+def check_positional_dsum(arena: Arena, strategy: PositionalStrategy, obj: PrefixObjective,
+                          *, verdict_only=False):
     """Does Eve's positional strategy win the Dsum prefix game?
 
     The strategy loses iff Adam can trace a path to a critical vertex
     whose value fails the threshold: Dsum <= nu for the strict game,
     Dsum < nu for the non-strict one.  Returns (True, None) or
-    (False, violating PathWitness).
+    (False, violating PathWitness).  With verdict_only, a losing
+    strategy comes as (False, None), decided at the first violating walk
+    the path check finds (see exists_path_leq); the verdict is the same.
     """
     if obj.measure != DSUM:
         raise ValueError("path checking applies to dsum objectives")
@@ -269,7 +272,7 @@ def check_positional_dsum(arena: Arena, strategy: PositionalStrategy, obj: Prefi
         discount=obj.discount,
     )
     checker = exists_path_leq if obj.cmp == ">" else exists_path_lt
-    answer, witness = checker(graph, obj.nu)
+    answer, witness = checker(graph, obj.nu, verdict_only=verdict_only)
     if answer == NO:
         return True, None
     return False, witness
@@ -361,8 +364,7 @@ def play_prefix_game(arena: Arena, obj: PrefixObjective, game: PrefixGame):
         if winner == ADAM:
             return ADAM, None
     for strategy in enumerate_positional(arena):
-        winning, _witness = check_positional_dsum(arena, strategy, obj)
-        if winning:
+        if check_positional_dsum(arena, strategy, obj, verdict_only=True)[0]:
             return EVE, strategy
     if reduction is not None:
         raise InternalError("positional sufficiency violated")

@@ -102,6 +102,9 @@ def test_spec_built_directly_is_validated(change, message):
     ({"finals": ("zz",)}, "unknown final state 'zz'"),
     ({"transitions": {("s", "a"): ("c", "zz")}}, "dangling state"),
     ({"finals": ("s", "s")}, "repeated final state 's'"),
+    # minimize_transducer reads only the listed inputs: it would drop such a move
+    ({"transitions": {("s", "b"): ("z", "s")}}, "unknown input 'b'"),
+    ({"transitions": {("s", "a"): ("z", "s")}}, "unknown output 'z'"),
 ])
 def test_mealy_built_directly_is_validated(change, message):
     parts = dict(inputs=("a",), outputs=("c",), states=("s",), initial="s", finals=("s",),

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import random
 import subprocess
@@ -912,6 +913,65 @@ def test_one_relaxation_matches_prune_first(monkeypatch):
             seen["no"] += answer == NO
             seen["no_target"] += table is None
     assert min(seen.values()) >= 50, seen
+
+
+# --- verdict-only checks against the full check --------------------------------
+
+VERDICT_LAMBDAS = [Fraction(1, 2), Fraction(1, 3), Fraction(2, 3), Fraction(3, 4)]
+
+
+def verdict_instance(rng):
+    """A graph of oracle_instance, pumping_instance or route_instance, with
+    lambda and nu drawn again: nu has denominator 1 to 3."""
+    make = rng.choice([oracle_instance, pumping_instance, route_instance])
+    graph, _nu = make(rng)
+    graph = dataclasses.replace(graph, discount=rng.choice(VERDICT_LAMBDAS))
+    return graph, Fraction(rng.randint(-8, 4), rng.randint(1, 3))
+
+
+def test_verdict_only_matches_the_full_check():
+    # the full check is the reference: the same answer, and a YES without
+    # a witness, whether the full check stops at a shortest hit, prunes
+    # first or pumps
+    seen = dict.fromkeys(["no", "final_hit", "full_prunes", "full_pumps", "pumped"], 0)
+    rng = random.Random(35)
+    for _ in range(6000):
+        graph, nu = verdict_instance(rng)
+        for strict in (False, True):
+            checker = exists_path_lt if strict else exists_path_leq
+            answer, _witness = checker(graph, nu)
+            assert checker(graph, nu, verdict_only=True) == (answer, None), (graph, nu, strict)
+            if answer == NO:
+                seen["no"] += 1
+                continue
+            full = dsumpath.compute_mrg(graph, nu, strict)
+            verdict = dsumpath.compute_mrg(graph, nu, strict, verdict_only=True)
+            if verdict[0].hit is None:
+                seen["pumped"] += 1
+            elif full[0].hit is None:
+                seen["full_pumps"] += 1
+            elif full[1] is not None and verdict[1] is None:
+                seen["full_prunes"] += 1
+            else:
+                seen["final_hit"] += 1
+    assert min(seen.values()) >= 50, seen
+
+
+def test_verdict_walk_is_checked_again_on_integers(monkeypatch):
+    # a hit reported below the floor must not become a YES, also under
+    # python -O: the re-check raises instead of asserting
+    graph = WeightedGraph(
+        vertices=("s", "t"),
+        edges=[("s", 0, "t")],
+        source="s",
+        targets=frozenset(["t"]),
+        discount=Fraction(1, 2),
+    )
+    assert exists_path_lt(graph, Fraction(0), verdict_only=True) == (NO, None)
+    monkeypatch.setattr(dsumpath, "_hits", lambda graph, raised, strict: [
+        v for v in graph.targets if v in raised])
+    with pytest.raises(dsumpath.InternalError, match="verdict walk failed re-validation"):
+        exists_path_lt(graph, Fraction(0), verdict_only=True)
 
 
 # --- dsum-path --trace, pinned byte for byte ----------------------------------

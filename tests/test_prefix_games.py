@@ -296,6 +296,30 @@ def dsum_prefix_oracle(arena, obj):
     return ADAM
 
 
+def test_verdict_only_positional_check_matches_the_full_check():
+    # every candidate of the strict-Dsum enumeration gets the full check's
+    # verdict, and a loser comes without its witness
+    gen = load_bench_gen()
+    seen = collections.Counter()
+    rng = random.Random(3535)
+    for trial in range(300):
+        if trial % 2:
+            arena = random_critical_arena(rng, max_v=5)
+        else:
+            arena = games.parse_arena(gen.emit_arena(gen.random_arena(
+                rng, rng.randint(4, 12), eve_choice_cap=4)))
+        obj = PrefixObjective(
+            measure=DSUM, cmp=">", nu=Fraction(rng.randint(-3, 2), rng.randint(1, 3)),
+            discount=rng.choice([Fraction(1, 2), Fraction(1, 3), Fraction(2, 3), Fraction(3, 4)]))
+        for strategy in prefix.enumerate_positional(arena):
+            winning, witness = prefix.check_positional_dsum(arena, strategy, obj)
+            assert prefix.check_positional_dsum(arena, strategy, obj, verdict_only=True) == (
+                winning, None), games.emit_arena(arena)
+            seen[winning] += 1
+            seen["longer_walk"] += not winning and len(witness.edges) > 1
+    assert min(seen.values()) >= 500, seen
+
+
 def test_dsum_nonstrict_reduction_agrees_with_enumeration():
     rng = random.Random(53)
     lam = Fraction(1, 2)
