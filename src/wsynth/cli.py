@@ -383,14 +383,10 @@ def _cmd_dsum_path(args):
     nu = _rational(args.nu)
     if not (0 < lam < 1):
         raise UsageError("discount must lie strictly between 0 and 1")
-    targets = frozenset(arena.critical)
-    graph = dsumpath.WeightedGraph(
-        vertices=arena.vertices,
-        edges=[(src, w, dst) for src, _a, w, dst in arena.edges],
-        source=arena.initial,
-        targets=targets,
-        discount=lam,
-    )
+    # the arena's numbers and edges, with the critical vertices as targets
+    graph = dsumpath.NumberedGraph(
+        range(len(arena.moves)), dict(enumerate(arena.moves)), arena.number[arena.initial],
+        arena.is_critical, arena.weight, arena.dst, arena.vertices, lam)
     checker = dsumpath.exists_path_lt if args.strict else dsumpath.exists_path_leq
     answer, witness = checker(graph, nu)
     if args.trace:

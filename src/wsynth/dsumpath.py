@@ -32,10 +32,10 @@ that hit's walk again on integers instead.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from operator import itemgetter
 
 from .core import InternalError, bfs, walk_back
 
@@ -43,9 +43,19 @@ NO = "no"
 YES = "yes"
 
 
+# The graph that the path checks read: out maps each vertex number in vertices
+# (numbers that may be a larger graph's, such as an arena's) to its out-edges
+# (edge index, raw weight, dst number) in edge order; edge i has weight[i] and
+# dst[i]; names[k] is read only for witnesses, MrgTable.rows and tie-breaks.
+# A WeightedGraph has these fields too, with names in vertices.
+NumberedGraph = namedtuple("NumberedGraph", "vertices out start target weight dst names discount")
+
+
 @dataclass
 class WeightedGraph:
-    """Directed integer-weighted graph with a source, targets, and discount."""
+    """Directed integer-weighted graph with a source, targets, and discount,
+    given by names and numbered once into the fields of NumberedGraph:
+    vertex k is vertices[k].  A target that is not a vertex is never hit."""
 
     vertices: tuple
     edges: list  # (src, weight, dst)
@@ -58,24 +68,33 @@ class WeightedGraph:
             self.discount = Fraction(self.discount)
         if not 0 < self.discount.numerator < self.discount.denominator:
             raise ValueError("discount must lie strictly between 0 and 1")
-        known = set(self.vertices)
-        if self.source not in known:
+        number = {v: k for k, v in enumerate(self.vertices)}  # a repeated name counts once
+        if self.source not in number:
             raise ValueError("unknown source vertex")
-        if not (known.issuperset(map(itemgetter(0), self.edges))
-                and known.issuperset(map(itemgetter(2), self.edges))):
-            raise ValueError("edge endpoints must be vertices")
+        self.out = {k: [] for k in number.values()}
+        self.weight, self.dst = [], []
+        try:
+            for i, (src, w, dst) in enumerate(self.edges):
+                self.weight.append(w)
+                self.dst.append(number[dst])
+                self.out[number[src]].append((i, w, self.dst[i]))
+        except KeyError:
+            raise ValueError("edge endpoints must be vertices") from None
+        self.start = number[self.source]
+        self.target = [v in self.targets for v in self.vertices]
+        self.names = self.vertices
 
 
 @dataclass
 class PathWitness:
     """A concrete source-to-target path: vertices plus its exact Dsum."""
 
-    vertices: list
+    vertices: list  # names
     edges: list  # edge indices into the originating graph
     value: Fraction
 
 
-def dsum_of_edges(graph: WeightedGraph, edge_indices):
+def dsum_of_edges(graph, edge_indices):
     """Exact Dsum of a path, by integer Horner over lambda = p/q.
 
     After k edges acc = sum_j w_j * p^j * q^(k-j) and den = q^k.
@@ -85,7 +104,7 @@ def dsum_of_edges(graph: WeightedGraph, edge_indices):
     for i in edge_indices:
         power *= p
         den *= q
-        acc = acc * q + graph.edges[i][1] * power
+        acc = acc * q + graph.weight[i] * power
     return Fraction(acc, den)
 
 
@@ -97,19 +116,17 @@ def relative_gap(dsum_value, length, nu, lam) -> Fraction:
     return (Fraction(nu) - Fraction(dsum_value)) / lam**length
 
 
-def _prune_to_targets(graph: WeightedGraph):
-    """Keep only vertices that can reach a target; returns (vertices, edges)."""
+def _prune_to_targets(graph):
+    """The vertices that can reach a target, in graph order, and their
+    out-lists cut to edges between them: (vertices, out)."""
     preds = {}
-    for i, (src, _w, dst) in enumerate(graph.edges):
-        preds.setdefault(dst, []).append((src, i))
-    can = bfs(lambda v: preds.get(v, ()), set(graph.targets) & set(graph.vertices))[0]
-    edges = [
-        (i, src, w, dst)
-        for i, (src, w, dst) in enumerate(graph.edges)
-        if src in can and dst in can
-    ]
-    vertices = [v for v in graph.vertices if v in can]
-    return vertices, edges
+    for u, outs in graph.out.items():
+        for i, _w, dst in outs:
+            preds.setdefault(dst, []).append((u, i))
+    can = bfs(lambda v: preds.get(v, ()), [v for v in graph.out if graph.target[v]])[0]
+    vertices = [v for v in graph.out if v in can]
+    out = {u: [e for e in graph.out[u] if e[2] in can] for u in vertices}
+    return vertices, out
 
 
 @dataclass
@@ -117,13 +134,14 @@ class MrgTable:
     """Per-round maximal relative gaps, scaled to integers, with parents.
 
     With lambda = p/q and nu = a/b, raised[i][v] = (R_i(v), edge_index,
-    predecessor) for each vertex that round i reached or raised over that
-    edge, where R_i(v) = b * p^i * mrg_i(v); round 0 holds the source
-    alone.  A vertex missing from raised[i] kept its value
+    predecessor) for each vertex (by number) that round i reached or raised
+    over that edge, where R_i(v) = b * p^i * mrg_i(v); round 0 holds the
+    source alone.  A vertex missing from raised[i] kept its value
     (R_i = p * R_{i-1}), or is not reached yet (-infinity).  rounds is n
     (|V| if a hit was final before pruning), and raised holds rounds 0..n
     unless the computation stopped at a hit, whose witness edges are hit.
-    rows is the Fraction view, rows[i][v] = mrg_i(v), built on demand.
+    rows is the Fraction view by name, rows[i][names[v]] = mrg_i(v), built
+    on demand.
     """
 
     rounds: int
@@ -131,6 +149,7 @@ class MrgTable:
     nu_den: int  # b
     lam_num: int  # p
     hit: list = None
+    names: tuple = ()
 
     @cached_property
     def rows(self):
@@ -140,15 +159,17 @@ class MrgTable:
         for raised in self.raised:
             current = dict(current)
             for v, step in raised.items():
-                current[v] = Fraction(step[0], scale)
+                current[self.names[v]] = Fraction(step[0], scale)
             view.append(current)
             scale *= self.lam_num
         return view
 
 
-def compute_mrg(graph: WeightedGraph, nu: Fraction, strict=None, *, verdict_only=False):
-    """(table, vertices, edges) over the graph pruned to the n vertices
-    that reach a target; table is None when the source is not one.
+def compute_mrg(graph, nu: Fraction, strict=None, *, verdict_only=False):
+    """(table, vertices, out): the table, and the vertex numbers and
+    out-lists of the graph pruned to the n vertices that reach a target
+    (both None when the table never pruned); table is None when the
+    source is not among them.  graph is a WeightedGraph or NumberedGraph.
 
     Only edges out of a vertex raised in round i-1 can raise a vertex in
     round i: any other edge's candidate is p times its round i-1
@@ -163,7 +184,7 @@ def compute_mrg(graph: WeightedGraph, nu: Fraction, strict=None, *, verdict_only
     are these rounds restricted to the pruned vertices, parents and ties
     included: such vertices are only reached from each other, and a round
     raises a vertex by its own candidates alone.  So a hit in round k is
-    final, with vertices and edges None, when its witness has k or more
+    final, with vertices and out None, when its witness has k or more
     distinct vertices.  Any other hit, a fixpoint, round |V| or 2|E| edge
     visits without a hit prune the graph once, restricting the rows so
     far to it and cutting them to n rounds.
@@ -172,35 +193,30 @@ def compute_mrg(graph: WeightedGraph, nu: Fraction, strict=None, *, verdict_only
     whether or not it is the shortest, so the table ends at the first
     round with a hit, unpruned unless the edge budget pruned it earlier.
     """
-    p, q = graph.discount.numerator, graph.discount.denominator
-    b = nu.denominator
-    out = {}
-    for idx, (src, w, dst) in enumerate(graph.edges):
-        out.setdefault(src, []).append((idx, w * b, dst))
+    p, q, b = graph.discount.numerator, graph.discount.denominator, nu.denominator
+    out, names, source = graph.out, graph.names, graph.start
     powers = [1]  # p^i, one more per round computed
-    raised = [{graph.source: (nu.numerator, None, None)}]
-    latest = {graph.source: (nu.numerator, 0)}  # v -> (R_k(v), last round k raising v)
-    rounds, vertices, edges, hit = len(graph.vertices), None, None, None
-    budget = 2 * len(graph.edges)  # edge visits left before pruning
+    raised = [{source: (nu.numerator, None, None)}]
+    latest = {source: (nu.numerator, 0)}  # v -> (R_k(v), last round k raising v)
+    rounds, vertices, hit = len(out), None, None
+    budget = 2 * sum(map(len, out.values()))  # edge visits left before pruning
     while True:
         k = len(raised) - 1
         hits = strict is not None and _hits(graph, raised[k], strict)
         if hits:
-            on_path, hit = _backtrack(graph, raised, k, min(hits, key=repr))
+            on_path, hit = _backtrack(graph, raised, k, min(hits, key=lambda v: repr(names[v])))
         if vertices is None and (
             (not verdict_only and k > len(set(on_path))) if hits
             else budget <= 0 or k == rounds or not raised[k]
         ):
-            vertices, edges = _prune_to_targets(graph)
-            live = set(vertices)
-            if graph.source not in live:
-                return None, vertices, edges
+            vertices, out = _prune_to_targets(graph)
+            if source not in out:
+                return None, vertices, out
             rounds = len(vertices)
-            raised = [{v: step for v, step in row.items() if v in live}
+            raised = [{v: step for v, step in row.items() if v in out}
                       for row in raised[: rounds + 1]]
             if k > rounds:  # rounds 0..n hold no hit
                 hit = None
-            out = {u: [e for e in outs if e[2] in live] for u, outs in out.items() if u in live}
         if hits or k >= rounds:
             break
         if not raised[k]:
@@ -208,13 +224,14 @@ def compute_mrg(graph: WeightedGraph, nu: Fraction, strict=None, *, verdict_only
             break
         power = powers[-1] * p
         powers.append(power)
+        scale = b * power  # nu's denominator folded into the round's power
         best = {}
         for u, step in raised[k].items():
             qr = q * step[0]
-            outs = out.get(u, ())
+            outs = out[u]
             budget -= len(outs)
-            for idx, wb, dst in outs:
-                cand = qr - wb * power
+            for idx, w, dst in outs:
+                cand = qr - w * scale
                 cur = best.get(dst)
                 if cur is None:
                     kept = latest.get(dst)
@@ -226,14 +243,14 @@ def compute_mrg(graph: WeightedGraph, nu: Fraction, strict=None, *, verdict_only
         for v, step in best.items():
             latest[v] = (step[0], k + 1)
         raised.append(best)
-    table = MrgTable(rounds=rounds, raised=raised, nu_den=b, lam_num=p, hit=hit)
-    return table, vertices, edges
+    table = MrgTable(rounds=rounds, raised=raised, nu_den=b, lam_num=p, hit=hit, names=names)
+    return table, vertices, None if vertices is None else out
 
 
 def _hits(graph, raised, strict):
     """The targets one round of the table raised to R >= 0 (R > 0 if strict)."""
-    floor = 1 if strict else 0  # R is an integer
-    return [v for v in graph.targets if v in raised and raised[v][0] >= floor]
+    floor, target = (1 if strict else 0), graph.target  # R is an integer
+    return [v for v, step in raised.items() if target[v] and step[0] >= floor]
 
 
 def _check_walk(graph, nu, strict, edge_indices):
@@ -244,21 +261,20 @@ def _check_walk(graph, nu, strict, edge_indices):
     nu = a/b, the gap after i edges is b * p^i * rg, which starts at a and
     becomes q * gap - w * b * p^i over the i-th edge, of weight w.
     """
-    p, q = graph.discount.numerator, graph.discount.denominator
-    b = nu.denominator
-    gap, power, end = nu.numerator, 1, graph.source
+    p, q, b = graph.discount.numerator, graph.discount.denominator, nu.denominator
+    gap, power, end = nu.numerator, 1, graph.start
     for i in edge_indices:
-        _src, w, end = graph.edges[i]
+        end = graph.dst[i]
         power *= p
-        gap = q * gap - w * b * power
-    if end not in graph.targets:
+        gap = q * gap - graph.weight[i] * b * power
+    if not graph.target[end]:
         raise InternalError("verdict walk does not end in a target")
     if gap < (1 if strict else 0):
         raise InternalError("verdict walk failed re-validation")
 
 
-def _backtrack(graph: WeightedGraph, raised, round_i, vertex):
-    """Path from the source achieving round round_i's value at vertex."""
+def _backtrack(graph, raised, round_i, vertex):
+    """(Vertex numbers, edges) of a path achieving round_i's value at vertex."""
     path_edges = []
     v = vertex
     for i in range(round_i, 0, -1):
@@ -267,23 +283,18 @@ def _backtrack(graph: WeightedGraph, raised, round_i, vertex):
             path_edges.append(step[1])
             v = step[2]
     path_edges.reverse()
-    vertices = [graph.source]
-    for idx in path_edges:
-        vertices.append(graph.edges[idx][2])
-    return vertices, path_edges
+    return [graph.start, *map(graph.dst.__getitem__, path_edges)], path_edges
 
 
 def _witness(graph, edge_indices):
-    vertices = [graph.source]
-    for idx in edge_indices:
-        vertices.append(graph.edges[idx][2])
-    return PathWitness(
-        vertices=vertices, edges=list(edge_indices), value=dsum_of_edges(graph, edge_indices)
-    )
+    names, dst = graph.names, graph.dst
+    return PathWitness([names[graph.start], *(names[dst[i]] for i in edge_indices)],
+                       list(edge_indices), dsum_of_edges(graph, edge_indices))
 
 
-def _pumped_witness(graph: WeightedGraph, table: MrgTable, nu, strict, edges):
-    """Build pi1 pi2^l pi4 from a vertex still rising at round n.
+def _pumped_witness(graph, table: MrgTable, nu, strict, out):
+    """Build pi1 pi2^l pi4 from a vertex still rising at round n, on the
+    pruned graph's out-lists.
 
     Returns None when round n is a fixpoint.  The length-n path achieving
     the raised value must repeat a vertex; the repeated loop raises the
@@ -299,20 +310,18 @@ def _pumped_witness(graph: WeightedGraph, table: MrgTable, nu, strict, edges):
     if not rising:
         return None
     # prefer a deterministic pick
-    v_star = min(rising, key=repr)
+    v_star = min(rising, key=lambda v: repr(graph.names[v]))
     vertices, path_edges = _backtrack(graph, table.raised, n, v_star)
     if len(path_edges) != n:
         raise InternalError("a freshly raised value needs a full-length path")
     first_seen = {}
-    split = None
-    for pos, v in enumerate(vertices):
+    for k, v in enumerate(vertices):
         if v in first_seen:
-            split = (first_seen[v], pos)
             break
-        first_seen[v] = pos
-    if split is None:
+        first_seen[v] = k
+    else:
         raise InternalError("length-n path must repeat a vertex")
-    j, k = split
+    j = first_seen[v]
     stem = path_edges[:j]
     loop = path_edges[j:k]
     head = vertices[j]
@@ -324,10 +333,8 @@ def _pumped_witness(graph: WeightedGraph, table: MrgTable, nu, strict, edges):
         raise InternalError("loop removal would contradict the shortest raised path")
 
     # shortest tail from the loop head into the targets (BFS, edge-index order)
-    out = {}
-    for idx, src, _w, dst in edges:
-        out.setdefault(src, []).append((dst, idx))
-    links, goal = bfs(lambda u: out.get(u, ()), [head], graph.targets.__contains__)
+    links, goal = bfs(lambda u: ((dst, idx) for idx, _w, dst in out[u]), [head],
+                      graph.target.__getitem__)
     if goal is None:
         raise InternalError("pruned graph always reaches a target")
     tail_edges = walk_back(links, goal)
@@ -342,10 +349,12 @@ def _pumped_witness(graph: WeightedGraph, table: MrgTable, nu, strict, edges):
     return _witness(graph, stem + loop * pumps + tail_edges)
 
 
-def exists_path_leq(graph: WeightedGraph, nu, *, verdict_only=False) -> tuple:
+def exists_path_leq(graph, nu, *, verdict_only=False) -> tuple:
     """Is there a path from the source to a target with Dsum <= nu?
 
-    Returns (NO, None) or (YES, PathWitness); witnesses are validated
+    graph is a WeightedGraph or a NumberedGraph.  Returns (NO, None) or
+    (YES, PathWitness), whose edges index the graph's edges and whose
+    vertices are names; witnesses are validated
     against the claimed comparison before being returned.  A witness
     that no pumping built has the fewest edges of any path with
     Dsum <= nu.
@@ -360,7 +369,7 @@ def exists_path_leq(graph: WeightedGraph, nu, *, verdict_only=False) -> tuple:
     return _exists_path(graph, nu, False, verdict_only)
 
 
-def exists_path_lt(graph: WeightedGraph, nu, *, verdict_only=False) -> tuple:
+def exists_path_lt(graph, nu, *, verdict_only=False) -> tuple:
     """Strict variant: a path with Dsum < nu.
 
     At a fixpoint the table holds the attained maximum relative gap, so a
@@ -371,9 +380,9 @@ def exists_path_lt(graph: WeightedGraph, nu, *, verdict_only=False) -> tuple:
     return _exists_path(graph, nu, True, verdict_only)
 
 
-def _exists_path(graph: WeightedGraph, nu, strict, verdict_only):
-    nu = Fraction(nu)
-    table, _vertices, edges = compute_mrg(graph, nu, strict, verdict_only=verdict_only)
+def _exists_path(graph, nu, strict, verdict_only):
+    nu = nu if type(nu) is Fraction else Fraction(nu)
+    table, _vertices, out = compute_mrg(graph, nu, strict, verdict_only=verdict_only)
     if table is None:
         return NO, None
     if table.hit is not None:
@@ -382,11 +391,11 @@ def _exists_path(graph: WeightedGraph, nu, strict, verdict_only):
             return YES, None
         witness = _witness(graph, table.hit)
     else:
-        witness = _pumped_witness(graph, table, nu, strict, edges)
+        witness = _pumped_witness(graph, table, nu, strict, out)
         if witness is None:
             return NO, None
 
-    if witness.vertices[-1] not in graph.targets:
+    if not graph.target[graph.dst[witness.edges[-1]] if witness.edges else graph.start]:
         raise InternalError("witness path does not end in a target")
     if strict and not witness.value < nu:
         raise InternalError("witness failed strict re-validation")
@@ -414,13 +423,9 @@ def dsum_nonempty_geq(automaton: NondetDsumAutomaton, nu) -> tuple:
     that into a path of Dsum <= -nu.  The witness is (word, run-states).
     """
     nu = Fraction(nu)
-    graph = WeightedGraph(
-        vertices=automaton.states,
-        edges=[(src, -w, dst) for src, _sym, w, dst in automaton.transitions],
-        source=automaton.initial,
-        targets=frozenset(automaton.finals),
-        discount=automaton.discount,
-    )
+    graph = WeightedGraph(automaton.states, [(src, -w, dst) for src, _sym, w, dst in
+                                             automaton.transitions],
+                          automaton.initial, frozenset(automaton.finals), automaton.discount)
     answer, path = exists_path_leq(graph, -nu)
     if answer == NO:
         return NO, None

@@ -34,8 +34,9 @@ class Arena:
     are the currency of strategies.  The vertices are numbered once, in
     vertices order: number[v] is v's number k, eve[k] whether Eve owns it
     and succ[k] its edge indices in edge order; src[i], dst[i] and
-    weight[i] describe edge i by numbers, and preds[k], built on first
-    use, lists the sources of the edges into k, one per edge.
+    weight[i] describe edge i by numbers.  Built on first use: preds[k]
+    lists the sources of the edges into k, one per edge, moves[k] the
+    (i, weight[i], dst[i]) of succ[k], and is_critical[k] says if k is.
     """
 
     vertices: tuple
@@ -75,6 +76,14 @@ class Arena:
         for k, u in zip(self.src, self.dst):
             preds[u].append(k)
         return preds
+
+    @cached_property
+    def moves(self):
+        return [[(i, self.weight[i], self.dst[i]) for i in edges] for edges in self.succ]
+
+    @cached_property
+    def is_critical(self):
+        return [v in self.critical for v in self.vertices]
 
     def out(self, v):
         return self.succ[self.number[v]]

@@ -21,7 +21,7 @@ from typing import Optional
 
 from . import games
 from .core import AVG, DSUM, SUM, InternalError
-from .dsumpath import NO, WeightedGraph, exists_path_leq, exists_path_lt
+from .dsumpath import NO, NumberedGraph, exists_path_leq, exists_path_lt
 from .games import ADAM, EVE, Arena, ImperfectArena, PositionalStrategy
 
 # helper vertices are 1-tuples: parsed vertex names are strings
@@ -222,31 +222,6 @@ def reduce_dsum_prefix_to_ds(arena: Arena, forcing):
     return DsumReduction(arena=reduced)
 
 
-def restrict_to_strategy(arena: Arena, strategy: PositionalStrategy):
-    """Weighted graph of the plays allowed by Eve's positional strategy."""
-    names, succ, dst, weight = arena.vertices, arena.succ, arena.dst, arena.weight
-    start = arena.number[arena.initial]
-    seen = [False] * len(names)
-    seen[start] = True
-    queue = [start]  # breadth first: the loop reaches the vertices it appends
-    edges = []
-    for k in queue:
-        v = names[k]
-        if arena.eve[k]:
-            if v not in strategy.choice:
-                raise ValueError("strategy undefined at reachable vertex %r" % (v,))
-            indices = [strategy.choice[v]]
-        else:
-            indices = succ[k]
-        for i in indices:
-            u = dst[i]
-            edges.append((v, weight[i], names[u]))
-            if not seen[u]:
-                seen[u] = True
-                queue.append(u)
-    return {names[k] for k in queue}, edges
-
-
 def check_positional_dsum(arena: Arena, strategy: PositionalStrategy, obj: PrefixObjective,
                           *, verdict_only=False):
     """Does Eve's positional strategy win the Dsum prefix game?
@@ -254,23 +229,37 @@ def check_positional_dsum(arena: Arena, strategy: PositionalStrategy, obj: Prefi
     The strategy loses iff Adam can trace a path to a critical vertex
     whose value fails the threshold: Dsum <= nu for the strict game,
     Dsum < nu for the non-strict one.  Returns (True, None) or
-    (False, violating PathWitness).  With verdict_only, a losing
-    strategy comes as (False, None), decided at the first violating walk
-    the path check finds (see exists_path_leq); the verdict is the same.
+    (False, violating PathWitness), whose edges index arena.edges.  With
+    verdict_only, a losing strategy comes as (False, None), decided at
+    the first violating walk (see exists_path_leq); the verdict is the
+    same.  The walks run on the arena's numbers: an Eve vertex keeps its
+    pick (ValueError if missing or not its own), an Adam vertex all its edges.
     """
     if obj.measure != DSUM:
         raise ValueError("path checking applies to dsum objectives")
-    reachable, edges = restrict_to_strategy(arena, strategy)
-    targets = frozenset(v for v in arena.critical if v in reachable)
-    if not targets:
+    names, eve, succ, moves = arena.vertices, arena.eve, arena.succ, arena.moves
+    start, choice = arena.number[arena.initial], strategy.choice
+    out = {start: None}  # reachable vertex -> its out-edges under the strategy
+    queue = [start]  # breadth first: the loop reaches the vertices it appends
+    for k in queue:
+        outs = moves[k]
+        if eve[k]:
+            i = choice.get(names[k])
+            if i not in succ[k]:
+                raise ValueError("strategy undefined at reachable vertex %r" % (names[k],)
+                                 if i is None else "strategy picks %r at %r, not one of its "
+                                 "edges" % (i, names[k]))
+            outs = [outs[succ[k].index(i)]]
+        out[k] = outs
+        for _i, _w, u in outs:
+            if u not in out:
+                out[u] = None
+                queue.append(u)
+    critical = arena.is_critical
+    if not any(map(critical.__getitem__, queue)):
         return True, None
-    graph = WeightedGraph(
-        vertices=tuple(reachable),
-        edges=edges,
-        source=arena.initial,
-        targets=targets,
-        discount=obj.discount,
-    )
+    graph = NumberedGraph(vertices=queue, out=out, start=start, target=critical,
+                          weight=arena.weight, dst=arena.dst, names=names, discount=obj.discount)
     checker = exists_path_leq if obj.cmp == ">" else exists_path_lt
     answer, witness = checker(graph, obj.nu, verdict_only=verdict_only)
     if answer == NO:

@@ -405,6 +405,22 @@ def named_restrict_to_strategy(arena, strategy):
     return reachable, edges
 
 
+def named_check_positional_dsum(arena, strategy, obj, *, verdict_only=False):
+    """prefix.check_positional_dsum as it was before it read the arena's
+    numbers: the strategy's restriction as a WeightedGraph on names, with
+    one edge per (src, w, dst) of the name-keyed walk, then the path check.
+    A witness's edges index that graph's edges, not the arena's."""
+    reachable, edges = named_restrict_to_strategy(arena, strategy)
+    targets = frozenset(v for v in arena.critical if v in reachable)
+    if not targets:
+        return True, None
+    graph = dsumpath.WeightedGraph(vertices=tuple(reachable), edges=edges,
+                                   source=arena.initial, targets=targets, discount=obj.discount)
+    checker = dsumpath.exists_path_leq if obj.cmp == ">" else dsumpath.exists_path_lt
+    answer, witness = checker(graph, obj.nu, verdict_only=verdict_only)
+    return (True, None) if answer == dsumpath.NO else (False, witness)
+
+
 # --- imperfect-information arenas from edge lists -----------------------------
 
 

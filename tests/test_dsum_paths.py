@@ -586,10 +586,18 @@ def pumping_instance(rng):
     return graph, Fraction(rng.randint(-6, 2), rng.randint(1, 5))
 
 
+def named_pruned(graph, vertices, out):
+    """compute_mrg's pruned graph on names, as old_prune_to_targets gives it:
+    (vertices, [(edge index, src, w, dst)] in edge order)."""
+    names = graph.names
+    return ([names[v] for v in vertices],
+            sorted((i, names[u], w, names[dst]) for u in vertices for i, w, dst in out[u]))
+
+
 def compare_with_fraction_kernel(graph, nu, seen):
-    table, vertices, edges = dsumpath.compute_mrg(graph, nu)
+    table, vertices, out = dsumpath.compute_mrg(graph, nu)
     old_table, old_vertices, old_edges = old_compute_mrg(graph, nu)
-    assert (vertices, edges) == (old_vertices, old_edges)
+    assert named_pruned(graph, vertices, out) == (old_vertices, old_edges)
     assert (table is None) == (old_table is None)
     if table is not None:
         assert table.rounds == old_table[0]
@@ -695,10 +703,10 @@ def test_table_stopped_without_a_hit_cannot_answer():
         targets=frozenset(["t"]),
         discount=Fraction(1, 2),
     )
-    table, _v, edges = dsumpath.compute_mrg(graph, Fraction(0), False)
+    table, _v, out = dsumpath.compute_mrg(graph, Fraction(0), False)
     assert (table.rounds, len(table.raised)) == (2, 2)
     with pytest.raises(dsumpath.InternalError, match="all n rounds"):
-        dsumpath._pumped_witness(graph, table, Fraction(0), True, edges)
+        dsumpath._pumped_witness(graph, table, Fraction(0), True, out)
 
 
 def test_round_bound_counts_vertices_that_reach_a_target(monkeypatch):
@@ -718,9 +726,7 @@ def test_round_bound_counts_vertices_that_reach_a_target(monkeypatch):
     answer, witness = exists_path_leq(graph, nu)
     assert (answer, witness.vertices, witness.value) == (
         YES, ["s", "s", "s", "s", "t"], Fraction(-175, 2))
-    monkeypatch.setattr(dsumpath, "_prune_to_targets", lambda graph: (
-        list(graph.vertices),
-        [(i, src, w, dst) for i, (src, w, dst) in enumerate(graph.edges)]))
+    monkeypatch.setattr(dsumpath, "_prune_to_targets", lambda graph: (list(graph.out), graph.out))
     answer, witness = exists_path_leq(graph, nu)
     assert (answer, witness.vertices, witness.value) == (YES, ["s", "s", "s", "t"], nu)
 
@@ -760,19 +766,17 @@ def test_mrg_rows_stay_after_fixpoint():
 
 
 def prune_first_compute_mrg(graph, nu, strict=None):
-    vertices, edges = dsumpath._prune_to_targets(graph)
-    if graph.source not in set(vertices):
-        return None, vertices, edges
+    vertices, pruned = dsumpath._prune_to_targets(graph)
+    if graph.start not in pruned:
+        return None, vertices, pruned
     p, q = graph.discount.numerator, graph.discount.denominator
     nu = Fraction(nu)
     b = nu.denominator
     n = len(vertices)
-    out = {}
-    for idx, src, w, dst in edges:
-        out.setdefault(src, []).append((idx, w * b, dst))
+    out = {u: [(idx, w * b, dst) for idx, w, dst in outs] for u, outs in pruned.items()}
     powers = [1]
-    raised = [{graph.source: (nu.numerator, None, None)}]
-    latest = {graph.source: (nu.numerator, 0)}
+    raised = [{graph.start: (nu.numerator, None, None)}]
+    latest = {graph.start: (nu.numerator, 0)}
     for i in range(1, n + 1):
         if strict is not None and dsumpath._hits(graph, raised[-1], strict):
             break
@@ -798,21 +802,22 @@ def prune_first_compute_mrg(graph, nu, strict=None):
             latest[v] = (step[0], i)
         raised.append(best)
     table = dsumpath.MrgTable(rounds=n, raised=raised, nu_den=b, lam_num=p)
-    return table, vertices, edges
+    return table, vertices, pruned
 
 
 def prune_first_exists_path(graph, nu, strict):
     nu = Fraction(nu)
-    table, _vertices, edges = prune_first_compute_mrg(graph, nu, strict)
+    table, _vertices, out = prune_first_compute_mrg(graph, nu, strict)
     if table is None:
         return NO, None
     last = len(table.raised) - 1
     hits = dsumpath._hits(graph, table.raised[last], strict)
     if hits:
-        _vs, path_edges = dsumpath._backtrack(graph, table.raised, last, min(hits, key=repr))
+        first = min(hits, key=lambda v: repr(graph.names[v]))
+        _vs, path_edges = dsumpath._backtrack(graph, table.raised, last, first)
         witness = dsumpath._witness(graph, path_edges)
     else:
-        witness = dsumpath._pumped_witness(graph, table, nu, strict, edges)
+        witness = dsumpath._pumped_witness(graph, table, nu, strict, out)
         if witness is None:
             return NO, None
     return YES, witness
@@ -888,9 +893,9 @@ def test_one_relaxation_matches_prune_first(monkeypatch):
     rng = random.Random(31)
     for _ in range(1500):
         graph, nu = route_instance(rng)
-        table, vertices, edges = dsumpath.compute_mrg(graph, nu)
-        old_table, old_vertices, old_edges = prune_first_compute_mrg(graph, nu)
-        assert (vertices, edges) == (old_vertices, old_edges)
+        table, vertices, out = dsumpath.compute_mrg(graph, nu)
+        old_table, old_vertices, old_out = prune_first_compute_mrg(graph, nu)
+        assert (vertices, out) == (old_vertices, old_out)
         assert (table is None) == (old_table is None)
         if table is not None:
             assert (table.rounds, table.raised, table.hit) == (
@@ -969,7 +974,7 @@ def test_verdict_walk_is_checked_again_on_integers(monkeypatch):
     )
     assert exists_path_lt(graph, Fraction(0), verdict_only=True) == (NO, None)
     monkeypatch.setattr(dsumpath, "_hits", lambda graph, raised, strict: [
-        v for v in graph.targets if v in raised])
+        v for v in raised if graph.target[v]])
     with pytest.raises(dsumpath.InternalError, match="verdict walk failed re-validation"):
         exists_path_lt(graph, Fraction(0), verdict_only=True)
 

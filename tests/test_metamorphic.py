@@ -7,6 +7,13 @@ the one-state machine of an empty domain too, name their states m0, m1,
 ... in breadth-first order.  synth threshold names its machine's states
 after the spec's, so its machines must differ exactly by the renaming.
 
+Renaming an arena's vertices the same way, every line kept in its place,
+must change no strict-Dsum solve-prefix exit code or winner, and Eve's
+strategy only by the renaming: the positional search tries the same
+candidates in the same order, and the path check decides each one by
+values alone.  It must change no dsum-path answer either.  Names only
+break ties between witnesses.
+
 Scaling every weight and the threshold by the same k > 0, with the
 discount kept, scales every Sum, Avg and Dsum value by k, so it must
 change no winner of a critical prefix game and no synth threshold status.
@@ -105,6 +112,58 @@ def test_renaming_spec_states_renames_only_the_threshold_machines(tmp_path, caps
 
 
 _LAMBDAS = [Fraction(1, 2), Fraction(2, 3), Fraction(3, 4)]
+
+
+def renamed_arena(layout, rng):
+    """A bench/gen.py arena layout with its vertices renamed by a random
+    bijection onto fresh names whose sorted order is shuffled, and the
+    renaming."""
+    fresh = ["u%d" % k for k in rng.sample(range(10 * len(layout["vertices"])),
+                                            len(layout["vertices"]))]
+    names = dict(zip(layout["vertices"], fresh))
+    other = dict(vertices=[names[v] for v in layout["vertices"]],
+                 owner={names[v]: who for v, who in layout["owner"].items()},
+                 critical=[names[v] for v in layout["critical"]], initial=names[layout["initial"]],
+                 edges=[(names[src], w, names[dst]) for src, w, dst in layout["edges"]])
+    return other, names
+
+
+def test_renaming_arena_vertices_keeps_every_strict_dsum_answer(tmp_path, capsys):
+    gen = load_bench_gen()
+    rng = random.Random(3636)
+    seen = collections.Counter()
+    path = tmp_path / "game.arena"
+
+    def run(layout, argv):
+        path.write_text(gen.emit_arena(layout))
+        code = cli.main([argv[0], str(path)] + argv[1:])
+        return code, capsys.readouterr().out.splitlines()
+
+    for trial in range(240):
+        layout = gen.random_arena(rng, rng.randint(3, 8), max_out=4, eve_choice_cap=3,
+                                  critical_p=0.6)
+        if trial % 2:
+            # each check ends the play in a drain: a target the table raised
+            # is never raised again, so every hit must be seen when it comes
+            critical = set(layout["critical"])
+            layout["vertices"].append("z")
+            layout["owner"]["z"] = "adam"
+            layout["edges"] = [edge for edge in layout["edges"] if edge[0] not in critical]
+            layout["edges"] += [(v, 0, "z") for v in critical] + [("z", 3, "z")]
+        other, names = renamed_arena(layout, rng)
+        flags = ["--nu=%s" % Fraction(rng.randint(-6, 4), rng.randint(1, 3)),
+                 "--lambda", str(rng.choice(_LAMBDAS))]
+        solve = ["solve-prefix", "--measure", "dsum", "--cmp", "gt"] + flags
+        code, (winner, *picks) = run(layout, solve)
+        renamed_picks = ["strategy: %s %s" % (names[v], i)
+                         for v, i in (line.split()[1:] for line in picks)]
+        assert run(other, solve) == (code, [winner, *renamed_picks]), gen.emit_arena(layout)
+        seen[winner] += 1
+        for strict in ([], ["--strict"]):
+            code, lines = run(layout, ["dsum-path"] + flags + strict)
+            assert run(other, ["dsum-path"] + flags + strict)[0] == code
+            seen["dsum-path", lines[0]] += 1
+    assert min(seen.values()) >= 40, seen
 
 
 def test_scaling_weights_and_threshold_keeps_every_prefix_winner():

@@ -12,8 +12,8 @@ from wsynth.core import AVG, DSUM, SUM
 from wsynth.games import ADAM, EVE, Arena, ImperfectArena
 from wsynth.prefix import PrefixObjective
 
-from conftest import (load_bench_gen, load_bench_workloads, named_restrict_to_strategy,
-                      table_edges, table_from_edges)
+from conftest import (load_bench_gen, load_bench_workloads, named_check_positional_dsum,
+                      named_restrict_to_strategy, table_edges, table_from_edges)
 from test_games import mixed_name_arena, mk_arena, remark_arena, random_arena
 
 
@@ -260,14 +260,21 @@ def test_check_positional_dsum_examples():
     assert list(prefix.enumerate_positional(stuck)) == []
 
 
-def test_restrict_to_strategy_matches_the_named_walk():
-    # the walk reads the arena's numbers; the graph, and the order in which
-    # the reachable set was filled (the path check's vertex order), are
-    # those of the name-keyed walk, also on names mixing strings and tuples
+def test_restrict_to_strategy_matches_the_named_walk(monkeypatch):
+    # check_positional_dsum restricts the arena to the strategy on its
+    # numbers: the graph it hands the path check is the name-keyed walk's,
+    # edge for edge and in the walk's order, also on names mixing strings
+    # and tuples, and an undefined reachable choice raises the same error
     rng = random.Random(6161)
+    graphs = []
+    check = prefix.exists_path_lt
+    monkeypatch.setattr(prefix, "exists_path_lt", lambda graph, nu, **kw: (
+        graphs.append(graph), check(graph, nu, **kw))[1])
+    obj = PrefixObjective(measure=DSUM, cmp=">=", nu=Fraction(0), discount=Fraction(1, 2))
     undefined = 0
     for trial in range(400):
         arena = mixed_name_arena(rng, 12, (-3, 3))
+        arena = dataclasses.replace(arena, critical=frozenset(arena.vertices))
         choice = {v: rng.choice(arena.out(v)) for v in arena.vertices
                   if arena.owner[v] == EVE and rng.random() < 0.9}
         strategy = games.PositionalStrategy(choice)
@@ -275,11 +282,18 @@ def test_restrict_to_strategy_matches_the_named_walk():
             reachable, edges = named_restrict_to_strategy(arena, strategy)
         except ValueError as exc:
             with pytest.raises(ValueError, match=re.escape(str(exc))):
-                prefix.restrict_to_strategy(arena, strategy)
+                prefix.check_positional_dsum(arena, strategy, obj)
             undefined += 1
             continue
-        got, got_edges = prefix.restrict_to_strategy(arena, strategy)
-        assert (list(got), got_edges) == (list(reachable), edges)
+        del graphs[:]
+        prefix.check_positional_dsum(arena, strategy, obj)
+        (graph,) = graphs
+        assert list(graph.vertices) == list(graph.out)
+        assert {graph.names[k] for k in graph.vertices} == reachable
+        assert [(graph.names[u], w, graph.names[dst]) for u, outs in graph.out.items()
+                for _i, w, dst in outs] == edges
+        assert all(arena.src[i] == u and (arena.weight[i], arena.dst[i]) == (w, dst)
+                   for u, outs in graph.out.items() for i, w, dst in outs)
     assert undefined >= 40, undefined
     # enumerate_positional: Eve's vertices and their edges in arena order
     for arena in (mixed_name_arena(rng, 5, (-1, 1)) for _ in range(40)):
@@ -318,6 +332,73 @@ def test_verdict_only_positional_check_matches_the_full_check():
             seen[winning] += 1
             seen["longer_walk"] += not winning and len(witness.edges) > 1
     assert min(seen.values()) >= 500, seen
+
+
+def assert_violating_walk(arena, strategy, obj, witness):
+    """The witness walks the arena by its edge indices from the initial
+    vertex, takes Eve's pick wherever she moves, ends at a critical vertex
+    and fails the check there, by exact evaluation."""
+    v, value, power = arena.initial, Fraction(0), Fraction(1)
+    vertices = [v]
+    for i in witness.edges:
+        src, _a, w, v = arena.edges[i]
+        assert src == vertices[-1] and strategy.choice.get(src, i) == i
+        power *= obj.discount
+        value += power * w
+        vertices.append(v)
+    assert (witness.vertices, witness.value) == (vertices, value)
+    assert v in arena.critical
+    assert value <= obj.nu if obj.cmp == ">" else value < obj.nu
+
+
+def test_positional_check_matches_the_named_oracle():
+    # every candidate of the positional enumeration on 320 seeded arenas,
+    # under both comparisons: the verdicts, with and without verdict_only,
+    # are those of the check on a named graph; a witness has the oracle's
+    # vertices and value, and where ties in the table let it take another
+    # walk, that walk still follows the strategy into a failed check
+    gen = load_bench_gen()
+    seen = collections.Counter()
+    rng = random.Random(3636)
+    for trial in range(320):
+        if trial % 2:
+            arena = random_critical_arena(rng, max_v=5)
+        else:
+            arena = games.parse_arena(gen.emit_arena(gen.random_arena(
+                rng, rng.randint(4, 10), eve_choice_cap=3)))
+        for cmp in (">", ">="):
+            obj = PrefixObjective(
+                measure=DSUM, cmp=cmp, nu=Fraction(rng.randint(-3, 2), rng.randint(1, 3)),
+                discount=rng.choice([Fraction(1, 2), Fraction(1, 3), Fraction(2, 3),
+                                     Fraction(3, 4)]))
+            for strategy in prefix.enumerate_positional(arena):
+                winning, oracle = named_check_positional_dsum(arena, strategy, obj)
+                assert prefix.check_positional_dsum(arena, strategy, obj, verdict_only=True) == (
+                    winning, None), games.emit_arena(arena)
+                ok, witness = prefix.check_positional_dsum(arena, strategy, obj)
+                assert ok == winning, games.emit_arena(arena)
+                seen[cmp, winning] += 1
+                if winning:
+                    assert witness is None
+                    continue
+                assert_violating_walk(arena, strategy, obj, witness)
+                if (witness.vertices, witness.value) != (oracle.vertices, oracle.value):
+                    seen["tie"] += 1
+    assert min(seen.values()) >= 300 and seen["tie"] <= seen[">", False] // 20, seen
+    # a tie: v0 v5 v4 v1 and v0 v5 v3 v1 fail the check by the same value in
+    # the same round; the lower edge index into v1 wins, which is v3's in
+    # the arena and v4's in the named graph, listed in the walk's order
+    arena = mk_arena([("v0", ADAM), ("v1", ADAM), ("v3", EVE), ("v4", ADAM), ("v5", ADAM)],
+                     [("v0", 0, "v0"), ("v0", 2, "v5"), ("v1", 0, "v1"), ("v3", -3, "v1"),
+                      ("v4", -3, "v0"), ("v4", -3, "v1"), ("v5", -4, "v4"), ("v5", -4, "v3")],
+                     critical=("v1",))
+    strategy = games.PositionalStrategy({"v3": 3})
+    obj = PrefixObjective(DSUM, ">", Fraction(-1), Fraction(3, 4))
+    witness = prefix.check_positional_dsum(arena, strategy, obj)[1]
+    oracle = named_check_positional_dsum(arena, strategy, obj)[1]
+    assert (oracle.vertices, oracle.value) == (["v0", "v5", "v4", "v1"], Fraction(-129, 64))
+    assert (witness.vertices, witness.edges) == (["v0", "v5", "v3", "v1"], [1, 7, 3])
+    assert_violating_walk(arena, strategy, obj, witness)
 
 
 def test_dsum_nonstrict_reduction_agrees_with_enumeration():
@@ -414,10 +495,28 @@ def test_prefix_library_argument_checks():
     with pytest.raises(ValueError, match="path checking applies to dsum"):
         prefix.check_positional_dsum(arena, games.PositionalStrategy({}),
                                      PrefixObjective(SUM, ">=", Fraction(0)))
-    eve = mk_arena([("v", EVE), ("w", ADAM)], [("v", 1, "w"), ("w", 0, "v")])
+    eve = mk_arena([("v", EVE), ("w", ADAM)], [("v", 1, "w"), ("w", 0, "v")], critical=("w",))
+    strict = PrefixObjective(DSUM, ">", Fraction(0), Fraction(1, 2))
     with pytest.raises(ValueError, match="strategy undefined at reachable vertex 'v'"):
-        prefix.restrict_to_strategy(eve, games.PositionalStrategy({}))
-    assert prefix.restrict_to_strategy(eve, games.PositionalStrategy({"v": 0}))[0] == {"v", "w"}
+        prefix.check_positional_dsum(eve, games.PositionalStrategy({}), strict)
+    ok, witness = prefix.check_positional_dsum(eve, games.PositionalStrategy({"v": 0}), strict)
+    assert (ok, witness) == (True, None)
+
+
+@pytest.mark.parametrize("pick", [2, 7])
+def test_positional_check_rejects_a_pick_that_is_not_an_edge_of_its_vertex(pick):
+    # edge 2 is c -> c and edge 7 does not exist: neither is a move out of
+    # v, so neither may be read as one (edge 2 as a v -> c edge of weight 0)
+    arena = mk_arena([("v", EVE), ("w", ADAM), ("c", ADAM)],
+                     [("v", 0, "w"), ("w", -5, "c"), ("c", 0, "c"), ("w", 0, "w")],
+                     critical=("c",))
+    obj = PrefixObjective(DSUM, ">", Fraction(0), Fraction(1, 2))
+    for verdict_only in (False, True):
+        with pytest.raises(ValueError, match="strategy picks %d at 'v', not one of its edges"
+                           % pick):
+            prefix.check_positional_dsum(arena, games.PositionalStrategy({"v": pick}), obj,
+                                         verdict_only=verdict_only)
+    assert prefix.check_positional_dsum(arena, games.PositionalStrategy({"v": 0}), obj)[0] is False
 
 
 def solve_prefix_energy_capped_direct(game, c0, cap, floor):
