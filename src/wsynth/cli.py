@@ -1,11 +1,13 @@
 """Command-line front end.
 
-Exit codes: 0 realizable/holds/yes, 1 unrealizable/fails/no,
-2 unknown-at-cap, 64 usage error, 65 input format error, 70 internal
-error (a broken guarantee, e.g. a synthesized machine that fails
-verification, or any other unexpected exception).  Output on stdout is
-byte-deterministic for identical inputs and flags; timings and
-diagnostics go to stderr.
+Every command returns an answer word, and one table maps it to the exit
+code: 0 realizable, pass, eve, yes, domain_safe, ok or a defined value;
+1 unrealizable, no_boolean_realizer, fail, adam, no or -inf;
+2 unknown_at_cap.  Other codes: 64 usage error, 65 input format error,
+70 internal error (a broken guarantee, e.g. a synthesized machine that
+fails verification, an answer missing from the table, or any other
+unexpected exception).  Output on stdout is byte-deterministic for
+identical inputs and flags; timings and diagnostics go to stderr.
 """
 
 from __future__ import annotations
@@ -27,6 +29,31 @@ EXIT_UNKNOWN = 2
 EXIT_USAGE = 64
 EXIT_FORMAT = 65
 EXIT_SOFTWARE = 70
+
+# answers only the command line gives; eval and bestval print the value
+# itself, and DEFINED stands for any value but -inf
+DOMAIN_SAFE = "domain_safe"
+OK = "ok"
+DEFINED = "defined"
+UNDEFINED = "-inf"
+
+# the one answer -> exit code table; an answer missing here is exit 70
+EXIT_CODE = {
+    synthesis.REALIZABLE: EXIT_YES,
+    synthesis.UNREALIZABLE: EXIT_NO,
+    synthesis.NO_BOOLEAN_REALIZER: EXIT_NO,
+    synthesis.UNKNOWN_AT_CAP: EXIT_UNKNOWN,
+    synthesis.PASS: EXIT_YES,
+    synthesis.FAIL: EXIT_NO,
+    games.EVE: EXIT_YES,
+    games.ADAM: EXIT_NO,
+    dsumpath.YES: EXIT_YES,
+    dsumpath.NO: EXIT_NO,
+    DOMAIN_SAFE: EXIT_YES,
+    OK: EXIT_YES,
+    DEFINED: EXIT_YES,
+    UNDEFINED: EXIT_NO,
+}
 
 # argparse reads a separate "-1/2" as an option, not as the flag's value
 _RATIONAL_FLAGS = ("--nu", "--r", "--lambda")
@@ -59,33 +86,24 @@ def _read(path):
         raise FormatError("cannot decode %s: %s" % (path, exc))
 
 
-def _write_out(text, args, payload):
-    """Write text to the -o file; without one, into the JSON payload
-    under "text" with --json, or else to stdout."""
+def _emit(args, payload, human_lines):
+    """Print the answer.  The payload's "text" goes to the -o file; without
+    one it stays in the JSON object with --json, or else goes to stdout
+    ahead of the human lines."""
     out_path = getattr(args, "out", None)
-    if out_path:
+    if "text" in payload and out_path:
         try:
             with open(out_path, "w", encoding="utf-8") as handle:
-                handle.write(text)
+                handle.write(payload.pop("text"))
         except OSError as exc:
             raise UsageError("cannot write %s: %s" % (out_path, exc))
-    elif args.json:
-        payload["text"] = text
-    else:
-        sys.stdout.write(text)
-
-
-def _emit(args, payload, human_lines):
+    elif "text" in payload and not args.json:
+        sys.stdout.write(payload.pop("text"))
     if args.json:
         sys.stdout.write(json.dumps(payload, sort_keys=True) + "\n")
     else:
         for line in human_lines:
             sys.stdout.write(line + "\n")
-
-
-def _strategy_lines(arena, strategy):
-    return ["strategy: %s %d" % (v, strategy.choice[v])
-            for v in arena.vertices if v in strategy.choice]
 
 
 def _attach_negative_rationals(argv):
@@ -131,15 +149,14 @@ def _verify_args(p):
     _objective_flags(p)
 
 
-def _eval_args(p):
-    p.add_argument("spec")
-    p.add_argument("--input", required=True)
-    p.add_argument("--output", required=True)
-
-
 def _bestval_args(p):
     p.add_argument("spec")
     p.add_argument("--input", required=True)
+
+
+def _eval_args(p):
+    _bestval_args(p)
+    p.add_argument("--output", required=True)
 
 
 def _solve_prefix_args(p):
@@ -186,26 +203,14 @@ def _cmd_domain_safe(args):
     game = domain.build_two_run_game(spec)
     result = domain.make_domain_safe(spec, game)
     if result is None:
-        _emit(
-            args,
-            {"command": "domain-safe", "answer": "no_boolean_realizer",
-             "already_safe": already},
-            ["no boolean realizer"],
-        )
-        return EXIT_NO
+        return synthesis.NO_BOOLEAN_REALIZER, {"already_safe": already}, ["no boolean realizer"]
     payload = {
-        "command": "domain-safe",
-        "answer": "domain_safe",
         "already_safe": already,
         "states": len(result.states),
         "transitions": len(result.transitions),
+        "text": domain.two_run_game_to_dot(game) if args.dot else core.emit_wfa(result),
     }
-    if args.dot:
-        _write_out(domain.two_run_game_to_dot(game), args, payload)
-    else:
-        _write_out(core.emit_wfa(result), args, payload)
-    _emit(args, payload, [])
-    return EXIT_YES
+    return DOMAIN_SAFE, payload, []
 
 
 def _require(condition, message):
@@ -260,23 +265,18 @@ def _cmd_synth(args):
         cap = _default_cap(spec) if doubling else args.cap
         result = synthesis.synth_approx(spec, obj.cmp, obj.bound, cap, doubling=doubling)
 
-    payload = {"command": "synth", "objective": args.objective, "answer": result.status}
+    payload = {"objective": args.objective}
     lines = [result.status]
-    code = EXIT_NO
     if result.status == synthesis.REALIZABLE:
-        code = EXIT_YES
         machine = result.transducer
-        text = core.mealy_to_dot(machine) if args.dot else core.emit_mealy(machine)
-        _write_out(text, args, payload)
+        payload["text"] = core.mealy_to_dot(machine) if args.dot else core.emit_mealy(machine)
         payload["transducer_states"] = len(machine.states)
         if not args.out:
             lines = []  # the machine is the answer
     elif result.status == synthesis.UNKNOWN_AT_CAP:
-        code = EXIT_UNKNOWN
         payload["cap"] = result.cap
         lines = ["unknown at cap %d" % result.cap]
-    _emit(args, payload, lines)
-    return code
+    return result.status, payload, lines
 
 
 def _default_cap(spec):
@@ -289,57 +289,34 @@ def _cmd_verify(args):
     spec = core.parse_wfa(_read(args.spec))
     machine = core.parse_mealy(_read(args.mealy))
     verdict, witness = synthesis.verify_realizer(spec, machine, obj)
-    if verdict == synthesis.PASS:
-        _emit(args, {"command": "verify", "answer": "pass"}, ["pass"])
-        return EXIT_YES
-    witness_text = " ".join(witness)
-    lines = ["fail", "witness: %s" % witness_text]
+    if verdict != synthesis.FAIL:
+        return verdict, {}, [verdict]
+    lines = [verdict, "witness: %s" % " ".join(witness)]
     produced = core.run_transducer(machine, witness)
     if produced is not None and obj.kind != "boolean":
         got = core.evaluate(spec, witness, produced)
         top = core.best_value(spec, witness)
         lines.append("value: %s" % _value_text(got))
         lines.append("best: %s" % _value_text(top))
-    _emit(
-        args,
-        {"command": "verify", "answer": "fail", "witness": list(witness)},
-        lines,
-    )
-    return EXIT_NO
+    return verdict, {"witness": list(witness)}, lines
 
 
 def _value_text(value):
-    return "-inf" if value is core.NEG_INF else format_rational(value)
+    return UNDEFINED if value is core.NEG_INF else format_rational(value)
 
 
-def _cmd_eval(args):
+def _cmd_value(args):
     spec = core.parse_wfa(_read(args.spec))
     u = core.word(args.input)
-    v = core.word(args.output)
     try:
-        value = core.evaluate(spec, u, v)
+        if args.command == "eval":
+            value = core.evaluate(spec, u, core.word(args.output))
+        else:
+            value = core.best_value(spec, u)
     except ValueError as exc:
         raise UsageError(str(exc))
-    _emit(
-        args,
-        {"command": "eval", "answer": _value_text(value)},
-        [_value_text(value)],
-    )
-    return EXIT_YES if value is not core.NEG_INF else EXIT_NO
-
-
-def _cmd_bestval(args):
-    spec = core.parse_wfa(_read(args.spec))
-    try:
-        value = core.best_value(spec, core.word(args.input))
-    except ValueError as exc:
-        raise UsageError(str(exc))
-    _emit(
-        args,
-        {"command": "bestval", "answer": _value_text(value)},
-        [_value_text(value)],
-    )
-    return EXIT_YES if value is not core.NEG_INF else EXIT_NO
+    text = _value_text(value)
+    return UNDEFINED if value is core.NEG_INF else DEFINED, {"answer": text}, [text]
 
 
 def _cmd_solve_prefix(args):
@@ -357,9 +334,7 @@ def _cmd_solve_prefix(args):
     dead = arena.deadlocks()
     if dead:
         raise FormatError("arena has dead ends: %r" % (dead,))
-    payload = {"command": "solve-prefix"}
-    if args.dot:
-        _write_out(games.arena_to_dot(arena), args, payload)
+    payload = {"text": games.arena_to_dot(arena)} if args.dot else {}
     game = prefix.reduce_prefix_game(arena, obj)
     if args.trace:
         sys.stderr.write("objective: %s %s %s\n" % (obj.measure, obj.cmp, format_rational(obj.nu)))
@@ -368,13 +343,11 @@ def _cmd_solve_prefix(args):
             sys.stderr.write(games.emit_arena(game.reduction.arena))
     winner, strategy = prefix.play_prefix_game(arena, obj, game)
     lines = ["winner: %s" % winner]
-    payload["answer"] = winner
     if winner == EVE and strategy is not None:
-        strategy_lines = _strategy_lines(arena, strategy)
-        lines.extend(strategy_lines)
+        lines.extend("strategy: %s %d" % (v, strategy.choice[v])
+                     for v in arena.vertices if v in strategy.choice)
         payload["strategy_size"] = len(strategy.choice)
-    _emit(args, payload, lines)
-    return EXIT_YES if winner == EVE else EXIT_NO
+    return winner, payload, lines
 
 
 def _cmd_dsum_path(args):
@@ -399,22 +372,12 @@ def _cmd_dsum_path(args):
                     "%s=%s" % (v, format_rational(row[v])) for v in sorted(row, key=repr)
                 )
                 sys.stderr.write("mrg[%d]: %s\n" % (i, cells))
-    if answer == dsumpath.YES:
-        lines = [
-            "yes",
-            "witness: %s" % " ".join(str(v) for v in witness.vertices),
-            "value: %s" % format_rational(witness.value),
-        ]
-        payload = {
-            "command": "dsum-path",
-            "answer": "yes",
-            "witness": [str(v) for v in witness.vertices],
-            "value": format_rational(witness.value),
-        }
-        _emit(args, payload, lines)
-        return EXIT_YES
-    _emit(args, {"command": "dsum-path", "answer": "no"}, ["no"])
-    return EXIT_NO
+    if answer != dsumpath.YES:
+        return answer, {}, [answer]
+    vertices = [str(v) for v in witness.vertices]
+    value = format_rational(witness.value)
+    return answer, {"witness": vertices, "value": value}, [
+        answer, "witness: %s" % " ".join(vertices), "value: %s" % value]
 
 
 def _cmd_gen(args):
@@ -424,28 +387,26 @@ def _cmd_gen(args):
     except ValueError as exc:
         raise FormatError(str(exc))
     payload = {
-        "command": "gen",
-        "answer": "ok",
         "objective": {
             "measure": measure,
             "cmp": cmp,
             "nu": format_rational(nu),
         },
         "states": len(spec.states),
+        "text": core.emit_wfa(spec),
     }
-    _write_out(core.emit_wfa(spec), args, payload)
-    _emit(args, payload, [])
-    return EXIT_YES
+    return OK, payload, []
 
 
-# command -> (help, argument builder, handler), in help-listing order
+# command -> (help, argument builder, handler), in help-listing order; a
+# handler returns (answer, JSON payload, human lines) and prints nothing
 _COMMANDS = {
     "domain-safe": ("check/transform into a domain-safe spec", _domain_safe_args,
                     _cmd_domain_safe),
     "synth": ("synthesize a transducer", _synth_args, _cmd_synth),
     "verify": ("verify a transducer against a spec", _verify_args, _cmd_verify),
-    "eval": ("value of an input/output pair", _eval_args, _cmd_eval),
-    "bestval": ("best achievable value for an input", _bestval_args, _cmd_bestval),
+    "eval": ("value of an input/output pair", _eval_args, _cmd_value),
+    "bestval": ("best achievable value for an input", _bestval_args, _cmd_value),
     "solve-prefix": ("solve a critical prefix threshold game", _solve_prefix_args,
                      _cmd_solve_prefix),
     "dsum-path": ("discounted-sum path threshold check", _dsum_path_args,
@@ -460,7 +421,12 @@ def main(argv=None) -> int:
     started = time.monotonic()
     try:
         args = parser.parse_args(argv)
-        code = _COMMANDS[args.command][2](args)
+        answer, payload, lines = _COMMANDS[args.command][2](args)
+        code = EXIT_CODE.get(answer)
+        if code is None:
+            raise InternalError("answer %r has no exit code" % (answer,))
+        # a payload's own answer wins: eval and bestval print the value
+        _emit(args, {"command": args.command, "answer": answer, **payload}, lines)
     except UsageError as exc:
         sys.stderr.write("usage error: %s\n" % exc)
         return EXIT_USAGE

@@ -1,3 +1,4 @@
+import ast
 import collections
 import hashlib
 import json
@@ -13,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from wsynth import cli, core, domain, prefix, synthesis
+from wsynth import cli, core, domain, dsumpath, prefix, synthesis
 from wsynth.core import AVG, DSUM
 
 from conftest import FIXTURES, always_d_realizer, first_c_realizer, load_bench_gen, random_spec
@@ -781,6 +782,20 @@ def test_traced_solve_prefix_reduces_its_game_once(capsys, monkeypatch, objectiv
     assert err.splitlines()[1] == "reduction: " + games[0].name
 
 
+# a library call that returns an answer the exit-code table lacks, and a
+# command that reaches it
+_UNMAPPED = [
+    (synthesis, "synth_best_value", lambda _spec: synthesis.SynthResult(status="unknown"),
+     ["synth", "best-value", PAPER]),
+    (synthesis, "verify_realizer", lambda *_args: ("unknown", ()),
+     ["verify", PAPER, str(FIXTURES / "always-d.mealy"), "--objective", "boolean"]),
+    (prefix, "play_prefix_game", lambda *_args: ("unknown", None),
+     ["solve-prefix", REMARK, "--measure", "sum", "--cmp", "ge", "--nu", "0"]),
+    (dsumpath, "exists_path_leq", lambda *_args: ("unknown", None),
+     ["dsum-path", REMARK, "--nu", "1", "--lambda", "1/2"]),
+]
+
+
 def test_unexpected_exception_exits_70_with_one_line(capsys, monkeypatch):
     def broken(_spec):
         raise KeyError("no such\nstate")
@@ -806,6 +821,74 @@ def test_unexpected_exception_exits_70_with_one_line(capsys, monkeypatch):
     monkeypatch.setattr(synthesis, "synth_best_value", interrupted)
     with pytest.raises(KeyboardInterrupt):
         cli.main(["synth", "best-value", PAPER])
+
+    # an answer missing from the exit-code table is a fault too, never
+    # exit 1, which reads as unrealizable, fail, adam or no
+    for module, name, unmapped, argv in _UNMAPPED:
+        monkeypatch.setattr(module, name, unmapped)
+        for flags in ([], ["--json"]):
+            code, out, err = run(capsys, *argv, *flags)
+            assert (code, out, err) == (
+                70, "", "internal error: answer 'unknown' has no exit code\n"), argv
+
+
+def _assigned_dict(path, name):
+    """The dict display assigned to name at the top of a source file."""
+    tree = ast.parse(Path(path).read_text())
+    return next(node.value for node in tree.body
+                if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == name)
+
+
+def test_every_answer_word_maps_to_one_exit_code():
+    # a dict display keeps the last of two equal keys, so count the keys
+    # its source lists
+    table = _assigned_dict(cli.__file__, "EXIT_CODE")
+    words = [eval(compile(ast.Expression(key), "EXIT_CODE", "eval"), vars(cli))
+             for key in table.keys]
+    assert len(words) == len(set(words)) == len(cli.EXIT_CODE)
+    assert cli.EXIT_CODE == {
+        "realizable": 0, "unrealizable": 1, "no_boolean_realizer": 1, "unknown_at_cap": 2,
+        "pass": 0, "fail": 1, "eve": 0, "adam": 1, "yes": 0, "no": 1,
+        "domain_safe": 0, "ok": 0, "defined": 0, "-inf": 1,
+    }
+    # the benchmark checks pool exit codes with a table of its own
+    bench_table = ast.literal_eval(_assigned_dict(
+        Path(__file__).resolve().parent.parent / "bench" / "run.py", "EXIT_FOR"))
+    shared = set(bench_table) & set(cli.EXIT_CODE)
+    assert shared and all(bench_table[word] == cli.EXIT_CODE[word] for word in shared)
+
+
+def test_every_printed_answer_exits_with_its_table_code(capsys, tmp_path):
+    guess = tmp_path / "guess.wfa"
+    guess.write_text(NO_BOOLEAN_REALIZER)
+    always_d = str(FIXTURES / "always-d.mealy")
+    calls = [
+        ["synth", "threshold", PAPER, "--cmp", "ge", "--nu", "6"],
+        ["synth", "best-value", PAPER],
+        ["synth", "threshold", str(guess), "--cmp", "ge", "--nu", "0"],
+        ["synth", "approx", PAPER, "--cmp", "lt", "--r", "4", "--cap", "64"],
+        ["verify", PAPER, always_d, "--objective", "boolean"],
+        ["verify", PAPER, always_d, "--objective", "best-value"],
+        ["solve-prefix", REMARK, "--measure", "sum", "--cmp", "ge", "--nu", "0"],
+        ["solve-prefix", REMARK, "--measure", "dsum", "--cmp", "gt", "--nu", "3",
+         "--lambda", "1/2"],
+        ["dsum-path", REMARK, "--nu", "3/2", "--lambda", "1/2", "--strict"],
+        ["dsum-path", REMARK, "--nu", "1", "--lambda", "1/2"],
+        ["domain-safe", PAPER],
+        ["domain-safe", str(guess)],
+        ["gen", "mp-to-spec", REMARK],
+        ["eval", PAPER, "--input", "ab", "--output", "cd"],
+        ["bestval", PAPER, "--input", "aa"],
+    ]
+    seen = set()
+    for argv in calls:
+        code, out, _ = run(capsys, *argv, "--json")
+        answer = json.loads(out)["answer"]
+        if argv[0] in ("eval", "bestval") and answer != cli.UNDEFINED:
+            answer = cli.DEFINED
+        assert code == cli.EXIT_CODE[answer], argv
+        seen.add(answer)
+    assert seen == set(cli.EXIT_CODE)
 
 
 def test_bad_cap_and_slack_exit_64_before_reading_the_spec(capsys):

@@ -29,6 +29,11 @@ relation for synth approx, slack r against a larger r at a fixed cap,
 does not hold: a larger r can raise the game's buffered credit so close
 to the cap that the capped game no longer wins.)
 
+Raising the cap of synth approx, with the slack kept, keeps every win:
+credits are clamped at the cap, so a strategy that wins at cap c wins
+at 2c.  No cap answers unrealizable unless every cap does, since the
+cap never certifies unrealizability.
+
 Trimming a spec to its live states first must change no domain-safe
 spec that make_domain_safe returns: a run that enters a dead state can
 no longer end in a final state, just like a run that dies, so no winner
@@ -253,6 +258,33 @@ def test_lowering_the_threshold_keeps_every_synth_threshold_win():
         assert wins == sorted(wins, reverse=True), (gen.emit_wfa(layout), cmp, wins)
         seen[measure, "switches" if 0 < sum(wins) < len(nus) else "constant"] += 1
     assert min(seen[measure, "switches"] for measure in (core.SUM, core.AVG)) >= 30, seen
+
+
+def test_raising_the_cap_keeps_every_synth_approx_win():
+    gen = load_bench_gen()
+    rng = random.Random(1)
+    caps = (1, 2, 4, 8, 16)
+    seen = collections.Counter()
+    for trial in range(200):
+        measure = (core.SUM, core.AVG)[trial % 2]
+        layout = gen.memory_spec(rng, rng.randint(2, 3), rng.randint(2, 4), "ab", "xy", measure,
+                                 out_w=(-3, 3))
+        spec = core.parse_wfa(gen.emit_wfa(layout))
+        cmp = rng.choice(["<", "<="])
+        r = Fraction(rng.randint(0, 4), rng.choice([1, 2]))
+        statuses = [synthesis.synth_approx(spec, cmp, r, cap).status for cap in caps]
+        wins = [status == synthesis.REALIZABLE for status in statuses]
+        context = (gen.emit_wfa(layout), cmp, r, statuses)
+        # no win at a cap below some point, and a win at every cap above it
+        assert wins == sorted(wins), context
+        # the cap never certifies unrealizability
+        assert (synthesis.UNREALIZABLE in statuses) == (
+            statuses == [synthesis.UNREALIZABLE] * len(caps)), context
+        seen[measure, cmp, "switches" if 0 < sum(wins) < len(caps) else statuses[0]] += 1
+    assert min(seen[measure, cmp, "switches"] for measure in (core.SUM, core.AVG)
+               for cmp in ("<", "<=")) >= 3, seen
+    assert min(seen[measure, "<", synthesis.UNREALIZABLE]
+               for measure in (core.SUM, core.AVG)) >= 3, seen
 
 
 def test_trimming_first_changes_no_domain_safe_spec():
