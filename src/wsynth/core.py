@@ -128,9 +128,9 @@ class WeightedSpec:
 
     transitions maps (state, symbol) -> (target, weight); determinism is
     the key shape of that dict.  polarity maps every state to INPUT or
-    OUTPUT and is inferred, never declared, in files.  _dom_steps and
-    _closures memoize domain.py's steps and single-state closures of the
-    domain automaton; a spec derived by dataclasses.replace starts empty.
+    OUTPUT and is inferred, never declared, in files.  _dom_steps memoizes
+    domain.py's subset steps of the domain automaton; a spec derived by
+    dataclasses.replace starts with it empty.
     """
 
     inputs: tuple
@@ -143,18 +143,11 @@ class WeightedSpec:
     discount: Optional[Fraction] = None
     polarity: dict = field(default_factory=dict)
     _dom_steps: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _closures: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.polarity:
             self.polarity = _infer_polarity(self)
         validate_spec(self)
-
-    def input_states(self):
-        return [q for q in self.states if self.polarity[q] == INPUT]
-
-    def output_states(self):
-        return [q for q in self.states if self.polarity[q] == OUTPUT]
 
     def with_measure(self, measure, discount=None):
         return replace(

@@ -8,11 +8,13 @@ words.  A specification where every reachable output transition is safe
 lets a strategy follow any run without monitoring the domain: every run
 on a domain word ends in a final state.
 
-The domain automaton is determinized lazily, one subset at a time; each
-spec memoizes its subset steps in its own table, so every question asked
-of one spec (membership, residual equality, the verifier's domain check)
-shares them.  All domain comparisons run one difference search,
-first_difference.
+Alternation makes every epsilon path a single output step, so the
+determinized domain automaton runs on sets of input states: a step reads
+one input and then one output.  It is determinized lazily, one subset at
+a time; each spec memoizes its subset steps in its own table, so every
+question asked of one spec (membership, residual equality, the
+verifier's domain check) shares them.  All domain comparisons run one
+difference search, first_difference.
 
 make_domain_safe prunes an arbitrary specification into an equivalent
 domain-safe one (same domain, same Boolean realizers) by solving a safety
@@ -33,41 +35,21 @@ from .games import ADAM, EVE, Arena
 _DEAD = "__dead__"
 
 
-def _closure(spec: WeightedSpec, states):
-    """Epsilon closure in the domain automaton: follow output transitions."""
-    out = set(states)
-    queue = list(states)
-    while queue:
-        q = queue.pop()
-        if spec.polarity[q] != OUTPUT:
-            continue
-        for b in spec.outputs:
-            entry = spec.transitions.get((q, b))
-            if entry is not None and entry[0] not in out:
-                out.add(entry[0])
-                queue.append(entry[0])
-    return frozenset(out)
-
-
-def _state_closure(spec: WeightedSpec, state):
-    """_closure of one state, memoized in the spec's closure table."""
-    if state not in spec._closures:
-        spec._closures[state] = _closure(spec, (state,))
-    return spec._closures[state]
+def _after_outputs(spec: WeightedSpec, states):
+    """The input states one output step leads to from output states."""
+    return frozenset(entry[0] for p in states for b in spec.outputs
+                     for entry in (spec.transitions.get((p, b)),) if entry is not None)
 
 
 def _dom_step(spec: WeightedSpec, subset, symbol):
-    """The union of the closures of symbol's targets, memoized per spec."""
+    """The input states that symbol and then one output lead to from
+    subset's input states, memoized per spec."""
     key = (subset, symbol)
     nxt = spec._dom_steps.get(key)
     if nxt is None:
-        nxt = set()
-        for q in subset:
-            if spec.polarity[q] == INPUT:
-                entry = spec.transitions.get((q, symbol))
-                if entry is not None:
-                    nxt |= _state_closure(spec, entry[0])
-        nxt = spec._dom_steps[key] = frozenset(nxt)
+        mids = [entry[0] for q in subset
+                for entry in (spec.transitions.get((q, symbol)),) if entry is not None]
+        nxt = spec._dom_steps[key] = _after_outputs(spec, mids)
     return nxt
 
 
@@ -77,7 +59,7 @@ def _accepts(spec: WeightedSpec, subset):
 
 def domain_membership(spec: WeightedSpec, u) -> bool:
     """Whether some output word completes u into the specification."""
-    subset = _state_closure(spec, spec.initial)
+    subset = frozenset((spec.initial,))
     for a in word(u):
         subset = _dom_step(spec, subset, a)
         if not subset:
@@ -87,8 +69,10 @@ def domain_membership(spec: WeightedSpec, u) -> bool:
 
 def _domain(spec: WeightedSpec, state):
     """The determinized domain automaton of spec from state, as
-    (start, step, accepts) for first_difference."""
-    return _state_closure(spec, state), partial(_dom_step, spec), partial(_accepts, spec)
+    (start, step, accepts) for first_difference.  An output state starts
+    from the input states its outputs lead to."""
+    start = frozenset((state,)) if spec.polarity[state] == INPUT else _after_outputs(spec, (state,))
+    return start, partial(_dom_step, spec), partial(_accepts, spec)
 
 
 def first_difference(left, right, symbols):

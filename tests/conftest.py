@@ -4,6 +4,7 @@ import math
 import sys
 from collections import deque
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -847,18 +848,46 @@ def bfs_live_states(spec, transitions=None):
     return reach.keys() & core.bfs(lambda q: pred.get(q, ()), spec.finals)[0].keys()
 
 
-def closure_dom_step(spec, table, subset, symbol):
-    """domain._dom_step as one domain._closure of the step's targets, per
-    step, memoized in table instead of the spec's own step table."""
-    key = (subset, symbol)
-    nxt = table.get(key)
-    if nxt is None:
-        targets = set()
-        for q in subset:
-            if spec.polarity[q] != core.INPUT:
-                continue
-            entry = spec.transitions.get((q, symbol))
-            if entry is not None:
-                targets.add(entry[0])
-        nxt = table[key] = domain._closure(spec, targets)
-    return nxt
+# --- the domain automaton on epsilon closures, before it stepped input states ---
+
+
+def old_closure(spec, states):
+    """Epsilon closure in the domain automaton: follow output transitions."""
+    out = set(states)
+    queue = list(states)
+    while queue:
+        q = queue.pop()
+        if spec.polarity[q] != core.OUTPUT:
+            continue
+        for b in spec.outputs:
+            entry = spec.transitions.get((q, b))
+            if entry is not None and entry[0] not in out:
+                out.add(entry[0])
+                queue.append(entry[0])
+    return frozenset(out)
+
+
+def old_dom_step(spec, subset, symbol):
+    """The old_closure of symbol's targets from subset's input states, with
+    no step table."""
+    targets = set()
+    for q in subset:
+        if spec.polarity[q] != core.INPUT:
+            continue
+        entry = spec.transitions.get((q, symbol))
+        if entry is not None:
+            targets.add(entry[0])
+    return old_closure(spec, targets)
+
+
+def old_domain(spec, state):
+    """domain._domain on subsets that keep output states: (start, step,
+    accepts) for domain.first_difference."""
+    return (old_closure(spec, [state]), partial(old_dom_step, spec),
+            partial(domain._accepts, spec))
+
+
+def input_part(spec, subset):
+    """An old_closure subset without its output states: the subset that
+    domain's automaton keeps."""
+    return frozenset(q for q in subset if spec.polarity[q] == core.INPUT)

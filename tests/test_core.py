@@ -31,8 +31,9 @@ def test_parse_paper_fixture(paper_spec):
     assert len(paper_spec.states) == 8
     assert len(paper_spec.transitions) == 9
     assert paper_spec.finals == ("q2", "q7")
-    assert sorted(paper_spec.input_states()) == ["q0", "q2", "q4", "q7"]
-    assert sorted(paper_spec.output_states()) == ["q1", "q3", "q5", "q6"]
+    states = sorted(paper_spec.states)
+    assert [q for q in states if paper_spec.polarity[q] == core.INPUT] == ["q0", "q2", "q4", "q7"]
+    assert [q for q in states if paper_spec.polarity[q] == core.OUTPUT] == ["q1", "q3", "q5", "q6"]
 
 
 def test_parse_epsilon_only_spec():

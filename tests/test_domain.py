@@ -13,9 +13,12 @@ from conftest import (
     bfs_infer_polarity,
     bfs_live_states,
     brute_domain,
-    closure_dom_step,
     domains_equal,
+    input_part,
     load_bench_gen,
+    old_closure,
+    old_dom_step,
+    old_domain,
     old_solve_safety,
     random_spec,
 )
@@ -26,9 +29,9 @@ def residual_words(spec, state, max_len):
     words = set()
     for n in range(max_len + 1):
         for u in itertools.product(spec.inputs, repeat=n):
-            subset = domain._closure(spec, [state])
+            subset = old_closure(spec, [state])
             for a in u:
-                subset = domain._dom_step(spec, subset, a)
+                subset = old_dom_step(spec, subset, a)
             if domain._accepts(spec, subset):
                 words.add(u)
     return words
@@ -41,7 +44,7 @@ def boolean_realizable_oracle(spec):
     whenever the subset accepts but her run is not in a final state.  Solved
     by a fixpoint over the (state, subset) safety game.
     """
-    start = (spec.initial, domain._closure(spec, [spec.initial]))
+    start = (spec.initial, old_closure(spec, [spec.initial]))
 
     states = set()
     queue = [start]
@@ -54,7 +57,7 @@ def boolean_realizable_oracle(spec):
         q, subset = node
         opts = []
         for a in spec.inputs:
-            nsub = domain._dom_step(spec, subset, a)
+            nsub = old_dom_step(spec, subset, a)
             mid = spec.transitions.get((q, a)) if q is not None else None
             mid_state = mid[0] if mid else None
             outs = []
@@ -167,7 +170,7 @@ def test_residual_equality_matches_enumeration(paper_spec):
 
 def old_residual_languages_equal(spec, p, q):
     """The depth-first product search that the breadth-first kernel replaced."""
-    start = (domain._closure(spec, [p]), domain._closure(spec, [q]))
+    start = (old_closure(spec, [p]), old_closure(spec, [q]))
     seen = {start}
     queue = [start]
     while queue:
@@ -175,7 +178,7 @@ def old_residual_languages_equal(spec, p, q):
         if domain._accepts(spec, left) != domain._accepts(spec, right):
             return False
         for a in spec.inputs:
-            nxt = (domain._dom_step(spec, left, a), domain._dom_step(spec, right, a))
+            nxt = (old_dom_step(spec, left, a), old_dom_step(spec, right, a))
             if nxt not in seen:
                 seen.add(nxt)
                 queue.append(nxt)
@@ -400,8 +403,8 @@ def test_live_states_matches_coreach_fixpoint():
 
 def test_set_up_matches_its_bfs_oracles_on_memory_specs():
     # polarity, the live states (of the spec and of a random restriction)
-    # and every domain step from every state's closure, against core.bfs
-    # and per-step closures
+    # and every domain step from every state's start, against core.bfs
+    # and the closure-based automaton, whose subsets also hold output states
     gen = load_bench_gen()
     rng = random.Random(41)
     counts = {"steps": 0, "dead states": 0, "restricted live": 0}
@@ -416,20 +419,75 @@ def test_set_up_matches_its_bfs_oracles_on_memory_specs():
             assert live == bfs_live_states(spec, transitions)
             counts["dead states"] += transitions is None and len(live) < len(spec.states)
             counts["restricted live"] += transitions is fewer and 0 < len(live)
-        table = {}
-        starts = [domain._closure(spec, [q]) for q in spec.states]
-        assert starts == [domain._state_closure(spec, q) for q in spec.states]
+        starts = [old_closure(spec, [q]) for q in spec.states]
+        assert [input_part(spec, start) for start in starts] == [
+            domain._domain(spec, q)[0] for q in spec.states]
         seen = set(starts)
         queue = list(seen)
         for subset in queue:
             for a in spec.inputs:
-                nxt = closure_dom_step(spec, table, subset, a)
-                assert domain._dom_step(spec, subset, a) == nxt
+                nxt = old_dom_step(spec, subset, a)
+                assert domain._dom_step(spec, input_part(spec, subset), a) == input_part(spec, nxt)
                 counts["steps"] += 1
                 if nxt not in seen:
                     seen.add(nxt)
                     queue.append(nxt)
     assert counts["steps"] >= 20000 and min(counts.values()) >= 50, counts
+
+
+def _alternating_spec(rng, inputs, outputs):
+    """A seeded partial spec with its polarity given, so that its alphabets
+    may share symbols; some of its states may be unreachable."""
+    in_states = ["i%d" % k for k in range(rng.randint(1, 4))]
+    out_states = ["o%d" % k for k in range(rng.randint(1, 4))]
+    transitions = {}
+    for sources, symbols, targets in ((in_states, inputs, out_states),
+                                      (out_states, outputs, in_states)):
+        for src in sources:
+            for sym in symbols:
+                if rng.random() < 0.6:
+                    transitions[(src, sym)] = (rng.choice(targets), 0)
+    return core.WeightedSpec(
+        inputs=inputs, outputs=outputs, states=tuple(in_states + out_states), initial="i0",
+        finals=tuple(q for q in in_states if rng.random() < 0.5), transitions=transitions,
+        polarity=dict.fromkeys(in_states, core.INPUT) | dict.fromkeys(out_states, core.OUTPUT),
+    )
+
+
+def test_input_state_automaton_matches_the_closure_automaton():
+    # membership, the unsafe transitions and the first difference from every
+    # state pair, against the automaton on epsilon closures, over alphabets
+    # that share symbols and ones that do not
+    rng = random.Random(71)
+    alphabets = [(("a", "b"), ("c", "d")), (("a", "b"), ("b", "c")),
+                 (("a", "b"), ("a", "b")), (("a",), ("a", "c"))]
+    seen = dict.fromkeys(("shared", "disjoint", "in domain", "unsafe", "differ", "equal"), 0)
+    for trial in range(1200):
+        inputs, outputs = alphabets[trial % len(alphabets)]
+        spec = _alternating_spec(rng, inputs, outputs)
+        for u in (u for n in range(5) for u in itertools.product(inputs, repeat=n)):
+            subset = old_closure(spec, [spec.initial])
+            for a in u:
+                subset = old_dom_step(spec, subset, a)
+            member = domain.domain_membership(spec, u)
+            assert member == domain._accepts(spec, subset), (core.emit_wfa(spec), u)
+            seen["in domain"] += member
+        reach = domain.reachable_states(spec)
+        unsafe = {(p, b, q) for (p, b), (q, _w) in spec.transitions.items()
+                  if p in reach and spec.polarity[p] == core.OUTPUT and domain.first_difference(
+                      old_domain(spec, p), old_domain(spec, q), inputs) is not None}
+        assert domain.unsafe_transitions(spec) == unsafe, core.emit_wfa(spec)
+        seen["unsafe"] += bool(unsafe)
+        for p, q in itertools.product(spec.states, repeat=2):
+            got = domain.first_difference(domain._domain(spec, p), domain._domain(spec, q), inputs)
+            assert got == domain.first_difference(
+                old_domain(spec, p), old_domain(spec, q), inputs), (core.emit_wfa(spec), p, q)
+            seen["equal" if got is None else "differ"] += 1
+        seen["shared" if set(inputs) & set(outputs) else "disjoint"] += 1
+        # no subset the spec's step table holds, as a key or a value, has an output state
+        assert all(spec.polarity[q] == core.INPUT
+                   for (subset, _a), nxt in spec._dom_steps.items() for q in subset | nxt)
+    assert min(seen.values()) >= 100, seen
 
 
 def old_build_two_run_game(spec):
@@ -673,7 +731,7 @@ def test_level_build_matches_the_fifo_build(paper_spec):
             len(set(targets)) < len(targets)
             for q, targets in (
                 (q, [spec.transitions[(q, b)][0] for b in spec.outputs if (q, b) in spec.transitions])
-                for q in spec.output_states())
+                for q in spec.states if spec.polarity[q] == core.OUTPUT)
         )
         seen["twin_preds"] += any(len(set(sources)) < len(sources) for sources in preds.values())
         seen["critical"] += bool(critical)
@@ -789,7 +847,7 @@ def _mutant(rng, spec):
             same = [q for q in spec.states if spec.polarity[q] == spec.polarity[transitions[key][0]]]
             transitions[key] = (rng.choice(same), 0)
     elif choice == 1:
-        q = rng.choice(spec.input_states())
+        q = rng.choice([q for q in spec.states if spec.polarity[q] == core.INPUT])
         finals ^= {q}
     else:
         src = rng.choice(spec.states)
@@ -861,7 +919,7 @@ def test_first_difference_on_domains_that_differ():
         assert _in_domain(left, got) != _in_domain(right, got), (
             core.emit_wfa(left), core.emit_wfa(right), got)
         if want is not None:
-            assert len(got) <= len(want), (core.emit_wfa(left), core.emit_wfa(right), got, want)
+            assert tuple(got) == tuple(want), (core.emit_wfa(left), core.emit_wfa(right), got, want)
         outcomes["word"] += 1
     assert min(outcomes.values()) >= 100, outcomes
 

@@ -32,8 +32,9 @@ from wsynth.synthesis import (
 
 from conftest import (FIXTURES, always_transducer, always_d_realizer, check_difference,
                       edge_iarena, first_c_realizer, load_bench_check, load_bench_gen,
-                      load_bench_workloads, old_min_walk_below, old_value_witness,
-                      old_verify_verdict_only, random_spec, table_from_edges)
+                      load_bench_workloads, old_closure, old_dom_step, old_min_walk_below,
+                      old_value_witness, old_verify_verdict_only, random_spec,
+                      table_from_edges)
 from test_games import full_floor_solve, mk_arena, random_arena
 from test_prefix_games import OldImperfectArena, old_reduce_prefix_energy_to_energy
 
@@ -1313,7 +1314,7 @@ def _random_selector_machine(rng, spec):
 def _old_domain_equal_witness(spec, t):
     """None when dom(t) = dom(spec), else a separating input word (a BFS
     that copies the path into every queue entry, with no step cache)."""
-    start = (t.initial, domain._closure(spec, [spec.initial]))
+    start = (t.initial, old_closure(spec, [spec.initial]))
     seen = {start}
     queue = collections.deque([(start, ())])
     while queue:
@@ -1322,7 +1323,7 @@ def _old_domain_equal_witness(spec, t):
             return path
         for a in spec.inputs:
             entry = t.transitions.get((s, a)) if s is not None else None
-            node = (entry[1] if entry else None, domain._dom_step(spec, subset, a))
+            node = (entry[1] if entry else None, old_dom_step(spec, subset, a))
             if node not in seen:
                 seen.add(node)
                 queue.append((node, path + (a,)))
@@ -1383,22 +1384,13 @@ def test_boolean_checks_match_the_old_searches():
     assert min(outcomes.values()) >= 100, outcomes
 
 
-def test_second_verify_call_computes_no_new_subset_step(paper_spec, monkeypatch):
+def test_second_verify_call_computes_no_new_subset_step(paper_spec):
     spec = core.parse_wfa(core.emit_wfa(paper_spec))  # an empty step table
-    closures = []
-    closure = domain._closure
-
-    def counted(spec, states):
-        closures.append(1)
-        return closure(spec, states)
-
-    monkeypatch.setattr(domain, "_closure", counted)
     assert verify_realizer(spec, first_c_realizer(), Objective(kind="boolean"))[0] == PASS
-    first = len(closures)
-    closures.clear()
+    first = dict(spec._dom_steps)
     verify_realizer(spec, always_d_realizer(), Objective(kind="best_value"))
-    # the start subset and every step come from the spec's closure and step tables
-    assert first > 1 and not closures, (first, len(closures))
+    # every step comes from the spec's step table
+    assert len(first) > 1 and spec._dom_steps == first, (len(first), len(spec._dom_steps))
 
 
 _ORACLE_OBJECTIVES = (
@@ -1562,7 +1554,7 @@ def test_objective_rejects_missing_or_negative_bounds():
 
 def _old_domain_words_probe(spec):
     """Does the spec accept anything at all?  Yields at most one witness."""
-    subset = domain._closure(spec, [spec.initial])
+    subset = old_closure(spec, [spec.initial])
     seen = {subset}
     queue = collections.deque([subset])
     while queue:
@@ -1571,7 +1563,7 @@ def _old_domain_words_probe(spec):
             yield current
             return
         for a in spec.inputs:
-            nxt = domain._dom_step(spec, current, a)
+            nxt = old_dom_step(spec, current, a)
             if nxt and nxt not in seen:
                 seen.add(nxt)
                 queue.append(nxt)
